@@ -1,11 +1,11 @@
-//! Event-queue ablation: binary heap vs fixed vs self-tuning calendar
-//! queue (DESIGN.md §7).
+//! Event-queue ablation: radix heap vs self-tuning calendar queue
+//! (DESIGN.md §7).
 //!
 //! Three tiers, increasingly close to production:
 //!
 //! * **hold** — the classic pop-one/push-one steady-state model with the
 //!   network's event mix (short-horizon pushes plus ~2% far-horizon
-//!   compute wake-ups, the pattern that defeats a mistuned fixed calendar),
+//!   compute wake-ups),
 //! * **world** — a full tiny-Dragonfly pairwise run with the world loop
 //!   monomorphized over each backend (`SimConfig::queue`),
 //! * **churn** — a Poisson job-arrival scenario (`run_scenario`): ns-scale
@@ -62,16 +62,9 @@ fn bench_queues(c: &mut Criterion) {
     }
     let sizes: &[u64] = if smoke() { &[2_000] } else { &[10_000, 100_000] };
     for &n in sizes {
-        group.bench_with_input(BenchmarkId::new("binary_heap", n), &n, |b, &n| {
+        group.bench_with_input(BenchmarkId::new("heap", n), &n, |b, &n| {
             b.iter(|| {
                 let mut q = EventQueue::new();
-                let mut rng = SimRng::new(1);
-                black_box(churn(&mut q, n, &mut rng))
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("calendar", n), &n, |b, &n| {
-            b.iter(|| {
-                let mut q = CalendarQueue::for_network();
                 let mut rng = SimRng::new(1);
                 black_box(churn(&mut q, n, &mut rng))
             })

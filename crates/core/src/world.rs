@@ -1,6 +1,6 @@
 //! The world event loop: one deterministic queue driving network and MPI.
 //!
-//! The queue backend is a type parameter (defaulting to the binary heap),
+//! The queue backend is a type parameter (defaulting to the radix heap),
 //! selected at runtime from [`crate::config::SimConfig::queue`] by
 //! [`crate::runner::run_placed`] — the event-queue ablation runs the real
 //! hot path, not a synthetic harness. Both backends realize the identical
@@ -26,7 +26,7 @@ pub enum WorldEvent {
     Job(JobEvent),
 }
 
-/// The default (binary-heap) world queue backend.
+/// The default (radix-heap) world queue backend.
 pub type DefaultBackend = EventQueue<WorldEvent>;
 
 /// The world queue: lifts network and MPI events into [`WorldEvent`] and

@@ -4,7 +4,7 @@
 //! fixed-width "days". For workloads whose pending events are spread over a
 //! bounded horizon (as in a network simulation where events live at most a
 //! few microseconds ahead), `push`/`pop` are O(1) amortized versus the
-//! binary heap's O(log n) — *if* the bucket width and count fit the event
+//! O(log n) of a binary heap — *if* the bucket width and count fit the event
 //! mix. This implementation is the ablation partner of
 //! [`crate::queue::EventQueue`]; both satisfy [`crate::queue::PendingEvents`]
 //! and the `event_queue` bench compares them.
@@ -155,12 +155,6 @@ impl<E> CalendarQueue<E> {
             bucket_scans: 0,
             sparse_jumps: 0,
         }
-    }
-
-    /// The legacy fixed configuration suited to the Dragonfly simulation:
-    /// 16 384 buckets of ~20 ns cover a ~0.3 ms horizon.
-    pub fn for_network() -> Self {
-        Self::with_tuning(CalendarTuning::FIXED_NETWORK)
     }
 
     /// The time of the most recently popped event.
@@ -677,10 +671,10 @@ mod tests {
     fn resize_preserves_exact_order_mid_stream() {
         // Interleave pushes and pops so rebuilds happen while the cursor is
         // mid-year; compare against the heap oracle.
-        use crate::queue::EventQueue;
+        use crate::oracle::OracleQueue;
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::SmallRng::seed_from_u64(99);
-        let mut heap = EventQueue::new();
+        let mut heap = OracleQueue::new();
         let mut cal = CalendarQueue::auto();
         let mut now = 0u64;
         for step in 0..30_000u64 {
@@ -702,10 +696,10 @@ mod tests {
 
     #[test]
     fn matches_heap_on_random_workload() {
-        use crate::queue::EventQueue;
+        use crate::oracle::OracleQueue;
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
-        let mut heap = EventQueue::new();
+        let mut heap = OracleQueue::new();
         let mut cal = CalendarQueue::new(64, 32);
         let mut now = 0u64;
         let mut pending = 0i64;

@@ -5,8 +5,8 @@
 //!
 //! * a picosecond time base exact for all the paper's link constants
 //!   ([`time`]),
-//! * two interchangeable pending-event sets — a binary heap and a calendar
-//!   queue — behind the [`queue::PendingEvents`] trait ([`queue`],
+//! * two interchangeable pending-event sets — a monotone radix heap and a
+//!   calendar queue — behind the [`queue::PendingEvents`] trait ([`queue`],
 //!   [`calendar`]),
 //! * a tiny scheduler abstraction so sub-models (network, MPI) can schedule
 //!   their own event types while a single world queue drives the simulation
@@ -33,6 +33,14 @@ pub mod queue;
 pub mod rng;
 pub mod sched;
 pub mod time;
+
+// The reference queue lives with the integration tests, which name this
+// crate by its external name; the unit tests share the one copy.
+#[cfg(test)]
+extern crate self as dfsim_des;
+#[cfg(test)]
+#[path = "../tests/oracle/mod.rs"]
+mod oracle;
 
 pub use calendar::CalendarQueue;
 pub use comm::{local_mesh, LocalThreadCommunicator, SimCommunicator, WireReader, WireWriter};
