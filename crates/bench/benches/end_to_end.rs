@@ -3,24 +3,26 @@
 //! bounds the full study's wall time (events per second of the whole
 //! stack: apps → MPI → network → metrics).
 
-// The engine-level free functions are what this bench measures; the
-// deprecated wrappers pin exactly that entry point.
-#![allow(deprecated)]
-
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use dfsim_apps::AppKind;
-use dfsim_core::config::SimConfig;
-use dfsim_core::placement::Placement;
-use dfsim_core::runner::{run_placed, JobSpec};
-use dfsim_network::{RoutingAlgo, RoutingConfig};
+use dfsim_core::runner::JobSpec;
+use dfsim_core::{ExperimentSpec, Simulation, Workload};
+use dfsim_network::RoutingAlgo;
+use dfsim_topology::DragonflyParams;
 
 fn run_once(algo: RoutingAlgo) -> u64 {
-    let cfg = SimConfig { routing: RoutingConfig::new(algo), ..SimConfig::test_tiny(algo) };
-    let report = run_placed(
-        &cfg,
-        &[JobSpec::sized(AppKind::UR, 36), JobSpec::sized(AppKind::Halo3D, 36)],
-        Placement::Random,
-    );
+    let spec = ExperimentSpec {
+        workload: Workload::jobs(vec![
+            JobSpec::sized(AppKind::UR, 36),
+            JobSpec::sized(AppKind::Halo3D, 36),
+        ]),
+        params: DragonflyParams::tiny_72(),
+        routings: vec![algo],
+        scale: 2_048.0,
+        seed: 7,
+        ..Default::default()
+    };
+    let report = Simulation::from_spec(spec).unwrap().run().unwrap().report;
     assert!(report.completed);
     report.events
 }

@@ -7,27 +7,42 @@
 //!   network's event mix (short-horizon pushes plus ~2% far-horizon
 //!   compute wake-ups),
 //! * **world** — a full tiny-Dragonfly pairwise run with the world loop
-//!   monomorphized over each backend (`SimConfig::queue`),
-//! * **churn** — a Poisson job-arrival scenario (`run_scenario`): ns-scale
-//!   traffic plus ms-scale arrivals in one pending set.
+//!   monomorphized over each backend (spec key `queue`),
+//! * **churn** — a Poisson job-arrival scenario (`workload poisson`):
+//!   ns-scale traffic plus ms-scale arrivals in one pending set.
 //!
 //! `DFSIM_BENCH_SMOKE=1` shrinks every tier to a few-second CI smoke run
 //! (the CI workflow uses it to catch queue regressions early).
 
-// The engine-level free functions are what this bench measures; the
-// deprecated wrappers pin exactly that entry point.
-#![allow(deprecated)]
-
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use dfsim_apps::AppKind;
-use dfsim_core::config::SimConfig;
-use dfsim_core::placement::Placement;
-use dfsim_core::runner::{run_placed, JobSpec};
-use dfsim_core::scenario::{run_scenario, Scenario, SchedPolicy};
+use dfsim_core::runner::JobSpec;
+use dfsim_core::{ExperimentSpec, Simulation, Workload};
 use dfsim_des::calendar::CalendarQueue;
 use dfsim_des::queue::{EventQueue, PendingEvents, QueueBackend};
 use dfsim_des::SimRng;
-use dfsim_network::RoutingAlgo;
+use dfsim_topology::DragonflyParams;
+
+/// The UR + Halo3D pairwise run on the 72-node test system.
+fn tiny_pairwise() -> ExperimentSpec {
+    ExperimentSpec {
+        workload: Workload::jobs(vec![
+            JobSpec::sized(AppKind::UR, 36),
+            JobSpec::sized(AppKind::Halo3D, 36),
+        ]),
+        params: DragonflyParams::tiny_72(),
+        scale: 2_048.0,
+        seed: 7,
+        ..Default::default()
+    }
+}
+
+/// Run `spec` to completion and return its event count.
+fn events_of(spec: ExperimentSpec) -> u64 {
+    let report = Simulation::from_spec(spec).unwrap().run().unwrap().report;
+    assert!(report.completed);
+    report.events
+}
 
 fn smoke() -> bool {
     // lint: allow(no-ambient-env) — CI harness knob selecting smoke iteration
@@ -82,7 +97,7 @@ fn bench_queues(c: &mut Criterion) {
 
 /// The same ablation through the real hot path: a full tiny-Dragonfly
 /// pairwise run with the world loop monomorphized over each backend
-/// (`SimConfig::queue`), exactly what the fig/table binaries execute.
+/// (spec key `queue`), exactly what the fig/table binaries execute.
 fn bench_world_loop(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue_world");
     group.sample_size(if smoke() { 2 } else { 10 });
@@ -92,14 +107,7 @@ fn bench_world_loop(c: &mut Criterion) {
             &backend,
             |b, &backend| {
                 b.iter(|| {
-                    let cfg = SimConfig::test_tiny(RoutingAlgo::UgalG).with_queue(backend);
-                    let report = run_placed(
-                        &cfg,
-                        &[JobSpec::sized(AppKind::UR, 36), JobSpec::sized(AppKind::Halo3D, 36)],
-                        Placement::Random,
-                    );
-                    assert!(report.completed);
-                    black_box(report.events)
+                    black_box(events_of(ExperimentSpec { queue: backend, ..tiny_pairwise() }))
                 })
             },
         );
@@ -108,7 +116,7 @@ fn bench_world_loop(c: &mut Criterion) {
 }
 
 /// The churn-scenario-driven mix: Poisson arrivals over four workload kinds
-/// through `run_scenario` — ms-scale job events co-pending with ns-scale
+/// through the scenario driver — ms-scale job events co-pending with ns-scale
 /// packet traffic, the widest time-scale spread the simulator produces.
 fn bench_churn_scenario(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue_churn");
@@ -120,19 +128,15 @@ fn bench_churn_scenario(c: &mut Criterion) {
             &backend,
             |b, &backend| {
                 b.iter(|| {
-                    let mut cfg = SimConfig::test_tiny(RoutingAlgo::UgalG).with_queue(backend);
-                    cfg.seed = 7;
-                    let scenario = Scenario::poisson(
-                        7,
-                        500.0,
+                    black_box(events_of(ExperimentSpec {
+                        workload: Workload::Poisson,
+                        rates: vec![500.0],
                         jobs,
-                        &[AppKind::UR, AppKind::CosmoFlow, AppKind::LU, AppKind::FFT3D],
-                        &[18, 36],
-                    );
-                    let report =
-                        run_scenario(&cfg, &scenario, SchedPolicy::Fcfs, Placement::Random);
-                    assert!(report.completed);
-                    black_box(report.events)
+                        apps: vec![AppKind::UR, AppKind::CosmoFlow, AppKind::LU, AppKind::FFT3D],
+                        sizes: vec![18, 36],
+                        queue: backend,
+                        ..tiny_pairwise()
+                    }))
                 })
             },
         );
@@ -151,17 +155,7 @@ fn bench_partitioned_world(c: &mut Criterion) {
     group.sample_size(if smoke() { 2 } else { 10 });
     for parts in [1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::new("ur_halo3d_tiny72", parts), &parts, |b, &parts| {
-            b.iter(|| {
-                let mut cfg = SimConfig::test_tiny(RoutingAlgo::UgalG);
-                cfg.threads = parts;
-                let report = run_placed(
-                    &cfg,
-                    &[JobSpec::sized(AppKind::UR, 36), JobSpec::sized(AppKind::Halo3D, 36)],
-                    Placement::Random,
-                );
-                assert!(report.completed);
-                black_box(report.events)
-            })
+            b.iter(|| black_box(events_of(ExperimentSpec { threads: parts, ..tiny_pairwise() })))
         });
     }
     group.finish();

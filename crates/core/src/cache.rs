@@ -35,7 +35,7 @@ use dfsim_network::QTableSnapshot;
 
 use crate::report::{AppReport, EngineReport, JobReport, LearningReport, NetworkReport, RunReport};
 use crate::spec::{ExperimentSpec, Workload};
-use crate::trace::{len_u32, put_f64, put_str, put_u32, put_u64, put_u8, Cur};
+use dfsim_metrics::trace::{len_u32, put_f64, put_opt_f64, put_str, put_u32, put_u64, put_u8, Cur};
 use dfsim_metrics::{LatencySummary, Stats};
 
 /// Magic header of every cache entry file, and the version salt of every
@@ -240,8 +240,8 @@ pub enum KeyClass {
 /// This is the machine-checked contract behind [`normalized_for_key`]:
 /// `dfsim-lint`'s cache-key-coverage rule parses this table and
 /// `spec.rs`'s `SPEC_KEYS` registry out of the source and fails the build
-/// unless they agree key-for-key (and [`tests::classification_covers_every_spec_key`]
-/// pins the same in-process), so a future spec key that changes run
+/// unless they agree key-for-key (and the `classification_covers_every_spec_key`
+/// unit test pins the same in-process), so a future spec key that changes run
 /// behaviour can never silently reuse a stale cached report — the author
 /// must decide its class here, on the record.
 pub const KEY_CLASSIFICATION: [(&str, KeyClass); 31] = [
@@ -362,11 +362,6 @@ fn put_matrix(b: &mut Vec<u8>, m: &[Vec<f64>]) {
     for row in m {
         put_f64s(b, row);
     }
-}
-
-fn put_opt_f64(b: &mut Vec<u8>, v: Option<f64>) {
-    put_u8(b, u8::from(v.is_some()));
-    put_f64(b, v.unwrap_or(0.0));
 }
 
 /// Encode a full [`RunReport`] as a versioned little-endian blob (`f64`s

@@ -1,4 +1,4 @@
-//! The paper's experiment presets.
+//! The paper's experiment constants.
 //!
 //! * **Standalone** (§V, blue bars of Fig 4): one app on its half of the
 //!   1,056-node system, the other half idle.
@@ -9,81 +9,14 @@
 //!   takes fewer than 528 nodes — LULESH's 512, paper §V).
 //! * **Mixed** (§VI, Table II, Figs 10–13): six apps of different patterns
 //!   filling all 1,056 nodes (140 + 138 + 140 + 139 + 256 + 243 = 1,056).
-
-use std::path::PathBuf;
+//!
+//! The workloads themselves are [`crate::spec::Workload`] variants run
+//! through [`crate::simulation::Simulation`]; this module holds the
+//! paper's tables they are built from.
 
 use dfsim_apps::AppKind;
-use dfsim_des::QueueBackend;
-use dfsim_network::{QTableInit, RoutingAlgo, RoutingConfig};
 
-use crate::config::SimConfig;
-use crate::placement::Placement;
-use crate::report::RunReport;
 use crate::runner::JobSpec;
-use crate::simulation::Simulation;
-use crate::spec::{ExperimentSpec, Workload};
-
-/// Knobs shared by a whole experiment campaign.
-///
-/// Not `Copy` (the Q-table lifecycle knobs carry paths); sweep closures
-/// clone per cell: `StudyConfig { routing, ..study.clone() }`.
-#[derive(Debug, Clone)]
-pub struct StudyConfig {
-    /// Routing algorithm under test.
-    pub routing: RoutingAlgo,
-    /// Workload scale divisor.
-    pub scale: f64,
-    /// Root seed (placement + all randomness).
-    pub seed: u64,
-    /// Placement policy (paper: random).
-    pub placement: Placement,
-    /// Topology (default: the paper's 1,056-node system).
-    pub params: dfsim_topology::DragonflyParams,
-    /// Event-queue backend of the world loop (report-invariant; a
-    /// performance knob for the ablation).
-    pub queue: QueueBackend,
-    /// Q-table initialization: cold (paper) or warm-start from a snapshot
-    /// (`--qtable load=PATH`; Q-adaptive runs only).
-    pub qtable_init: QTableInit,
-    /// Write the learned Q-tables here after the run (`--qtable save=PATH`;
-    /// Q-adaptive runs only).
-    pub qtable_save: Option<PathBuf>,
-}
-
-impl Default for StudyConfig {
-    fn default() -> Self {
-        Self {
-            routing: RoutingAlgo::UgalG,
-            scale: 64.0,
-            seed: 42,
-            placement: Placement::Random,
-            params: dfsim_topology::DragonflyParams::paper_1056(),
-            queue: QueueBackend::default(),
-            qtable_init: QTableInit::Cold,
-            qtable_save: None,
-        }
-    }
-}
-
-impl StudyConfig {
-    /// The full simulation config this study implies.
-    pub fn sim(&self) -> SimConfig {
-        SimConfig {
-            routing: RoutingConfig::new(self.routing).with_qtable_init(self.qtable_init.clone()),
-            scale: self.scale,
-            seed: self.seed,
-            params: self.params,
-            queue: self.queue,
-            qtable_save: self.qtable_save.clone(),
-            ..Default::default()
-        }
-    }
-
-    /// Half the system's nodes (the pairwise partition size).
-    pub fn half_nodes(&self) -> u32 {
-        self.params.num_nodes() / 2
-    }
-}
 
 /// Table II job sizes (paper §VI).
 pub const MIXED_JOBS: [(AppKind, u32); 6] = [
@@ -95,44 +28,28 @@ pub const MIXED_JOBS: [(AppKind, u32); 6] = [
     (AppKind::Stencil5D, 243),
 ];
 
-/// Run `target` standalone on its half-system partition.
-pub fn standalone(target: AppKind, cfg: &StudyConfig) -> RunReport {
-    pairwise(target, None, cfg)
-}
-
-/// Run `target` with an optional co-running `background` on the other half
-/// of the system. `background = None` is the standalone case with an
-/// *identical* target mapping (same placement seed, same partition slice).
-pub fn pairwise(target: AppKind, background: Option<AppKind>, cfg: &StudyConfig) -> RunReport {
-    preset(cfg, Workload::pairwise(target, background))
-}
-
-/// Run the Table II mixed workload.
-pub fn mixed(cfg: &StudyConfig) -> RunReport {
-    preset(cfg, Workload::Mixed)
-}
-
-/// Mixed workload with job sizes scaled by `size_factor` (for small-system
-/// tests; 1.0 = Table II sizes).
-pub fn mixed_scaled_sizes(cfg: &StudyConfig, size_factor: f64) -> RunReport {
-    let jobs: Vec<JobSpec> = MIXED_JOBS
-        .iter()
-        .map(|&(kind, size)| {
-            let s = ((size as f64 * size_factor).round() as u32).max(2);
-            JobSpec::sized(kind, s)
-        })
-        .collect();
-    preset(cfg, Workload::jobs(jobs))
-}
-
-/// Run a preset workload under a study config through the simulation
-/// session (the presets predate [`ExperimentSpec`]; they keep their
-/// signatures and, by construction, their bit-identical reports).
-fn preset(cfg: &StudyConfig, workload: Workload) -> RunReport {
-    let spec = ExperimentSpec::from_study(cfg);
-    Simulation::run_one(&spec, workload)
-        .unwrap_or_else(|e| panic!("invalid study config: {e}"))
-        .report
+/// Table II on a machine of `num_nodes` nodes: each job scaled by
+/// `num_nodes / 1056`, rounded, at least 2 ranks. The sizes are Table II's
+/// own on the paper system. Rounding and the 2-rank floor can add up to
+/// more than the machine holds; the excess is taken back one node at a
+/// time from the job rounded up the furthest, so the mix fits every
+/// machine of 12 nodes or more.
+pub(crate) fn mixed_jobs(num_nodes: u32) -> Vec<JobSpec> {
+    let total: u32 = MIXED_JOBS.iter().map(|&(_, s)| s).sum();
+    let factor = num_nodes as f64 / total as f64;
+    let exact: Vec<f64> = MIXED_JOBS.iter().map(|&(_, s)| s as f64 * factor).collect();
+    let mut sizes: Vec<u32> = exact.iter().map(|e| (e.round() as u32).max(2)).collect();
+    let over = sizes.iter().sum::<u32>().saturating_sub(num_nodes);
+    for _ in 0..over {
+        let shave = (0..sizes.len())
+            .filter(|&i| sizes[i] > 2)
+            .max_by(|&a, &b| (sizes[a] as f64 - exact[a]).total_cmp(&(sizes[b] as f64 - exact[b])));
+        match shave {
+            Some(i) => sizes[i] -= 1,
+            None => break, // under 12 nodes: `prepare` names the shortfall
+        }
+    }
+    MIXED_JOBS.iter().zip(sizes).map(|(&(kind, _), s)| JobSpec::sized(kind, s)).collect()
 }
 
 /// The background set of Fig 4 (legend order).
@@ -160,10 +77,27 @@ pub const FIG4_TARGETS: [AppKind; 6] = [
 mod tests {
     use super::*;
 
+    fn sizes(num_nodes: u32) -> Vec<u32> {
+        mixed_jobs(num_nodes).iter().map(|j| j.size).collect()
+    }
+
     #[test]
     fn mixed_jobs_fill_the_machine_exactly() {
         let total: u32 = MIXED_JOBS.iter().map(|&(_, s)| s).sum();
         assert_eq!(total, 1_056);
+        assert_eq!(sizes(1_056), [140, 138, 140, 139, 256, 243], "Table II on the paper system");
+        assert_eq!(sizes(72), [10, 9, 10, 9, 17, 17], "the 72-node test system");
+    }
+
+    /// Regression: plain rounding overshot 271 of these machine sizes
+    /// (36 → 37, 120 → 121, …), so `workload mixed` was rejected on them.
+    #[test]
+    fn scaled_mix_fits_every_machine_size() {
+        for n in 12..=1_056 {
+            let s = sizes(n);
+            assert!(s.iter().all(|&x| x >= 2), "{n} nodes: a job under 2 ranks in {s:?}");
+            assert!(s.iter().sum::<u32>() <= n, "{n} nodes: {s:?} does not fit");
+        }
     }
 
     #[test]
@@ -171,38 +105,5 @@ mod tests {
         assert_eq!(FIG4_TARGETS.len(), 6);
         assert_eq!(FIG4_BACKGROUNDS.len(), 7);
         assert_eq!(FIG4_BACKGROUNDS[0], None);
-    }
-
-    #[test]
-    fn pairwise_on_tiny_system_completes_under_all_routings() {
-        for routing in RoutingAlgo::PAPER_SET {
-            let cfg = StudyConfig {
-                routing,
-                scale: 4_096.0,
-                seed: 11,
-                placement: Placement::Random,
-                params: dfsim_topology::DragonflyParams::tiny_72(),
-                ..Default::default()
-            };
-            let report = pairwise(AppKind::CosmoFlow, Some(AppKind::UR), &cfg);
-            assert!(report.completed, "{routing}: {}", report.stop_reason);
-            assert_eq!(report.apps.len(), 2);
-            assert_eq!(report.apps[0].name, "CosmoFlow");
-        }
-    }
-
-    #[test]
-    fn standalone_and_pairwise_share_target_mapping() {
-        // Indirect check: identical seeds give identical standalone target
-        // behaviour whether or not the background slot exists; the direct
-        // mapping check lives in placement::tests.
-        let cfg = StudyConfig {
-            scale: 4_096.0,
-            params: dfsim_topology::DragonflyParams::tiny_72(),
-            ..Default::default()
-        };
-        let solo1 = standalone(AppKind::LU, &cfg);
-        let solo2 = pairwise(AppKind::LU, None, &cfg);
-        assert_eq!(solo1.apps[0].comm_ms.mean, solo2.apps[0].comm_ms.mean);
     }
 }

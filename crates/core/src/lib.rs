@@ -12,35 +12,38 @@
 //! * [`runner`] — build-run-report: executes a job mix and produces a
 //!   [`report::RunReport`],
 //! * [`scenario`] — dynamic churn: timed job arrivals, FCFS/backfill
-//!   admission, node reclamation, and `run_scenario`,
-//! * [`experiments`] — the paper's campaign presets: standalone runs,
-//!   pairwise interference (§V) and the Table II mixed workload (§VI),
+//!   admission and node reclamation,
+//! * [`experiments`] — the paper's tables: the Table II mixed workload
+//!   (§VI) and the Fig 4 target/background sets (§V),
 //! * [`spec`] — the declarative [`spec::ExperimentSpec`]: one serializable
 //!   description of an experiment, one text format, one `defaults < file <
 //!   env < CLI` resolver, one label registry,
-//! * [`simulation`] — the session API: [`simulation::Simulation`] runs a
-//!   spec (`from_spec → prepare → run → RunHandle`),
+//! * [`simulation`] — the session API and the only way to start a run:
+//!   [`simulation::Simulation`] runs a spec (`from_spec → prepare → run →
+//!   RunHandle`),
 //! * [`cache`] — the content-addressed result cache: reports keyed by a
 //!   stable hash of the canonical spec emit, replayed bit-identically on
 //!   repeat runs,
 //! * [`sweep`] — deterministic parallel execution of independent runs on
-//!   a shared, lazily-built worker pool,
+//!   scoped worker threads,
 //! * [`report`] / [`tables`] — run reports and text/CSV table rendering,
 //! * [`trace`] — the run-level half of the `dfsim-trace v1` streaming
 //!   layer: the META context blob and [`trace::replay_trace`], which
 //!   rebuilds a run's exact report from its trace file.
 //!
 //! ```no_run
-//! use dfsim_core::experiments::{pairwise, StudyConfig};
+//! use dfsim_core::{ExperimentSpec, Simulation, Workload};
 //! use dfsim_apps::AppKind;
 //! use dfsim_network::RoutingAlgo;
 //!
-//! let cfg = StudyConfig { routing: RoutingAlgo::QAdaptive, ..Default::default() };
-//! let report = pairwise(AppKind::FFT3D, Some(AppKind::Halo3D), &cfg);
+//! let spec = ExperimentSpec { routings: vec![RoutingAlgo::QAdaptive], ..Default::default() };
+//! let workload = Workload::pairwise(AppKind::FFT3D, Some(AppKind::Halo3D));
+//! let report = Simulation::run_one(&spec, workload).unwrap().report;
 //! println!("FFT3D comm time: {:.3} ms", report.apps[0].comm_ms.mean);
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod cache;
 pub mod config;
@@ -61,8 +64,6 @@ pub use cache::{cache_key, CacheError, CacheKey, CacheMode, ResultCache};
 pub use config::SimConfig;
 pub use report::{AppReport, EngineReport, JobReport, LearningReport, NetworkReport, RunReport};
 pub use runner::{run, JobSpec};
-#[allow(deprecated)]
-pub use scenario::run_scenario;
 pub use scenario::{Scenario, SchedPolicy};
 pub use simulation::{RunHandle, Simulation};
 pub use spec::{ExperimentSpec, SpecError, Workload};

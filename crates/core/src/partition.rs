@@ -75,7 +75,7 @@ use crate::config::SimConfig;
 use crate::placement::{place, Placement};
 use crate::report::{JobReport, RunReport};
 use crate::runner::{build_report, capture_qtables, JobSpec};
-use crate::scenario::{JobTable, Scenario, Scheduler as JobScheduler};
+use crate::scenario::{JobTable, Scenario, SchedPolicy, Scheduler as JobScheduler};
 use crate::world::{dispatch_core, StopReason, WorldEvent};
 
 /// Bits of a sequence key below the segment field.
@@ -329,7 +329,7 @@ fn xlate(key: u64, wseg: u64, ranks_p: &[u64]) -> u64 {
 }
 
 /// Per-shard work description.
-enum ShardWork<'a> {
+enum ShardWork {
     /// Static run: every (non-idle) job starts at t = 0 on pre-placed
     /// nodes.
     Static { jobs: Vec<JobSpec>, nodes: Vec<Vec<NodeId>> },
@@ -339,30 +339,11 @@ enum ShardWork<'a> {
     /// job → node mapping needs no communication.
     Churn {
         table: JobTable,
-        sched: SchedHolder<'a>,
+        sched: Box<dyn JobScheduler + Send>,
         arrive: Vec<Time>,
         next_arrival: usize,
         to_reclaim: Vec<JobId>,
     },
-}
-
-/// How a churn shard holds its job scheduler: borrowed (single-partition
-/// runs driven by a caller-owned `&mut dyn`) or owned (multi-partition runs
-/// construct one instance per shard from a factory).
-pub(crate) enum SchedHolder<'a> {
-    /// Caller-owned scheduler (single partition only).
-    Borrowed(&'a mut (dyn JobScheduler + Send)),
-    /// Shard-owned instance from the policy factory.
-    Owned(Box<dyn JobScheduler + Send>),
-}
-
-impl SchedHolder<'_> {
-    fn get(&mut self) -> &mut (dyn JobScheduler + Send) {
-        match self {
-            SchedHolder::Borrowed(s) => *s,
-            SchedHolder::Owned(b) => b.as_mut(),
-        }
-    }
 }
 
 /// Everything a finished shard hands back to the assembly step.
@@ -395,7 +376,7 @@ struct Shard<'a, Q> {
     mpi: MpiSim,
     rec: Recorder,
     effects: Vec<NetEffect>,
-    work: ShardWork<'a>,
+    work: ShardWork,
     /// Unfinished ranks per app (multi-partition: maintained from exchanged
     /// completion notices).
     remaining: Vec<u32>,
@@ -421,7 +402,7 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
         map: Arc<PartitionMap>,
         me: usize,
         comm: LocalThreadCommunicator,
-        work: ShardWork<'a>,
+        work: ShardWork,
     ) -> Self {
         let parts = map.parts();
         let rng = SimRng::new(cfg.seed);
@@ -525,7 +506,7 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
                 return false;
             }
             let waiting = table.waiting_view();
-            let picks = sched.get().select(&waiting, table.free_count());
+            let picks = sched.select(&waiting, table.free_count());
             if picks.is_empty() {
                 return false;
             }
@@ -1187,18 +1168,48 @@ pub(crate) fn exec_placed_parallel(
     }
 }
 
+/// Run one shard per partition of `map` — inline on the calling thread when
+/// there is one, on scoped threads otherwise — and collect the outcomes in
+/// shard order. `work` builds each shard's work from replicated inputs.
+fn run_shards<Q: SimQueue<WorldEvent>>(
+    cfg: &SimConfig,
+    topo: &Arc<Topology>,
+    map: &Arc<PartitionMap>,
+    work: impl Fn() -> ShardWork + Sync,
+) -> Vec<ShardOutcome> {
+    let shard = |(p, comm)| Shard::<Q>::new(cfg, topo, Arc::clone(map), p, comm, work()).run();
+    let comms = local_mesh(map.parts()).into_iter().enumerate();
+    if map.parts() == 1 {
+        return comms.map(shard).collect();
+    }
+    std::thread::scope(|sc| {
+        let handles: Vec<_> = comms.map(|pc| sc.spawn(|| shard(pc))).collect();
+        // Re-raise a worker panic on the driver thread with its own payload:
+        // swallowing it would return a partial report as if the run succeeded.
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .collect()
+    })
+}
+
+/// Validate `cfg` at a run entry point and build its topology.
+fn validated_topology(cfg: &SimConfig) -> Arc<Topology> {
+    // lint: allow(no-panic-paths) — run entry point, before any simulation work: an invalid config is a caller programming error surfaced at the API boundary, matching the sequential engine
+    cfg.validate().expect("invalid simulation config");
+    // lint: allow(no-panic-paths) — `cfg.validate()` on the line above already vetted the dragonfly params, so topology construction cannot fail here
+    Arc::new(Topology::new(cfg.params).expect("validated params"))
+}
+
 fn static_on<Q: SimQueue<WorldEvent>>(
     cfg: &SimConfig,
     jobs: &[JobSpec],
     policy: Placement,
 ) -> (RunReport, Option<dfsim_network::QTableSnapshot>) {
     debug_assert_eq!(Q::KIND, cfg.queue.kind(), "backend dispatch out of sync with config");
-    // lint: allow(no-panic-paths) — run entry point, before any simulation work: an invalid config is a caller programming error surfaced at the API boundary, matching the sequential engine
-    cfg.validate().expect("invalid simulation config");
+    let topo = validated_topology(cfg);
     let parts = cfg.threads;
     assert!(parts >= 2, "static runs below two threads use the sequential engine");
-    // lint: allow(no-panic-paths) — `cfg.validate()` on the line above already vetted the dragonfly params, so topology construction cannot fail here
-    let topo = Arc::new(Topology::new(cfg.params).expect("validated params"));
     let sizes: Vec<u32> = jobs.iter().map(|j| j.size).collect();
     let partitions = place(&topo, policy, &sizes, cfg.seed);
     let mut app_jobs: Vec<JobSpec> = Vec::new();
@@ -1211,51 +1222,30 @@ fn static_on<Q: SimQueue<WorldEvent>>(
     }
     let map = partition_map(cfg, parts);
     let wall = Instant::now();
-    let comms = local_mesh(parts);
-    let outcomes: Vec<ShardOutcome> = std::thread::scope(|sc| {
-        let handles: Vec<_> = comms
-            .into_iter()
-            .enumerate()
-            .map(|(p, comm)| {
-                let (topo, map, app_jobs, app_nodes) =
-                    (&topo, Arc::clone(&map), &app_jobs, &app_nodes);
-                sc.spawn(move || {
-                    let work =
-                        ShardWork::Static { jobs: app_jobs.clone(), nodes: app_nodes.clone() };
-                    Shard::<Q>::new(cfg, topo, map, p, comm, work).run()
-                })
-            })
-            .collect();
-        // lint: allow(no-panic-paths) — re-raising a worker panic on the driver thread is the only correct escalation; swallowing it would return a partial report as if the run succeeded
-        handles.into_iter().map(|h| h.join().expect("partition worker panicked")).collect()
+    let outcomes = run_shards::<Q>(cfg, &topo, &map, || ShardWork::Static {
+        jobs: app_jobs.clone(),
+        nodes: app_nodes.clone(),
     });
     let wall_s = wall.elapsed().as_secs_f64();
     let specs: Vec<&JobSpec> = app_jobs.iter().collect();
     assemble(cfg, &specs, &topo, &map, outcomes, wall_s)
 }
 
-/// How the churn driver gets its job scheduler(s).
-pub(crate) enum SchedBinding<'a> {
-    /// A caller-owned scheduler instance; forces a single partition (one
-    /// instance cannot be replicated across shards).
-    Inline(&'a mut (dyn JobScheduler + Send)),
-    /// A factory constructing one scheduler per shard; the partition count
-    /// follows `SimConfig::threads`.
-    Factory(&'a (dyn Fn() -> Box<dyn JobScheduler + Send> + Sync)),
-}
-
 /// The churn entry of the partitioned engine — the canonical scenario loop
-/// at any partition count (including 1).
-pub(crate) fn exec_scenario_driver(
+/// at `cfg.threads` partitions (1 when unset): jobs spawn at their arrival
+/// times (queueing under `sched` when the machine is full), run on
+/// partitions placed by `placement`, and release their nodes on completion.
+/// Reports are bit-identical across queue backends *and* partition counts.
+pub(crate) fn exec_scenario(
     cfg: &SimConfig,
     scenario: &Scenario,
+    sched: SchedPolicy,
     placement: Placement,
-    sched: SchedBinding<'_>,
 ) -> (RunReport, Option<dfsim_network::QTableSnapshot>) {
     match cfg.queue.kind() {
-        QueueKind::Heap => scenario_on::<EventQueue<WorldEvent>>(cfg, scenario, placement, sched),
+        QueueKind::Heap => scenario_on::<EventQueue<WorldEvent>>(cfg, scenario, sched, placement),
         QueueKind::Calendar => {
-            scenario_on::<CalendarQueue<WorldEvent>>(cfg, scenario, placement, sched)
+            scenario_on::<CalendarQueue<WorldEvent>>(cfg, scenario, sched, placement)
         }
     }
 }
@@ -1263,78 +1253,24 @@ pub(crate) fn exec_scenario_driver(
 fn scenario_on<Q: SimQueue<WorldEvent>>(
     cfg: &SimConfig,
     scenario: &Scenario,
+    sched: SchedPolicy,
     placement: Placement,
-    sched: SchedBinding<'_>,
 ) -> (RunReport, Option<dfsim_network::QTableSnapshot>) {
     debug_assert_eq!(Q::KIND, cfg.queue.kind(), "backend dispatch out of sync with config");
-    // lint: allow(no-panic-paths) — run entry point, before any simulation work: an invalid config is a caller programming error surfaced at the API boundary, matching the sequential engine
-    cfg.validate().expect("invalid simulation config");
-    // lint: allow(no-panic-paths) — `cfg.validate()` on the line above already vetted the dragonfly params, so topology construction cannot fail here
-    let topo = Arc::new(Topology::new(cfg.params).expect("validated params"));
+    let topo = validated_topology(cfg);
     // lint: allow(no-panic-paths) — run entry point: an oversized or empty scenario is a caller programming error surfaced before any simulation work starts
     scenario.validate(topo.num_nodes()).expect("invalid scenario");
-    let parts = match &sched {
-        SchedBinding::Inline(_) => 1,
-        SchedBinding::Factory(_) => cfg.threads.max(1),
-    };
-    let map = partition_map(cfg, parts);
-    // A lifetime-generic constructor (a closure could not decouple the
-    // holder's lifetime from its captures'): every shard replays the same
-    // table from the same replicated inputs.
-    fn churn_work<'h>(
-        topo: &Topology,
-        scenario: &Scenario,
-        placement: Placement,
-        seed: u64,
-        holder: SchedHolder<'h>,
-    ) -> ShardWork<'h> {
-        ShardWork::Churn {
-            table: JobTable::new(topo, scenario, placement, seed),
-            sched: holder,
-            arrive: scenario.arrivals.iter().map(|a| a.at).collect(),
-            next_arrival: 0,
-            to_reclaim: Vec::new(),
-        }
-    }
+    let map = partition_map(cfg, cfg.threads.max(1));
     let wall = Instant::now();
-    let outcomes: Vec<ShardOutcome> = match sched {
-        SchedBinding::Inline(s) => {
-            // lint: allow(no-panic-paths) — `local_mesh(1)` returns exactly one communicator by construction
-            let comm = local_mesh(1).pop().expect("mesh of one");
-            let work = churn_work(&topo, scenario, placement, cfg.seed, SchedHolder::Borrowed(s));
-            vec![Shard::<Q>::new(cfg, &topo, Arc::clone(&map), 0, comm, work).run()]
-        }
-        SchedBinding::Factory(mk) if parts == 1 => {
-            // lint: allow(no-panic-paths) — `local_mesh(1)` returns exactly one communicator by construction
-            let comm = local_mesh(1).pop().expect("mesh of one");
-            let work = churn_work(&topo, scenario, placement, cfg.seed, SchedHolder::Owned(mk()));
-            vec![Shard::<Q>::new(cfg, &topo, Arc::clone(&map), 0, comm, work).run()]
-        }
-        SchedBinding::Factory(mk) => {
-            let comms = local_mesh(parts);
-            std::thread::scope(|sc| {
-                let handles: Vec<_> = comms
-                    .into_iter()
-                    .enumerate()
-                    .map(|(p, comm)| {
-                        let (topo, map) = (&topo, Arc::clone(&map));
-                        sc.spawn(move || {
-                            let work = churn_work(
-                                topo,
-                                scenario,
-                                placement,
-                                cfg.seed,
-                                SchedHolder::Owned(mk()),
-                            );
-                            Shard::<Q>::new(cfg, topo, map, p, comm, work).run()
-                        })
-                    })
-                    .collect();
-                // lint: allow(no-panic-paths) — re-raising a worker panic on the driver thread is the only correct escalation; swallowing it would return a partial report as if the run succeeded
-                handles.into_iter().map(|h| h.join().expect("partition worker panicked")).collect()
-            })
-        }
-    };
+    // Every shard replays the same table and admission decisions from the
+    // same replicated inputs, each with its own scheduler instance.
+    let outcomes = run_shards::<Q>(cfg, &topo, &map, || ShardWork::Churn {
+        table: JobTable::new(&topo, scenario, placement, cfg.seed),
+        sched: Box::new(sched.scheduler()),
+        arrive: scenario.arrivals.iter().map(|a| a.at).collect(),
+        next_arrival: 0,
+        to_reclaim: Vec::new(),
+    });
     let wall_s = wall.elapsed().as_secs_f64();
     let specs: Vec<&JobSpec> = scenario.arrivals.iter().map(|a| &a.spec).collect();
     assemble(cfg, &specs, &topo, &map, outcomes, wall_s)

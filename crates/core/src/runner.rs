@@ -19,12 +19,6 @@ use crate::placement::{place, Placement};
 use crate::report::{AppReport, EngineReport, JobReport, LearningReport, NetworkReport, RunReport};
 use crate::world::{StopReason, World, WorldEvent};
 
-// The runner-level entry points into dynamic scenarios; the types they
-// take live in [`crate::scenario`].
-#[allow(deprecated)]
-pub use crate::scenario::run_scenario;
-pub use crate::scenario::run_scenario_with;
-
 /// One job of a run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobSpec {
@@ -50,24 +44,17 @@ impl JobSpec {
     }
 }
 
-/// Run `jobs` under `cfg` with the given placement policy. Jobs are placed
-/// in order on the shuffled node list, so a given `(seed, job-size prefix)`
-/// keeps earlier jobs' mappings stable when later jobs are added or removed
-/// (the paper's standalone-vs-interfered methodology).
+/// The static-run engine behind [`crate::simulation::Simulation`] and
+/// [`run`]: run `jobs` under `cfg` with the given placement policy and
+/// return the report plus the learned Q-table snapshot (Q-adaptive runs
+/// only). Jobs are placed in order on the shuffled node list, so a given
+/// `(seed, job-size prefix)` keeps earlier jobs' mappings stable when later
+/// jobs are added or removed (the paper's standalone-vs-interfered
+/// methodology).
 ///
 /// The world loop is monomorphized over the event-queue backend selected by
 /// [`SimConfig::queue`]; both backends realize the same deterministic event
 /// order, so the report depends only on the rest of the config.
-#[deprecated(note = "describe the experiment as an `ExperimentSpec` and run it through \
-            `spec::Simulation` (this wrapper pins the old entry point's behavior)")]
-pub fn run_placed(cfg: &SimConfig, jobs: &[JobSpec], policy: Placement) -> RunReport {
-    exec_placed(cfg, jobs, policy).0
-}
-
-/// The static-run engine behind both [`run_placed`] and
-/// [`crate::simulation::Simulation`]: dispatch on the configured queue
-/// backend, run, and return the report plus the learned Q-table snapshot
-/// (Q-adaptive runs only).
 pub(crate) fn exec_placed(
     cfg: &SimConfig,
     jobs: &[JobSpec],
@@ -79,14 +66,14 @@ pub(crate) fn exec_placed(
         return crate::partition::exec_placed_parallel(cfg, jobs, policy);
     }
     match cfg.queue.kind() {
-        QueueKind::Heap => run_placed_on::<EventQueue<WorldEvent>>(cfg, jobs, policy),
-        QueueKind::Calendar => run_placed_on::<CalendarQueue<WorldEvent>>(cfg, jobs, policy),
+        QueueKind::Heap => exec_placed_on::<EventQueue<WorldEvent>>(cfg, jobs, policy),
+        QueueKind::Calendar => exec_placed_on::<CalendarQueue<WorldEvent>>(cfg, jobs, policy),
     }
 }
 
 /// [`exec_placed`] on a concrete queue backend `Q` (tuned from
 /// [`SimConfig::queue`]).
-fn run_placed_on<Q: SimQueue<WorldEvent>>(
+fn exec_placed_on<Q: SimQueue<WorldEvent>>(
     cfg: &SimConfig,
     jobs: &[JobSpec],
     policy: Placement,
@@ -175,7 +162,9 @@ pub(crate) fn capture_qtables(
     snapshot
 }
 
-/// Run with the paper's random placement.
+/// Run `jobs` under an engine-level [`SimConfig`] with the paper's random
+/// placement — the one entry below [`crate::simulation::Simulation`], for
+/// the engine's own tests.
 pub fn run(cfg: &SimConfig, jobs: &[JobSpec]) -> RunReport {
     exec_placed(cfg, jobs, Placement::Random).0
 }

@@ -16,8 +16,10 @@
 //! * a [`JobTable`] owns the job → partition mapping: it places admitted
 //!   jobs onto the free-node pool with the existing [`Placement`] policies
 //!   and reclaims nodes at teardown,
-//! * [`run_scenario`] drives everything through the partitioned engine's
-//!   canonical window loop ([`crate::partition`]): arrivals cut windows at
+//! * a `workload scenario`/`workload poisson` spec run through
+//!   [`crate::simulation::Simulation`] drives everything through the
+//!   partitioned engine's canonical window loop ([`crate::partition`]) at
+//!   `threads` partitions (1 when unset): arrivals cut windows at
 //!   their exact times, completions reclaim nodes at window barriers, and
 //!   every partition replays the identical admission decisions — so both
 //!   queue backends *and* every partition count realize the same canonical
@@ -33,9 +35,8 @@ use dfsim_apps::AppKind;
 use dfsim_des::{JobId, SimRng, Time, MILLISECOND};
 use dfsim_topology::{NodeId, Topology};
 
-use crate::config::SimConfig;
 use crate::placement::Placement;
-use crate::report::{JobReport, RunReport};
+use crate::report::JobReport;
 use crate::runner::JobSpec;
 
 /// One timed job arrival.
@@ -224,18 +225,6 @@ impl SchedPolicy {
 impl std::fmt::Display for SchedPolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
-    }
-}
-
-impl std::str::FromStr for SchedPolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "fcfs" => Ok(SchedPolicy::Fcfs),
-            "backfill" | "fcfs+backfill" | "easy" => Ok(SchedPolicy::Backfill),
-            other => Err(format!("unknown scheduler '{other}' (fcfs, backfill)")),
-        }
     }
 }
 
@@ -454,69 +443,22 @@ impl JobTable {
     }
 }
 
-/// Run `scenario` under `cfg`: jobs spawn at their arrival times (queueing
-/// under `policy_sched` when the machine is full), run on partitions placed
-/// by `placement`, and release their nodes on completion. Runs on the
-/// partitioned engine ([`crate::partition`]) at `cfg.threads` partitions
-/// (1 when unset); reports are bit-identical across queue backends *and*
-/// partition counts.
-#[deprecated(note = "describe the scenario as an `ExperimentSpec` and run it through \
-            `spec::Simulation` (this wrapper pins the old entry point's behavior)")]
-pub fn run_scenario(
-    cfg: &SimConfig,
-    scenario: &Scenario,
-    policy_sched: SchedPolicy,
-    placement: Placement,
-) -> RunReport {
-    exec_scenario_policy(cfg, scenario, policy_sched, placement).0
-}
-
-/// Run a scenario with a caller-supplied [`Scheduler`] implementation —
-/// the escape hatch for admission policies the spec format cannot name.
-/// A single scheduler instance cannot be replicated across partitions, so
-/// this entry always runs single-partition (name a [`SchedPolicy`] to get
-/// parallel churn runs).
-pub fn run_scenario_with(
-    cfg: &SimConfig,
-    scenario: &Scenario,
-    sched: &mut (dyn Scheduler + Send),
-    placement: Placement,
-) -> RunReport {
-    crate::partition::exec_scenario_driver(
-        cfg,
-        scenario,
-        placement,
-        crate::partition::SchedBinding::Inline(sched),
-    )
-    .0
-}
-
-/// The churn engine behind [`run_scenario`] and
-/// [`crate::simulation::Simulation`]: run the partitioned scenario driver
-/// with one `policy` scheduler instance per partition and return the report
-/// plus the learned Q-table snapshot (Q-adaptive runs only).
-pub(crate) fn exec_scenario_policy(
-    cfg: &SimConfig,
-    scenario: &Scenario,
-    policy: SchedPolicy,
-    placement: Placement,
-) -> (RunReport, Option<dfsim_network::QTableSnapshot>) {
-    let factory = move || Box::new(policy.scheduler()) as Box<dyn Scheduler + Send>;
-    crate::partition::exec_scenario_driver(
-        cfg,
-        scenario,
-        placement,
-        crate::partition::SchedBinding::Factory(&factory),
-    )
-}
-
 #[cfg(test)]
-// The deprecated wrappers are exercised on purpose: they pin the old entry
-// points' behavior for the spec-vs-wrapper equivalence contract.
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::config::SimConfig;
+    use crate::report::RunReport;
     use dfsim_network::RoutingAlgo;
+
+    /// The churn engine at one partition, below the session API.
+    fn run_churn(
+        cfg: &SimConfig,
+        scenario: &Scenario,
+        sched: SchedPolicy,
+        placement: Placement,
+    ) -> RunReport {
+        crate::partition::exec_scenario(cfg, scenario, sched, placement).0
+    }
 
     fn queued(sizes: &[u32]) -> Vec<QueuedJob> {
         sizes
@@ -546,9 +488,9 @@ mod tests {
     #[test]
     fn sched_policy_round_trips() {
         for p in SchedPolicy::ALL {
-            assert_eq!(p.label().parse::<SchedPolicy>().unwrap(), p);
+            assert_eq!(crate::spec::lookup::<SchedPolicy>(p.label()).unwrap(), p);
         }
-        assert!("mystery".parse::<SchedPolicy>().is_err());
+        assert!(crate::spec::lookup::<SchedPolicy>("mystery").is_err());
         assert!(!SchedPolicy::Fcfs.scheduler().backfill);
         assert!(SchedPolicy::Backfill.scheduler().backfill);
     }
@@ -597,7 +539,7 @@ mod tests {
         // Arrivals 10 ns apart: the first two fill all 72 nodes, so LU must
         // queue until one of them finishes.
         let scenario = Scenario::parse("UR:36@0,CosmoFlow:36@10ns,LU:36@20ns").unwrap();
-        let report = run_scenario(&cfg, &scenario, SchedPolicy::Fcfs, Placement::Random);
+        let report = run_churn(&cfg, &scenario, SchedPolicy::Fcfs, Placement::Random);
         assert!(report.completed, "stop: {}", report.stop_reason);
         assert_eq!(report.jobs.len(), 3);
         for j in &report.jobs {
@@ -621,8 +563,8 @@ mod tests {
     fn churn_determinism_same_seed_same_report() {
         let cfg = SimConfig::test_tiny(RoutingAlgo::Par);
         let scenario = Scenario::poisson(11, 50.0, 6, &[AppKind::UR, AppKind::LU], &[18, 36]);
-        let a = run_scenario(&cfg, &scenario, SchedPolicy::Backfill, Placement::Random);
-        let b = run_scenario(&cfg, &scenario, SchedPolicy::Backfill, Placement::Random);
+        let a = run_churn(&cfg, &scenario, SchedPolicy::Backfill, Placement::Random);
+        let b = run_churn(&cfg, &scenario, SchedPolicy::Backfill, Placement::Random);
         assert_eq!(a.sim_ms, b.sim_ms);
         assert_eq!(a.events, b.events);
         for (x, y) in a.jobs.iter().zip(&b.jobs) {
@@ -636,7 +578,7 @@ mod tests {
         let mut cfg = SimConfig::test_tiny(RoutingAlgo::UgalN);
         cfg.horizon = Some(1_000); // 1 ns: nothing can finish
         let scenario = Scenario::parse("UR:36@0").unwrap();
-        let report = run_scenario(&cfg, &scenario, SchedPolicy::Fcfs, Placement::Random);
+        let report = run_churn(&cfg, &scenario, SchedPolicy::Fcfs, Placement::Random);
         assert!(!report.completed);
         assert_eq!(report.jobs.len(), 1);
         assert!(!report.jobs[0].completed);

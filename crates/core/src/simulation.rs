@@ -1,7 +1,7 @@
 //! The simulation session API: run an [`ExperimentSpec`] end to end.
 //!
-//! One object owns the whole lifecycle that used to be spread over
-//! `run_placed`/`run_scenario` and per-binary glue:
+//! One object owns the whole lifecycle — the only way to configure and
+//! start a run:
 //!
 //! ```no_run
 //! use dfsim_core::spec::{ExperimentSpec, Workload};
@@ -23,17 +23,17 @@
 //!   save path's writability, so misconfiguration fails *before* the run.
 //! * [`Simulation::run`] executes on the configured queue backend and
 //!   returns a [`RunHandle`] — the report plus the learned Q-table
-//!   snapshot. Reports are bit-identical to the deprecated free-function
-//!   entry points: the session is a front-end over the same engine.
+//!   snapshot.
 
 use dfsim_network::QTableSnapshot;
 
 use crate::cache::{cache_key, ResultCache};
 use crate::config::SimConfig;
-use crate::experiments::MIXED_JOBS;
+use crate::experiments::mixed_jobs;
+use crate::partition::exec_scenario;
 use crate::report::{EngineReport, LearningReport, RunReport};
 use crate::runner::{exec_placed, JobSpec};
-use crate::scenario::{exec_scenario_policy, Scenario};
+use crate::scenario::Scenario;
 use crate::spec::{ExperimentSpec, SpecError, Workload};
 
 /// The outcome of one [`Simulation::run`].
@@ -131,24 +131,9 @@ impl Simulation {
             Workload::Pairwise { target, background } => {
                 PreparedWork::Static(pairwise_jobs(spec, *target, *background))
             }
-            Workload::Mixed => {
-                // Table II fills exactly the paper's 1,056 nodes; on any
-                // other machine (tiny test systems, --smoke) each job is
-                // scaled proportionally — the same semantics as the
-                // `mixed_scaled_sizes` preset. On the paper system the
-                // factor is 1 and the sizes are bit-exact.
-                let total: u32 = MIXED_JOBS.iter().map(|&(_, s)| s).sum();
-                let factor = num_nodes as f64 / total as f64;
-                PreparedWork::Static(
-                    MIXED_JOBS
-                        .iter()
-                        .map(|&(kind, size)| {
-                            let s = ((size as f64 * factor).round() as u32).max(2);
-                            JobSpec::sized(kind, s)
-                        })
-                        .collect(),
-                )
-            }
+            // Table II fills exactly the paper's 1,056 nodes; on any other
+            // machine (tiny test systems, --smoke) it is scaled to fit.
+            Workload::Mixed => PreparedWork::Static(mixed_jobs(num_nodes)),
             Workload::Jobs(jobs) => PreparedWork::Static(jobs.clone()),
             Workload::Scenario(arrivals) => PreparedWork::Churn(Scenario::from_specs(arrivals)),
             Workload::Poisson => {
@@ -279,7 +264,7 @@ impl Simulation {
         let (report, qtable_snapshot) = match &prepared.work {
             PreparedWork::Static(jobs) => exec_placed(&prepared.cfg, jobs, self.spec.placement),
             PreparedWork::Churn(scenario) => {
-                exec_scenario_policy(&prepared.cfg, scenario, self.spec.sched, self.spec.placement)
+                exec_scenario(&prepared.cfg, scenario, self.spec.sched, self.spec.placement)
             }
         };
         Ok(RunHandle { report, qtable_snapshot, cached: false })
@@ -320,7 +305,6 @@ mod tests {
     use dfsim_topology::DragonflyParams;
 
     use super::*;
-    use crate::placement::Placement;
 
     fn tiny_spec(routing: RoutingAlgo) -> ExperimentSpec {
         ExperimentSpec {
@@ -347,23 +331,26 @@ mod tests {
     }
 
     #[test]
-    fn session_report_is_bit_identical_to_the_deprecated_wrapper() {
-        let spec = tiny_spec(RoutingAlgo::Par)
-            .with_workload(Workload::pairwise(AppKind::CosmoFlow, Some(AppKind::UR)));
-        let new = Simulation::from_spec(spec.clone()).unwrap().run().unwrap().report;
-        #[allow(deprecated)]
-        let old = crate::runner::run_placed(
-            &spec.sim(),
-            &[JobSpec::sized(AppKind::CosmoFlow, 36), JobSpec::sized(AppKind::UR, 36)],
-            Placement::Random,
-        );
-        assert_eq!(new.events, old.events);
-        assert_eq!(new.sim_ms, old.sim_ms);
-        for (n, o) in new.apps.iter().zip(&old.apps) {
-            assert_eq!(n.comm_ms.mean, o.comm_ms.mean, "{}", n.name);
-            assert_eq!(n.exec_ms, o.exec_ms, "{}", n.name);
-            assert_eq!(n.peak_ingress_bytes, o.peak_ingress_bytes, "{}", n.name);
+    fn pairwise_on_tiny_system_completes_under_all_routings() {
+        for routing in RoutingAlgo::PAPER_SET {
+            let spec = ExperimentSpec { scale: 4_096.0, seed: 11, ..tiny_spec(routing) };
+            let workload = Workload::pairwise(AppKind::CosmoFlow, Some(AppKind::UR));
+            let report = Simulation::run_one(&spec, workload).unwrap().report;
+            assert!(report.completed, "{routing}: {}", report.stop_reason);
+            assert_eq!(report.apps.len(), 2);
+            assert_eq!(report.apps[0].name, "CosmoFlow");
         }
+    }
+
+    #[test]
+    fn standalone_and_pairwise_share_target_mapping() {
+        // Indirect check: identical seeds give identical standalone target
+        // behaviour whether or not the background slot exists; the direct
+        // mapping check lives in placement::tests.
+        let spec = tiny_spec(RoutingAlgo::UgalG);
+        let solo1 = Simulation::run_one(&spec, Workload::standalone(AppKind::LU)).unwrap().report;
+        let solo2 = Simulation::run_one(&spec, Workload::pairwise(AppKind::LU, None)).unwrap();
+        assert_eq!(solo1.apps[0].comm_ms.mean, solo2.report.apps[0].comm_ms.mean);
     }
 
     #[test]

@@ -10,8 +10,7 @@
 //!   experiment: workload, topology, timing, routing (and its
 //!   hyperparameters), scale/seed, placement, scheduler, event-queue
 //!   backend, Q-table lifecycle, recorder granularity, horizons, sweep
-//!   sets. Everything `SimConfig`/`StudyConfig`/`Scenario` express is
-//!   representable.
+//!   sets. Everything `SimConfig`/`Scenario` express is representable.
 //! * a **line-oriented text format** ([`ExperimentSpec::parse`] /
 //!   [`ExperimentSpec::emit`]) in the same vendored-serde-free philosophy
 //!   as `dfsim_network::snapshot`: versioned header, `key value` lines,
@@ -23,7 +22,10 @@
 //!   forms — never silently defaulted.
 //! * **one layering rule** ([`ExperimentSpec::resolve`]): `defaults <
 //!   spec file < environment < command line`, implemented once and used by
-//!   `dfsim` and every reproduction binary.
+//!   `dfsim` and every reproduction binary. A key's text is parsed in one
+//!   place, the file layer's `apply_key`: an env var whose lower-case name
+//!   is a spec key and a value flag whose name minus `--` is one go
+//!   through it too, re-wrapped as [`SpecError::Env`] / [`SpecError::Flag`].
 //! * a label-based **registry** ([`Registered`], [`lookup`],
 //!   [`lookup_list`]) for routings, workloads, placements and schedulers,
 //!   collapsing the per-binary `parse_*` copies into one case-insensitive
@@ -31,7 +33,6 @@
 //!
 //! The session API that runs a spec lives in [`crate::simulation`].
 
-use std::collections::HashSet;
 use std::path::PathBuf;
 
 use dfsim_apps::arrivals::{parse_arrival_list, ArrivalSpec};
@@ -43,7 +44,6 @@ use dfsim_topology::{DragonflyParams, LinkTiming};
 
 use crate::cache::CacheMode;
 use crate::config::SimConfig;
-use crate::experiments::StudyConfig;
 use crate::placement::Placement;
 use crate::runner::JobSpec;
 use crate::scenario::SchedPolicy;
@@ -430,9 +430,9 @@ fn parse_job_list(s: &str) -> Result<Vec<JobSpec>, String> {
 
 /// A complete declarative experiment description.
 ///
-/// Field defaults match `SimConfig::default()` / `StudyConfig::default()`
-/// exactly, so a spec that sets nothing runs the identical experiment the
-/// old entry points ran — the bit-identity contract behind the migration.
+/// Field defaults match `SimConfig::default()` exactly: a spec that sets
+/// nothing projects ([`ExperimentSpec::sim`]) onto the default engine
+/// config.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentSpec {
     /// What to run.
@@ -647,7 +647,8 @@ impl ExperimentSpec {
     /// current value, everything else is kept. Unknown keys, duplicate
     /// keys and malformed values are named errors, never ignored.
     pub fn parsed_over(mut self, text: &str) -> Result<Self, SpecError> {
-        let mut seen: HashSet<String> = HashSet::new();
+        const _: () = assert!(SPEC_KEYS.len() <= u64::BITS as usize);
+        let mut seen = 0u64; // bit i: SPEC_KEYS[i] already set by this text
         let mut header_ok = false;
         for (i, raw) in text.lines().enumerate() {
             let line_no = i + 1;
@@ -664,13 +665,18 @@ impl ExperimentSpec {
             }
             let (key, rest) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
             let rest = rest.trim();
-            if !SPEC_KEYS.contains(&key) {
+            let Some(idx) = SPEC_KEYS.iter().position(|k| *k == key) else {
                 return Err(SpecError::UnknownKey { line: line_no, key: key.to_string() });
-            }
-            if !seen.insert(key.to_string()) {
+            };
+            if seen & (1 << idx) != 0 {
                 return Err(SpecError::DuplicateKey { line: line_no, key: key.to_string() });
             }
-            self.apply_key(line_no, key, rest)?;
+            seen |= 1 << idx;
+            self.apply_key(key, rest).map_err(|msg| SpecError::Value {
+                line: line_no,
+                key: key.to_string(),
+                msg,
+            })?;
         }
         if !header_ok {
             return Err(SpecError::Malformed {
@@ -689,12 +695,12 @@ impl ExperimentSpec {
         self.parsed_over(&text)
     }
 
-    /// Set one spec key from its text value (shared by the file parser;
-    /// `line` feeds the error location).
-    fn apply_key(&mut self, line: usize, key: &str, rest: &str) -> Result<(), SpecError> {
-        let val = |msg: String| SpecError::Value { line, key: key.to_string(), msg };
+    /// Set one spec key from its text value: the only place a key's text is
+    /// parsed. The error is the bare reason; each layer wraps it with its
+    /// own source (file line, env var, flag).
+    fn apply_key(&mut self, key: &str, rest: &str) -> Result<(), String> {
         match key {
-            "workload" => self.workload = Workload::parse(rest).map_err(val)?,
+            "workload" => self.workload = Workload::parse(rest)?,
             "topology" => parse_kv_line(rest, |k, v| {
                 let n: u32 = v.parse().map_err(|_| format!("invalid topology {k} '{v}' (u32)"))?;
                 match k {
@@ -705,8 +711,7 @@ impl ExperimentSpec {
                     other => return Err(format!("unknown topology field '{other}'")),
                 }
                 Ok(())
-            })
-            .map_err(val)?,
+            })?,
             "timing" => parse_kv_line(rest, |k, v| {
                 // Byte/packet fields are u32 in `LinkTiming`; parse at the
                 // field's width so an out-of-range value is a named error
@@ -728,56 +733,35 @@ impl ExperimentSpec {
                     other => return Err(format!("unknown timing field '{other}'")),
                 }
                 Ok(())
-            })
-            .map_err(val)?,
-            "routing" => self.routings = lookup_list(rest).map_err(val)?,
-            "ugal_bias" => {
-                self.ugal_bias =
-                    rest.parse().map_err(|_| val(format!("invalid bias '{rest}' (i64)")))?
-            }
-            "nonmin_samples" => {
-                self.nonmin_samples =
-                    rest.parse().map_err(|_| val(format!("invalid count '{rest}' (usize)")))?
-            }
-            "qa_alpha" => self.qa_alpha = parse_f64(rest).map_err(val)?,
-            "qa_epsilon" => self.qa_epsilon = parse_f64(rest).map_err(val)?,
-            "qtable_load" => self.qtable_load = Some(parse_path(rest).map_err(val)?),
-            "qtable_save" => self.qtable_save = Some(parse_path(rest).map_err(val)?),
-            "scale" => self.scale = parse_f64(rest).map_err(val)?,
-            "seed" => {
-                self.seed = rest.parse().map_err(|_| val(format!("invalid seed '{rest}' (u64)")))?
-            }
-            "placement" => self.placement = lookup(rest).map_err(val)?,
-            "queue" => self.queue = rest.parse().map_err(val)?,
-            "sched" => self.sched = lookup(rest).map_err(val)?,
-            "eager_threshold" => {
-                self.eager_threshold =
-                    rest.parse().map_err(|_| val(format!("invalid bytes '{rest}' (u64)")))?
-            }
-            "horizon" => self.horizon = Some(parse_duration(rest).map_err(val)?),
-            "max_events" => {
-                self.max_events =
-                    rest.parse().map_err(|_| val(format!("invalid count '{rest}' (u64)")))?
-            }
-            "bin_width" => self.bin_width = parse_duration(rest).map_err(val)?,
-            "record_latencies" => self.record_latencies = parse_bool(rest).map_err(val)?,
-            "record_ports" => self.record_ports = parse_bool(rest).map_err(val)?,
-            "rates" => self.rates = parse_f64_list(rest).map_err(val)?,
-            "jobs" => {
-                self.jobs =
-                    rest.parse().map_err(|_| val(format!("invalid count '{rest}' (u32)")))?
-            }
-            "apps" => self.apps = lookup_list(rest).map_err(val)?,
-            "sizes" => self.sizes = parse_u32_list(rest).map_err(val)?,
-            "targets" => self.targets = lookup_list(rest).map_err(val)?,
-            "train" => self.train = lookup(rest).map_err(val)?,
-            "snapshot" => self.snapshot = Some(parse_path(rest).map_err(val)?),
-            "trace" => self.trace = Some(parse_path(rest).map_err(val)?),
-            "cache" => self.cache = CacheMode::parse(rest).map_err(val)?,
-            "threads" => {
-                self.threads =
-                    rest.parse().map_err(|_| val(format!("invalid count '{rest}' (usize)")))?
-            }
+            })?,
+            "routing" => self.routings = lookup_list(rest)?,
+            "ugal_bias" => self.ugal_bias = parse_int(rest, "bias")?,
+            "nonmin_samples" => self.nonmin_samples = parse_int(rest, "count")?,
+            "qa_alpha" => self.qa_alpha = parse_f64(rest)?,
+            "qa_epsilon" => self.qa_epsilon = parse_f64(rest)?,
+            "qtable_load" => self.qtable_load = Some(parse_path(rest)?),
+            "qtable_save" => self.qtable_save = Some(parse_path(rest)?),
+            "scale" => self.scale = parse_f64(rest)?,
+            "seed" => self.seed = parse_int(rest, "seed")?,
+            "placement" => self.placement = lookup(rest)?,
+            "queue" => self.queue = rest.parse()?,
+            "sched" => self.sched = lookup(rest)?,
+            "eager_threshold" => self.eager_threshold = parse_int(rest, "bytes")?,
+            "horizon" => self.horizon = Some(parse_duration(rest)?),
+            "max_events" => self.max_events = parse_int(rest, "count")?,
+            "bin_width" => self.bin_width = parse_duration(rest)?,
+            "record_latencies" => self.record_latencies = parse_bool(rest)?,
+            "record_ports" => self.record_ports = parse_bool(rest)?,
+            "rates" => self.rates = parse_f64_list(rest)?,
+            "jobs" => self.jobs = parse_int(rest, "count")?,
+            "apps" => self.apps = lookup_list(rest)?,
+            "sizes" => self.sizes = parse_u32_list(rest)?,
+            "targets" => self.targets = lookup_list(rest)?,
+            "train" => self.train = lookup(rest)?,
+            "snapshot" => self.snapshot = Some(parse_path(rest)?),
+            "trace" => self.trace = Some(parse_path(rest)?),
+            "cache" => self.cache = CacheMode::parse(rest)?,
+            "threads" => self.threads = parse_int(rest, "count")?,
             _ => unreachable!("key membership checked by the caller"),
         }
         Ok(())
@@ -934,8 +918,9 @@ impl ExperimentSpec {
     }
 
     /// Apply the environment layer: every [`CORE_ENV`] variable plus the
-    /// [`EXTENDED_ENV`] subset the front-end opted into. Every variable is
-    /// parsed strictly: an invalid value is a named hard error, never a
+    /// [`EXTENDED_ENV`] subset the front-end opted into. A variable whose
+    /// lower-case name is a spec key is that key's text; every variable is
+    /// parsed strictly — an invalid value is a named hard error, never a
     /// silent default.
     fn apply_env<F>(mut self, env: &F, extra_env: &[&str]) -> Result<Self, SpecError>
     where
@@ -951,219 +936,111 @@ impl ExperimentSpec {
                 });
             }
         }
-        let extended = |var: &str| extra_env.contains(&var).then(|| env(var)).flatten();
-        fn err(var: &str, value: &str, msg: impl Into<String>) -> SpecError {
-            SpecError::Env { var: var.to_string(), value: value.to_string(), msg: msg.into() }
-        }
-        macro_rules! layer {
-            ($source:expr, $var:literal, $parse:expr, $apply:expr) => {
-                if let Some(v) = ($source)($var) {
-                    #[allow(clippy::redundant_closure_call)]
-                    match ($parse)(v.as_str()) {
-                        Ok(parsed) => ($apply)(&mut self, parsed),
-                        Err(msg) => return Err(err($var, &v, msg)),
+        let opted = EXTENDED_ENV.iter().filter(|v| extra_env.contains(v));
+        for &var in CORE_ENV.iter().chain(opted) {
+            let Some(v) = env(var) else { continue };
+            let applied = match var {
+                "TARGET" => match (lookup(&v), &mut self.workload) {
+                    (Err(e), _) => Err(e),
+                    (Ok(kind), Workload::Standalone(target))
+                    | (Ok(kind), Workload::Pairwise { target, .. }) => {
+                        *target = kind;
+                        Ok(())
+                    }
+                    _ => Err("only applies to standalone/pairwise workloads".to_string()),
+                },
+                "BG" => {
+                    let none = v.eq_ignore_ascii_case("none");
+                    let parsed = if none { Ok(None) } else { lookup(&v).map(Some) };
+                    match (parsed, &mut self.workload) {
+                        (Err(e), _) => Err(e),
+                        (Ok(bg), Workload::Pairwise { background, .. }) => {
+                            *background = bg;
+                            Ok(())
+                        }
+                        _ => Err("only applies to the pairwise workload".to_string()),
                     }
                 }
+                _ => self.apply_key(&var.to_ascii_lowercase(), &v),
             };
-        }
-        layer!(env, "SCALE", parse_f64, |s: &mut Self, v| s.scale = v);
-        layer!(
-            env,
-            "SEED",
-            |v: &str| v.parse::<u64>().map_err(|_| "expected an unsigned integer".to_string()),
-            |s: &mut Self, v| s.seed = v
-        );
-        layer!(env, "QUEUE", |v: &str| v.parse::<QueueBackend>(), |s: &mut Self, v| s.queue = v);
-        layer!(env, "ROUTING", lookup_list::<RoutingAlgo>, |s: &mut Self, v| s.routings = v);
-        layer!(env, "PLACEMENT", lookup::<Placement>, |s: &mut Self, v| s.placement = v);
-        layer!(env, "SCHED", lookup::<SchedPolicy>, |s: &mut Self, v| s.sched = v);
-        layer!(
-            env,
-            "THREADS",
-            |v: &str| v.parse::<usize>().map_err(|_| "expected a thread count".to_string()),
-            |s: &mut Self, v| s.threads = v
-        );
-        layer!(env, "CACHE", CacheMode::parse, |s: &mut Self, v| s.cache = v);
-        layer!(extended, "RATES", parse_f64_list, |s: &mut Self, v| s.rates = v);
-        layer!(
-            extended,
-            "JOBS",
-            |v: &str| v.parse::<u32>().map_err(|_| "expected a job count".to_string()),
-            |s: &mut Self, v| s.jobs = v
-        );
-        layer!(extended, "APPS", lookup_list::<AppKind>, |s: &mut Self, v| s.apps = v);
-        layer!(extended, "SIZES", parse_u32_list, |s: &mut Self, v| s.sizes = v);
-        layer!(extended, "TARGETS", lookup_list::<AppKind>, |s: &mut Self, v| s.targets = v);
-        layer!(extended, "TRAIN", lookup::<AppKind>, |s: &mut Self, v| s.train = v);
-        layer!(extended, "SNAPSHOT", parse_path, |s: &mut Self, v| s.snapshot = Some(v));
-        if let Some(v) = extended("TARGET") {
-            let kind: AppKind = lookup(&v).map_err(|m| err("TARGET", &v, m))?;
-            match &mut self.workload {
-                Workload::Standalone(t) => *t = kind,
-                Workload::Pairwise { target, .. } => *target = kind,
-                _ => {
-                    return Err(err("TARGET", &v, "only applies to standalone/pairwise workloads"))
-                }
-            }
-        }
-        if let Some(v) = extended("BG") {
-            let background = if v.eq_ignore_ascii_case("none") {
-                None
-            } else {
-                Some(lookup::<AppKind>(&v).map_err(|m| err("BG", &v, m))?)
-            };
-            match &mut self.workload {
-                Workload::Pairwise { background: bg, .. } => *bg = background,
-                _ => return Err(err("BG", &v, "only applies to the pairwise workload")),
-            }
+            applied.map_err(|msg| SpecError::Env { var: var.to_string(), value: v, msg })?;
         }
         Ok(self)
     }
 
-    /// Apply the command-line layer. Presentation flags (`--csv`,
-    /// `--engine-stats`, `--smoke` interception by smoke binaries) are the
-    /// caller's business; everything unknown is a named error.
+    /// Apply the command-line layer. A registered value flag whose name
+    /// minus `--` is a spec key is that key's text; the rest are shorthands
+    /// onto keys. Presentation flags (`--csv`, `--engine-stats`, `--smoke`
+    /// interception by smoke binaries) are the caller's business;
+    /// everything unknown is a named error.
     fn apply_cli(mut self, args: &[String]) -> Result<Self, SpecError> {
         let mut smoke = false;
         let mut i = 0;
-        let value = |args: &[String], i: &mut usize, flag: &str| -> Result<String, SpecError> {
-            *i += 1;
-            args.get(*i).cloned().ok_or_else(|| SpecError::Flag {
-                flag: flag.to_string(),
-                msg: "needs a value".to_string(),
-            })
-        };
-        fn flag_err(flag: &str, msg: impl Into<String>) -> SpecError {
-            SpecError::Flag { flag: flag.to_string(), msg: msg.into() }
-        }
         while i < args.len() {
             let a = args[i].as_str();
+            let flag_err = |msg: String| SpecError::Flag { flag: a.to_string(), msg };
+            let mut value = || {
+                i += 1;
+                args.get(i).ok_or_else(|| flag_err("needs a value".to_string()))
+            };
             match a {
                 "--spec" => {
-                    i += 1; // file layer already applied in resolve()
-                }
-                "--routing" => {
-                    let v = value(args, &mut i, a)?;
-                    self.routings = lookup_list(&v).map_err(|m| flag_err(a, m))?;
-                }
-                "--scale" => {
-                    let v = value(args, &mut i, a)?;
-                    self.scale = parse_f64(&v).map_err(|m| flag_err(a, m))?;
-                }
-                "--seed" => {
-                    let v = value(args, &mut i, a)?;
-                    self.seed =
-                        v.parse().map_err(|_| flag_err(a, "expected an unsigned integer"))?;
-                }
-                "--queue" => {
-                    let v = value(args, &mut i, a)?;
-                    self.queue = v.parse().map_err(|m: String| flag_err(a, m))?;
-                }
-                "--placement" => {
-                    let v = value(args, &mut i, a)?;
-                    self.placement = lookup(&v).map_err(|m| flag_err(a, m))?;
+                    value()?; // file layer already applied in resolve()
                 }
                 "--contiguous" => self.placement = Placement::Contiguous,
-                "--sched" => {
-                    let v = value(args, &mut i, a)?;
-                    self.sched = lookup(&v).map_err(|m| flag_err(a, m))?;
-                }
-                "--rate" => {
-                    let v = value(args, &mut i, a)?;
-                    self.rates = vec![parse_f64(&v).map_err(|m| flag_err(a, m))?];
-                }
-                "--rates" => {
-                    let v = value(args, &mut i, a)?;
-                    self.rates = parse_f64_list(&v).map_err(|m| flag_err(a, m))?;
-                }
-                "--jobs" => {
-                    let v = value(args, &mut i, a)?;
-                    self.jobs = v.parse().map_err(|_| flag_err(a, "expected a job count"))?;
-                }
-                "--apps" => {
-                    let v = value(args, &mut i, a)?;
-                    self.apps = lookup_list(&v).map_err(|m| flag_err(a, m))?;
-                }
-                "--sizes" => {
-                    let v = value(args, &mut i, a)?;
-                    self.sizes = parse_u32_list(&v).map_err(|m| flag_err(a, m))?;
-                }
-                "--targets" => {
-                    let v = value(args, &mut i, a)?;
-                    self.targets = lookup_list(&v).map_err(|m| flag_err(a, m))?;
-                }
-                "--train" => {
-                    let v = value(args, &mut i, a)?;
-                    self.train = lookup(&v).map_err(|m| flag_err(a, m))?;
-                }
-                "--snapshot" => {
-                    let v = value(args, &mut i, a)?;
-                    self.snapshot = Some(parse_path(&v).map_err(|m| flag_err(a, m))?);
-                }
-                "--trace" => {
-                    let v = value(args, &mut i, a)?;
-                    self.trace = Some(parse_path(&v).map_err(|m| flag_err(a, m))?);
-                }
+                "--no-cache" => self.cache = CacheMode::Off,
                 "--cache" => {
                     // The value is optional: bare `--cache` (next arg absent
                     // or another flag) means `on`; otherwise `on`/`off`/DIR.
                     match args.get(i + 1).filter(|v| !v.starts_with("--")) {
                         Some(v) => {
-                            self.cache = CacheMode::parse(v).map_err(|m| flag_err(a, m))?;
+                            self.apply_key("cache", v).map_err(flag_err)?;
                             i += 1;
                         }
                         None => self.cache = CacheMode::On,
                     }
                 }
-                "--no-cache" => self.cache = CacheMode::Off,
-                "--threads" => {
-                    let v = value(args, &mut i, a)?;
-                    self.threads = v.parse().map_err(|_| flag_err(a, "expected a thread count"))?;
+                "--rate" => {
+                    let v = value()?;
+                    self.apply_key("rates", v).map_err(flag_err)?;
                 }
                 "--groups" | "--routers" | "--nodes" | "--globals" => {
-                    let v = value(args, &mut i, a)?;
-                    let n: u32 =
-                        v.parse().map_err(|_| flag_err(a, "expected an unsigned integer"))?;
-                    match a {
-                        "--groups" => self.params.groups = n,
-                        "--routers" => self.params.routers_per_group = n,
-                        "--nodes" => self.params.nodes_per_router = n,
-                        _ => self.params.globals_per_router = n,
-                    }
-                }
-                "--horizon" => {
-                    let v = value(args, &mut i, a)?;
-                    self.horizon = Some(parse_duration(&v).map_err(|m| flag_err(a, m))?);
+                    let field = match a {
+                        "--groups" => "groups",
+                        "--routers" => "routers_per_group",
+                        "--nodes" => "nodes_per_router",
+                        _ => "globals_per_router",
+                    };
+                    let v = value()?;
+                    self.apply_key("topology", &format!("{field}={v}")).map_err(flag_err)?;
                 }
                 "--qtable" => {
-                    let v = value(args, &mut i, a)?;
+                    let v = value()?;
                     match v.split_once('=') {
-                        Some(("save", p)) if !p.is_empty() => self.qtable_save = Some(p.into()),
-                        Some(("load", p)) if !p.is_empty() => self.qtable_load = Some(p.into()),
-                        _ => {
-                            return Err(flag_err(
-                                a,
-                                format!(
-                                    "invalid '{v}' (valid forms: --qtable save=PATH, --qtable \
-                                     load=PATH)"
-                                ),
-                            ))
-                        }
+                        Some(("save", p)) => self.apply_key("qtable_save", p),
+                        Some(("load", p)) => self.apply_key("qtable_load", p),
+                        _ => Err(format!("invalid '{v}'")),
                     }
+                    .map_err(|m| {
+                        flag_err(format!(
+                            "{m} (valid forms: --qtable save=PATH, --qtable load=PATH)"
+                        ))
+                    })?;
                 }
                 "--smoke" => smoke = true,
                 // Presentation flags other layers own; accepted so every
                 // binary can combine them freely with spec flags.
                 "--csv" | "--engine-stats" => {}
+                key_flag
+                    if CLI_FLAGS.contains(&key_flag) && SPEC_KEYS.contains(&&key_flag[2..]) =>
+                {
+                    let v = value()?;
+                    self.apply_key(&key_flag[2..], v).map_err(flag_err)?;
+                }
                 other if other.starts_with("--") => {
                     return Err(SpecError::UnknownFlag { flag: other.to_string() })
                 }
-                other => {
-                    return Err(SpecError::Flag {
-                        flag: other.to_string(),
-                        msg: "unexpected argument".to_string(),
-                    })
-                }
+                _ => return Err(flag_err("unexpected argument".to_string())),
             }
             i += 1;
         }
@@ -1314,44 +1191,6 @@ impl ExperimentSpec {
         self.sim_for(self.routing())
     }
 
-    /// The campaign-level [`StudyConfig`] of this spec's first routing
-    /// (compatibility projection for the preset helpers).
-    pub fn study(&self) -> StudyConfig {
-        StudyConfig {
-            routing: self.routing(),
-            scale: self.scale,
-            seed: self.seed,
-            placement: self.placement,
-            params: self.params,
-            queue: self.queue,
-            qtable_init: match &self.qtable_load {
-                Some(p) => QTableInit::load(p),
-                None => QTableInit::Cold,
-            },
-            qtable_save: self.qtable_save.clone(),
-        }
-    }
-
-    /// Lift a legacy [`StudyConfig`] into a spec (everything the study
-    /// does not express keeps its default, exactly as `StudyConfig::sim`
-    /// filled with `SimConfig::default`).
-    pub fn from_study(study: &StudyConfig) -> Self {
-        Self {
-            params: study.params,
-            routings: vec![study.routing],
-            scale: study.scale,
-            seed: study.seed,
-            placement: study.placement,
-            queue: study.queue,
-            qtable_load: match &study.qtable_init {
-                QTableInit::Load(p) => Some(p.clone()),
-                QTableInit::Cold => None,
-            },
-            qtable_save: study.qtable_save.clone(),
-            ..Default::default()
-        }
-    }
-
     /// Builder-style workload replacement.
     pub fn with_workload(mut self, workload: Workload) -> Self {
         self.workload = workload;
@@ -1362,6 +1201,12 @@ impl ExperimentSpec {
 // ---------------------------------------------------------------------------
 // Scalar parsers (shared by file, env and CLI layers)
 // ---------------------------------------------------------------------------
+
+/// Parse an integer of the field's own type `T`; the error names `what`
+/// and the type (`invalid count 'x' (u32)`).
+fn parse_int<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
+    s.parse().map_err(|_| format!("invalid {what} '{s}' ({})", std::any::type_name::<T>()))
+}
 
 /// Parse a finite f64.
 fn parse_f64(s: &str) -> Result<f64, String> {
@@ -1437,13 +1282,8 @@ mod tests {
     fn default_spec_matches_the_default_configs() {
         let spec = ExperimentSpec::default();
         spec.validate().unwrap();
-        // The bit-identity contract: an empty spec implies exactly the
-        // config the old entry points defaulted to.
+        // An empty spec projects onto exactly the default engine config.
         assert_eq!(spec.sim(), SimConfig::default());
-        let study = spec.study();
-        assert_eq!(study.routing, StudyConfig::default().routing);
-        assert_eq!(study.scale, StudyConfig::default().scale);
-        assert_eq!(study.queue, StudyConfig::default().queue);
     }
 
     #[test]

@@ -5,23 +5,20 @@
 //! determinism is preserved: results land in input order regardless of
 //! thread scheduling.
 //!
-//! Worker threads are spawned **once** per process (a lazily-built shared
-//! pool) and reused by every [`parallel_map`] call, instead of paying a
-//! full spawn/join cycle per cell batch. Nested or concurrent calls — the
-//! pool serves one job at a time — fall back to the classic scoped-spawn
-//! path, so composition never deadlocks.
+//! Each [`parallel_map`] call spawns its workers in a scope and joins them
+//! before returning (a sweep's cells run for seconds; the spawn costs
+//! microseconds), so nested and concurrent calls compose freely.
 
 use parking_lot::Mutex;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex as StdMutex, MutexGuard, OnceLock, PoisonError};
 
 /// Declared lock-acquisition order of this file, parsed out of the source
 /// and enforced by `dfsim-lint`'s lock-discipline rule: a thread already
 /// holding one of these locks may only take locks that appear *later* in
 /// the list. `work` and `results` are the per-slot sweep mutexes,
-/// `payload` the first-panic slot, `state` the shared pool's accounting.
-pub const LOCK_ORDER: [&str; 4] = ["work", "results", "payload", "state"];
+/// `payload` the first-panic slot.
+pub const LOCK_ORDER: [&str; 3] = ["work", "results", "payload"];
 
 /// Map `f` over `items` on up to `threads` worker threads (0 = all
 /// available cores; explicit counts are capped at the machine's available
@@ -44,9 +41,8 @@ where
     parallel_map_at(items, threads, f)
 }
 
-/// [`parallel_map`] at an exact executor count (no availability cap). The
-/// public entry caps; tests use this to exercise the pooled path on any
-/// host.
+/// [`parallel_map`] at an exact worker count (no availability cap). The
+/// public entry caps; tests use this to run multi-threaded on any host.
 fn parallel_map_at<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
 where
     T: Send,
@@ -68,9 +64,8 @@ where
     let panicked = AtomicBool::new(false);
     let payload: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
 
-    // One executor's share of the sweep: pull the next unclaimed index
-    // until the cursor runs dry (or a sibling panicked). Runs identically
-    // on a pool worker, a scoped thread, or the calling thread itself.
+    // One worker's share of the sweep: pull the next unclaimed index until
+    // the cursor runs dry (or a sibling panicked).
     let worker = || loop {
         if panicked.load(Ordering::Relaxed) {
             break; // drain fast once a sibling failed
@@ -93,17 +88,12 @@ where
         }
     };
 
-    if !shared_pool_run(threads, &worker) {
-        // The pool is serving another call (nested/concurrent sweeps):
-        // fall back to a one-shot scoped spawn rather than queueing behind
-        // it — correctness first, reuse when it's free.
-        crossbeam::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|_| worker());
-            }
-        })
-        .expect("worker thread died outside catch_unwind");
-    }
+    crossbeam::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|_| worker());
+        }
+    })
+    .expect("worker thread died outside catch_unwind");
 
     if let Some(p) = payload.into_inner() {
         std::panic::resume_unwind(p);
@@ -111,196 +101,9 @@ where
     results.into_iter().map(|m| m.into_inner().expect("all slots filled")).collect()
 }
 
-// ---------------------------------------------------------------------------
-// The shared worker pool
-// ---------------------------------------------------------------------------
-
-/// One posted job: an epoch tag plus the executor closure every attached
-/// worker runs to completion. The `'static` lifetime is a controlled lie —
-/// the poster blocks until every attached worker detaches before the
-/// closure's stack frame can unwind (see [`shared_pool_run`]).
-#[derive(Clone, Copy)]
-struct Job {
-    epoch: u64,
-    run: &'static (dyn Fn() + Sync),
-}
-
-#[derive(Default)]
-struct PoolState {
-    /// Monotonic job counter; a worker attaches to each epoch at most once.
-    epoch: u64,
-    /// The job being served, if any.
-    job: Option<Job>,
-    /// Remaining worker slots the current job may still claim.
-    slots: usize,
-    /// Workers currently running the current job.
-    active: usize,
-    /// Whether a poster currently owns the pool.
-    busy: bool,
-}
-
-struct SharedPool {
-    state: StdMutex<PoolState>,
-    /// Workers sleep here between jobs.
-    work_cv: Condvar,
-    /// The poster sleeps here until its job's workers all detach.
-    done_cv: Condvar,
-}
-
-/// Recover the pool-state lock after a worker panicked while holding it.
-///
-/// The accounting behind the lock (a handful of counters) is consistent
-/// at every release point, including the unwind paths, so the poisoned
-/// state is still valid — recovering keeps one panicked worker from
-/// wedging every later sweep in the process. The first recovery warns on
-/// stderr so the panic is not silently absorbed.
-fn recover_poison(e: PoisonError<MutexGuard<'_, PoolState>>) -> MutexGuard<'_, PoolState> {
-    static WARNED: AtomicBool = AtomicBool::new(false);
-    if !WARNED.swap(true, Ordering::Relaxed) {
-        eprintln!(
-            "warning: sweep pool state was poisoned by a panicked worker; recovering (the pool \
-             stays usable)"
-        );
-    }
-    e.into_inner()
-}
-
-impl SharedPool {
-    fn worker_loop(&self) {
-        let mut last_epoch = 0u64;
-        loop {
-            let job = {
-                let mut st = self.state.lock().unwrap_or_else(recover_poison);
-                loop {
-                    if let Some(job) = st.job {
-                        if job.epoch > last_epoch && st.slots > 0 {
-                            st.slots -= 1;
-                            st.active += 1;
-                            last_epoch = job.epoch;
-                            break job;
-                        }
-                    }
-                    st = self.work_cv.wait(st).unwrap_or_else(recover_poison);
-                }
-            };
-            // The map closure catches per-item panics itself; this outer
-            // guard only protects the pool's accounting from invariant
-            // panics, so a wedged job can never deadlock the poster.
-            let _ = std::panic::catch_unwind(AssertUnwindSafe(job.run));
-            let mut st = self.state.lock().unwrap_or_else(recover_poison);
-            st.active -= 1;
-            if st.active == 0 {
-                self.done_cv.notify_all();
-            }
-        }
-    }
-}
-
-/// The process-wide pool: `available_parallelism - 1` persistent workers
-/// (at least one), built on first multi-threaded sweep. The poster is
-/// always the remaining executor, so a `threads`-way call uses exactly
-/// `threads` cores.
-fn shared_pool() -> &'static SharedPool {
-    static POOL: OnceLock<&'static SharedPool> = OnceLock::new();
-    POOL.get_or_init(|| {
-        let pool: &'static SharedPool = Box::leak(Box::new(SharedPool {
-            state: StdMutex::new(PoolState::default()),
-            work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-        }));
-        let avail = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4);
-        for i in 0..avail.saturating_sub(1).max(1) {
-            std::thread::Builder::new()
-                .name(format!("dfsim-sweep-{i}"))
-                .spawn(move || pool.worker_loop())
-                .expect("spawning a pool worker");
-        }
-        pool
-    })
-}
-
-/// Run `worker` on the shared pool with `threads` total executors (the
-/// caller plus up to `threads - 1` pool workers). Returns `false` without
-/// running anything when the pool is already serving a job — the caller
-/// then uses its scoped fallback.
-fn shared_pool_run(threads: usize, worker: &(dyn Fn() + Sync)) -> bool {
-    let pool = shared_pool();
-    {
-        let mut st = pool.state.lock().unwrap_or_else(recover_poison);
-        if st.busy {
-            return false;
-        }
-        st.busy = true;
-        st.epoch += 1;
-        // SAFETY: the `'static` below is a lie the join protocol makes
-        // harmless. `worker` borrows this call's stack frame (the closure
-        // captures `&work`, `&results`, `&cursor` from `parallel_map_at`),
-        // so the reference is only valid until `shared_pool_run` returns.
-        // The pool can never outlive that window:
-        //  1. workers attach only while `st.slots > 0`, checked under the
-        //     state lock, and each attaches to this epoch at most once;
-        //  2. before returning, the poster zeroes `slots` (no further
-        //     attachments) and blocks on `done_cv` until `active == 0` —
-        //     every attached worker has finished running the closure and
-        //     released the lock;
-        //  3. that join happens even when the caller's own share panics:
-        //     the caller runs under `catch_unwind` and the join block sits
-        //     between the catch and the `resume_unwind`.
-        // Hence no worker can touch `run` after this frame unwinds, which
-        // is exactly the guarantee `'static` is standing in for. (A scoped
-        // thread API would prove this to the compiler, but the pool's
-        // workers deliberately outlive any one call so spawn cost is paid
-        // once per process, not once per sweep — see the module docs.)
-        let run: &'static (dyn Fn() + Sync) = unsafe {
-            std::mem::transmute::<&(dyn Fn() + Sync), &'static (dyn Fn() + Sync)>(worker)
-        };
-        st.job = Some(Job { epoch: st.epoch, run });
-        st.slots = threads - 1;
-        pool.work_cv.notify_all();
-    }
-    // The caller is an executor too, not a blocked supervisor.
-    let caller = std::panic::catch_unwind(AssertUnwindSafe(worker));
-    {
-        let mut st = pool.state.lock().unwrap_or_else(recover_poison);
-        st.slots = 0; // no further attachments
-        while st.active > 0 {
-            st = pool.done_cv.wait(st).unwrap_or_else(recover_poison);
-        }
-        st.job = None;
-        st.busy = false;
-    }
-    if let Err(p) = caller {
-        std::panic::resume_unwind(p);
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The declared acquisition order names exactly the locks this file
-    /// takes, outermost-first — lock-discipline checks every nested
-    /// acquisition against this table.
-    #[test]
-    fn lock_order_covers_the_pool_locks() {
-        assert_eq!(LOCK_ORDER, ["work", "results", "payload", "state"]);
-    }
-
-    /// A panicked holder must not wedge the pool: the poisoned state lock
-    /// recovers (with the state intact) instead of propagating the panic
-    /// into every later sweep.
-    #[test]
-    fn poisoned_pool_state_recovers() {
-        let m = StdMutex::new(PoolState::default());
-        let _ = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let _g = m.lock().unwrap();
-            panic!("poison the lock");
-        }));
-        assert!(m.is_poisoned(), "the panic above must poison the lock");
-        let st = m.lock().unwrap_or_else(recover_poison);
-        assert_eq!(st.epoch, 0, "the state behind the poisoned lock is intact");
-    }
 
     #[test]
     fn preserves_input_order() {
@@ -364,92 +167,15 @@ mod tests {
         }
     }
 
-    /// The pooled path itself (bypassing the availability cap, so it runs
-    /// even on single-core CI hosts): repeated calls reuse the same
-    /// workers and stay correct and ordered.
+    /// A nested call (bypassing the availability cap, so both levels really
+    /// spawn on any host) produces ordered results — never deadlocks.
     #[test]
-    fn pooled_path_is_correct_across_repeated_calls() {
-        for round in 0..50u64 {
-            let out = parallel_map_at((0..37).collect(), 4, |i: u64| i * 7 + round);
-            assert_eq!(out, (0..37).map(|i| i * 7 + round).collect::<Vec<_>>());
-        }
-    }
-
-    /// A nested call while the pool is held must fall back to scoped
-    /// threads and still produce ordered results — never deadlock.
-    #[test]
-    fn nested_calls_fall_back_and_complete() {
+    fn nested_calls_complete() {
         let out = parallel_map_at((0..8).collect(), 4, |i: u64| {
             let inner = parallel_map_at((0..5).collect(), 2, move |j: u64| i * 10 + j);
             inner.iter().sum::<u64>()
         });
         let expect: Vec<u64> = (0..8).map(|i| (0..5).map(|j| i * 10 + j).sum()).collect();
         assert_eq!(out, expect);
-    }
-
-    /// A panic on the pooled path must release the pool for later calls
-    /// (a wedged `busy` flag would silently downgrade every later sweep to
-    /// the spawn fallback — or deadlock).
-    #[test]
-    fn pooled_panic_releases_the_pool() {
-        let caught = std::panic::catch_unwind(|| {
-            parallel_map_at((0..16).collect::<Vec<i32>>(), 4, |i| {
-                assert!(i != 3, "pooled cell {i} exploded");
-                i
-            })
-        })
-        .expect_err("the panic must propagate");
-        let msg = caught
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| caught.downcast_ref::<&str>().map(|s| s.to_string()))
-            .expect("payload should be a message");
-        assert!(msg.contains("pooled cell 3 exploded"), "payload lost: {msg}");
-        // The pool must be reusable afterwards.
-        let out = parallel_map_at((0..10).collect(), 4, |i: i32| i + 1);
-        assert_eq!(out, (1..11).collect::<Vec<_>>());
-    }
-
-    /// Spawn-cost microbenchmark behind `--ignored`: ns per call for the
-    /// shared pool vs the scoped-spawn fallback on many tiny batches (the
-    /// sweep-loop shape the pool exists for). Run manually:
-    /// `cargo test --release -p dfsim-core pool_reuse -- --ignored --nocapture`
-    #[test]
-    #[ignore]
-    fn pool_reuse_microbench() {
-        const CALLS: u32 = 500;
-        let items = || (0..16u64).collect::<Vec<_>>();
-        // Warm the pool up front so the one-time spawn is not billed.
-        let _ = parallel_map_at(items(), 4, |i| i);
-        let t0 = std::time::Instant::now();
-        for _ in 0..CALLS {
-            let _ = parallel_map_at(items(), 4, |i| i + 1);
-        }
-        let pooled = t0.elapsed();
-        let t1 = std::time::Instant::now();
-        for _ in 0..CALLS {
-            // Forcing the fallback: hold the pool with an outer call.
-            let _ = parallel_map_at(vec![0u64], 1, |_| {
-                // inline path; now time raw scoped spawns directly
-            });
-            let work: Vec<u64> = items();
-            crossbeam::scope(|s| {
-                let chunk = work.len().div_ceil(4);
-                for c in work.chunks(chunk) {
-                    s.spawn(move |_| {
-                        let _ = c.iter().map(|i| i + 1).sum::<u64>();
-                    });
-                }
-            })
-            .unwrap();
-        }
-        let scoped = t1.elapsed();
-        // Diagnostic, not report data: stderr, per stdout-discipline.
-        eprintln!(
-            "pool_reuse_microbench: {CALLS} calls x 16 items, 4 executors: pooled {:.1} us/call, \
-             scoped-spawn {:.1} us/call",
-            pooled.as_micros() as f64 / CALLS as f64,
-            scoped.as_micros() as f64 / CALLS as f64,
-        );
     }
 }

@@ -9,15 +9,19 @@
 //! [`RunReport`] of the originating run from the file alone, bit for bit.
 //!
 //! The blob is a little-endian binary layout with its own leading version
-//! word (`f64`s as raw bits so report values survive exactly), decoded with
-//! checked reads that fail as named [`TraceError`]s.
+//! word (`f64`s as raw bits so report values survive exactly), written and
+//! decoded with the metrics crate's little-endian primitives — checked
+//! reads that fail as named [`TraceError`]s.
 
 use std::path::Path;
 use std::sync::Arc;
 
 use dfsim_apps::AppKind;
 use dfsim_des::{EngineStats, QueueBackend, Time};
-use dfsim_metrics::trace::{read_meta, read_trace, TraceContents, TraceError};
+use dfsim_metrics::trace::{
+    len_u32, put_f64, put_opt_f64, put_opt_u64, put_str, put_u32, put_u64, put_u8, read_meta,
+    read_trace, Cur, TraceContents, TraceError,
+};
 use dfsim_metrics::{Recorder, RecorderConfig};
 use dfsim_network::{QTableInit, RoutingAlgo, RoutingConfig};
 use dfsim_topology::{DragonflyParams, LinkTiming, Topology};
@@ -59,40 +63,6 @@ pub struct TraceMeta {
 }
 
 // ---- encoding --------------------------------------------------------------
-
-pub(crate) fn put_u8(b: &mut Vec<u8>, v: u8) {
-    b.push(v);
-}
-pub(crate) fn put_u32(b: &mut Vec<u8>, v: u32) {
-    b.extend_from_slice(&v.to_le_bytes());
-}
-pub(crate) fn put_u64(b: &mut Vec<u8>, v: u64) {
-    b.extend_from_slice(&v.to_le_bytes());
-}
-pub(crate) fn put_f64(b: &mut Vec<u8>, v: f64) {
-    put_u64(b, v.to_bits());
-}
-pub(crate) fn put_str(b: &mut Vec<u8>, s: &str) {
-    put_u32(b, len_u32(s.len(), "a string length"));
-    b.extend_from_slice(s.as_bytes());
-}
-pub(crate) fn put_opt_u64(b: &mut Vec<u8>, v: Option<u64>) {
-    put_u8(b, u8::from(v.is_some()));
-    put_u64(b, v.unwrap_or(0));
-}
-pub(crate) fn put_opt_f64(b: &mut Vec<u8>, v: Option<f64>) {
-    put_u8(b, u8::from(v.is_some()));
-    put_f64(b, v.unwrap_or(0.0));
-}
-
-/// Encode-side length word. Every length the codecs write (label strings,
-/// job/app/series counts, embedded blobs) is bounded far below `u32::MAX`
-/// by construction; a breach is a programming error that must stop the
-/// writer, because a silently wrapped length word corrupts the file.
-pub(crate) fn len_u32(n: usize, what: &'static str) -> u32 {
-    // lint: allow(no-panic-paths) — writer-side invariant: codec lengths are bounded far below u32::MAX by construction, and wrapping the length word would corrupt the blob, so a breach must stop the writer
-    u32::try_from(n).expect(what)
-}
 
 /// Encode the META payload for a finished run (the runner's half of
 /// [`replay_trace`]'s losslessness contract).
@@ -187,98 +157,9 @@ pub(crate) fn encode_meta(
 
 // ---- decoding --------------------------------------------------------------
 
-/// Checked little-endian cursor over the META payload (also reused by the
-/// result cache's report blob decoder in [`crate::cache`]).
-pub(crate) struct Cur<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    pub(crate) fn new(data: &'a [u8]) -> Self {
-        Cur { data, pos: 0 }
-    }
-    /// A raw byte slice of known length (the cache's length-prefixed
-    /// blobs).
-    pub(crate) fn bytes(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], TraceError> {
-        self.take(n, what)
-    }
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], TraceError> {
-        let s = self
-            .pos
-            .checked_add(n)
-            .and_then(|end| self.data.get(self.pos..end))
-            .ok_or(TraceError::Truncated { offset: self.pos as u64, what })?;
-        self.pos += n;
-        Ok(s)
-    }
-    /// A fixed-width little-endian field as an owned array. `take` hands
-    /// back exactly `N` bytes, so the conversion's error arm is purely
-    /// defensive — it still maps onto a named error rather than a panic.
-    fn take_n<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], TraceError> {
-        let at = self.pos as u64;
-        let s = self.take(N, what)?;
-        s.try_into().map_err(|_| TraceError::Malformed {
-            offset: at,
-            msg: format!("{what}: internal field-width mismatch"),
-        })
-    }
-    pub(crate) fn u8(&mut self, what: &'static str) -> Result<u8, TraceError> {
-        let [b] = self.take_n::<1>(what)?;
-        Ok(b)
-    }
-    pub(crate) fn u32(&mut self, what: &'static str) -> Result<u32, TraceError> {
-        Ok(u32::from_le_bytes(self.take_n(what)?))
-    }
-    pub(crate) fn u64(&mut self, what: &'static str) -> Result<u64, TraceError> {
-        Ok(u64::from_le_bytes(self.take_n(what)?))
-    }
-    pub(crate) fn f64(&mut self, what: &'static str) -> Result<f64, TraceError> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
-    /// A `u32` length/count word widened to `usize` (fallible only on
-    /// hosts narrower than 32 bits, where it is a named error instead of
-    /// a silent wrap).
-    pub(crate) fn len(&mut self, what: &'static str) -> Result<usize, TraceError> {
-        let v = self.u32(what)?;
-        usize::try_from(v)
-            .map_err(|_| self.bad(format!("{what}: count {v} exceeds the host address width")))
-    }
-    /// A `u64` count word narrowed to `usize`, failing as a named error
-    /// when the value does not fit the host (a 32-bit replay of a 64-bit
-    /// run's statistics).
-    pub(crate) fn count64(&mut self, what: &'static str) -> Result<usize, TraceError> {
-        let v = self.u64(what)?;
-        usize::try_from(v)
-            .map_err(|_| self.bad(format!("{what}: count {v} exceeds the host address width")))
-    }
-    pub(crate) fn str(&mut self, what: &'static str) -> Result<String, TraceError> {
-        let n = self.len(what)?;
-        let at = self.pos as u64;
-        let bytes = self.take(n, what)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| TraceError::Malformed {
-            offset: at,
-            msg: format!("{what} is not valid UTF-8"),
-        })
-    }
-    pub(crate) fn opt_u64(&mut self, what: &'static str) -> Result<Option<u64>, TraceError> {
-        let has = self.u8(what)? != 0;
-        let v = self.u64(what)?;
-        Ok(has.then_some(v))
-    }
-    pub(crate) fn opt_f64(&mut self, what: &'static str) -> Result<Option<f64>, TraceError> {
-        let has = self.u8(what)? != 0;
-        let v = self.f64(what)?;
-        Ok(has.then_some(v))
-    }
-    pub(crate) fn bad(&self, msg: String) -> TraceError {
-        TraceError::Malformed { offset: self.pos as u64, msg }
-    }
-}
-
 /// Decode a META payload written by [`encode_meta`].
 pub fn decode_meta(blob: &[u8]) -> Result<TraceMeta, TraceError> {
-    let mut c = Cur { data: blob, pos: 0 };
+    let mut c = Cur::new(blob);
     let ver = c.u32("the meta version")?;
     if ver != META_VERSION {
         return Err(

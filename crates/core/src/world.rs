@@ -2,7 +2,7 @@
 //!
 //! The queue backend is a type parameter (defaulting to the radix heap),
 //! selected at runtime from [`crate::config::SimConfig::queue`] by
-//! [`crate::runner::run_placed`] — the event-queue ablation runs the real
+//! [`crate::runner::run`] — the event-queue ablation runs the real
 //! hot path, not a synthetic harness. Both backends realize the identical
 //! deterministic `(time, seq)` total order, so a run's report is invariant
 //! under the backend choice (the `backend_equivalence` integration test
@@ -211,7 +211,7 @@ impl<Q: PendingEvents<WorldEvent>> World<Q> {
                 }
             }
             if let Some(e) = dispatch_core(net, mpi, rec, queue, effects, ev) {
-                debug_assert!(false, "job event {e:?} in a static run; use run_scenario");
+                debug_assert!(false, "job event {e:?} in a static run; use a scenario workload");
                 let _ = e;
             }
             processed += 1;

@@ -159,7 +159,7 @@ fn heavy_ties() -> impl Strategy<Value = Vec<Op>> {
     ops(prop_oneof![12 => (0u64..3_000).prop_map(Op::Push), 1 => tie].boxed(), 1..60)
 }
 
-/// ns-scale traffic plus ms-scale arrivals, as `run_scenario` produces.
+/// ns-scale traffic plus ms-scale arrivals, as a churn scenario produces.
 fn churn() -> impl Strategy<Value = Vec<Op>> {
     let push = prop_oneof![
         8 => (0u64..20_000).prop_map(Op::Push),

@@ -1168,6 +1168,9 @@ fn flag_shaped(s: &str) -> bool {
 /// have a read site (an exact string-literal occurrence outside the
 /// registries, i.e. a parser/match arm that consumes it), and every
 /// flag-shaped literal a parser matches must be declared in `CLI_FLAGS`.
+/// The resolver's generic rule is a read site too: an env var whose
+/// lower-case name is a spec key, and a flag whose name minus `--` is one,
+/// are routed to that key's `apply_key` arm without being spelled out.
 /// This is cache-key-coverage's drift class, generalized from hashing to
 /// wiring: a knob that parses but changes nothing is a silent lie to the
 /// user. Like the other registry rules, findings here cannot be waived.
@@ -1197,6 +1200,8 @@ pub fn check_dead_knobs(files: &[SourceFile], out: &mut Vec<Finding>) {
     let registry = |name: &str| -> Option<&ConstStrList> {
         registries.iter().find(|(n, _)| *n == name).map(|(_, r)| r)
     };
+    let is_spec_key =
+        |name: &str| registry("SPEC_KEYS").is_some_and(|spec| spec.items.iter().any(|k| k == name));
     let mut dead = |r: &ConstStrList, item: &str, what: &str, fix: &str| {
         out.push(Finding {
             file: r.file.clone(),
@@ -1221,7 +1226,7 @@ pub fn check_dead_knobs(files: &[SourceFile], out: &mut Vec<Finding>) {
     for env_reg in ["CORE_ENV", "EXTENDED_ENV"] {
         if let Some(reg) = registry(env_reg) {
             for v in &reg.items {
-                if !occurrences(v) {
+                if !is_spec_key(&v.to_ascii_lowercase()) && !occurrences(v) {
                     dead(
                         reg,
                         v,
@@ -1234,7 +1239,7 @@ pub fn check_dead_knobs(files: &[SourceFile], out: &mut Vec<Finding>) {
     }
     if let Some(flags) = registry("CLI_FLAGS") {
         for fl in &flags.items {
-            if !occurrences(fl) {
+            if !is_spec_key(fl.trim_start_matches("--")) && !occurrences(fl) {
                 dead(
                     flags,
                     fl,

@@ -349,6 +349,18 @@ fn dead_knob_passes_when_every_flag_is_parsed() {
 }
 
 #[test]
+fn dead_knob_counts_the_generic_rule_as_a_read_site_for_spec_keys_only() {
+    // `--seed` and `SCALE` have no literal read site: the resolver routes
+    // them to the `seed` / `scale` arms by name. `--ghost` and `GHOST` name
+    // no spec key and nothing matches them, so the rule still fires.
+    let src = include_str!("fixtures/knob_registry_generic.rs");
+    let f = lint_at("crates/core/src/spec.rs", src);
+    assert_eq!(rules_of(&f), vec!["dead-knob", "dead-knob"], "{f:#?}");
+    assert!(f.iter().any(|x| x.message.contains("env var `GHOST`")), "{f:#?}");
+    assert!(f.iter().any(|x| x.message.contains("CLI flag `--ghost`")), "{f:#?}");
+}
+
+#[test]
 fn dead_knob_fires_on_a_parsed_but_undeclared_flag() {
     let report = lint_sources(vec![
         load_source("crates/core/src/spec.rs", include_str!("fixtures/knob_registry_live.rs")),

@@ -120,17 +120,176 @@ impl TraceError {
     }
 }
 
-// ---- encoding --------------------------------------------------------------
+// ---- little-endian primitives -----------------------------------------------
+//
+// The one set of checked little-endian primitives behind the event codec
+// here and the META / result-cache blobs in `dfsim-core` (`f64`s travel as
+// raw bits, so values survive exactly).
 
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// Append one byte.
+pub fn put_u8(b: &mut Vec<u8>, v: u8) {
+    b.push(v);
 }
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// Append a little-endian `u16`.
+pub fn put_u16(b: &mut Vec<u8>, v: u16) {
+    b.extend_from_slice(&v.to_le_bytes());
 }
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// Append a little-endian `u32`.
+pub fn put_u32(b: &mut Vec<u8>, v: u32) {
+    b.extend_from_slice(&v.to_le_bytes());
 }
+/// Append a little-endian `u64`.
+pub fn put_u64(b: &mut Vec<u8>, v: u64) {
+    b.extend_from_slice(&v.to_le_bytes());
+}
+/// Append an `f64` as its raw bits.
+pub fn put_f64(b: &mut Vec<u8>, v: f64) {
+    put_u64(b, v.to_bits());
+}
+/// Append a `u32` length word and the string's bytes.
+pub fn put_str(b: &mut Vec<u8>, s: &str) {
+    put_u32(b, len_u32(s.len(), "a string length"));
+    b.extend_from_slice(s.as_bytes());
+}
+/// Append a presence byte and the value (0 when absent).
+pub fn put_opt_u64(b: &mut Vec<u8>, v: Option<u64>) {
+    put_u8(b, u8::from(v.is_some()));
+    put_u64(b, v.unwrap_or(0));
+}
+/// Append a presence byte and the value's raw bits (0.0 when absent).
+pub fn put_opt_f64(b: &mut Vec<u8>, v: Option<f64>) {
+    put_u8(b, u8::from(v.is_some()));
+    put_f64(b, v.unwrap_or(0.0));
+}
+
+/// Encode-side length word. Every length the codecs write (label strings,
+/// job/app/series counts, embedded blobs) is bounded far below `u32::MAX`
+/// by construction; a breach is a programming error that must stop the
+/// writer, because a silently wrapped length word corrupts the file.
+pub fn len_u32(n: usize, what: &'static str) -> u32 {
+    // lint: allow(no-panic-paths) — writer-side invariant: codec lengths are bounded far below u32::MAX by construction, and wrapping the length word would corrupt the blob, so a breach must stop the writer
+    u32::try_from(n).expect(what)
+}
+
+/// A checked little-endian cursor over one frame payload or blob. Unlike
+/// the DES wire reader (a trusted intra-run protocol that panics on
+/// underrun), trace files and cache entries are external input: every read
+/// can fail with a named [`TraceError`].
+pub struct Cur<'a> {
+    data: &'a [u8],
+    pos: usize,
+    /// File offset of `data[0]`, for error messages.
+    base: u64,
+}
+
+impl<'a> Cur<'a> {
+    /// A cursor over a standalone blob (error offsets count from its start).
+    pub fn new(data: &'a [u8]) -> Self {
+        Cur { data, pos: 0, base: 0 }
+    }
+
+    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], TraceError> {
+        let s =
+            self.pos.checked_add(n).and_then(|end| self.data.get(self.pos..end)).ok_or(
+                TraceError::Truncated { offset: self.base + self.data.len() as u64, what },
+            )?;
+        self.pos += n;
+        Ok(s)
+    }
+
+    /// A fixed-width little-endian field as an owned array. `take` hands
+    /// back exactly `N` bytes, so the conversion's error arm is purely
+    /// defensive — it still maps onto a named error rather than a panic.
+    fn take_n<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], TraceError> {
+        let at = self.base + self.pos as u64;
+        let s = self.take(N, what)?;
+        s.try_into().map_err(|_| TraceError::Malformed {
+            offset: at,
+            msg: format!("{what}: internal field-width mismatch"),
+        })
+    }
+
+    /// A raw byte slice of known length (length-prefixed embedded blobs).
+    pub fn bytes(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], TraceError> {
+        self.take(n, what)
+    }
+
+    /// One byte.
+    pub fn u8(&mut self, what: &'static str) -> Result<u8, TraceError> {
+        let [b] = self.take_n::<1>(what)?;
+        Ok(b)
+    }
+
+    /// A little-endian `u16`.
+    pub fn u16(&mut self, what: &'static str) -> Result<u16, TraceError> {
+        Ok(u16::from_le_bytes(self.take_n(what)?))
+    }
+
+    /// A little-endian `u32`.
+    pub fn u32(&mut self, what: &'static str) -> Result<u32, TraceError> {
+        Ok(u32::from_le_bytes(self.take_n(what)?))
+    }
+
+    /// A little-endian `u64`.
+    pub fn u64(&mut self, what: &'static str) -> Result<u64, TraceError> {
+        Ok(u64::from_le_bytes(self.take_n(what)?))
+    }
+
+    /// An `f64` from its raw bits.
+    pub fn f64(&mut self, what: &'static str) -> Result<f64, TraceError> {
+        Ok(f64::from_bits(self.u64(what)?))
+    }
+
+    /// A `u32` length/count word widened to `usize` (fallible only on
+    /// hosts narrower than 32 bits, where it is a named error instead of
+    /// a silent wrap).
+    pub fn len(&mut self, what: &'static str) -> Result<usize, TraceError> {
+        let v = self.u32(what)?;
+        usize::try_from(v)
+            .map_err(|_| self.bad(format!("{what}: count {v} exceeds the host address width")))
+    }
+
+    /// A `u64` count word narrowed to `usize`, failing as a named error
+    /// when the value does not fit the host (a 32-bit replay of a 64-bit
+    /// run's statistics).
+    pub fn count64(&mut self, what: &'static str) -> Result<usize, TraceError> {
+        let v = self.u64(what)?;
+        usize::try_from(v)
+            .map_err(|_| self.bad(format!("{what}: count {v} exceeds the host address width")))
+    }
+
+    /// A length-prefixed UTF-8 string (see [`put_str`]).
+    pub fn str(&mut self, what: &'static str) -> Result<String, TraceError> {
+        let n = self.len(what)?;
+        let at = self.base + self.pos as u64;
+        let bytes = self.take(n, what)?;
+        String::from_utf8(bytes.to_vec()).map_err(|_| TraceError::Malformed {
+            offset: at,
+            msg: format!("{what} is not valid UTF-8"),
+        })
+    }
+
+    /// An optional `u64` (see [`put_opt_u64`]).
+    pub fn opt_u64(&mut self, what: &'static str) -> Result<Option<u64>, TraceError> {
+        let has = self.u8(what)? != 0;
+        let v = self.u64(what)?;
+        Ok(has.then_some(v))
+    }
+
+    /// An optional `f64` (see [`put_opt_f64`]).
+    pub fn opt_f64(&mut self, what: &'static str) -> Result<Option<f64>, TraceError> {
+        let has = self.u8(what)? != 0;
+        let v = self.f64(what)?;
+        Ok(has.then_some(v))
+    }
+
+    /// A [`TraceError::Malformed`] at the cursor's position.
+    pub fn bad(&self, msg: String) -> TraceError {
+        TraceError::Malformed { offset: self.base + self.pos as u64, msg }
+    }
+}
+
+// ---- event encoding ---------------------------------------------------------
 
 /// Append one event's binary form to `buf` (the module-docs layout).
 pub fn encode_event(buf: &mut Vec<u8>, ev: &TraceEvent) {
@@ -181,56 +340,6 @@ pub fn encode_event(buf: &mut Vec<u8>, ev: &TraceEvent) {
             put_u64(buf, comm);
             put_u64(buf, exec);
         }
-    }
-}
-
-/// A checked little-endian cursor over one frame payload. Unlike the DES
-/// wire reader (a trusted intra-run protocol that panics on underrun), a
-/// trace file is external input: every read can fail with a named error.
-struct Cur<'a> {
-    data: &'a [u8],
-    pos: usize,
-    /// File offset of `data[0]`, for error messages.
-    base: u64,
-}
-
-impl<'a> Cur<'a> {
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], TraceError> {
-        let s =
-            self.pos.checked_add(n).and_then(|end| self.data.get(self.pos..end)).ok_or(
-                TraceError::Truncated { offset: self.base + self.data.len() as u64, what },
-            )?;
-        self.pos += n;
-        Ok(s)
-    }
-
-    /// A fixed-width little-endian field as an owned array. `take` hands
-    /// back exactly `N` bytes, so the conversion's error arm is purely
-    /// defensive — it still maps onto a named error rather than a panic.
-    fn take_n<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], TraceError> {
-        let at = self.base + self.pos as u64;
-        let s = self.take(N, what)?;
-        s.try_into().map_err(|_| TraceError::Malformed {
-            offset: at,
-            msg: format!("{what}: internal field-width mismatch"),
-        })
-    }
-
-    fn u8(&mut self, what: &'static str) -> Result<u8, TraceError> {
-        let [b] = self.take_n::<1>(what)?;
-        Ok(b)
-    }
-
-    fn u16(&mut self, what: &'static str) -> Result<u16, TraceError> {
-        Ok(u16::from_le_bytes(self.take_n(what)?))
-    }
-
-    fn u32(&mut self, what: &'static str) -> Result<u32, TraceError> {
-        Ok(u32::from_le_bytes(self.take_n(what)?))
-    }
-
-    fn u64(&mut self, what: &'static str) -> Result<u64, TraceError> {
-        Ok(u64::from_le_bytes(self.take_n(what)?))
     }
 }
 
@@ -611,6 +720,58 @@ mod tests {
             TraceEvent::IngressBurst { app: AppId(1), bytes: 4096 },
             TraceEvent::RankFinished { app: AppId(0), rank: 2, comm: 10, exec: 20 },
         ]
+    }
+
+    #[test]
+    fn cursor_reads_back_what_the_writers_wrote() {
+        let mut b = Vec::new();
+        put_u8(&mut b, 7);
+        put_u16(&mut b, 0xBEEF);
+        put_u32(&mut b, 70_000);
+        put_u64(&mut b, u64::MAX - 1);
+        put_f64(&mut b, -0.0);
+        put_str(&mut b, "Q-adp");
+        put_opt_u64(&mut b, Some(9));
+        put_opt_u64(&mut b, None);
+        put_opt_f64(&mut b, Some(f64::NAN));
+        put_u32(&mut b, len_u32(3, "a blob length"));
+        b.extend_from_slice(b"abc");
+        let mut c = Cur::new(&b);
+        assert_eq!(c.u8("u8").unwrap(), 7);
+        assert_eq!(c.u16("u16").unwrap(), 0xBEEF);
+        assert_eq!(c.u32("u32").unwrap(), 70_000);
+        assert_eq!(c.count64("u64").unwrap() as u64, u64::MAX - 1);
+        assert_eq!(c.f64("f64").unwrap().to_bits(), (-0.0f64).to_bits());
+        assert_eq!(c.str("str").unwrap(), "Q-adp");
+        assert_eq!(c.opt_u64("some").unwrap(), Some(9));
+        assert_eq!(c.opt_u64("none").unwrap(), None);
+        assert!(c.opt_f64("nan").unwrap().unwrap().is_nan());
+        let n = c.len("blob length").unwrap();
+        assert_eq!(c.bytes(n, "blob").unwrap(), b"abc");
+        let end = b.len() as u64;
+        assert!(
+            matches!(c.u8("past the end"), Err(TraceError::Truncated { offset, .. }) if offset == end)
+        );
+    }
+
+    #[test]
+    fn cursor_errors_are_named_and_carry_file_offsets() {
+        // A short read names where the data ends, counted from the file.
+        let mut c = Cur { data: &[1, 2, 3], pos: 0, base: 100 };
+        let e = c.u32("a count").unwrap_err();
+        assert!(matches!(e, TraceError::Truncated { offset: 103, what: "a count" }), "{e}");
+        // A length word larger than the payload is a short read, not an
+        // allocation; bad UTF-8 and `bad` name the position they stopped at.
+        let mut b = Vec::new();
+        put_u32(&mut b, u32::MAX);
+        assert!(matches!(Cur::new(&b).str("a label"), Err(TraceError::Truncated { .. })));
+        let mut b = Vec::new();
+        put_u32(&mut b, 2);
+        b.extend_from_slice(&[0xFF, 0xFE]);
+        let mut c = Cur::new(&b);
+        let e = c.str("a label").unwrap_err();
+        assert!(matches!(e, TraceError::Malformed { offset: 4, .. }), "{e}");
+        assert!(matches!(c.bad("x".into()), TraceError::Malformed { offset: 6, .. }));
     }
 
     fn tmp(name: &str) -> PathBuf {

@@ -16,11 +16,11 @@ fn main() {
     let spec = ExperimentSpec { scale: 128.0, ..Default::default() }
         .resolve(&[])
         .unwrap_or_else(|e| die(&e));
-    let scale = spec.scale;
 
-    let cfg = StudyConfig { routing, scale, ..Default::default() };
-    println!("mixed workload (Table II) under {routing} @ scale 1/{scale}");
-    let report = mixed(&cfg);
+    println!("mixed workload (Table II) under {routing} @ scale 1/{}", spec.scale);
+    let report = Simulation::run_one(&spec.cell(routing), Workload::Mixed)
+        .unwrap_or_else(|e| die(&e))
+        .report;
 
     let mut t = TextTable::new(vec![
         "App",

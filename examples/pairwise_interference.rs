@@ -16,9 +16,12 @@ fn main() {
     let spec = ExperimentSpec { scale: 128.0, ..Default::default() }
         .resolve(&[])
         .unwrap_or_else(|e| die(&e));
-    let scale = spec.scale;
+    let run = |routing, background| {
+        let workload = Workload::pairwise(target, background);
+        Simulation::run_one(&spec.cell(routing), workload).unwrap_or_else(|e| die(&e)).report
+    };
 
-    println!("pairwise {target} + {background} @ scale 1/{scale}");
+    println!("pairwise {target} + {background} @ scale 1/{}", spec.scale);
     let mut table = TextTable::new(vec![
         "Routing",
         "alone (ms)",
@@ -28,9 +31,8 @@ fn main() {
         "p99 latency us",
     ]);
     for routing in RoutingAlgo::PAPER_SET {
-        let cfg = StudyConfig { routing, scale, ..Default::default() };
-        let alone = pairwise(target, None, &cfg);
-        let both = pairwise(target, Some(background), &cfg);
+        let alone = run(routing, None);
+        let both = run(routing, Some(background));
         let a = &alone.apps[0];
         let b = &both.apps[0];
         table.row(vec![

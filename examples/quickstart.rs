@@ -15,15 +15,17 @@ fn main() {
     let spec = ExperimentSpec { scale: 256.0, ..Default::default() }
         .resolve(&[])
         .unwrap_or_else(|e| die(&e));
-    let (scale, seed) = (spec.scale, spec.seed);
+    let run = |routing, workload| {
+        Simulation::run_one(&spec.cell(routing), workload).unwrap_or_else(|e| die(&e)).report
+    };
+    let alone = Workload::standalone(AppKind::FFT3D);
+    let interfered = Workload::pairwise(AppKind::FFT3D, Some(AppKind::Halo3D));
 
-    println!("Dragonfly 1,056 nodes (33 groups x 8 routers x 4 nodes), scale 1/{scale}");
+    println!("Dragonfly 1,056 nodes (33 groups x 8 routers x 4 nodes), scale 1/{}", spec.scale);
     println!();
 
-    let cfg = StudyConfig { routing: RoutingAlgo::Par, scale, seed, ..Default::default() };
-
     // 1. FFT3D alone on half the system.
-    let solo = standalone(AppKind::FFT3D, &cfg);
+    let solo = run(RoutingAlgo::Par, alone.clone());
     let fft_solo = &solo.apps[0];
     println!(
         "FFT3D alone      : comm {:>7.3} ms (±{:.3}), exec {:>7.3} ms, {} packets in {:.1}s wall",
@@ -35,7 +37,7 @@ fn main() {
     );
 
     // 2. FFT3D with Halo3D (the paper's most aggressive background).
-    let pair = pairwise(AppKind::FFT3D, Some(AppKind::Halo3D), &cfg);
+    let pair = run(RoutingAlgo::Par, interfered.clone());
     let fft = &pair.apps[0];
     println!(
         "FFT3D + Halo3D   : comm {:>7.3} ms (±{:.3}), exec {:>7.3} ms",
@@ -46,9 +48,8 @@ fn main() {
     println!();
 
     // 3. The same pair under Q-adaptive routing.
-    let cfg_q = StudyConfig { routing: RoutingAlgo::QAdaptive, ..cfg };
-    let solo_q = standalone(AppKind::FFT3D, &cfg_q);
-    let pair_q = pairwise(AppKind::FFT3D, Some(AppKind::Halo3D), &cfg_q);
+    let solo_q = run(RoutingAlgo::QAdaptive, alone);
+    let pair_q = run(RoutingAlgo::QAdaptive, interfered);
     let fft_q = &pair_q.apps[0];
     println!(
         "Q-adaptive alone : comm {:>7.3} ms (±{:.3})",

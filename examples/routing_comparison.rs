@@ -13,8 +13,7 @@ fn main() {
     let spec = ExperimentSpec { scale: 128.0, ..Default::default() }
         .resolve(&[])
         .unwrap_or_else(|e| die(&e));
-    let scale = spec.scale;
-    println!("{app} standalone on 528 nodes @ scale 1/{scale}");
+    println!("{app} standalone on 528 nodes @ scale 1/{}", spec.scale);
 
     let mut t = TextTable::new(vec![
         "Routing",
@@ -32,8 +31,9 @@ fn main() {
         RoutingAlgo::Par,
         RoutingAlgo::QAdaptive,
     ] {
-        let cfg = StudyConfig { routing, scale, ..Default::default() };
-        let r = standalone(app, &cfg);
+        let r = Simulation::run_one(&spec.cell(routing), Workload::standalone(app))
+            .unwrap_or_else(|e| die(&e))
+            .report;
         let a = &r.apps[0];
         t.row(vec![
             routing.label().to_string(),

@@ -17,15 +17,17 @@
 //! * [`mpi`] — rank programs, matching, collectives, rendezvous,
 //! * [`apps`] — UR, LU, FFT3D, Halo3D, LQCD, Stencil5D, CosmoFlow, DL,
 //!   LULESH,
-//! * [`core`] — configs, placement, the world loop, experiment presets.
+//! * [`core`] — the experiment spec, the simulation session, placement,
+//!   the world loop.
 //!
 //! Quick start (see `examples/quickstart.rs`):
 //!
 //! ```no_run
 //! use dragonfly_interference::prelude::*;
 //!
-//! let cfg = StudyConfig { routing: RoutingAlgo::QAdaptive, ..Default::default() };
-//! let report = pairwise(AppKind::FFT3D, Some(AppKind::Halo3D), &cfg);
+//! let spec = ExperimentSpec { routings: vec![RoutingAlgo::QAdaptive], ..Default::default() };
+//! let workload = Workload::pairwise(AppKind::FFT3D, Some(AppKind::Halo3D));
+//! let report = Simulation::run_one(&spec, workload).unwrap().report;
 //! println!(
 //!     "FFT3D comm time under Halo3D interference: {:.3} ms (±{:.3})",
 //!     report.apps[0].comm_ms.mean,
@@ -46,13 +48,8 @@ pub use dfsim_topology as topology;
 /// The most commonly used items in one import.
 pub mod prelude {
     pub use dfsim_apps::{AppInstance, AppKind, ArrivalSpec};
-    pub use dfsim_core::experiments::{mixed, pairwise, standalone, StudyConfig};
     pub use dfsim_core::placement::Placement;
-    #[allow(deprecated)]
-    pub use dfsim_core::runner::run_placed;
     pub use dfsim_core::runner::{run, JobSpec};
-    #[allow(deprecated)]
-    pub use dfsim_core::scenario::run_scenario;
     pub use dfsim_core::scenario::{Scenario, SchedPolicy};
     pub use dfsim_core::spec::{die, lookup, lookup_list, Registered};
     pub use dfsim_core::tables::TextTable;

@@ -6,21 +6,30 @@
 //! intentionally backend-dependent field is `RunReport::engine`, which
 //! describes the engine itself and is excluded here.
 
-// The deprecated free-function entry points are exercised on purpose:
-// this suite pins that spec-launched sessions and the old wrappers agree.
-#![allow(deprecated)]
-
 use dragonfly_interference::prelude::*;
 
+fn jobs() -> Vec<JobSpec> {
+    vec![JobSpec::sized(AppKind::CosmoFlow, 36), JobSpec::sized(AppKind::UR, 36)]
+}
+
+/// The tiny pairwise experiment as a spec (`SimConfig::test_tiny`'s values).
+fn tiny_spec(routing: RoutingAlgo, seed: u64) -> ExperimentSpec {
+    ExperimentSpec {
+        workload: Workload::jobs(jobs()),
+        params: DragonflyParams::tiny_72(),
+        routings: vec![routing],
+        scale: 2_048.0,
+        seed,
+        ..Default::default()
+    }
+}
+
+fn run_spec(spec: ExperimentSpec) -> RunReport {
+    Simulation::from_spec(spec).unwrap().run().unwrap().report
+}
+
 fn run_with(backend: QueueBackend, routing: RoutingAlgo, seed: u64) -> RunReport {
-    let mut cfg = SimConfig::test_tiny(routing);
-    cfg.seed = seed;
-    let cfg = cfg.with_queue(backend);
-    run_placed(
-        &cfg,
-        &[JobSpec::sized(AppKind::CosmoFlow, 36), JobSpec::sized(AppKind::UR, 36)],
-        Placement::Random,
-    )
+    run_spec(ExperimentSpec { queue: backend, ..tiny_spec(routing, seed) })
 }
 
 fn assert_equivalent(heap: &RunReport, cal: &RunReport) {
@@ -113,26 +122,15 @@ fn engine_stats_are_populated_and_consistent() {
 }
 
 /// Launching through `ExperimentSpec` → `Simulation::run()` produces the
-/// bit-identical report the deprecated wrapper produced, on every backend
-/// and tuning — the session API is a front-end over the same engine, not
-/// a reimplementation.
+/// bit-identical report the engine-level `run(&SimConfig, ..)` produces, on
+/// every backend and tuning — the session API is a front-end over the same
+/// engine, not a reimplementation.
 #[test]
-fn spec_sessions_match_wrapper_runs_on_every_backend() {
+fn spec_sessions_match_engine_runs_on_every_backend() {
     for backend in QueueBackend::ALL {
-        let old = run_with(backend, RoutingAlgo::UgalG, 7);
-        let spec = ExperimentSpec {
-            params: DragonflyParams::tiny_72(),
-            routings: vec![RoutingAlgo::UgalG],
-            scale: 2_048.0,
-            seed: 7,
-            queue: backend,
-            ..Default::default()
-        }
-        .with_workload(Workload::jobs(vec![
-            JobSpec::sized(AppKind::CosmoFlow, 36),
-            JobSpec::sized(AppKind::UR, 36),
-        ]));
-        let new = Simulation::from_spec(spec).unwrap().run().unwrap().report;
+        let cfg = SimConfig::test_tiny(RoutingAlgo::UgalG).with_queue(backend);
+        let old = run(&cfg, &jobs());
+        let new = run_with(backend, RoutingAlgo::UgalG, 7);
         assert_eq!(new.events, old.events, "{backend}: event count diverged");
         assert_equivalent(&old, &new);
     }
@@ -146,25 +144,18 @@ fn spec_sessions_match_wrapper_runs_on_every_backend() {
 fn warm_started_runs_identical_across_backends() {
     let snap = std::env::temp_dir().join(format!("dfsim_beq_warm_{}.snap", std::process::id()));
     // Train and save.
-    let mut train = SimConfig::test_tiny(RoutingAlgo::QAdaptive);
-    train.seed = 23;
-    train.qtable_save = Some(snap.clone());
-    let trained = run_placed(
-        &train,
-        &[JobSpec::sized(AppKind::CosmoFlow, 36), JobSpec::sized(AppKind::UR, 36)],
-        Placement::Random,
-    );
+    let trained = run_spec(ExperimentSpec {
+        qtable_save: Some(snap.clone()),
+        ..tiny_spec(RoutingAlgo::QAdaptive, 23)
+    });
     assert!(trained.completed);
 
     let warm_with = |backend: QueueBackend| {
-        let mut cfg = SimConfig::test_tiny(RoutingAlgo::QAdaptive);
-        cfg.seed = 29;
-        cfg.routing.qtable_init = QTableInit::load(&snap);
-        run_placed(
-            &cfg.with_queue(backend),
-            &[JobSpec::sized(AppKind::CosmoFlow, 36), JobSpec::sized(AppKind::UR, 36)],
-            Placement::Random,
-        )
+        run_spec(ExperimentSpec {
+            qtable_load: Some(snap.clone()),
+            queue: backend,
+            ..tiny_spec(RoutingAlgo::QAdaptive, 29)
+        })
     };
     let heap = warm_with(QueueBackend::BinaryHeap);
     for backend in
@@ -181,19 +172,20 @@ fn warm_started_runs_identical_across_backends() {
     let _ = std::fs::remove_file(&snap);
 }
 
-/// The `StudyConfig` path (what the fig/table binaries use) threads the
-/// backend through `sim()` identically.
+/// The spec path (what the fig/table binaries use) threads the backend
+/// through `sim()` identically.
 #[test]
-fn study_config_threads_backend_through_sim() {
+fn spec_threads_backend_through_sim() {
     for backend in QueueBackend::ALL {
-        let cfg = StudyConfig {
+        let spec = ExperimentSpec {
             scale: 4_096.0,
             params: DragonflyParams::tiny_72(),
             queue: backend,
             ..Default::default()
         };
-        assert_eq!(cfg.sim().queue, backend);
-        let report = pairwise(AppKind::LU, Some(AppKind::UR), &cfg);
+        assert_eq!(spec.sim().queue, backend);
+        let workload = Workload::pairwise(AppKind::LU, Some(AppKind::UR));
+        let report = Simulation::run_one(&spec, workload).unwrap().report;
         assert!(report.completed, "{backend}: {}", report.stop_reason);
         assert_eq!(report.queue, backend.label());
     }

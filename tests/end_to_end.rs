@@ -133,18 +133,17 @@ fn minimal_routing_stays_within_three_hops() {
 
 #[test]
 fn mixed_workload_preset_completes_on_tiny_system() {
-    use dragonfly_interference::core::experiments::mixed_scaled_sizes;
     for routing in [RoutingAlgo::Par, RoutingAlgo::QAdaptive] {
-        let cfg = StudyConfig {
-            routing,
+        let spec = ExperimentSpec {
+            routings: vec![routing],
             scale: 4_096.0,
             seed: 5,
             placement: Placement::Random,
             params: DragonflyParams::tiny_72(),
             ..Default::default()
         };
-        // Scale Table II sizes down to the 72-node system (factor 1/16).
-        let report = mixed_scaled_sizes(&cfg, 1.0 / 16.0);
+        // Table II scales itself down to the 72-node system.
+        let report = Simulation::run_one(&spec, Workload::Mixed).unwrap().report;
         assert!(report.completed, "{routing}: {}", report.stop_reason);
         assert_eq!(report.apps.len(), 6);
     }
@@ -154,20 +153,18 @@ fn mixed_workload_preset_completes_on_tiny_system() {
 fn contiguous_placement_reduces_interference() {
     // The §I claim behind the placement alternative: isolating jobs into
     // groups suppresses interference even under adaptive routing.
-    let base = StudyConfig {
-        routing: RoutingAlgo::UgalG,
+    let base = ExperimentSpec {
+        workload: Workload::pairwise(AppKind::CosmoFlow, Some(AppKind::Halo3D)),
+        routings: vec![RoutingAlgo::UgalG],
         scale: 2_048.0,
         seed: 3,
         placement: Placement::Random,
         params: DragonflyParams::tiny_72(),
         ..Default::default()
     };
-    let random = pairwise(AppKind::CosmoFlow, Some(AppKind::Halo3D), &base);
-    let contiguous = pairwise(
-        AppKind::CosmoFlow,
-        Some(AppKind::Halo3D),
-        &StudyConfig { placement: Placement::Contiguous, ..base },
-    );
+    let run = |spec| Simulation::from_spec(spec).unwrap().run().unwrap().report;
+    let random = run(base.clone());
+    let contiguous = run(ExperimentSpec { placement: Placement::Contiguous, ..base });
     assert!(random.completed && contiguous.completed);
     let r = random.apps[0].comm_ms.mean;
     let c = contiguous.apps[0].comm_ms.mean;

@@ -6,7 +6,7 @@
 //!
 //! The pinned campaigns mirror the paper harness shrunk onto the 72-node
 //! test system:
-//! * **table2**: the §VI mixed workload, sizes scaled by 72/1056,
+//! * **table2**: the §VI mixed workload, scaled onto the 72 nodes,
 //! * **fig8**: the LQCD + Stencil5D pairwise interference run.
 //!
 //! Integer statistics (event counts, peak-ingress bytes) are pinned
@@ -19,17 +19,23 @@
 
 use dragonfly_interference::prelude::*;
 
-const SIZE_FACTOR: f64 = 72.0 / 1056.0;
-
-fn study(backend: QueueBackend) -> StudyConfig {
-    StudyConfig {
-        routing: RoutingAlgo::UgalG,
+fn study(backend: QueueBackend) -> ExperimentSpec {
+    ExperimentSpec {
+        routings: vec![RoutingAlgo::UgalG],
         scale: 4_096.0,
         seed: 42,
         params: DragonflyParams::tiny_72(),
         queue: backend,
         ..Default::default()
     }
+}
+
+fn mixed(spec: &ExperimentSpec) -> RunReport {
+    Simulation::run_one(spec, Workload::Mixed).unwrap().report
+}
+
+fn pairwise(target: AppKind, background: Option<AppKind>, spec: &ExperimentSpec) -> RunReport {
+    Simulation::run_one(spec, Workload::pairwise(target, background)).unwrap().report
 }
 
 fn assert_close(actual: f64, golden: f64, what: &str) {
@@ -64,7 +70,7 @@ const FIG8_LQCD_ALONE_COMM_MS: f64 = 0.001656906666667;
 fn table2_mixed_summary_is_pinned_on_both_backends() {
     for backend in QueueBackend::ALL {
         let cfg = study(backend);
-        let r = dfsim_core::experiments::mixed_scaled_sizes(&cfg, SIZE_FACTOR);
+        let r = mixed(&cfg);
         assert!(r.completed, "{backend}: {}", r.stop_reason);
         assert_eq!(r.events, TABLE2_EVENTS, "{backend}: event count drifted");
         assert_close(r.sim_ms, TABLE2_SIM_MS, "table2 sim_ms");
@@ -102,10 +108,9 @@ fn fig8_standalone_baseline_is_pinned() {
 }
 
 /// The checked-in golden spec file reproduces the fig8 pinned report
-/// bit-identically through `Simulation::from_spec` — whichever door an
-/// experiment enters (preset wrappers or a spec file through the session
-/// API), the report is the same, and the spec format cannot drift from
-/// the goldens.
+/// bit-identically through `Simulation::from_spec` — a spec built in code
+/// and the same spec parsed from a file give the same report, and the spec
+/// format cannot drift from the goldens.
 #[test]
 fn golden_spec_file_reproduces_fig8_through_the_session_api() {
     let text = std::fs::read_to_string("tests/specs/fig8_tiny.spec").expect("golden spec");
@@ -122,7 +127,7 @@ fn golden_spec_file_reproduces_fig8_through_the_session_api() {
         "spec-launched fig8 Stencil5D comm",
     );
 
-    // Bit-identical to the preset path, field for field — not merely
+    // Bit-identical to the in-code spec, field for field — not merely
     // within the golden tolerance.
     let old = pairwise(AppKind::LQCD, Some(AppKind::Stencil5D), &study(QueueBackend::BinaryHeap));
     assert_eq!(r.events, old.events);
@@ -146,7 +151,7 @@ fn golden_spec_file_reproduces_fig8_through_the_session_api() {
 #[ignore]
 fn generate_goldens() {
     let cfg = study(QueueBackend::BinaryHeap);
-    let t2 = dfsim_core::experiments::mixed_scaled_sizes(&cfg, SIZE_FACTOR);
+    let t2 = mixed(&cfg);
     println!("T2 events={} sim_ms={:.12}", t2.events, t2.sim_ms);
     for a in &t2.apps {
         println!(

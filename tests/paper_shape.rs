@@ -7,16 +7,24 @@
 
 use dragonfly_interference::prelude::*;
 
-/// Shared campaign config.
-fn study(routing: RoutingAlgo) -> StudyConfig {
-    StudyConfig {
-        routing,
+/// Shared campaign spec.
+fn study(routing: RoutingAlgo) -> ExperimentSpec {
+    ExperimentSpec {
+        routings: vec![routing],
         scale: 64.0,
         seed: 42,
         placement: Placement::Random,
         params: DragonflyParams::balanced(3),
         ..Default::default()
     }
+}
+
+fn pairwise(target: AppKind, background: Option<AppKind>, spec: &ExperimentSpec) -> RunReport {
+    Simulation::run_one(spec, Workload::pairwise(target, background)).unwrap().report
+}
+
+fn standalone(target: AppKind, spec: &ExperimentSpec) -> RunReport {
+    Simulation::run_one(spec, Workload::standalone(target)).unwrap().report
 }
 
 #[test]

@@ -3,10 +3,6 @@
 //! silently applied), and warm-started runs are deterministic — including
 //! bit-identical reports across both event-queue backends.
 
-// The deprecated free-function entry points are exercised on purpose:
-// they pin the old doors' behavior against the spec-based session API.
-#![allow(deprecated)]
-
 use std::path::{Path, PathBuf};
 
 use dragonfly_interference::prelude::*;
@@ -16,21 +12,30 @@ fn temp_snap(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("dfsim_qtable_{tag}_{}.snap", std::process::id()))
 }
 
-fn train_cfg(seed: u64) -> SimConfig {
-    let mut cfg = SimConfig::test_tiny(RoutingAlgo::QAdaptive);
-    cfg.seed = seed;
-    cfg
+/// The tiny Q-adaptive training experiment (`SimConfig::test_tiny`'s
+/// values) at `seed`.
+fn train_spec(seed: u64) -> ExperimentSpec {
+    ExperimentSpec {
+        workload: Workload::jobs(vec![
+            JobSpec::sized(AppKind::Halo3D, 36),
+            JobSpec::sized(AppKind::UR, 36),
+        ]),
+        params: DragonflyParams::tiny_72(),
+        routings: vec![RoutingAlgo::QAdaptive],
+        scale: 2_048.0,
+        seed,
+        ..Default::default()
+    }
 }
 
-fn jobs() -> [JobSpec; 2] {
-    [JobSpec::sized(AppKind::Halo3D, 36), JobSpec::sized(AppKind::UR, 36)]
+fn run_spec(spec: ExperimentSpec) -> RunReport {
+    Simulation::from_spec(spec).unwrap().run().unwrap().report
 }
 
 /// Train a tiny Q-adaptive run and save its snapshot to `path`.
 fn train_and_save(path: &Path) {
-    let mut cfg = train_cfg(7);
-    cfg.qtable_save = Some(path.to_path_buf());
-    let report = run_placed(&cfg, &jobs(), Placement::Random);
+    let report =
+        run_spec(ExperimentSpec { qtable_save: Some(path.to_path_buf()), ..train_spec(7) });
     assert!(report.completed, "training run failed: {}", report.stop_reason);
 }
 
@@ -80,25 +85,21 @@ fn fingerprint_mismatches_produce_named_errors() {
 }
 
 #[test]
-fn stale_snapshot_is_rejected_at_run_construction_not_applied() {
-    // A snapshot trained on a *different* topology must abort the run
-    // (panic carrying the fingerprint error), never start with bogus
+fn stale_snapshot_is_rejected_in_prepare_not_applied() {
+    // A snapshot trained on a *different* topology must fail the session
+    // before it runs (the named fingerprint error), never start with bogus
     // estimates.
     let p = temp_snap("stale");
     train_and_save(&p);
-    let caught = std::panic::catch_unwind(|| {
-        let mut cfg = SimConfig::with_routing(RoutingAlgo::QAdaptive);
-        cfg.params = DragonflyParams::paper_1056(); // snapshot is tiny_72
-        cfg.routing.qtable_init = QTableInit::load(&p);
-        cfg.scale = 4096.0;
-        run_placed(&cfg, &[JobSpec::sized(AppKind::UR, 36)], Placement::Random)
-    })
-    .expect_err("stale snapshot must abort the run");
-    let msg = caught
-        .downcast_ref::<String>()
-        .cloned()
-        .unwrap_or_else(|| caught.downcast_ref::<&str>().unwrap_or(&"").to_string());
-    assert!(msg.contains("fingerprint"), "panic should carry the fingerprint error: {msg}");
+    let spec = ExperimentSpec {
+        workload: Workload::jobs(vec![JobSpec::sized(AppKind::UR, 36)]),
+        routings: vec![RoutingAlgo::QAdaptive],
+        qtable_load: Some(p.clone()), // snapshot is tiny_72, the spec paper_1056
+        scale: 4096.0,
+        ..Default::default()
+    };
+    let err = Simulation::from_spec(spec).unwrap().prepare().expect_err("stale snapshot");
+    assert!(err.to_string().contains("fingerprint"), "must carry the fingerprint error: {err}");
     let _ = std::fs::remove_file(&p);
 }
 
@@ -117,14 +118,11 @@ fn warm_start_is_deterministic_and_backend_invariant() {
     let p = temp_snap("warmstart");
     train_and_save(&p);
 
-    let mut warm = train_cfg(11);
-    warm.routing.qtable_init = QTableInit::load(&p);
-    let heap =
-        run_placed(&warm.clone().with_queue(QueueBackend::BinaryHeap), &jobs(), Placement::Random);
-    let again =
-        run_placed(&warm.clone().with_queue(QueueBackend::BinaryHeap), &jobs(), Placement::Random);
-    let cal =
-        run_placed(&warm.with_queue(QueueBackend::calendar_auto()), &jobs(), Placement::Random);
+    let warm =
+        |queue| run_spec(ExperimentSpec { qtable_load: Some(p.clone()), queue, ..train_spec(11) });
+    let heap = warm(QueueBackend::BinaryHeap);
+    let again = warm(QueueBackend::BinaryHeap);
+    let cal = warm(QueueBackend::calendar_auto());
     let _ = std::fs::remove_file(&p);
 
     for (label, other) in [("rerun", &again), ("calendar", &cal)] {
@@ -155,10 +153,8 @@ fn warm_start_actually_replaces_the_static_estimates() {
     // run's from the first window.
     let p = temp_snap("replaces");
     train_and_save(&p);
-    let cold = run_placed(&train_cfg(11), &jobs(), Placement::Random);
-    let mut warm_cfg = train_cfg(11);
-    warm_cfg.routing.qtable_init = QTableInit::load(&p);
-    let warm = run_placed(&warm_cfg, &jobs(), Placement::Random);
+    let cold = run_spec(train_spec(11));
+    let warm = run_spec(ExperimentSpec { qtable_load: Some(p.clone()), ..train_spec(11) });
     let _ = std::fs::remove_file(&p);
 
     let (lc, lw) = (cold.learning.as_ref().unwrap(), warm.learning.as_ref().unwrap());

@@ -4,28 +4,27 @@
 //! dynamic spawn/teardown, admission decisions and node reclamation, all of
 //! which ride the same deterministic `(time, seq)` event order.
 
-// The deprecated free-function entry points are exercised on purpose:
-// they pin the old doors' behavior against the spec-based session API.
-#![allow(deprecated)]
-
 use dragonfly_interference::prelude::*;
 
-fn churn_scenario() -> Scenario {
+fn run_churn(queue: QueueBackend, sched: SchedPolicy, placement: Placement) -> RunReport {
     // 8 Poisson arrivals at 500 jobs/ms over four workload kinds; sizes of
     // a quarter and half of the 72-node machine, so admission queues.
-    Scenario::poisson(
-        13,
-        500.0,
-        8,
-        &[AppKind::UR, AppKind::CosmoFlow, AppKind::LU, AppKind::FFT3D],
-        &[18, 36],
-    )
-}
-
-fn run_churn(backend: QueueBackend, sched: SchedPolicy, placement: Placement) -> RunReport {
-    let mut cfg = SimConfig::test_tiny(RoutingAlgo::UgalG);
-    cfg.seed = 13;
-    run_scenario(&cfg.with_queue(backend), &churn_scenario(), sched, placement)
+    let spec = ExperimentSpec {
+        workload: Workload::Poisson,
+        rates: vec![500.0],
+        jobs: 8,
+        apps: vec![AppKind::UR, AppKind::CosmoFlow, AppKind::LU, AppKind::FFT3D],
+        sizes: vec![18, 36],
+        params: DragonflyParams::tiny_72(),
+        routings: vec![RoutingAlgo::UgalG],
+        scale: 2_048.0,
+        seed: 13,
+        queue,
+        sched,
+        placement,
+        ..Default::default()
+    };
+    Simulation::from_spec(spec).unwrap().run().unwrap().report
 }
 
 fn assert_identical(heap: &RunReport, cal: &RunReport) {

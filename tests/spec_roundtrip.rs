@@ -96,33 +96,127 @@ fn layering_precedence_file_under_env_under_cli() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A valid and an invalid text for every spec key an env var or a value
+/// flag can set.
+fn sample_texts(key: &str) -> (&'static str, &'static str) {
+    match key {
+        "scale" => ("128", "6O"),
+        "seed" => ("11", "-3"),
+        "queue" => ("calendar", "abacus"),
+        "routing" => ("PAR,Q-adp", "warp"),
+        "placement" => ("contiguous", "sideways"),
+        "sched" => ("backfill", "lifo"),
+        "threads" => ("3", "many"),
+        "cache" => ("/tmp/c", " "),
+        "rates" => ("0.5,2", "fast"),
+        "jobs" => ("5", "-1"),
+        "apps" => ("UR,LU", "Quake"),
+        "sizes" => ("18,36", "big"),
+        "targets" => ("FFT3D,LQCD", "Quake"),
+        "train" => ("LU", "Quake"),
+        "snapshot" => ("/tmp/s.snap", " "),
+        "trace" => ("/tmp/t.trace", " "),
+        "horizon" => ("2ms", "soon"),
+        other => panic!("knob for spec key '{other}' has no sample texts — add a row"),
+    }
+}
+
+/// The layers agree, for every registered knob: an env var whose lower-case
+/// name is a spec key and a value flag whose name minus `--` is one set
+/// exactly what the file line `key text` sets, and reject what it rejects —
+/// as an error naming the variable and value, or the flag.
 #[test]
-fn invalid_env_values_are_hard_errors_naming_variable_and_value() {
-    // Core variables: every front-end listens.
-    let core = [
-        ("SCALE", "6O"),
-        ("SEED", "-3"),
-        ("QUEUE", "abacus"),
-        ("ROUTING", "warp"),
-        ("THREADS", "many"),
-        ("SCHED", "lifo"),
-        ("PLACEMENT", "sideways"),
+fn env_vars_and_value_flags_agree_with_the_file_layer() {
+    use dfsim_core::spec::{CLI_FLAGS, CORE_ENV, EXTENDED_ENV, SPEC_HEADER, SPEC_KEYS};
+    let from_file =
+        |key: &str, text: &str| ExperimentSpec::parse(&format!("{SPEC_HEADER}\n{key} {text}\n"));
+
+    let mut checked = 0;
+    for var in CORE_ENV.iter().chain(&EXTENDED_ENV) {
+        let key = var.to_ascii_lowercase();
+        if !SPEC_KEYS.contains(&key.as_str()) {
+            continue; // TARGET / BG: shorthands, covered below
+        }
+        let (good, bad) = sample_texts(&key);
+        let resolve = |value: &'static str| {
+            let env = move |v: &str| (v == *var).then(|| value.to_string());
+            ExperimentSpec::default().resolve_env_with(&EXTENDED_ENV, env, &[])
+        };
+        assert_eq!(resolve(good).unwrap(), from_file(&key, good).unwrap(), "{var}={good}");
+        assert!(from_file(&key, bad).is_err(), "'{key} {bad}' should be invalid");
+        match resolve(bad).unwrap_err() {
+            SpecError::Env { var: v, value, .. } => {
+                assert_eq!((v.as_str(), value.as_str()), (*var, bad))
+            }
+            other => panic!("{var}={bad} must be a named env error, got {other:?}"),
+        }
+        checked += 1;
+    }
+    assert_eq!(checked, 15, "every key-named env var is walked");
+
+    let mut checked = 0;
+    for flag in CLI_FLAGS {
+        let Some(key) = flag.strip_prefix("--").filter(|k| SPEC_KEYS.contains(k)) else {
+            continue; // shorthands, presentation flags and the binaries' own
+        };
+        let (good, bad) = sample_texts(key);
+        let resolve =
+            |value: &str| ExperimentSpec::default().resolve_with(|_| None, &args(&[flag, value]));
+        assert_eq!(resolve(good).unwrap(), from_file(key, good).unwrap(), "{flag} {good}");
+        match resolve(bad).unwrap_err() {
+            SpecError::Flag { flag: f, .. } => assert_eq!(f, flag),
+            other => panic!("{flag} '{bad}' must be a named flag error, got {other:?}"),
+        }
+        checked += 1;
+    }
+    assert_eq!(checked, 17, "every key-named value flag is walked");
+}
+
+/// The inputs that are not a key's text are shorthands onto keys.
+#[test]
+fn shorthand_env_vars_and_flags_land_on_their_keys() {
+    let pair = ExperimentSpec::default().with_workload(Workload::pairwise(AppKind::LU, None));
+    let env = |var: &str| match var {
+        "TARGET" => Some("fft3d".to_string()),
+        "BG" => Some("Halo3D".to_string()),
+        _ => None,
+    };
+    let spec = pair.clone().resolve_env_with(&["TARGET", "BG"], env, &[]).unwrap();
+    assert_eq!(spec.workload, Workload::pairwise(AppKind::FFT3D, Some(AppKind::Halo3D)));
+    let err = ExperimentSpec::default().resolve_env_with(&["BG"], env, &[]).unwrap_err();
+    assert!(
+        matches!(err, SpecError::Env { ref var, .. } if var == "BG"),
+        "mixed has no BG: {err:?}"
+    );
+
+    let cli = [
+        "--groups",
+        "9",
+        "--routers",
+        "4",
+        "--nodes",
+        "2",
+        "--globals",
+        "2",
+        "--contiguous",
+        "--rate",
+        "2.5",
+        "--routing",
+        "Q-adp",
+        "--qtable",
+        "save=/tmp/q.snap",
     ];
-    // Extended variables: only front-ends that opt in (churn, transfer,
-    // fig4, probe_pair) listen, with the same hard-error contract.
-    let extended = [("RATES", "fast"), ("JOBS", "-1"), ("APPS", "Quake"), ("SIZES", "big")];
-    for (var, value) in core.into_iter().chain(extended) {
-        let env = move |v: &str| (v == var).then(|| value.to_string());
-        let err = ExperimentSpec::default()
-            .resolve_env_with(&["RATES", "JOBS", "APPS", "SIZES"], env, &[])
-            .unwrap_err();
-        let msg = err.to_string();
+    let spec = pair.resolve_with(|_| None, &args(&cli)).unwrap();
+    assert_eq!(spec.params, DragonflyParams::tiny_72());
+    assert_eq!(spec.placement, Placement::Contiguous);
+    assert_eq!(spec.rates, vec![2.5]);
+    assert_eq!(spec.qtable_save, Some("/tmp/q.snap".into()));
+    for bad in [["--groups", "many"], ["--qtable", "keep=/tmp/q"], ["--qtable", "load="]] {
+        let err = ExperimentSpec::default().resolve_with(|_| None, &args(&bad)).unwrap_err();
         assert!(
-            matches!(err, SpecError::Env { .. }),
-            "{var}={value} must be a named env error, got {err:?}"
+            matches!(err, SpecError::Flag { ref flag, .. } if flag == bad[0]),
+            "{bad:?}: {err:?}"
         );
-        assert!(msg.contains(var), "error must name the variable: {msg}");
-        assert!(msg.contains(value), "error must show the bad value: {msg}");
     }
 }
 
