@@ -24,7 +24,7 @@
 //! ```
 //!
 //! All knobs resolve through `ExperimentSpec::resolve`: `SCALE`, `SEED`,
-//! `QUEUE`, `THREADS` (shared with the fig binaries), plus `TRAIN` (training
+//! `QUEUE`, `THREADS` (shared with `dfsim sweep`), plus `TRAIN` (training
 //! workload, default Halo3D), `APPS` (evaluation workloads) and `SNAPSHOT`
 //! (keep the trained snapshot at this path instead of a deleted temp file).
 //! The generic `--qtable` knobs are rejected: this binary owns its own
@@ -33,8 +33,8 @@
 use std::path::Path;
 
 use dfsim_apps::AppKind;
-use dfsim_bench::{csv_flag, die, resolve_spec_env, smoke_flag};
 use dfsim_core::placement::Placement;
+use dfsim_core::spec::die;
 use dfsim_core::sweep::parallel_map;
 use dfsim_core::tables::{f, TextTable};
 use dfsim_core::{ExperimentSpec, JobSpec, LearningReport, RunReport, Simulation, Workload};
@@ -207,7 +207,8 @@ fn smoke() -> ! {
 }
 
 fn main() {
-    if smoke_flag() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--smoke") {
         smoke();
     }
     // Default scale 1/128: heavy enough that the contiguous pairs
@@ -215,7 +216,8 @@ fn main() {
     let mut defaults = ExperimentSpec { scale: 128.0, ..Default::default() };
     defaults.routings = vec![RoutingAlgo::QAdaptive];
     defaults.apps = vec![AppKind::Halo3D, AppKind::Stencil5D, AppKind::LQCD];
-    let base = resolve_spec_env(defaults, &["TRAIN", "APPS", "SNAPSHOT"]);
+    let base =
+        defaults.resolve_env(&["TRAIN", "APPS", "SNAPSHOT"], &args).unwrap_or_else(|e| die(&e));
     if base.qtable_load.is_some() || base.qtable_save.is_some() {
         die("transfer owns its Q-table lifecycle (--qtable is not accepted); pick the training \
              workload with TRAIN/--train and keep the snapshot with SNAPSHOT/--snapshot");
@@ -289,7 +291,7 @@ fn main() {
             if r.completed { "y".into() } else { r.stop_reason.clone() },
         ]);
     }
-    if csv_flag() {
+    if args.iter().any(|a| a == "--csv") {
         print!("{}", t.to_csv());
     } else {
         println!("{}", t.render());

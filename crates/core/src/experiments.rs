@@ -34,7 +34,7 @@ pub const MIXED_JOBS: [(AppKind, u32); 6] = [
 /// more than the machine holds; the excess is taken back one node at a
 /// time from the job rounded up the furthest, so the mix fits every
 /// machine of 12 nodes or more.
-pub(crate) fn mixed_jobs(num_nodes: u32) -> Vec<JobSpec> {
+pub fn mixed_jobs(num_nodes: u32) -> Vec<JobSpec> {
     let total: u32 = MIXED_JOBS.iter().map(|&(_, s)| s).sum();
     let factor = num_nodes as f64 / total as f64;
     let exact: Vec<f64> = MIXED_JOBS.iter().map(|&(_, s)| s as f64 * factor).collect();

@@ -6,6 +6,7 @@
 //! dfsim pairwise <TARGET> <BACKGROUND|none> [options]
 //! dfsim mixed [options]
 //! dfsim scenario <ARRIVALS|poisson> [options]   # churn: timed job stream
+//! dfsim sweep <NAME> [options]          # a paper figure/table sweep (bare: list names)
 //! dfsim emit [--spec FILE] [options]    # print the resolved spec (canonical form)
 //! dfsim apps                            # list workloads with Table I data
 //! dfsim topo [options]                  # print topology facts
@@ -14,6 +15,10 @@
 //!
 //! `ARRIVALS` is a comma-separated list `APP:SIZE@TIME` (e.g.
 //! `UR:36@0,LU:16@0.5ms`); `poisson` synthesizes arrivals from the seed.
+//! `NAME` is one of the paper's figures and tables (`fig4`…`fig13`,
+//! `table1`, `table2`), `churn`, an ablation or a probe; a sweep runs its
+//! cells in parallel (`--threads` sizes the pool) and writes one trace file
+//! per cell under `--trace`.
 //!
 //! Every subcommand resolves its configuration through the one experiment
 //! layering: built-in defaults < `--spec FILE` < environment (`SCALE`,
@@ -49,7 +54,7 @@ use dragonfly_interference::prelude::*;
 fn usage() -> ! {
     eprintln!(
         "usage: dfsim <run | standalone APP | pairwise TARGET BG | mixed | scenario ARRIVALS | \
-         emit | apps | topo | trace FILE [--replay] | cache stats|ls|gc> [--spec FILE] \
+         sweep NAME | emit | apps | topo | trace FILE [--replay] | cache stats|ls|gc> [--spec FILE] \
          [--routing R] [--scale S] [--seed N] [--groups g --routers a --nodes p --globals h] \
          [--placement random|contiguous] [--queue heap|calendar[:width=PS,buckets=N]] [--qtable \
          save=PATH|load=PATH] [--trace PATH] [--horizon D] [--sched fcfs|backfill] [--rate R \
@@ -457,6 +462,7 @@ fn main() {
             let spec = resolve(ExperimentSpec::default(), &args[2..]).with_workload(workload);
             run_and_print(spec, &show);
         }
+        "sweep" => dfsim_bench::sweep(&args[1..]),
         _ => usage(),
     }
 }

@@ -3,7 +3,7 @@
 //! Dragonfly (19 groups × 6 routers × 3 nodes — the balanced h=3 system)
 //! at scale 1/64, which keeps per-link contention representative of the
 //! full 1,056-node study while staying CI-sized; the full-size numbers are
-//! produced by the `dfsim-bench` figure binaries.
+//! produced by `dfsim sweep NAME` (`fig4`…`fig13`, `table1`, `table2`).
 
 use dragonfly_interference::prelude::*;
 
