@@ -146,10 +146,10 @@ fn bench_churn_scenario(c: &mut Criterion) {
 
 /// The partitioned parallel engine over the same pairwise world loop:
 /// group-sharded tiny-72 (9 groups) at 1, 2, 4, and 8 partitions.
-/// `threads=1` takes the untouched single-threaded path, so its row against
-/// `event_queue_world/ur_halo3d_tiny72/heap` bounds the dispatch overhead
-/// of the partitioned entry point; higher counts measure lockstep-window
-/// scaling (reports stay bit-identical, so this is a pure speed knob).
+/// `threads=1` runs one shard on the calling thread, the same loop as
+/// `event_queue_world/ur_halo3d_tiny72/heap`; higher counts measure
+/// lockstep-window scaling (reports stay bit-identical, so this is a pure
+/// speed knob).
 fn bench_partitioned_world(c: &mut Criterion) {
     let mut group = c.benchmark_group("partitioned_world");
     group.sample_size(if smoke() { 2 } else { 10 });

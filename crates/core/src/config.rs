@@ -33,7 +33,8 @@ pub struct SimConfig {
     /// Optional wall on simulated time; exceeding it marks the run
     /// incomplete instead of hanging.
     pub horizon: Option<Time>,
-    /// Hard cap on processed events (runaway guard).
+    /// Hard cap on processed events (runaway guard): the run stops at the
+    /// first window barrier at or past it, at every thread count.
     pub max_events: u64,
     /// Pending-event-set implementation driving the world loop, including
     /// calendar tuning (`heap`, `calendar:auto`,
@@ -49,10 +50,10 @@ pub struct SimConfig {
     /// report). `None` (the default) keeps tracing entirely off the hot
     /// path.
     pub trace: Option<PathBuf>,
-    /// Worker threads for the partitioned engine: the dragonfly is sharded
-    /// by group across this many partitions, exchanging boundary traffic in
-    /// conservative lookahead windows. `0` or `1` selects the
-    /// single-threaded engine; any value produces bit-identical reports
+    /// Worker threads of the window loop: the dragonfly is sharded by group
+    /// across this many partitions, exchanging boundary traffic in
+    /// conservative lookahead windows. `0` or `1` runs one shard on the
+    /// calling thread; any value produces bit-identical reports
     /// (the partition-equivalence suite pins this). Must not exceed the
     /// group count.
     pub threads: usize,
@@ -112,6 +113,10 @@ impl SimConfig {
         if self.max_events == 0 {
             return Err("max_events must be positive".into());
         }
+        if self.timing.global_latency_ps == 0 {
+            // The inter-group latency is the window loop's lookahead.
+            return Err("timing global_latency_ps must be positive".into());
+        }
         if self.threads > self.params.groups as usize {
             return Err(format!(
                 "threads ({}) exceed the {} dragonfly groups: each partition owns at \
@@ -164,6 +169,15 @@ mod tests {
         let mut c = SimConfig::default();
         c.timing.packet_bytes = 500;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn zero_global_latency_is_rejected() {
+        // It is the window width: zero-width windows would never advance.
+        let mut c = SimConfig::default();
+        c.timing.global_latency_ps = 0;
+        let e = c.validate().unwrap_err();
+        assert!(e.contains("global_latency_ps"), "{e}");
     }
 
     #[test]

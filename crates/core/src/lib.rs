@@ -7,10 +7,13 @@
 //!   scale, seeds, horizons),
 //! * [`placement`] — job-to-node placement (random, as the paper uses, plus
 //!   contiguous for the placement ablation),
-//! * [`world`] — the world event loop driving network and MPI events from
-//!   one deterministic queue,
-//! * [`runner`] — build-run-report: executes a job mix and produces a
-//!   [`report::RunReport`],
+//! * [`world`] — the state of one simulation shard: network, MPI engine,
+//!   recorder and the one deterministic event queue that feeds them,
+//! * [`partition`] — the only world loop: lockstep lookahead windows over
+//!   group shards, one shard when `threads <= 1`, static and churn runs
+//!   alike,
+//! * [`runner`] — job specs and report assembly: [`runner::run`] executes
+//!   a job mix and produces a [`report::RunReport`],
 //! * [`scenario`] — dynamic churn: timed job arrivals, FCFS/backfill
 //!   admission and node reclamation,
 //! * [`experiments`] — the paper's tables: the Table II mixed workload

@@ -1,5 +1,5 @@
-//! The partitioned parallel simulation core: group-sharded dragonfly with
-//! conservative lookahead windows.
+//! The simulation loop: group-sharded dragonfly with conservative lookahead
+//! windows, on one shard or many.
 //!
 //! The dragonfly is sharded **by group** across worker threads
 //! ([`dfsim_network::PartitionMap`]). Each shard owns the routers, NICs and
@@ -15,9 +15,9 @@
 //!
 //! # Determinism
 //!
-//! Reports must be **bit-identical** to the single-threaded engine at any
-//! partition count (the `partition_equivalence` suite pins this). Three
-//! mechanisms make that hold:
+//! Reports must be **bit-identical** at every partition count, 1 included
+//! (the `partition_equivalence` suite pins this). Three mechanisms make that
+//! hold:
 //!
 //! * **Canonical sequence keys.** Every event gets a `(time, seq)` key with
 //!   `seq = segment << 40 | value`; segments alternate window/cut phases
@@ -26,9 +26,9 @@
 //!   P-way merge of the per-shard push logs into the *global push order*
 //!   ([`merge_ranks`]); cut pushes (job admissions at barriers) are keyed
 //!   by their deterministic admission slot directly. The resulting key
-//!   order is isomorphic to the single-threaded engine's push order, and
-//!   since no report field contains a raw key, order-isomorphism is enough
-//!   for bit-identical output.
+//!   order is isomorphic to a single shard's push order, and since no
+//!   report field contains a raw key, order-isomorphism is enough for
+//!   bit-identical output.
 //! * **Keyed metric journal.** The only order-sensitive metrics (the
 //!   Q-learning trace's float accumulation and `rank_comm` push order) are
 //!   journaled with the key of the producing event and replayed in global
@@ -39,36 +39,33 @@
 //!   finish key** `K`, pops after `K` in the final window are subtracted
 //!   from the event count, their journal entries are dropped, and their
 //!   Q-table updates are rolled back ([`NetworkSim::q_undo_revert_after`]),
-//!   so the final state equals the single-threaded engine's, which stops
-//!   *at* `K`.
+//!   so the final state equals a single shard's, which stops *at* `K`.
 //!
 //! Two stop conditions are intentionally **barrier-granular** at every
-//! partition count including 1 (documented divergence from the pre-existing
-//! engines, required for cross-count bit-identity): the event cap is
-//! checked at barriers, and churn node reclaim/admission after a job
-//! completion happens at the next barrier (arrival-driven admissions stay
-//! time-exact because windows are cut at arrival times).
+//! partition count including 1, as cross-count bit-identity requires: the
+//! event cap is checked at barriers, and churn node reclaim/admission after
+//! a job completion happens at the next barrier (arrival-driven admissions
+//! stay time-exact because windows are cut at arrival times).
 //!
-//! Churn runs (`Scenario`) always use this driver, at
-//! `max(threads, 1)` partitions; static runs use it for `threads >= 2` and
-//! keep the untouched [`crate::world::World::run`] path otherwise.
+//! This is the only world loop: static and churn runs alike execute here,
+//! at `max(threads, 1)` partitions. A single shard skips the exchange, the
+//! push logs and the keyed journal, and sees completions the moment they
+//! happen.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-use dfsim_des::queue::{PendingEvents, SimQueue};
+use dfsim_des::queue::SimQueue;
 use dfsim_des::{
     local_mesh, CalendarQueue, EventQueue, JobId, LocalThreadCommunicator, QueueKind,
-    Scheduler as EventScheduler, SimCommunicator, SimRng, Time, WireReader, WireWriter,
+    SimCommunicator, SimRng, Time, WireReader, WireWriter,
 };
 use dfsim_metrics::{read_trace, AppId, KeyedEntry, KeyedKind, Recorder, TraceEvent, TraceWriter};
 use dfsim_mpi::sim::MpiConfig;
-use dfsim_mpi::{MpiEvent, MpiSim};
+use dfsim_mpi::MpiSim;
 use dfsim_network::partition::{decode_event, encode_event, origin_of, IDX_MASK};
-use dfsim_network::{
-    MessageId, MsgExport, NetEffect, NetEvent, NetworkSim, PartitionMap, RoutingAlgo,
-};
+use dfsim_network::{MessageId, MsgExport, NetEvent, NetworkSim, PartitionMap, RoutingAlgo};
 use dfsim_topology::{NodeId, Topology};
 
 use crate::config::SimConfig;
@@ -76,7 +73,7 @@ use crate::placement::{place, Placement};
 use crate::report::{JobReport, RunReport};
 use crate::runner::{build_report, capture_qtables, JobSpec};
 use crate::scenario::{JobTable, Scenario, SchedPolicy, Scheduler as JobScheduler};
-use crate::world::{dispatch_core, StopReason, WorldEvent};
+use crate::world::{PartKeys, StopReason, World, WorldEvent};
 
 /// Bits of a sequence key below the segment field.
 pub(crate) const SEG_SHIFT: u32 = 40;
@@ -123,162 +120,10 @@ pub(crate) struct LogEntry {
     pub(crate) dispatch: Dispatch,
 }
 
-/// A window push bound for another shard: held back until the barrier, then
-/// shipped with its push-log index so the receiver can key it with the
-/// merged rank.
-#[derive(Debug)]
-struct BoundaryPush {
-    j: u32,
-    time: Time,
-    ev: NetEvent,
-}
-
-/// The per-shard event queue: a [`SimQueue`] plus the canonical-key
-/// machinery. Implements the DES scheduler traits so the network and MPI
-/// models push through it transparently; in window phase pushes are logged
-/// (and boundary pushes diverted to per-peer buffers), in cut phase they
-/// get final admission-slot keys immediately.
-pub(crate) struct ShardQueue<Q> {
-    pub(crate) q: Q,
-    /// False on a single-partition run: plain auto-sequenced pushes, no
-    /// logging (the fast path the `threads <= 1` churn driver uses).
-    partitioned: bool,
-    map: Arc<PartitionMap>,
-    me: usize,
-    lookahead: Time,
-    cut: bool,
-    pub(crate) seg: u64,
-    slot: u64,
-    slot_idx: u64,
-    pub(crate) cur_dispatch: Dispatch,
-    log: Vec<LogEntry>,
-    boundary: Vec<Vec<BoundaryPush>>,
-}
-
-impl<Q: PendingEvents<WorldEvent>> ShardQueue<Q> {
-    fn new(q: Q, partitioned: bool, map: Arc<PartitionMap>, me: usize, lookahead: Time) -> Self {
-        let parts = map.parts();
-        Self {
-            q,
-            partitioned,
-            map,
-            me,
-            lookahead,
-            cut: true, // runs start in the init cut (segment 0)
-            seg: 0,
-            slot: 0,
-            slot_idx: 0,
-            cur_dispatch: Dispatch::True { t: 0, seq: 0 },
-            log: Vec::new(),
-            boundary: (0..parts).map(|_| Vec::new()).collect(),
-        }
-    }
-
-    /// Enter the next window segment.
-    fn begin_window(&mut self) {
-        if !self.partitioned {
-            return;
-        }
-        self.seg += 1;
-        debug_assert!(self.seg < 1 << (64 - SEG_SHIFT), "segment counter overflow");
-        debug_assert!(self.log.is_empty(), "push log not drained at the barrier");
-        self.cut = false;
-    }
-
-    /// Enter the next cut segment (barrier-time admissions).
-    fn begin_cut(&mut self) {
-        if !self.partitioned {
-            return;
-        }
-        self.seg += 1;
-        self.cut = true;
-        self.slot = 0;
-        self.slot_idx = 0;
-    }
-
-    /// Advance to the next admission slot — called once per *global* rank
-    /// start in the canonical order, on every shard, so slot numbers agree
-    /// across shards without communication.
-    fn next_slot(&mut self) {
-        if !self.partitioned {
-            return;
-        }
-        debug_assert!(self.cut, "admission slots only exist in cut phase");
-        self.slot += 1;
-        self.slot_idx = 0;
-    }
-
-    /// The canonical key stamped on recorder entries produced by the
-    /// current admission slot (a rank finishing synchronously at start).
-    fn cut_key(&self) -> (Time, u64) {
-        ((self.q.now()), (self.seg << SEG_SHIFT) | (self.slot << SLOT_SHIFT))
-    }
-
-    fn push_world(&mut self, time: Time, local_owner: Option<usize>, ev: WorldEvent) {
-        if self.cut {
-            debug_assert!(
-                local_owner.is_none_or(|p| p == self.me),
-                "cut-phase pushes must be shard-local"
-            );
-            debug_assert!(self.slot_idx < 1 << SLOT_SHIFT, "cut slot overflow");
-            let seq = (self.seg << SEG_SHIFT) | (self.slot << SLOT_SHIFT) | self.slot_idx;
-            self.slot_idx += 1;
-            self.q.push_seq(time, seq, ev);
-        } else {
-            let j = self.log.len() as u32;
-            self.log.push(LogEntry { time, dispatch: self.cur_dispatch });
-            match local_owner {
-                Some(p) if p != self.me => {
-                    debug_assert!(
-                        time >= self.q.now().saturating_add(self.lookahead),
-                        "boundary event under the conservative lookahead"
-                    );
-                    let WorldEvent::Net(ev) = ev else {
-                        // lint: allow(no-panic-paths) — owners are assigned per network shard, so a non-Net event with a foreign owner is a partitioning bug (pinned by the partition-equivalence suite)
-                        unreachable!("only network events cross partitions")
-                    };
-                    self.boundary[p].push(BoundaryPush { j, time, ev });
-                }
-                _ => self.q.push_seq(time, (self.seg << SEG_SHIFT) | j as u64, ev),
-            }
-        }
-    }
-}
-
-impl<Q: PendingEvents<WorldEvent>> EventScheduler<NetEvent> for ShardQueue<Q> {
-    fn now(&self) -> Time {
-        self.q.now()
-    }
-
-    fn at(&mut self, time: Time, event: NetEvent) {
-        if !self.partitioned {
-            self.q.push(time, WorldEvent::Net(event));
-            return;
-        }
-        let owner = self.map.owner_of(&event);
-        self.push_world(time, owner, WorldEvent::Net(event));
-    }
-}
-
-impl<Q: PendingEvents<WorldEvent>> EventScheduler<MpiEvent> for ShardQueue<Q> {
-    fn now(&self) -> Time {
-        self.q.now()
-    }
-
-    fn at(&mut self, time: Time, event: MpiEvent) {
-        if !self.partitioned {
-            self.q.push(time, WorldEvent::Mpi(event));
-            return;
-        }
-        // MPI events live on the rank's own node: always shard-local.
-        self.push_world(time, None, WorldEvent::Mpi(event));
-    }
-}
-
-/// Rank every shard's window push log in the global push order the
-/// single-threaded engine would have realized: a P-way merge picking, at
-/// each step, the unranked head whose *dispatching event* has the smallest
-/// `(time, seq)` key.
+/// Rank every shard's window push log in the global push order a single
+/// shard would have realized: a P-way merge picking, at each step, the
+/// unranked head whose *dispatching event* has the smallest `(time, seq)`
+/// key.
 ///
 /// Each per-shard log is sorted by dispatch key (events are popped in key
 /// order; same-dispatch pushes are consecutive), and dispatch keys are
@@ -362,8 +207,9 @@ struct ShardOutcome {
     job_reports: Vec<JobReport>,
 }
 
-/// One partition worker: owns its groups' network state, its ranks' MPI
-/// state, a recorder, and the shard queue; drives the lockstep window loop.
+/// One partition worker: owns the world of its groups (network state, its
+/// ranks' MPI state, a recorder and the keyed queue); drives the lockstep
+/// window loop.
 struct Shard<'a, Q> {
     cfg: &'a SimConfig,
     map: Arc<PartitionMap>,
@@ -371,14 +217,10 @@ struct Shard<'a, Q> {
     parts: usize,
     comm: LocalThreadCommunicator,
     lookahead: Time,
-    sq: ShardQueue<Q>,
-    net: NetworkSim,
-    mpi: MpiSim,
-    rec: Recorder,
-    effects: Vec<NetEffect>,
+    world: World<Q>,
     work: ShardWork,
-    /// Unfinished ranks per app (multi-partition: maintained from exchanged
-    /// completion notices).
+    /// Unfinished ranks per app: from exchanged completion notices on
+    /// several partitions, from local completions on one (static runs).
     remaining: Vec<u32>,
     total_remaining: u64,
     app_finish: Vec<Option<Time>>,
@@ -430,20 +272,20 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
             ShardWork::Static { jobs, .. } => jobs.len(),
             ShardWork::Churn { arrive, .. } => arrive.len(),
         };
-        let q = Q::for_backend(cfg.queue);
-        let sq = ShardQueue::new(q, parts > 1, Arc::clone(&map), me, cfg.timing.global_latency_ps);
+        let lookahead = cfg.timing.global_latency_ps;
+        let mpi = MpiSim::new(MpiConfig { eager_threshold: cfg.eager_threshold });
+        let mut world = World::with_backend(net, mpi, rec, cfg.queue);
+        if parts > 1 {
+            world.queue.part = Some(PartKeys::new(Arc::clone(&map), me, lookahead));
+        }
         Self {
             cfg,
             map,
             me,
             parts,
             comm,
-            lookahead: cfg.timing.global_latency_ps,
-            sq,
-            net,
-            mpi: MpiSim::new(MpiConfig { eager_threshold: cfg.eager_threshold }),
-            rec,
-            effects: Vec::new(),
+            lookahead,
+            world,
             work,
             remaining: vec![0; napps],
             total_remaining: 0,
@@ -528,61 +370,36 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
                 .collect()
         };
         for (job, nodes, spec) in picked {
-            let app = AppId(job.0 as u16);
-            let inst =
-                spec.kind.build(spec.size, self.cfg.scale, self.cfg.seed ^ ((job.0 as u64) << 32));
-            if self.parts > 1 {
-                self.remaining[job.idx()] = nodes.len() as u32;
-                self.total_remaining += nodes.len() as u64;
-            }
-            self.mpi.add_app(app, nodes.clone(), inst.programs, inst.comms);
-            for (r, node) in nodes.iter().enumerate() {
-                self.sq.next_slot();
-                if self.parts == 1 || self.map.part_of_node(*node) == self.me {
-                    let (kt, ks) = self.sq.cut_key();
-                    self.rec.set_key(kt, ks);
-                    self.mpi.start_rank(app, r as u32, &mut self.sq, &mut self.net, &mut self.rec);
-                }
-            }
+            self.spawn(AppId(job.0 as u16), &spec, nodes);
         }
         true
+    }
+
+    /// Register `app` running `spec` on `nodes` and start the ranks this
+    /// shard owns, advancing the admission slot for every rank so cut keys
+    /// agree across shards.
+    fn spawn(&mut self, app: AppId, spec: &JobSpec, nodes: Vec<NodeId>) {
+        let seed = self.cfg.seed ^ (u64::from(app.0) << 32);
+        let inst = spec.kind.build(spec.size, self.cfg.scale, seed);
+        self.remaining[app.0 as usize] = nodes.len() as u32;
+        self.total_remaining += nodes.len() as u64;
+        self.world.mpi.add_app(app, nodes.clone(), inst.programs, inst.comms);
+        for (r, node) in nodes.iter().enumerate() {
+            self.world.queue.next_slot();
+            if self.map.part_of_node(*node) == self.me {
+                self.world.start_rank(app, r as u32);
+            }
+        }
     }
 
     /// The initial cut at t = 0 (segment 0). Returns whether any rank
     /// started.
     fn init_cut(&mut self) -> bool {
-        match &self.work {
+        match &mut self.work {
             ShardWork::Static { jobs, nodes } => {
-                // Register all apps, then start all ranks — the same order
-                // as the sequential runner (`add_app` loop, then
-                // `MpiSim::start`).
-                let jobs = jobs.clone();
-                let nodes = nodes.clone();
-                for (i, (job, nd)) in jobs.iter().zip(&nodes).enumerate() {
-                    let inst = job.kind.build(
-                        job.size,
-                        self.cfg.scale,
-                        self.cfg.seed ^ ((i as u64) << 32),
-                    );
-                    self.mpi.add_app(AppId(i as u16), nd.clone(), inst.programs, inst.comms);
-                    self.remaining[i] = nd.len() as u32;
-                    self.total_remaining += nd.len() as u64;
-                }
-                for (i, nd) in nodes.iter().enumerate() {
-                    for (r, node) in nd.iter().enumerate() {
-                        self.sq.next_slot();
-                        if self.map.part_of_node(*node) == self.me {
-                            let (kt, ks) = self.sq.cut_key();
-                            self.rec.set_key(kt, ks);
-                            self.mpi.start_rank(
-                                AppId(i as u16),
-                                r as u32,
-                                &mut self.sq,
-                                &mut self.net,
-                                &mut self.rec,
-                            );
-                        }
-                    }
+                let (jobs, nodes) = (std::mem::take(jobs), std::mem::take(nodes));
+                for (i, (job, nd)) in jobs.iter().zip(nodes).enumerate() {
+                    self.spawn(AppId(i as u16), job, nd);
                 }
                 !jobs.is_empty()
             }
@@ -619,61 +436,60 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
         }
     }
 
+    /// Single partition: the shard runs every rank, so completions are
+    /// visible the moment they happen. Account the apps finished since the
+    /// last call at `now`; returns whether any did.
+    fn take_local_finishes(&mut self, now: Time) -> bool {
+        self.world.mpi.drain_finished(&mut self.fin_scratch);
+        if self.fin_scratch.is_empty() {
+            return false;
+        }
+        for app in self.fin_scratch.drain(..) {
+            match &mut self.work {
+                ShardWork::Static { .. } => {
+                    let left = std::mem::take(&mut self.remaining[app.0 as usize]);
+                    self.total_remaining -= u64::from(left);
+                }
+                ShardWork::Churn { table, to_reclaim, .. } => {
+                    let job = JobId(u32::from(app.0));
+                    table.mark_finished(job, now);
+                    to_reclaim.push(job);
+                }
+            }
+        }
+        true
+    }
+
     /// Pop and dispatch every local event strictly before `e` (and within
-    /// the horizon). Returns an early stop (single-partition churn only).
+    /// the horizon). Returns an early stop (single partition only: the
+    /// exact event at which the last app finished).
     fn run_window(&mut self, e: Time) -> Option<(StopReason, Time)> {
         let h = self.cfg.horizon.unwrap_or(Time::MAX);
         self.win_pops = 0;
         self.wpop_keys.clear();
-        while let Some(pt) = self.sq.q.peek_time() {
+        while let Some(pt) = self.world.queue.q.peek_time() {
             if pt >= e || pt > h {
                 break;
             }
             // lint: allow(no-panic-paths) — `peek_time` just returned `Some` and this thread is the queue's only mutator, so the head cannot disappear between peek and pop
-            let (t, key, ev) = self.sq.q.pop_keyed().expect("peeked event vanished");
+            let (t, key, ev) = self.world.queue.q.pop_keyed().expect("peeked event vanished");
             self.win_pops += 1;
             self.win_last_pop = t;
-            if self.parts > 1 {
+            if let Some(keys) = &mut self.world.queue.part {
                 self.wpop_keys.push((t, key));
-                self.sq.cur_dispatch = if key >> SEG_SHIFT == self.sq.seg {
+                keys.cur_dispatch = if key >> SEG_SHIFT == keys.seg {
                     Dispatch::Local { j: (key & VAL_MASK) as u32 }
                 } else {
                     Dispatch::True { t, seq: key }
                 };
-                self.net.set_event_key(t, key);
-                self.rec.set_key(t, key);
+                self.world.net.set_event_key(t, key);
+                self.world.rec.set_key(t, key);
             } else {
                 self.global_last_pop = t;
             }
-            let job_ev = dispatch_core(
-                &mut self.net,
-                &mut self.mpi,
-                &mut self.rec,
-                &mut self.sq,
-                &mut self.effects,
-                ev,
-            );
-            debug_assert!(job_ev.is_none(), "job events never enter the partitioned loop");
-            if self.parts == 1 {
-                // Single partition: completion is visible immediately (the
-                // shard runs every rank), giving the canonical stop the
-                // exact event-granular time without waiting for a barrier.
-                self.mpi.drain_finished(&mut self.fin_scratch);
-                if !self.fin_scratch.is_empty() {
-                    let now = self.sq.q.now();
-                    let ShardWork::Churn { table, to_reclaim, .. } = &mut self.work else {
-                        // lint: allow(no-panic-paths) — `drain_finished` only yields apps under churn work: static shards register their jobs through a path that never reaches this branch
-                        unreachable!("single-partition static runs use World::run")
-                    };
-                    for app in self.fin_scratch.drain(..) {
-                        let job = JobId(app.0 as u32);
-                        table.mark_finished(job, now);
-                        to_reclaim.push(job);
-                    }
-                    if table.all_done() {
-                        return Some((StopReason::AllFinished, now));
-                    }
-                }
+            self.world.dispatch(ev);
+            if self.parts == 1 && self.take_local_finishes(t) && self.total_done() {
+                return Some((StopReason::AllFinished, t));
             }
         }
         None
@@ -686,35 +502,37 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
     /// global next-event time.
     fn barrier(&mut self, b: Time) -> Result<Time, (StopReason, Time)> {
         let h = self.cfg.horizon.unwrap_or(Time::MAX);
-        if self.parts == 1 {
-            let gn = self.sq.q.peek_time().unwrap_or(Time::MAX).min(self.next_arrival_time());
+        let Some(keys) = self.world.queue.part.as_mut() else {
+            // Single partition: nothing to exchange.
+            let q = &self.world.queue.q;
+            let gn = q.peek_time().unwrap_or(Time::MAX).min(self.next_arrival_time());
             if gn == Time::MAX {
                 return Err((StopReason::Drained, self.global_last_pop));
             }
-            if self.sq.q.events_processed() >= self.cfg.max_events {
+            if q.events_processed() >= self.cfg.max_events {
                 return Err((StopReason::EventCap, b));
             }
             if gn > h {
                 return Err((StopReason::Horizon, gn));
             }
             return Ok(gn);
-        }
+        };
 
-        let wseg = self.sq.seg;
+        let wseg = keys.seg;
         // -- Local summaries (before anything is drained): the shard's next
         // event time must include boundary events not yet exported.
-        let exports = self.net.take_msg_exports();
-        let releases = self.net.take_msg_releases();
-        let my_keyed = self.rec.drain_keyed();
-        let mut peek = self.sq.q.peek_time().unwrap_or(Time::MAX);
-        for buf in &self.sq.boundary {
+        let exports = self.world.net.take_msg_exports();
+        let releases = self.world.net.take_msg_releases();
+        let my_keyed = self.world.rec.drain_keyed();
+        let mut peek = self.world.queue.q.peek_time().unwrap_or(Time::MAX);
+        for buf in &keys.boundary {
             for e in buf {
                 peek = peek.min(e.time);
             }
         }
 
         // -- Broadcast section, identical bytes to every peer.
-        let log = std::mem::take(&mut self.sq.log);
+        let log = std::mem::take(&mut keys.log);
         let mut bw = WireWriter::new();
         bw.u64(self.win_pops);
         bw.u64(self.win_last_pop);
@@ -751,7 +569,6 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
 
         // -- Per-peer frames: broadcast section + boundary events + message
         // exports + release notices routed to their shards.
-        let mut boundary = std::mem::take(&mut self.sq.boundary);
         let mut ex_by: Vec<Vec<&MsgExport>> = (0..self.parts).map(|_| Vec::new()).collect();
         for e in &exports {
             ex_by[self.map.part_of_node(e.dst)].push(e);
@@ -764,10 +581,10 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
         for p in 0..self.parts {
             let mut w = WireWriter::new();
             w.bytes(&bcast);
-            w.u32(boundary[p].len() as u32);
-            for bp in &mut boundary[p] {
+            w.u32(keys.boundary[p].len() as u32);
+            for bp in &mut keys.boundary[p] {
                 if let NetEvent::PacketArrive { packet, .. } = &mut bp.ev {
-                    self.net.on_packet_exported(packet);
+                    self.world.net.on_packet_exported(packet);
                 }
                 encode_event(&mut w, bp.time, bp.j as u64, &bp.ev);
             }
@@ -775,7 +592,7 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
             for e in &ex_by[p] {
                 w.u64(e.msg);
                 w.u32(e.expected);
-                let meta = self.mpi.export_meta(MessageId(e.msg & IDX_MASK));
+                let meta = self.world.mpi.export_meta(MessageId(e.msg & IDX_MASK));
                 w.u32(meta.len() as u32);
                 w.bytes(&meta);
             }
@@ -785,11 +602,10 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
             }
             frames.push(w.into_frame());
         }
-        // Hand the (drained) per-peer buffers back for the next window.
-        for buf in &mut boundary {
+        // Keep the drained per-peer buffers for the next window.
+        for buf in &mut keys.boundary {
             buf.clear();
         }
-        self.sq.boundary = boundary;
 
         let got = self.comm.exchange(frames);
 
@@ -850,7 +666,7 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
         // provisional key in this shard.
         let ranks = merge_ranks(&logs, wseg);
         let rme = &ranks[self.me];
-        self.sq.q.for_each_pending_mut(&mut |_, seq| {
+        self.world.queue.q.for_each_pending_mut(&mut |_, seq| {
             if *seq >> SEG_SHIFT == wseg {
                 *seq = (wseg << SEG_SHIFT) | rme[(*seq & VAL_MASK) as usize];
             }
@@ -858,7 +674,7 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
         for k in &mut self.wpop_keys {
             k.1 = xlate(k.1, wseg, rme);
         }
-        if let Some(entries) = self.net.q_undo_entries_mut() {
+        if let Some(entries) = self.world.net.q_undo_entries_mut() {
             for e in entries.iter_mut() {
                 e.seq = xlate(e.seq, wseg, rme);
             }
@@ -871,19 +687,20 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
 
         // -- Import peer traffic. Message metadata first (deliveries later
         // in the run look it up), then events, then release notices.
+        let w = &mut self.world;
         for (msg, expected, meta) in in_msgs {
-            self.net.import_message(msg, expected);
-            self.mpi.import_meta(msg, &meta);
+            w.net.import_message(msg, expected);
+            w.mpi.import_meta(msg, &meta);
         }
         for (p, t, j, mut ev) in in_events {
             debug_assert!(t >= b, "boundary event before the barrier");
             if let NetEvent::PacketArrive { packet, .. } = &mut ev {
-                self.net.on_packet_imported(packet);
+                w.net.on_packet_imported(packet);
             }
-            self.sq.q.push_seq(t, (wseg << SEG_SHIFT) | ranks[p][j as usize], WorldEvent::Net(ev));
+            w.queue.q.push_seq(t, (wseg << SEG_SHIFT) | ranks[p][j as usize], WorldEvent::Net(ev));
         }
         for r in in_rels {
-            self.mpi.release_exported(r, &mut self.net);
+            w.mpi.release_exported(r, &mut w.net);
         }
 
         // -- Completions, in global key order (replicated on every shard).
@@ -939,18 +756,20 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
 
     /// The lockstep window loop.
     fn run(mut self) -> ShardOutcome {
-        assert!(
-            self.lookahead > 0,
-            "partitioned execution needs a positive inter-group link latency for lookahead"
-        );
+        debug_assert!(self.lookahead > 0, "`SimConfig::validate` requires a positive lookahead");
         let mut started = self.init_cut();
+        if self.parts == 1 {
+            // Apps that finished synchronously at start.
+            self.take_local_finishes(0);
+        }
         if self.total_done() {
             return self.finish(StopReason::AllFinished, 0);
         }
         let mut b: Time = 0;
         // Before anything starts, the only future activity is the first
         // arrival — replicated knowledge, no exchange needed.
-        let mut gn: Time = self.sq.q.peek_time().unwrap_or(Time::MAX).min(self.next_arrival_time());
+        let q = &self.world.queue.q;
+        let mut gn: Time = q.peek_time().unwrap_or(Time::MAX).min(self.next_arrival_time());
         loop {
             // Window start: if the last cut started ranks, their events can
             // land anywhere at or after the cut time, so the window must
@@ -958,7 +777,7 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
             let s = if started { b } else { gn };
             debug_assert!(s >= b && s != Time::MAX, "stop conditions handle these");
             if s > b {
-                self.sq.q.advance_clock(s);
+                self.world.queue.q.advance_clock(s);
                 // An arrival exactly at the jump target is processed here,
                 // at its exact time (still in the previous cut segment; the
                 // window about to open covers whatever it admits).
@@ -967,7 +786,7 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
                 }
             }
             let e = s.saturating_add(self.lookahead).min(self.next_arrival_time());
-            self.sq.begin_window();
+            self.world.queue.begin_window();
             if let Some((stop, t)) = self.run_window(e) {
                 return self.finish(stop, t);
             }
@@ -976,8 +795,8 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
                 Ok(g) => g,
                 Err((stop, t)) => return self.finish(stop, t),
             };
-            self.sq.q.advance_clock(b);
-            self.sq.begin_cut();
+            self.world.queue.q.advance_clock(b);
+            self.world.queue.begin_cut();
             started = self.cut(b);
         }
     }
@@ -989,13 +808,13 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
             // pops from the event count and roll their Q-updates back, so
             // the result matches an engine that stopped exactly at K.
             post_k = self.wpop_keys.iter().filter(|&&key| key > self.k).count() as u64;
-            self.net.q_undo_revert_after(self.k.0, self.k.1);
+            self.world.net.q_undo_revert_after(self.k.0, self.k.1);
         }
         let napps = self.napps();
         let finished: Vec<Option<Time>> = if self.parts > 1 {
             std::mem::take(&mut self.app_finish)
         } else {
-            (0..napps).map(|i| self.mpi.app_finished_at(AppId(i as u16))).collect()
+            (0..napps).map(|i| self.world.mpi.app_finished_at(AppId(i as u16))).collect()
         };
         let (starts, job_reports) = match &self.work {
             ShardWork::Static { .. } => (vec![0; napps], Vec::new()),
@@ -1005,11 +824,11 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
             stop,
             end,
             k: self.k,
-            pops: self.sq.q.events_processed(),
+            pops: self.world.queue.events_processed(),
             post_k,
-            stats: self.sq.q.stats(),
-            net: self.net,
-            rec: self.rec,
+            stats: self.world.queue.q.stats(),
+            net: self.world.net,
+            rec: self.world.rec,
             journal: self.journal,
             finished,
             starts,
@@ -1081,8 +900,8 @@ fn assemble(
     }
     let mut events = pops - post_k;
     if stop == StopReason::Horizon {
-        // The sequential engines count the horizon-crossing pop before
-        // stopping; windows never pop past the horizon, so synthesize it.
+        // The report counts the first event past the horizon as processed;
+        // windows never pop it, so add it here.
         events += 1;
     }
     stats.events_processed = events;
@@ -1156,18 +975,6 @@ fn partition_map(cfg: &SimConfig, parts: usize) -> Arc<PartitionMap> {
     ))
 }
 
-/// The static-run entry of the partitioned engine (`threads >= 2`).
-pub(crate) fn exec_placed_parallel(
-    cfg: &SimConfig,
-    jobs: &[JobSpec],
-    policy: Placement,
-) -> (RunReport, Option<dfsim_network::QTableSnapshot>) {
-    match cfg.queue.kind() {
-        QueueKind::Heap => static_on::<EventQueue<WorldEvent>>(cfg, jobs, policy),
-        QueueKind::Calendar => static_on::<CalendarQueue<WorldEvent>>(cfg, jobs, policy),
-    }
-}
-
 /// Run one shard per partition of `map` — inline on the calling thread when
 /// there is one, on scoped threads otherwise — and collect the outcomes in
 /// shard order. `work` builds each shard's work from replicated inputs.
@@ -1184,7 +991,7 @@ fn run_shards<Q: SimQueue<WorldEvent>>(
     }
     std::thread::scope(|sc| {
         let handles: Vec<_> = comms.map(|pc| sc.spawn(|| shard(pc))).collect();
-        // Re-raise a worker panic on the driver thread with its own payload:
+        // Re-raise a worker panic on the calling thread with its own payload:
         // swallowing it would return a partial report as if the run succeeded.
         handles
             .into_iter()
@@ -1193,25 +1000,48 @@ fn run_shards<Q: SimQueue<WorldEvent>>(
     })
 }
 
+/// Run `work` at `max(threads, 1)` partitions on the configured queue
+/// backend and assemble the report; `wall_s` covers shard assembly and the
+/// window loop.
+fn execute(
+    cfg: &SimConfig,
+    topo: &Arc<Topology>,
+    specs: &[&JobSpec],
+    work: impl Fn() -> ShardWork + Sync,
+) -> (RunReport, Option<dfsim_network::QTableSnapshot>) {
+    let map = partition_map(cfg, cfg.threads.max(1));
+    let wall = Instant::now();
+    let outcomes = match cfg.queue.kind() {
+        QueueKind::Heap => run_shards::<EventQueue<WorldEvent>>(cfg, topo, &map, work),
+        QueueKind::Calendar => run_shards::<CalendarQueue<WorldEvent>>(cfg, topo, &map, work),
+    };
+    let wall_s = wall.elapsed().as_secs_f64();
+    assemble(cfg, specs, topo, &map, outcomes, wall_s)
+}
+
 /// Validate `cfg` at a run entry point and build its topology.
 fn validated_topology(cfg: &SimConfig) -> Arc<Topology> {
-    // lint: allow(no-panic-paths) — run entry point, before any simulation work: an invalid config is a caller programming error surfaced at the API boundary, matching the sequential engine
+    // lint: allow(no-panic-paths) — run entry point, before any simulation work: an invalid config is a caller programming error surfaced at the API boundary (`Simulation::prepare` names it first)
     cfg.validate().expect("invalid simulation config");
     // lint: allow(no-panic-paths) — `cfg.validate()` on the line above already vetted the dragonfly params, so topology construction cannot fail here
     Arc::new(Topology::new(cfg.params).expect("validated params"))
 }
 
-fn static_on<Q: SimQueue<WorldEvent>>(
+/// The static-run entry: run `jobs` under `cfg`, every job starting at
+/// t = 0 on nodes placed by `placement`, and return the report plus the
+/// learned Q-table snapshot (Q-adaptive runs only). Jobs are placed in
+/// order on the shuffled node list, so a given `(seed, job-size prefix)`
+/// keeps earlier jobs' mappings stable when later jobs are added or removed
+/// (the paper's standalone-vs-interfered methodology); idle jobs reserve
+/// their nodes and run nothing.
+pub(crate) fn exec_static(
     cfg: &SimConfig,
     jobs: &[JobSpec],
-    policy: Placement,
+    placement: Placement,
 ) -> (RunReport, Option<dfsim_network::QTableSnapshot>) {
-    debug_assert_eq!(Q::KIND, cfg.queue.kind(), "backend dispatch out of sync with config");
     let topo = validated_topology(cfg);
-    let parts = cfg.threads;
-    assert!(parts >= 2, "static runs below two threads use the sequential engine");
     let sizes: Vec<u32> = jobs.iter().map(|j| j.size).collect();
-    let partitions = place(&topo, policy, &sizes, cfg.seed);
+    let partitions = place(&topo, placement, &sizes, cfg.seed);
     let mut app_jobs: Vec<JobSpec> = Vec::new();
     let mut app_nodes: Vec<Vec<NodeId>> = Vec::new();
     for (job, nodes) in jobs.iter().zip(partitions) {
@@ -1220,20 +1050,15 @@ fn static_on<Q: SimQueue<WorldEvent>>(
             app_nodes.push(nodes);
         }
     }
-    let map = partition_map(cfg, parts);
-    let wall = Instant::now();
-    let outcomes = run_shards::<Q>(cfg, &topo, &map, || ShardWork::Static {
+    let specs: Vec<&JobSpec> = app_jobs.iter().collect();
+    execute(cfg, &topo, &specs, || ShardWork::Static {
         jobs: app_jobs.clone(),
         nodes: app_nodes.clone(),
-    });
-    let wall_s = wall.elapsed().as_secs_f64();
-    let specs: Vec<&JobSpec> = app_jobs.iter().collect();
-    assemble(cfg, &specs, &topo, &map, outcomes, wall_s)
+    })
 }
 
-/// The churn entry of the partitioned engine — the canonical scenario loop
-/// at `cfg.threads` partitions (1 when unset): jobs spawn at their arrival
-/// times (queueing under `sched` when the machine is full), run on
+/// The churn entry — the canonical scenario loop: jobs spawn at their
+/// arrival times (queueing under `sched` when the machine is full), run on
 /// partitions placed by `placement`, and release their nodes on completion.
 /// Reports are bit-identical across queue backends *and* partition counts.
 pub(crate) fn exec_scenario(
@@ -1242,44 +1067,63 @@ pub(crate) fn exec_scenario(
     sched: SchedPolicy,
     placement: Placement,
 ) -> (RunReport, Option<dfsim_network::QTableSnapshot>) {
-    match cfg.queue.kind() {
-        QueueKind::Heap => scenario_on::<EventQueue<WorldEvent>>(cfg, scenario, sched, placement),
-        QueueKind::Calendar => {
-            scenario_on::<CalendarQueue<WorldEvent>>(cfg, scenario, sched, placement)
-        }
-    }
-}
-
-fn scenario_on<Q: SimQueue<WorldEvent>>(
-    cfg: &SimConfig,
-    scenario: &Scenario,
-    sched: SchedPolicy,
-    placement: Placement,
-) -> (RunReport, Option<dfsim_network::QTableSnapshot>) {
-    debug_assert_eq!(Q::KIND, cfg.queue.kind(), "backend dispatch out of sync with config");
     let topo = validated_topology(cfg);
     // lint: allow(no-panic-paths) — run entry point: an oversized or empty scenario is a caller programming error surfaced before any simulation work starts
     scenario.validate(topo.num_nodes()).expect("invalid scenario");
-    let map = partition_map(cfg, cfg.threads.max(1));
-    let wall = Instant::now();
+    let specs: Vec<&JobSpec> = scenario.arrivals.iter().map(|a| &a.spec).collect();
     // Every shard replays the same table and admission decisions from the
     // same replicated inputs, each with its own scheduler instance.
-    let outcomes = run_shards::<Q>(cfg, &topo, &map, || ShardWork::Churn {
+    execute(cfg, &topo, &specs, || ShardWork::Churn {
         table: JobTable::new(&topo, scenario, placement, cfg.seed),
         sched: Box::new(sched.scheduler()),
         arrive: scenario.arrivals.iter().map(|a| a.at).collect(),
         next_arrival: 0,
         to_reclaim: Vec::new(),
-    });
-    let wall_s = wall.elapsed().as_secs_f64();
-    let specs: Vec<&JobSpec> = scenario.arrivals.iter().map(|a| &a.spec).collect();
-    assemble(cfg, &specs, &topo, &map, outcomes, wall_s)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dfsim_des::queue::PendingEvents;
+    use dfsim_mpi::MpiOp;
     use proptest::prelude::*;
+
+    /// A receive nobody matches leaves its app unfinished once the queue
+    /// runs dry: the run stops as drained, at the last event it popped.
+    #[test]
+    fn stuck_matching_reports_drained() {
+        let cfg = SimConfig::test_tiny(RoutingAlgo::Par);
+        let topo = validated_topology(&cfg);
+        let comm = local_mesh(1).pop().unwrap();
+        let work = ShardWork::Static { jobs: Vec::new(), nodes: Vec::new() };
+        let mut shard = Shard::<EventQueue<WorldEvent>>::new(
+            &cfg,
+            &topo,
+            partition_map(&cfg, 1),
+            0,
+            comm,
+            work,
+        );
+        shard.world.mpi.add_app(
+            AppId(0),
+            vec![NodeId(0), NodeId(9)],
+            vec![
+                Box::new(vec![MpiOp::Compute(1_000_000)].into_iter()), // 1 µs
+                Box::new(vec![MpiOp::Recv { src: Some(0), tag: 1 }].into_iter()),
+            ],
+            vec![],
+        );
+        shard.remaining = vec![2];
+        shard.total_remaining = 2;
+        for rank in 0..2 {
+            shard.world.start_rank(AppId(0), rank);
+        }
+        let out = shard.run();
+        assert_eq!((out.stop, out.end), (StopReason::Drained, 1_000_000));
+        assert_eq!(out.pops, 1, "only rank 0's compute completion fires");
+        assert_eq!(out.finished, vec![None]);
+    }
 
     #[test]
     fn merge_ranks_orders_true_keys_across_shards() {
@@ -1374,7 +1218,7 @@ mod tests {
     }
 
     /// Oracle: one heap over all shards, auto-sequenced in push order —
-    /// the single-threaded engine's total order.
+    /// a single shard's total order.
     fn oracle_pop_order(
         seeds: &[AbsEvent],
         parts: usize,

@@ -1,23 +1,15 @@
 //! Build–run–report: execute a job mix and produce a [`RunReport`].
 
-use std::sync::Arc;
-use std::time::Instant;
-
 use dfsim_apps::AppKind;
-use dfsim_des::queue::SimQueue;
-use dfsim_des::{
-    CalendarQueue, EngineStats, EventQueue, QueueKind, SimRng, Time, MICROSECOND, MILLISECOND,
-};
+use dfsim_des::{EngineStats, Time, MICROSECOND, MILLISECOND};
 use dfsim_metrics::{AppId, Recorder, Stats};
-use dfsim_mpi::sim::MpiConfig;
-use dfsim_mpi::MpiSim;
 use dfsim_network::NetworkSim;
 use dfsim_topology::{LinkKind, Port, RouterId, Topology};
 
 use crate::config::SimConfig;
-use crate::placement::{place, Placement};
+use crate::placement::Placement;
 use crate::report::{AppReport, EngineReport, JobReport, LearningReport, NetworkReport, RunReport};
-use crate::world::{StopReason, World, WorldEvent};
+use crate::world::StopReason;
 
 /// One job of a run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,109 +36,6 @@ impl JobSpec {
     }
 }
 
-/// The static-run engine behind [`crate::simulation::Simulation`] and
-/// [`run`]: run `jobs` under `cfg` with the given placement policy and
-/// return the report plus the learned Q-table snapshot (Q-adaptive runs
-/// only). Jobs are placed in order on the shuffled node list, so a given
-/// `(seed, job-size prefix)` keeps earlier jobs' mappings stable when later
-/// jobs are added or removed (the paper's standalone-vs-interfered
-/// methodology).
-///
-/// The world loop is monomorphized over the event-queue backend selected by
-/// [`SimConfig::queue`]; both backends realize the same deterministic event
-/// order, so the report depends only on the rest of the config.
-pub(crate) fn exec_placed(
-    cfg: &SimConfig,
-    jobs: &[JobSpec],
-    policy: Placement,
-) -> (RunReport, Option<dfsim_network::QTableSnapshot>) {
-    if cfg.threads >= 2 {
-        // Partitioned parallel engine: group-sharded network, conservative
-        // lookahead windows, bit-identical reports at any partition count.
-        return crate::partition::exec_placed_parallel(cfg, jobs, policy);
-    }
-    match cfg.queue.kind() {
-        QueueKind::Heap => exec_placed_on::<EventQueue<WorldEvent>>(cfg, jobs, policy),
-        QueueKind::Calendar => exec_placed_on::<CalendarQueue<WorldEvent>>(cfg, jobs, policy),
-    }
-}
-
-/// [`exec_placed`] on a concrete queue backend `Q` (tuned from
-/// [`SimConfig::queue`]).
-fn exec_placed_on<Q: SimQueue<WorldEvent>>(
-    cfg: &SimConfig,
-    jobs: &[JobSpec],
-    policy: Placement,
-) -> (RunReport, Option<dfsim_network::QTableSnapshot>) {
-    debug_assert_eq!(Q::KIND, cfg.queue.kind(), "backend dispatch out of sync with config");
-    cfg.validate().expect("invalid simulation config");
-    // The topology is reference-counted: the network shares it with the
-    // report builder instead of deep-cloning the structure per run.
-    let topo = Arc::new(Topology::new(cfg.params).expect("validated params"));
-    let sizes: Vec<u32> = jobs.iter().map(|j| j.size).collect();
-    let partitions = place(&topo, policy, &sizes, cfg.seed);
-
-    let rng = SimRng::new(cfg.seed);
-    let mut rec = Recorder::new(&topo, cfg.recorder);
-    if let Some(path) = &cfg.trace {
-        let w = dfsim_metrics::TraceWriter::create(path).unwrap_or_else(|e| panic!("{e}"));
-        rec.set_sink(Box::new(w));
-    }
-    let net = NetworkSim::new(Arc::clone(&topo), cfg.timing, cfg.routing.clone(), &rng);
-    let mut mpi = MpiSim::new(MpiConfig { eager_threshold: cfg.eager_threshold });
-
-    let mut app_jobs: Vec<&JobSpec> = Vec::with_capacity(jobs.len());
-    for (job, nodes) in jobs.iter().zip(partitions) {
-        if job.idle {
-            continue; // reserved but empty partition
-        }
-        let i = app_jobs.len();
-        let inst = job.kind.build(job.size, cfg.scale, cfg.seed ^ ((i as u64) << 32));
-        mpi.add_app(AppId(i as u16), nodes, inst.programs, inst.comms);
-        app_jobs.push(job);
-    }
-
-    let mut world = World::<Q>::with_backend(net, mpi, rec, cfg.queue);
-    let wall = Instant::now();
-    let (stop, end_time) = world.run(cfg.horizon, cfg.max_events);
-    let wall_s = wall.elapsed().as_secs_f64();
-    let snapshot = capture_qtables(cfg, &world.net);
-
-    let starts = vec![0; app_jobs.len()]; // static runs: everything starts at t = 0
-    let finished: Vec<Option<Time>> =
-        (0..app_jobs.len()).map(|i| world.mpi.app_finished_at(AppId(i as u16))).collect();
-    if let Some(sink) = world.rec.take_sink() {
-        let meta = crate::trace::encode_meta(
-            cfg,
-            &app_jobs,
-            &finished,
-            world.queue.stats(),
-            world.queue.events_processed(),
-            stop,
-            end_time,
-            wall_s,
-            &starts,
-            &[],
-        );
-        sink.finish(Some(&meta)).unwrap_or_else(|e| panic!("trace finalization failed: {e}"));
-    }
-    let report = build_report(
-        cfg,
-        &app_jobs,
-        &topo,
-        &world.rec,
-        &finished,
-        world.queue.stats(),
-        world.queue.events_processed(),
-        stop,
-        end_time,
-        wall_s,
-        &starts,
-        Vec::new(),
-    );
-    (report, snapshot)
-}
-
 /// Capture the learned Q-tables of a finished world (Q-adaptive runs only)
 /// and write them out if [`SimConfig::qtable_save`] is set (`validate`
 /// already pinned the routing to Q-adaptive).
@@ -166,12 +55,11 @@ pub(crate) fn capture_qtables(
 /// placement — the one entry below [`crate::simulation::Simulation`], for
 /// the engine's own tests.
 pub fn run(cfg: &SimConfig, jobs: &[JobSpec]) -> RunReport {
-    exec_placed(cfg, jobs, Placement::Random).0
+    crate::partition::exec_static(cfg, jobs, Placement::Random).0
 }
 
-/// Assemble the [`RunReport`] of a finished run from its components (the
-/// sequential engines pass their world's parts, the partitioned engine its
-/// merged shard outcomes). `starts[i]` is job `i`'s admission time (0 for
+/// Assemble the [`RunReport`] of a finished run from its merged shard
+/// outcomes. `starts[i]` is job `i`'s admission time (0 for
 /// static runs), subtracted so `exec_ms` is service time, not absolute
 /// finish time; `finished[i]` is app `i`'s completion time if it completed;
 /// `events` is the canonical processed-event count; `job_reports` carries
@@ -440,6 +328,48 @@ mod tests {
         assert_eq!(report.network.std_global_congestion, 0.0);
         assert_eq!(report.network.mean_system_throughput, 0.0);
         assert!(report.network.congestion.iter().flatten().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn empty_world_finishes_instantly() {
+        let report = run(&SimConfig::test_tiny(RoutingAlgo::Par), &[]);
+        assert_eq!(report.stop_reason, "AllFinished");
+        assert!(report.completed);
+        assert_eq!((report.sim_ms, report.events), (0.0, 0));
+    }
+
+    #[test]
+    fn simple_exchange_runs_to_completion() {
+        // Two UR ranks: each iteration is one message each way.
+        let report =
+            run(&SimConfig::test_tiny(RoutingAlgo::Par), &[JobSpec::sized(AppKind::UR, 2)]);
+        assert_eq!(report.stop_reason, "AllFinished");
+        assert!(report.sim_ms > 0.0);
+        assert!(report.network.total_delivered_gb > 0.0);
+    }
+
+    #[test]
+    fn horizon_stops_runaway_workloads() {
+        let mut cfg = SimConfig::test_tiny(RoutingAlgo::Par);
+        cfg.horizon = Some(500_000); // 0.5 µs: the exchange is still in flight
+        let report = run(&cfg, &[JobSpec::sized(AppKind::UR, 2)]);
+        assert_eq!(report.stop_reason, "Horizon");
+        assert!(!report.completed);
+        // The stop time is the first event past the horizon.
+        assert!(report.sim_ms > 500_000.0 / MILLISECOND as f64, "{}", report.sim_ms);
+    }
+
+    #[test]
+    fn event_cap_guards_against_runaway() {
+        let mut cfg = SimConfig::test_tiny(RoutingAlgo::Par);
+        let jobs = [JobSpec::sized(AppKind::UR, 36)];
+        let full = run(&cfg, &jobs);
+        cfg.max_events = 100;
+        let capped = run(&cfg, &jobs);
+        assert_eq!(capped.stop_reason, "EventCap");
+        assert!(!capped.completed);
+        // Checked at window barriers: at least the cap, far short of the run.
+        assert!((100..full.events).contains(&capped.events), "{}", capped.events);
     }
 
     #[test]

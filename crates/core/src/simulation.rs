@@ -30,9 +30,9 @@ use dfsim_network::QTableSnapshot;
 use crate::cache::{cache_key, ResultCache};
 use crate::config::SimConfig;
 use crate::experiments::mixed_jobs;
-use crate::partition::exec_scenario;
+use crate::partition::{exec_scenario, exec_static};
 use crate::report::{EngineReport, LearningReport, RunReport};
-use crate::runner::{exec_placed, JobSpec};
+use crate::runner::JobSpec;
 use crate::scenario::Scenario;
 use crate::spec::{ExperimentSpec, SpecError, Workload};
 
@@ -262,7 +262,7 @@ impl Simulation {
         // lint: allow(no-panic-paths) — private method, only called by `run` after `prepare` populated `self.prepared`; the Option is Some by control flow
         let prepared = self.prepared.as_ref().expect("prepare already succeeded");
         let (report, qtable_snapshot) = match &prepared.work {
-            PreparedWork::Static(jobs) => exec_placed(&prepared.cfg, jobs, self.spec.placement),
+            PreparedWork::Static(jobs) => exec_static(&prepared.cfg, jobs, self.spec.placement),
             PreparedWork::Churn(scenario) => {
                 exec_scenario(&prepared.cfg, scenario, self.spec.sched, self.spec.placement)
             }

@@ -470,7 +470,8 @@ pub struct ExperimentSpec {
     pub eager_threshold: u64,
     /// Optional wall on simulated time.
     pub horizon: Option<Time>,
-    /// Hard cap on processed events.
+    /// Hard cap on processed events (runaway guard): the run stops at the
+    /// first window barrier at or past it, at every thread count.
     pub max_events: u64,
     /// Metrics time-series bin width, picoseconds.
     pub bin_width: Time,

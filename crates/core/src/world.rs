@@ -1,18 +1,30 @@
-//! The world event loop: one deterministic queue driving network and MPI.
+//! The world: network, MPI and metrics state plus the one event queue that
+//! feeds them — the state of one shard of the window loop in
+//! [`crate::partition`], which runs every simulation (one shard when
+//! `threads <= 1`).
 //!
 //! The queue backend is a type parameter (defaulting to the radix heap),
-//! selected at runtime from [`crate::config::SimConfig::queue`] by
-//! [`crate::runner::run`] — the event-queue ablation runs the real
-//! hot path, not a synthetic harness. Both backends realize the identical
-//! deterministic `(time, seq)` total order, so a run's report is invariant
-//! under the backend choice (the `backend_equivalence` integration test
-//! pins this).
+//! selected at runtime from [`crate::config::SimConfig::queue`] — the
+//! event-queue ablation runs the real hot path, not a synthetic harness.
+//! Both backends realize the identical deterministic `(time, seq)` total
+//! order, so a run's report is invariant under the backend choice (the
+//! `backend_equivalence` integration test pins this).
+//!
+//! On a multi-partition run the queue also carries the canonical-key state
+//! (`PartKeys`): window pushes are logged for the barrier merge and
+//! boundary pushes diverted to per-peer buffers; cut pushes get final
+//! admission-slot keys. On one partition it is `None` and every push is a
+//! plain auto-sequenced push.
+
+use std::sync::Arc;
 
 use dfsim_des::queue::{PendingEvents, SimQueue};
-use dfsim_des::{EngineStats, EventQueue, JobEvent, QueueBackend, Scheduler, Time};
-use dfsim_metrics::Recorder;
+use dfsim_des::{EventQueue, JobEvent, QueueBackend, Scheduler, Time};
+use dfsim_metrics::{AppId, Recorder};
 use dfsim_mpi::{MpiEvent, MpiSim};
-use dfsim_network::{NetEffect, NetEvent, NetworkSim};
+use dfsim_network::{NetEffect, NetEvent, NetworkSim, PartitionMap};
+
+use crate::partition::{Dispatch, LogEntry, SEG_SHIFT, SLOT_SHIFT};
 
 /// The union of all event types in a simulation.
 #[derive(Debug)]
@@ -21,149 +33,203 @@ pub enum WorldEvent {
     Net(NetEvent),
     /// An MPI event.
     Mpi(MpiEvent),
-    /// A job-lifecycle event (only scheduled by scenario runs; see
-    /// [`crate::scenario`]).
+    /// Never scheduled; `benchmark/benches/spans.rs` matches on it until
+    /// ROADMAP item 2.
     Job(JobEvent),
 }
 
 /// The default (radix-heap) world queue backend.
 pub type DefaultBackend = EventQueue<WorldEvent>;
 
+/// A window push bound for another shard: held back until the barrier, then
+/// shipped with its push-log index so the receiver can key it with the
+/// merged rank.
+#[derive(Debug)]
+pub(crate) struct BoundaryPush {
+    pub(crate) j: u32,
+    pub(crate) time: Time,
+    pub(crate) ev: NetEvent,
+}
+
+/// The canonical-key state of one shard of a multi-partition run.
+#[derive(Debug)]
+pub(crate) struct PartKeys {
+    map: Arc<PartitionMap>,
+    me: usize,
+    lookahead: Time,
+    cut: bool,
+    pub(crate) seg: u64,
+    slot: u64,
+    slot_idx: u64,
+    pub(crate) cur_dispatch: Dispatch,
+    pub(crate) log: Vec<LogEntry>,
+    pub(crate) boundary: Vec<Vec<BoundaryPush>>,
+}
+
+impl PartKeys {
+    /// Keys of shard `me` of `map`; the run starts in the init cut
+    /// (segment 0).
+    pub(crate) fn new(map: Arc<PartitionMap>, me: usize, lookahead: Time) -> Self {
+        let parts = map.parts();
+        Self {
+            map,
+            me,
+            lookahead,
+            cut: true,
+            seg: 0,
+            slot: 0,
+            slot_idx: 0,
+            cur_dispatch: Dispatch::True { t: 0, seq: 0 },
+            log: Vec::new(),
+            boundary: (0..parts).map(|_| Vec::new()).collect(),
+        }
+    }
+
+    /// Log a window push at `time`, returning its push-log index.
+    fn log_push(&mut self, time: Time) -> u32 {
+        let j = self.log.len() as u32;
+        self.log.push(LogEntry { time, dispatch: self.cur_dispatch });
+        j
+    }
+
+    /// Key a shard-local push: a final admission-slot key in cut phase, a
+    /// provisional push-log key in window phase.
+    fn push_local<Q: PendingEvents<WorldEvent>>(&mut self, q: &mut Q, time: Time, ev: WorldEvent) {
+        if self.cut {
+            debug_assert!(self.slot_idx < 1 << SLOT_SHIFT, "cut slot overflow");
+            let seq = (self.seg << SEG_SHIFT) | (self.slot << SLOT_SHIFT) | self.slot_idx;
+            self.slot_idx += 1;
+            q.push_seq(time, seq, ev);
+        } else {
+            let j = self.log_push(time);
+            q.push_seq(time, (self.seg << SEG_SHIFT) | j as u64, ev);
+        }
+    }
+
+    /// A network push: held for its owner's shard when another shard owns
+    /// it, keyed locally otherwise.
+    fn push_net<Q: PendingEvents<WorldEvent>>(&mut self, q: &mut Q, time: Time, ev: NetEvent) {
+        match self.map.owner_of(&ev) {
+            Some(p) if p != self.me => {
+                debug_assert!(!self.cut, "cut-phase pushes must be shard-local");
+                debug_assert!(
+                    time >= q.now().saturating_add(self.lookahead),
+                    "boundary event under the conservative lookahead"
+                );
+                let j = self.log_push(time);
+                self.boundary[p].push(BoundaryPush { j, time, ev });
+            }
+            _ => self.push_local(q, time, WorldEvent::Net(ev)),
+        }
+    }
+}
+
 /// The world queue: lifts network and MPI events into [`WorldEvent`] and
 /// satisfies both scheduler contracts at once (what [`dfsim_mpi::WorldSched`]
 /// requires), over any [`PendingEvents`] backend.
 #[derive(Debug)]
 pub struct WorldQueue<Q = DefaultBackend> {
-    inner: Q,
-}
-
-impl<Q: SimQueue<WorldEvent>> WorldQueue<Q> {
-    /// Empty queue with the backend's simulation-tuned defaults.
-    pub fn new() -> Self {
-        Self { inner: Q::for_simulation() }
-    }
-
-    /// Empty queue under `backend`'s tuning (the backend's kind must match
-    /// `Q`; the runner dispatches on [`QueueBackend::kind`] first).
-    pub fn for_backend(backend: QueueBackend) -> Self {
-        Self { inner: Q::for_backend(backend) }
-    }
-}
-
-impl<Q: SimQueue<WorldEvent>> Default for WorldQueue<Q> {
-    fn default() -> Self {
-        Self::new()
-    }
+    pub(crate) q: Q,
+    /// Canonical-key state (`None` on a single-partition run).
+    pub(crate) part: Option<PartKeys>,
 }
 
 impl<Q: PendingEvents<WorldEvent>> WorldQueue<Q> {
-    /// Pop the earliest event.
+    /// Pop the earliest event. No product caller; `benchmark/benches/spans.rs`
+    /// drives its own loop with it until ROADMAP item 2.
     pub fn pop(&mut self) -> Option<(Time, WorldEvent)> {
-        self.inner.pop()
+        self.q.pop()
     }
 
     /// Current simulation time.
     pub fn now(&self) -> Time {
-        self.inner.now()
+        self.q.now()
     }
 
     /// Events processed so far.
     pub fn events_processed(&self) -> u64 {
-        self.inner.events_processed()
+        self.q.events_processed()
     }
 
-    /// Engine statistics of the underlying pending-event set.
-    pub fn stats(&self) -> EngineStats {
-        self.inner.stats()
+    /// Enter the next window segment.
+    pub(crate) fn begin_window(&mut self) {
+        if let Some(k) = &mut self.part {
+            k.seg += 1;
+            debug_assert!(k.seg < 1 << (64 - SEG_SHIFT), "segment counter overflow");
+            debug_assert!(k.log.is_empty(), "push log not drained at the barrier");
+            k.cut = false;
+        }
     }
 
-    /// Pending events.
-    pub fn len(&self) -> usize {
-        self.inner.len()
+    /// Enter the next cut segment (barrier-time admissions).
+    pub(crate) fn begin_cut(&mut self) {
+        if let Some(k) = &mut self.part {
+            k.seg += 1;
+            k.cut = true;
+            k.slot = 0;
+            k.slot_idx = 0;
+        }
     }
 
-    /// Whether the queue is drained.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
+    /// Advance to the next admission slot — called once per *global* rank
+    /// start in the canonical order, on every shard, so slot numbers agree
+    /// across shards without communication.
+    pub(crate) fn next_slot(&mut self) {
+        if let Some(k) = &mut self.part {
+            debug_assert!(k.cut, "admission slots only exist in cut phase");
+            k.slot += 1;
+            k.slot_idx = 0;
+        }
+    }
+
+    /// The canonical key stamped on recorder entries produced by the
+    /// current admission slot (a rank finishing synchronously at start).
+    fn cut_key(&self) -> Option<(Time, u64)> {
+        self.part.as_ref().map(|k| (self.q.now(), (k.seg << SEG_SHIFT) | (k.slot << SLOT_SHIFT)))
     }
 }
 
 impl<Q: PendingEvents<WorldEvent>> Scheduler<NetEvent> for WorldQueue<Q> {
     fn now(&self) -> Time {
-        self.inner.now()
+        self.q.now()
     }
     fn at(&mut self, time: Time, event: NetEvent) {
-        self.inner.push(time, WorldEvent::Net(event));
+        match &mut self.part {
+            None => self.q.push(time, WorldEvent::Net(event)),
+            Some(k) => k.push_net(&mut self.q, time, event),
+        }
     }
 }
 
 impl<Q: PendingEvents<WorldEvent>> Scheduler<MpiEvent> for WorldQueue<Q> {
     fn now(&self) -> Time {
-        self.inner.now()
+        self.q.now()
     }
     fn at(&mut self, time: Time, event: MpiEvent) {
-        self.inner.push(time, WorldEvent::Mpi(event));
-    }
-}
-
-impl<Q: PendingEvents<WorldEvent>> Scheduler<JobEvent> for WorldQueue<Q> {
-    fn now(&self) -> Time {
-        self.inner.now()
-    }
-    fn at(&mut self, time: Time, event: JobEvent) {
-        self.inner.push(time, WorldEvent::Job(event));
-    }
-}
-
-/// Dispatch one popped event into the sub-models. Network and MPI events
-/// are consumed (including the ordered network-effect drain); job events
-/// are returned to the caller, since only the scenario loop knows how to
-/// handle them. Shared by [`World::run`] and the scenario loop so the
-/// dispatch semantics — in particular the effect-drain ordering that the
-/// backend-equivalence guarantee rides on — can never diverge between the
-/// two.
-#[inline]
-pub(crate) fn dispatch_core<S: Scheduler<NetEvent> + Scheduler<MpiEvent>>(
-    net: &mut NetworkSim,
-    mpi: &mut MpiSim,
-    rec: &mut Recorder,
-    queue: &mut S,
-    effects: &mut Vec<NetEffect>,
-    ev: WorldEvent,
-) -> Option<JobEvent> {
-    match ev {
-        WorldEvent::Net(e) => {
-            net.handle(e, queue, rec, effects);
-            if !effects.is_empty() {
-                for eff in effects.drain(..) {
-                    mpi.on_net_effect(eff, queue, net, rec);
-                }
-            }
-            None
+        match &mut self.part {
+            None => self.q.push(time, WorldEvent::Mpi(event)),
+            // MPI events live on the rank's own node: always shard-local.
+            Some(k) => k.push_local(&mut self.q, time, WorldEvent::Mpi(event)),
         }
-        WorldEvent::Mpi(e) => {
-            mpi.handle(e, queue, net, rec);
-            None
-        }
-        WorldEvent::Job(e) => Some(e),
     }
 }
 
-/// Why a world run stopped.
+/// Why a run stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopReason {
     /// Every application rank finished.
     AllFinished,
     /// The simulated-time horizon was exceeded.
     Horizon,
-    /// The event cap was exceeded (runaway guard).
+    /// The event cap was reached (runaway guard), checked at window
+    /// barriers.
     EventCap,
     /// The queue drained without completion (a stuck workload — indicates
     /// a matching bug in an app program).
     Drained,
 }
 
-/// A fully assembled simulation, generic over the event-queue backend.
+/// The state of one simulation shard, generic over the event-queue backend.
 pub struct World<Q = DefaultBackend> {
     /// The network model.
     pub net: NetworkSim,
@@ -173,163 +239,51 @@ pub struct World<Q = DefaultBackend> {
     pub rec: Recorder,
     /// The event queue.
     pub queue: WorldQueue<Q>,
-    /// Scratch buffer for network effects (shared with the scenario loop).
-    pub(crate) effects: Vec<NetEffect>,
+    /// Scratch buffer for network effects.
+    effects: Vec<NetEffect>,
 }
 
 impl<Q: SimQueue<WorldEvent>> World<Q> {
-    /// Assemble a world on this backend with its default tuning.
-    pub fn new(net: NetworkSim, mpi: MpiSim, rec: Recorder) -> Self {
-        Self { net, mpi, rec, queue: WorldQueue::new(), effects: Vec::new() }
-    }
-
-    /// Assemble a world on `backend`'s tuning (kind must match `Q`).
+    /// Assemble a single-partition world on `backend`'s tuning (kind must
+    /// match `Q`).
     pub fn with_backend(
         net: NetworkSim,
         mpi: MpiSim,
         rec: Recorder,
         backend: QueueBackend,
     ) -> Self {
-        Self { net, mpi, rec, queue: WorldQueue::for_backend(backend), effects: Vec::new() }
+        let queue = WorldQueue { q: Q::for_backend(backend), part: None };
+        Self { net, mpi, rec, queue, effects: Vec::new() }
     }
 }
 
 impl<Q: PendingEvents<WorldEvent>> World<Q> {
-    /// Start all ranks and run until completion, horizon or event cap.
-    /// Returns the stop reason and the final simulated time.
-    pub fn run(&mut self, horizon: Option<Time>, max_events: u64) -> (StopReason, Time) {
-        let Self { net, mpi, rec, queue, effects } = self;
-        mpi.start(queue, net, rec);
-        if mpi.all_finished() {
-            return (StopReason::AllFinished, queue.now());
+    /// Start `rank` of a registered `app` in the current admission slot.
+    pub(crate) fn start_rank(&mut self, app: AppId, rank: u32) {
+        if let Some((t, seq)) = self.queue.cut_key() {
+            self.rec.set_key(t, seq);
         }
-        let mut processed: u64 = 0;
-        while let Some((t, ev)) = queue.pop() {
-            if let Some(h) = horizon {
-                if t > h {
-                    return (StopReason::Horizon, t);
+        self.mpi.start_rank(app, rank, &mut self.queue, &mut self.net, &mut self.rec);
+    }
+
+    /// Dispatch one popped event into the sub-models, including the ordered
+    /// network-effect drain that the backend-equivalence guarantee rides on.
+    #[inline]
+    pub(crate) fn dispatch(&mut self, ev: WorldEvent) {
+        let Self { net, mpi, rec, queue, effects } = self;
+        match ev {
+            WorldEvent::Net(e) => {
+                net.handle(e, queue, rec, effects);
+                if !effects.is_empty() {
+                    for eff in effects.drain(..) {
+                        mpi.on_net_effect(eff, queue, net, rec);
+                    }
                 }
             }
-            if let Some(e) = dispatch_core(net, mpi, rec, queue, effects, ev) {
-                debug_assert!(false, "job event {e:?} in a static run; use a scenario workload");
-                let _ = e;
-            }
-            processed += 1;
-            if processed >= max_events {
-                return (StopReason::EventCap, queue.now());
-            }
-            if mpi.all_finished() {
-                return (StopReason::AllFinished, queue.now());
-            }
+            WorldEvent::Mpi(e) => mpi.handle(e, queue, net, rec),
+            // Nothing can push one: the queue only schedules network and
+            // MPI events.
+            WorldEvent::Job(_) => {}
         }
-        if mpi.all_finished() {
-            (StopReason::AllFinished, queue.now())
-        } else {
-            (StopReason::Drained, queue.now())
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dfsim_des::SimRng;
-    use dfsim_metrics::{AppId, RecorderConfig};
-    use dfsim_mpi::MpiOp;
-    use dfsim_network::{RoutingAlgo, RoutingConfig};
-    use dfsim_topology::{DragonflyParams, LinkTiming, NodeId, Topology};
-
-    fn mk_world() -> World {
-        let topo = std::sync::Arc::new(Topology::new(DragonflyParams::tiny_72()).unwrap());
-        let rec = Recorder::new(&topo, RecorderConfig::default());
-        let net = NetworkSim::new(
-            topo,
-            LinkTiming::default(),
-            RoutingConfig::new(RoutingAlgo::Par),
-            &SimRng::new(1),
-        );
-        World::new(net, MpiSim::default(), rec)
-    }
-
-    #[test]
-    fn empty_world_finishes_instantly() {
-        let mut w = mk_world();
-        let (reason, t) = w.run(None, 1_000);
-        assert_eq!(reason, StopReason::AllFinished);
-        assert_eq!(t, 0);
-    }
-
-    #[test]
-    fn simple_exchange_runs_to_completion() {
-        let mut w = mk_world();
-        w.mpi.add_app(
-            AppId(0),
-            vec![NodeId(0), NodeId(50)],
-            vec![
-                Box::new(vec![MpiOp::Send { dst: 1, bytes: 2048, tag: 0 }].into_iter()),
-                Box::new(vec![MpiOp::Recv { src: Some(0), tag: 0 }].into_iter()),
-            ],
-            vec![],
-        );
-        let (reason, t) = w.run(None, 10_000_000);
-        assert_eq!(reason, StopReason::AllFinished);
-        assert!(t > 0);
-    }
-
-    #[test]
-    fn horizon_stops_runaway_workloads() {
-        let mut w = mk_world();
-        // Receiver waits for a message nobody sends.
-        w.mpi.add_app(
-            AppId(0),
-            vec![NodeId(0), NodeId(9)],
-            vec![
-                Box::new(vec![MpiOp::Compute(1_000_000_000)].into_iter()), // 1 ms
-                Box::new(vec![MpiOp::Recv { src: Some(0), tag: 99 }].into_iter()),
-            ],
-            vec![],
-        );
-        let (reason, _) = w.run(Some(500_000), 10_000_000);
-        // The compute event fires beyond the 0.5 µs horizon.
-        assert_eq!(reason, StopReason::Horizon);
-    }
-
-    #[test]
-    fn stuck_matching_reports_drained() {
-        let mut w = mk_world();
-        w.mpi.add_app(
-            AppId(0),
-            vec![NodeId(0)],
-            vec![Box::new(vec![MpiOp::Recv { src: Some(0), tag: 1 }].into_iter())],
-            vec![],
-        );
-        let (reason, _) = w.run(None, 10_000_000);
-        assert_eq!(reason, StopReason::Drained);
-    }
-
-    #[test]
-    fn event_cap_guards_against_runaway() {
-        let mut w = mk_world();
-        w.mpi.add_app(
-            AppId(0),
-            vec![NodeId(0), NodeId(40)],
-            vec![
-                Box::new(
-                    (0..10_000)
-                        .map(|i| MpiOp::Send { dst: 1, bytes: 4096, tag: i })
-                        .collect::<Vec<_>>()
-                        .into_iter(),
-                ),
-                Box::new(
-                    (0..10_000)
-                        .map(|i| MpiOp::Recv { src: Some(0), tag: i })
-                        .collect::<Vec<_>>()
-                        .into_iter(),
-                ),
-            ],
-            vec![],
-        );
-        let (reason, _) = w.run(None, 100);
-        assert_eq!(reason, StopReason::EventCap);
     }
 }

@@ -1,7 +1,7 @@
 //! The partitioned engine's correctness contract: sharding the dragonfly by
 //! group across worker threads is a pure performance knob. For any partition
 //! count — 1, 2, 4, or one shard per group — and on either queue backend,
-//! a run's report must be *bit-identical* to the single-threaded engine's:
+//! a run's report must be *bit-identical* to the one-partition run's:
 //! same stop reason, same event count, same per-app comm/exec/latency
 //! figures, same network aggregates, same learned Q-tables (pinned here
 //! through the warm-start round trip). The only intentionally
@@ -15,6 +15,9 @@ use dragonfly_interference::prelude::*;
 /// tiny_72 has 9 groups, so 9 is the "one shard per group" extreme; 4
 /// exercises uneven group ownership (9 = 3+2+2+2).
 const PARTITIONS: [usize; 3] = [2, 4, 9];
+
+/// A horizon halfway through the tiny pairwise run (8 of ~16 µs).
+const HORIZON_PS: u64 = 8_000_000;
 
 fn tiny_spec(queue: QueueBackend, routing: RoutingAlgo) -> ExperimentSpec {
     ExperimentSpec {
@@ -47,7 +50,13 @@ fn run_at(spec: &ExperimentSpec, threads: usize) -> RunReport {
 fn assert_all_partition_counts_match(spec: &ExperimentSpec, what: &str) {
     let baseline = run_at(spec, 1);
     assert!(baseline.completed, "{what}: baseline incomplete: {}", baseline.stop_reason);
-    let want = canonical(&baseline);
+    assert_partition_counts_match(spec, what, &baseline);
+}
+
+/// Every partition count reproduces the one-partition `baseline`, whether
+/// or not it completed.
+fn assert_partition_counts_match(spec: &ExperimentSpec, what: &str, baseline: &RunReport) {
+    let want = canonical(baseline);
     for parts in PARTITIONS {
         let got = canonical(&run_at(spec, parts));
         assert_eq!(
@@ -72,6 +81,35 @@ fn pairwise_reports_identical_at_any_partition_count() {
                 .with_workload(Workload::pairwise(AppKind::FFT3D, Some(AppKind::Halo3D)));
             assert_all_partition_counts_match(&spec, "pairwise fig8");
         }
+    }
+}
+
+/// The event cap stops a run at the first window barrier at or past
+/// `max_events` — at every partition count, one included.
+#[test]
+fn capped_reports_identical_at_any_partition_count() {
+    for queue in backends() {
+        let mut spec = tiny_spec(queue, RoutingAlgo::QAdaptive)
+            .with_workload(Workload::pairwise(AppKind::FFT3D, Some(AppKind::Halo3D)));
+        spec.max_events = 5_000;
+        let baseline = run_at(&spec, 1);
+        assert_eq!(baseline.stop_reason, "EventCap");
+        assert!(baseline.events >= 5_000, "stopped short of the cap: {}", baseline.events);
+        assert_partition_counts_match(&spec, "capped pairwise", &baseline);
+    }
+}
+
+/// A run cut off by the simulated-time horizon stops at the first event
+/// past it, with that event counted, at every partition count.
+#[test]
+fn horizon_reports_identical_at_any_partition_count() {
+    for queue in backends() {
+        let mut spec = tiny_spec(queue, RoutingAlgo::UgalG)
+            .with_workload(Workload::pairwise(AppKind::FFT3D, Some(AppKind::Halo3D)));
+        spec.horizon = Some(HORIZON_PS);
+        let baseline = run_at(&spec, 1);
+        assert_eq!(baseline.stop_reason, "Horizon");
+        assert_partition_counts_match(&spec, "horizon pairwise", &baseline);
     }
 }
 

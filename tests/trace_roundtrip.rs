@@ -60,8 +60,8 @@ fn assert_replay_rebuilds(spec: ExperimentSpec, what: &str) {
     let _ = std::fs::remove_file(&path);
 }
 
-/// Static pairwise interference: both backends, sequential engine and the
-/// 2-partition engine (per-shard temporaries spliced at assembly).
+/// Static pairwise interference: both backends, one partition and two
+/// (per-shard temporaries spliced at assembly).
 #[test]
 fn static_runs_replay_bit_identically() {
     for queue in backends() {
