@@ -132,7 +132,7 @@ pub(crate) fn build_report(
                         detour,
                     )
                 })
-                .unwrap_or((0, 0, Default::default(), vec![], vec![], 1.0, 0.0));
+                .unwrap_or_else(|| (0, 0, Default::default(), vec![], vec![], 1.0, 0.0));
             let exec_s = exec as f64 / 1e12;
             AppReport {
                 name: job.kind.name().to_string(),

@@ -18,7 +18,7 @@
 
 use dfsim_des::Time;
 use dfsim_topology::paths::{PathPlan, RouteProgress};
-use dfsim_topology::{LinkKind, LinkTiming, Port, Topology};
+use dfsim_topology::{LinkKind, LinkTiming, NodeId, Port, Topology};
 
 use crate::packet::{Packet, RouteState};
 use crate::router::{PortPeer, Router};
@@ -57,74 +57,35 @@ pub fn step(
 ) -> Port {
     let dst_group = topo.group_of_node(pkt.dst);
     debug_assert_ne!(topo.group_of_router(router.id), dst_group, "QDeciding outside source");
-    let pser = timing.packet_serialize();
 
-    // Gather candidates: (port, commit action, score). The minimal next
-    // port is *always* a candidate — at the wander limit a minimal local
-    // port commits the whole remaining path, so the limit never forces an
-    // unwanted detour.
-    let p_min = topo.min_next_port(router.id, pkt.dst);
-    let mut cands: Vec<(Port, Commit, f64)> = Vec::with_capacity(router.radix());
-    for p in 0..router.radix() as u8 {
-        let port = Port(p);
-        let PortPeer::Router(..) = router.peer(port) else {
-            continue;
-        };
-        let commit = match topo.port_kind(port) {
-            LinkKind::Global => {
-                let Some(target) = topo.global_port_target(router.id, port) else {
-                    continue;
-                };
-                if target == dst_group {
-                    Commit::Minimal
-                } else {
-                    Commit::Via(target)
-                }
-            }
-            LinkKind::Local => {
-                if local_hops < MAX_LOCAL_WANDER {
-                    Commit::Wander
-                } else if port == p_min {
-                    Commit::MinPlan
-                } else {
-                    continue;
-                }
-            }
-            LinkKind::Terminal => continue,
-        };
-        // lint: allow(no-panic-paths) — `NetworkSim::new` installs a Q-table on every router when the algo is Q-adaptive, and this path is only reached under that algo
-        let qtable = router.qtable.as_ref().expect("Q-adaptive router has a Q-table");
-        let q = qtable.q1(dst_group, port);
-        if !q.is_finite() {
-            continue;
+    // One pass for the first minimum-score candidate and the candidate
+    // count; only the ε branch walks the candidates a second time.
+    let mut count = 0;
+    let mut best: Option<(Port, Commit, f64)> = None;
+    for cand in candidates(router, topo, timing, now, pkt.dst, local_hops) {
+        count += 1;
+        if best.is_none_or(|b| cand.2 < b.2) {
+            best = Some(cand);
         }
-        let queue_delay =
-            router.congestion_packets(port, now, timing.buffer_packets, pser) as f64 * pser as f64;
-        cands.push((port, commit, queue_delay + q));
     }
-
-    if cands.is_empty() {
+    let Some(best) = best else {
         // Degenerate topology (no usable global port): fall back to the
         // minimal plan from here.
         let mut progress = RouteProgress::new(PathPlan::Minimal);
         let port = progress.next_port(topo, router.id, pkt.dst);
         pkt.state = RouteState::Planned { progress, revisable: false };
         return port;
-    }
+    };
 
     // ε-greedy selection.
-    let choice = if router.rng.chance(cfg.qa.epsilon) {
-        router.rng.index(cands.len())
+    let (port, commit, _) = if router.rng.chance(cfg.qa.epsilon) {
+        let k = router.rng.index(count);
+        // The router is unchanged since the first pass, so this walk
+        // yields the same `count` candidates and `nth(k)` is always one.
+        candidates(router, topo, timing, now, pkt.dst, local_hops).nth(k).unwrap_or(best)
     } else {
-        let mut best = 0;
-        for (i, c) in cands.iter().enumerate().skip(1) {
-            if c.2 < cands[best].2 {
-                best = i;
-            }
-        }
         best
     };
-    let (port, commit, _) = cands[choice];
 
     pkt.state = match commit {
         Commit::Minimal | Commit::MinPlan => RouteState::Planned {
@@ -138,6 +99,59 @@ pub fn step(
         Commit::Wander => RouteState::QDeciding { local_hops: local_hops + 1 },
     };
     port
+}
+
+/// The legal candidates of one decision at `router` towards `dst`, in port
+/// order: `(port, commit action, score)`. The minimal next port is
+/// *always* a candidate — at the wander limit a minimal local port commits
+/// the whole remaining path, so the limit never forces an unwanted detour.
+fn candidates<'a>(
+    router: &'a Router,
+    topo: &'a Topology,
+    timing: &LinkTiming,
+    now: Time,
+    dst: NodeId,
+    local_hops: u8,
+) -> impl Iterator<Item = (Port, Commit, f64)> + 'a {
+    let dst_group = topo.group_of_node(dst);
+    let p_min = topo.min_next_port(router.id, dst);
+    let pser = timing.packet_serialize();
+    let buffer_packets = timing.buffer_packets;
+    // lint: allow(no-panic-paths) — `NetworkSim::new` installs a Q-table on every router when the algo is Q-adaptive, and this path is only reached under that algo
+    let qtable = router.qtable.as_ref().expect("Q-adaptive router has a Q-table");
+    (0..router.radix() as u8).filter_map(move |p| {
+        let port = Port(p);
+        let PortPeer::Router(..) = router.peer(port) else {
+            return None;
+        };
+        let commit = match topo.port_kind(port) {
+            LinkKind::Global => {
+                let target = topo.global_port_target(router.id, port)?;
+                if target == dst_group {
+                    Commit::Minimal
+                } else {
+                    Commit::Via(target)
+                }
+            }
+            LinkKind::Local => {
+                if local_hops < MAX_LOCAL_WANDER {
+                    Commit::Wander
+                } else if port == p_min {
+                    Commit::MinPlan
+                } else {
+                    return None;
+                }
+            }
+            LinkKind::Terminal => return None,
+        };
+        let q = qtable.q1(dst_group, port);
+        if !q.is_finite() {
+            return None;
+        }
+        let queue_delay =
+            router.congestion_packets(port, now, buffer_packets, pser) as f64 * pser as f64;
+        Some((port, commit, queue_delay + q))
+    })
 }
 
 #[cfg(test)]

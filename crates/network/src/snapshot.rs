@@ -31,6 +31,16 @@
 //! ...
 //! ```
 //!
+//! ## Binary form
+//!
+//! The result cache embeds snapshots in a second, binary form
+//! ([`QTableSnapshot::encode`] / [`QTableSnapshot::decode`]) over the
+//! checked little-endian codec of `dfsim_metrics::trace`: the same
+//! fingerprint, then every router's tables as raw `f64` bits — half the
+//! bytes of the text and a plain copy to decode. The text file stays the
+//! user-facing format; both forms take their table shape from the params
+//! through one checked geometry derivation.
+//!
 //! ## Fingerprint
 //!
 //! The header carries the structural topology parameters, the full link
@@ -42,6 +52,7 @@
 
 use std::path::{Path, PathBuf};
 
+use dfsim_metrics::trace::{put_f64, put_u32, put_u64, Cur, TraceError};
 use dfsim_topology::{DragonflyParams, LinkTiming};
 
 use crate::qtable::QTable;
@@ -174,6 +185,58 @@ impl std::error::Error for SnapshotError {}
 struct RouterTables {
     q1: Vec<f64>,
     q2: Vec<f64>,
+}
+
+/// Bytes of the fingerprint that leads the binary form: four params
+/// words, four `u64` and three `u32` timing fields, and the α bits.
+const FINGERPRINT_BYTES: usize = 4 * 4 + 4 * 8 + 3 * 4 + 8;
+
+/// The table shape a params fingerprint implies, derived with checked
+/// arithmetic. Both decoders take every size from here, so params that
+/// describe no machine (a zero parameter) or one too large to address
+/// fail as a named error before any table is allocated.
+#[derive(Debug, Clone, Copy)]
+struct Geometry {
+    routers: usize,
+    radix: usize,
+    groups: usize,
+    /// Values per router in the level-1 table (`groups × radix`).
+    q1_len: usize,
+    /// Values per router in the level-2 table (`routers_per_group × radix`).
+    q2_len: usize,
+    /// Bytes of all routers' tables in the binary form.
+    table_bytes: usize,
+}
+
+impl Geometry {
+    fn of(p: &DragonflyParams) -> Result<Self, String> {
+        let fields = [
+            ("groups", p.groups),
+            ("routers_per_group", p.routers_per_group),
+            ("nodes_per_router", p.nodes_per_router),
+            ("globals_per_router", p.globals_per_router),
+        ];
+        if let Some((name, _)) = fields.iter().find(|(_, v)| *v == 0) {
+            return Err(format!("params: {name} must be nonzero"));
+        }
+        let [g, a, n, h] = fields.map(|(_, v)| v as usize);
+        let too_large = || {
+            format!(
+                "params g={g} a={a} p={n} h={h} describe a machine too large to hold its tables"
+            )
+        };
+        // `a >= 1` was checked above.
+        let radix = n.checked_add(a - 1).and_then(|r| r.checked_add(h)).ok_or_else(too_large)?;
+        let routers = g.checked_mul(a).ok_or_else(too_large)?;
+        let q1_len = g.checked_mul(radix).ok_or_else(too_large)?;
+        let q2_len = a.checked_mul(radix).ok_or_else(too_large)?;
+        let table_bytes = q1_len
+            .checked_add(q2_len)
+            .and_then(|v| v.checked_mul(routers))
+            .and_then(|v| v.checked_mul(8))
+            .ok_or_else(too_large)?;
+        Ok(Self { routers, radix, groups: g, q1_len, q2_len, table_bytes })
+    }
 }
 
 /// A versioned snapshot of every per-router Q-table of one network,
@@ -328,7 +391,7 @@ impl QTableSnapshot {
     pub fn from_text(s: &str) -> Result<Self, SnapshotError> {
         let mut lines = s.lines().enumerate();
         let mut next = |what: &str| {
-            lines.next().ok_or(SnapshotError::Malformed {
+            lines.next().ok_or_else(|| SnapshotError::Malformed {
                 line: s.lines().count() + 1,
                 msg: format!("unexpected end of file, expected {what}"),
             })
@@ -346,6 +409,8 @@ impl QTableSnapshot {
             nodes_per_router: kv(&pv, "nodes_per_router", ln + 1)? as u32,
             globals_per_router: kv(&pv, "globals_per_router", ln + 1)? as u32,
         };
+        let geo =
+            Geometry::of(&params).map_err(|msg| SnapshotError::Malformed { line: ln + 1, msg })?;
         let (ln, timing_line) = next("the timing line")?;
         let tv = parse_kv_line(timing_line, "timing", ln + 1)?;
         let timing = LinkTiming {
@@ -358,9 +423,8 @@ impl QTableSnapshot {
             buffer_packets: kv(&tv, "buffer_packets", ln + 1)? as u32,
         };
         let (ln, alpha_line) = next("the alpha line")?;
-        let alpha_hex = alpha_line.strip_prefix("alpha ").ok_or(SnapshotError::Malformed {
-            line: ln + 1,
-            msg: "expected 'alpha <hex>'".into(),
+        let alpha_hex = alpha_line.strip_prefix("alpha ").ok_or_else(|| {
+            SnapshotError::Malformed { line: ln + 1, msg: "expected 'alpha <hex>'".into() }
         })?;
         let alpha_bits = u64::from_str_radix(alpha_hex.trim(), 16).map_err(|e| {
             SnapshotError::Malformed { line: ln + 1, msg: format!("bad alpha bits: {e}") }
@@ -373,21 +437,20 @@ impl QTableSnapshot {
         // The table geometry is fully derived from the params header; an
         // inconsistent file must fail *here* with a named error, not pass
         // `verify` and then misindex (or silently misapply) at warm-start.
-        let derived =
-            (params.num_routers() as usize, params.radix() as usize, params.groups as usize);
-        if (routers, radix, groups) != derived {
+        if (routers, radix, groups) != (geo.routers, geo.radix, geo.groups) {
             return Err(SnapshotError::Malformed {
                 line: ln + 1,
                 msg: format!(
                     "table geometry routers={routers} radix={radix} groups={groups} does not \
                      match the params header (expects routers={} radix={} groups={})",
-                    derived.0, derived.1, derived.2
+                    geo.routers, geo.radix, geo.groups
                 ),
             });
         }
-        let a = params.routers_per_group as usize;
 
-        let mut tables = Vec::with_capacity(routers);
+        // Grown as routers parse, not reserved from the header: the text
+        // bounds how many tables there can be, the params words do not.
+        let mut tables = Vec::new();
         for r in 0..routers {
             let (ln, marker) = next("a router marker")?;
             if marker.trim_end() != format!("router {r}") {
@@ -397,12 +460,79 @@ impl QTableSnapshot {
                 });
             }
             let (ln1, l1) = next("a q1 line")?;
-            let q1 = parse_values(l1, "q1", groups * radix, ln1 + 1)?;
+            let q1 = parse_values(l1, "q1", geo.q1_len, ln1 + 1)?;
             let (ln2, l2) = next("a q2 line")?;
-            let q2 = parse_values(l2, "q2", a * radix, ln2 + 1)?;
+            let q2 = parse_values(l2, "q2", geo.q2_len, ln2 + 1)?;
             tables.push(RouterTables { q1, q2 });
         }
         Ok(Self { params, timing, alpha_bits, radix, groups, tables })
+    }
+
+    // ---- binary round trip -------------------------------------------------
+
+    /// Append the binary form (the section a result-cache entry embeds):
+    /// the fingerprint — params, timing, α bits — then every router's q1
+    /// and q2 as raw little-endian `f64` bits. The table geometry is not
+    /// written; [`Self::decode`] derives it from the params.
+    pub fn encode(&self, b: &mut Vec<u8>) {
+        let p = &self.params;
+        let t = &self.timing;
+        let values: usize = self.tables.iter().map(|r| r.q1.len() + r.q2.len()).sum();
+        b.reserve(FINGERPRINT_BYTES + values * 8);
+        for v in [p.groups, p.routers_per_group, p.nodes_per_router, p.globals_per_router] {
+            put_u32(b, v);
+        }
+        for v in [t.bandwidth_gbps, t.local_latency_ps, t.global_latency_ps, t.terminal_latency_ps]
+        {
+            put_u64(b, v);
+        }
+        for v in [t.flit_bytes, t.packet_bytes, t.buffer_packets] {
+            put_u32(b, v);
+        }
+        put_u64(b, self.alpha_bits);
+        for r in &self.tables {
+            for &v in r.q1.iter().chain(&r.q2) {
+                put_f64(b, v);
+            }
+        }
+    }
+
+    /// Decode the binary form written by [`Self::encode`]. The tables are
+    /// bounds-checked against the input in one piece before anything is
+    /// allocated, so a truncated section, or params words claiming a huge
+    /// machine, is a named [`TraceError`] — never a panic or an allocation
+    /// larger than the input.
+    pub fn decode(c: &mut Cur<'_>) -> Result<Self, TraceError> {
+        let params = DragonflyParams {
+            groups: c.u32("snapshot params")?,
+            routers_per_group: c.u32("snapshot params")?,
+            nodes_per_router: c.u32("snapshot params")?,
+            globals_per_router: c.u32("snapshot params")?,
+        };
+        let timing = LinkTiming {
+            bandwidth_gbps: c.u64("snapshot timing")?,
+            local_latency_ps: c.u64("snapshot timing")?,
+            global_latency_ps: c.u64("snapshot timing")?,
+            terminal_latency_ps: c.u64("snapshot timing")?,
+            flit_bytes: c.u32("snapshot timing")?,
+            packet_bytes: c.u32("snapshot timing")?,
+            buffer_packets: c.u32("snapshot timing")?,
+        };
+        let alpha_bits = c.u64("snapshot alpha")?;
+        let geo = Geometry::of(&params).map_err(|msg| c.bad(format!("snapshot {msg}")))?;
+        let raw = c.bytes(geo.table_bytes, "snapshot tables")?;
+        let mut values = raw.chunks_exact(8).map(|w| {
+            let mut word = [0u8; 8];
+            word.copy_from_slice(w);
+            f64::from_le_bytes(word)
+        });
+        let tables = (0..geo.routers)
+            .map(|_| RouterTables {
+                q1: values.by_ref().take(geo.q1_len).collect(),
+                q2: values.by_ref().take(geo.q2_len).collect(),
+            })
+            .collect();
+        Ok(Self { params, timing, alpha_bits, radix: geo.radix, groups: geo.groups, tables })
     }
 
     /// Write the snapshot to `path`.
@@ -496,6 +626,49 @@ mod tests {
         let back = QTableSnapshot::from_text(&text).unwrap();
         assert_eq!(s, back);
         assert_eq!(text, back.to_text(), "save -> load -> save must be byte-identical");
+    }
+
+    #[test]
+    fn binary_round_trip_is_exact() {
+        let s = snap();
+        let mut bytes = vec![0xAB]; // the decoder starts where the cursor is
+        s.encode(&mut bytes);
+        let mut c = Cur::new(&bytes);
+        assert_eq!(c.u8("lead").unwrap(), 0xAB);
+        let back = QTableSnapshot::decode(&mut c).unwrap();
+        assert_eq!(s, back);
+        assert_eq!(s.to_text(), back.to_text());
+        // 36 routers × (9×7 + 4×7) values × 8 bytes, after the fingerprint.
+        assert_eq!(bytes.len(), 1 + FINGERPRINT_BYTES + 36 * 91 * 8);
+    }
+
+    #[test]
+    fn binary_truncation_and_hostile_params_are_named_errors() {
+        let mut bytes = Vec::new();
+        snap().encode(&mut bytes);
+        for cut in (0..bytes.len()).step_by(97).chain(bytes.len() - 16..bytes.len()) {
+            let e = QTableSnapshot::decode(&mut Cur::new(&bytes[..cut])).unwrap_err();
+            assert!(matches!(e, TraceError::Truncated { .. }), "cut {cut}: {e}");
+        }
+        // Params claiming a machine far larger than the input: the tables
+        // are checked against the input before any of them is allocated.
+        let mut huge = bytes.clone();
+        huge[..4].copy_from_slice(&1_000_000u32.to_le_bytes());
+        huge[4..8].copy_from_slice(&1_000u32.to_le_bytes());
+        let e = QTableSnapshot::decode(&mut Cur::new(&huge)).unwrap_err();
+        assert!(matches!(e, TraceError::Truncated { what: "snapshot tables", .. }), "{e}");
+        // Params whose table size overflows the address space.
+        let mut overflow = bytes.clone();
+        for w in 0..4 {
+            overflow[w * 4..w * 4 + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        }
+        let e = QTableSnapshot::decode(&mut Cur::new(&overflow)).unwrap_err();
+        assert!(e.to_string().contains("too large"), "{e}");
+        // Params that describe no machine.
+        let mut zero = bytes;
+        zero[8..12].copy_from_slice(&0u32.to_le_bytes());
+        let e = QTableSnapshot::decode(&mut Cur::new(&zero)).unwrap_err();
+        assert!(e.to_string().contains("nodes_per_router must be nonzero"), "{e}");
     }
 
     #[test]

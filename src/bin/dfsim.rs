@@ -18,7 +18,8 @@
 //! `NAME` is one of the paper's figures and tables (`fig4`…`fig13`,
 //! `table1`, `table2`), `churn`, an ablation or a probe; a sweep runs its
 //! cells in parallel (`--threads` sizes the pool) and writes one trace file
-//! per cell under `--trace`.
+//! per cell under `--trace`. `cache gc` always removes entries of older
+//! cache format versions; `--max-age` / `--max-bytes` evict beyond that.
 //!
 //! Every subcommand resolves its configuration through the one experiment
 //! layering: built-in defaults < `--spec FILE` < environment (`SCALE`,
@@ -249,7 +250,7 @@ fn print_jobs(report: &RunReport, csv: bool) {
         "slowdown",
         "ok",
     ]);
-    let opt = |v: Option<f64>| v.map_or("-".to_string(), |x| format!("{x:.4}"));
+    let opt = |v: Option<f64>| v.map_or_else(|| "-".to_string(), |x| format!("{x:.4}"));
     for j in &report.jobs {
         t.row(vec![
             j.job.to_string(),
@@ -259,7 +260,7 @@ fn print_jobs(report: &RunReport, csv: bool) {
             opt(j.start_ms),
             opt(j.finish_ms),
             format!("{:.4}", j.wait_ms),
-            j.slowdown.map_or("-".to_string(), |s| format!("{s:.3}")),
+            j.slowdown.map_or_else(|| "-".to_string(), |s| format!("{s:.3}")),
             if j.completed { "y".to_string() } else { "n".to_string() },
         ]);
     }
@@ -339,9 +340,6 @@ fn cache_cmd(action: &str, args: &[String]) {
             println!("{} entries in {}", entries.len(), cache.dir().display());
         }
         "gc" => {
-            if max_age_s.is_none() && max_bytes.is_none() {
-                die("dfsim cache gc: pass --max-age SECONDS and/or --max-bytes BYTES");
-            }
             let out = cache.gc(max_age_s, max_bytes).unwrap_or_else(|e| die(&e));
             println!(
                 "{}: removed {} entries ({} bytes), kept {} ({} bytes)",

@@ -9,7 +9,7 @@ use std::path::{Path, PathBuf};
 
 use dragonfly_interference::prelude::*;
 
-use dfsim_core::cache::encode_report;
+use dfsim_core::cache::{encode_report, CACHE_HEADER};
 use dfsim_topology::DragonflyParams;
 
 /// A unique cache dir per test (tests run concurrently in one process).
@@ -30,9 +30,18 @@ fn tiny_spec(routing: RoutingAlgo, cache_dir: &Path) -> ExperimentSpec {
     }
 }
 
+fn workload() -> Workload {
+    Workload::pairwise(AppKind::UR, Some(AppKind::CosmoFlow))
+}
+
 fn run(spec: &ExperimentSpec) -> RunHandle {
-    Simulation::run_one(spec, Workload::pairwise(AppKind::UR, Some(AppKind::CosmoFlow)))
-        .expect("run succeeds")
+    Simulation::run_one(spec, workload()).expect("run succeeds")
+}
+
+/// The key `run` stores `spec` under: computed on the spec the session
+/// actually runs, with the workload applied.
+fn key_of(spec: &ExperimentSpec) -> CacheKey {
+    cache_key(&spec.clone().with_workload(workload())).unwrap()
 }
 
 /// The headline guarantee, on every backend × partition combination the
@@ -153,11 +162,10 @@ fn version_bump_and_hash_mismatch_invalidate() {
     // Strict load sees the entry as-is.
     assert!(cache.load(&key).unwrap().is_some());
 
-    // Bump the header version in place.
+    // Bump the header version in place (its last byte is the version digit).
     let good = std::fs::read(&entry).unwrap();
     let mut bumped = good.clone();
-    let pos = good.windows(2).position(|w| w == b"v1").expect("header has a version");
-    bumped[pos + 1] = b'2';
+    bumped[CACHE_HEADER.len() - 1] = b'9';
     std::fs::write(&entry, &bumped).unwrap();
     match cache.load(&key) {
         Err(CacheError::Version { .. }) => {}
@@ -235,5 +243,144 @@ fn corrupt_report_blob_is_a_named_error_not_a_wrong_report() {
 
     let e = decode_report(&blob[..blob.len() - 3]).expect_err("a short blob must not decode");
     assert!(e.to_string().contains("truncated"), "{e}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A Q-adaptive hit carries the learned tables: the snapshot equals the
+/// live run's, `qtable_save` on the hit writes the live run's file byte
+/// for byte, and the report encodes to the same bytes — serial and
+/// partitioned.
+#[test]
+fn qadaptive_hit_replays_report_and_qtables() {
+    for threads in [0usize, 2] {
+        let dir = temp_cache(&format!("qadp_{threads}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut spec = tiny_spec(RoutingAlgo::QAdaptive, &dir);
+        spec.threads = threads;
+        let saved = |name: &str| {
+            let mut s = spec.clone();
+            s.qtable_save = Some(dir.join(name));
+            s
+        };
+
+        let live = run(&saved("live.qtable"));
+        assert!(!live.cached, "t{threads}: first run must be live");
+        let hit = run(&saved("hit.qtable"));
+        assert!(hit.cached, "t{threads}: second run must hit the cache");
+
+        assert!(live.qtable_snapshot.is_some(), "t{threads}: Q-adaptive runs capture tables");
+        assert_eq!(live.qtable_snapshot, hit.qtable_snapshot, "t{threads}: snapshot diverged");
+        assert_eq!(
+            std::fs::read(dir.join("live.qtable")).unwrap(),
+            std::fs::read(dir.join("hit.qtable")).unwrap(),
+            "t{threads}: qtable_save on a hit must write the live run's file"
+        );
+        assert_eq!(
+            encode_report(&live.report),
+            encode_report(&hit.report),
+            "t{threads}: cached report diverged from the live one"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// An entry stored without tables still serves plain lookups, but cannot
+/// honour `qtable_save`: that run falls through to a live simulation,
+/// writes the file, and stores a complete entry in its place.
+#[test]
+fn entry_without_tables_falls_through_on_qtable_save() {
+    let dir = temp_cache("qadp_nosnap");
+    let spec = tiny_spec(RoutingAlgo::QAdaptive, &dir);
+    let live = run(&spec);
+    let cache = ResultCache::open(&spec.cache).unwrap().expect("cache is on");
+    let key = key_of(&spec);
+    cache.store(&key, &live.report, None).unwrap();
+    assert!(run(&spec).cached, "a plain lookup needs no tables");
+
+    let path = dir.join("saved.qtable");
+    let mut save = spec.clone();
+    save.qtable_save = Some(path.clone());
+    let h = run(&save);
+    assert!(!h.cached, "an entry without tables must fall through to a live run");
+    let written = QTableSnapshot::load(&path).expect("the live run wrote the snapshot");
+    assert_eq!(Some(written), live.qtable_snapshot);
+    let repaired = cache.load(&key).unwrap().expect("entry exists");
+    assert_eq!(repaired.snapshot, live.qtable_snapshot, "the live run stored its tables");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Hostile Q-adaptive entries: every truncation, a params fingerprint
+/// claiming a huge machine, and an old-version entry at the current
+/// address are named errors from the strict loader — never a panic —
+/// and the old-version one degrades to a warned miss that the live run
+/// repairs.
+#[test]
+fn hostile_qadaptive_entries_are_named_errors() {
+    let dir = temp_cache("qadp_hostile");
+    let spec = tiny_spec(RoutingAlgo::QAdaptive, &dir);
+    let live = run(&spec);
+    let cache = ResultCache::open(&spec.cache).unwrap().expect("cache is on");
+    let key = key_of(&spec);
+    let entry = cache.entry_path(&key);
+    let good = std::fs::read(&entry).unwrap();
+
+    // Truncation at a stride of offsets, and at each of the last 16 bytes.
+    let n = good.len();
+    for cut in (0..n).step_by(n / 64 + 1).chain(n - 16..n) {
+        std::fs::write(&entry, &good[..cut]).unwrap();
+        match cache.load(&key) {
+            Err(CacheError::Malformed { .. }) => {}
+            other => panic!("cut at {cut} of {n}: expected a named error, got {other:?}"),
+        }
+    }
+
+    // The snapshot section opens with the four params words, right after
+    // the header and key lines, the report blob and the snapshot flag.
+    let params_at = CACHE_HEADER.len() + 1 + 33 + 4 + encode_report(&live.report).len() + 1;
+    let with_params = |words: [u32; 4]| {
+        let mut bytes = good.clone();
+        for (i, w) in words.iter().enumerate() {
+            let at = params_at + 4 * i;
+            bytes[at..at + 4].copy_from_slice(&w.to_le_bytes());
+        }
+        std::fs::write(&entry, &bytes).unwrap();
+        cache.load(&key)
+    };
+    // A billion routers: the tables are checked against the entry's bytes
+    // before anything is allocated.
+    match with_params([1_000_000, 1_000, 2, 2]) {
+        Err(CacheError::Malformed { msg }) if msg.contains("snapshot tables") => {}
+        other => panic!("huge params: expected a named truncation, got {other:?}"),
+    }
+    // A machine whose table size overflows the address space.
+    match with_params([u32::MAX; 4]) {
+        Err(CacheError::Malformed { msg }) if msg.contains("too large") => {}
+        other => panic!("overflowing params: expected a named error, got {other:?}"),
+    }
+    // Sanity check on the offset arithmetic: the real params decode again.
+    let tiny = DragonflyParams::tiny_72();
+    let real =
+        [tiny.groups, tiny.routers_per_group, tiny.nodes_per_router, tiny.globals_per_router];
+    assert!(with_params(real).unwrap().is_some(), "offset arithmetic drifted from the codec");
+
+    // An old-version entry at the current address: a Version error, listed
+    // as unusable, then a warned miss on the run path and a repair.
+    let mut v1 = b"dfsim-cache v1\n".to_vec();
+    v1.extend_from_slice(&good[CACHE_HEADER.len() + 1..]);
+    std::fs::write(&entry, &v1).unwrap();
+    match cache.load(&key) {
+        Err(CacheError::Version { found }) if found == "dfsim-cache v1" => {}
+        other => panic!("expected a version error, got {other:?}"),
+    }
+    let rows = cache.entries().unwrap();
+    assert!(rows.iter().all(|r| r.describe.contains("unusable")), "{:?}", rows[0].describe);
+    assert!(!run(&spec).cached, "an old-version entry must miss on the run path");
+    assert!(run(&spec).cached, "the live run must have repaired the entry");
+
+    // `gc` removes old-version entries anywhere in the store, and only them.
+    std::fs::write(dir.join(format!("{:032x}.report", 1)), &v1).unwrap();
+    let out = cache.gc(None, None).unwrap();
+    assert_eq!((out.removed, out.kept), (1, 1), "{out:?}");
+    assert!(run(&spec).cached, "the current entry survives gc");
     let _ = std::fs::remove_dir_all(&dir);
 }
