@@ -384,3 +384,61 @@ fn hostile_qadaptive_entries_are_named_errors() {
     assert!(run(&spec).cached, "the current entry survives gc");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The cache key of every checked-in spec, pinned. Nothing else pins the
+/// key bytes: a reordered key, a re-rendered value or a changed
+/// normalization would silently re-key every stored entry. A spec's
+/// `qtable_load` path is not key material (the file's content is), so it
+/// points at one file of fixed bytes here.
+#[test]
+fn checked_in_spec_cache_keys_are_pinned() {
+    let dir = temp_cache("pins");
+    std::fs::create_dir_all(&dir).unwrap();
+    let qtable = dir.join("fixed.qtable");
+    std::fs::write(&qtable, b"fixed Q-table bytes\n").unwrap();
+    let key = |path: &str| {
+        let text = std::fs::read_to_string(path).unwrap();
+        let mut spec = ExperimentSpec::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
+        if spec.qtable_load.is_some() {
+            spec.qtable_load = Some(qtable.clone());
+        }
+        spec
+    };
+    let pins = [
+        ("examples/specs/churn_warm.spec", "30e28ba856ac66877b37a03526ddfcc0"),
+        ("examples/specs/fig8.spec", "90a57e6ae05c8a28063f33bed573f8b3"),
+        ("examples/specs/fig8_cached.spec", "90a57e6ae05c8a28063f33bed573f8b3"),
+        ("examples/specs/fig8_parallel.spec", "90a57e6ae05c8a28063f33bed573f8b3"),
+        ("tests/specs/every_key.spec", "b67edab32b63809d7327d7322c60e27d"),
+        ("tests/specs/fig8_tiny.spec", "dbdc1d9e9a7464fe0c2e3b97914f3024"),
+    ];
+    for dir in ["examples/specs", "tests/specs"] {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            let path = path.to_str().unwrap();
+            if path.ends_with(".spec") {
+                assert!(pins.iter().any(|(p, _)| *p == path), "{path} has no pinned key");
+            }
+        }
+    }
+    for (path, hex) in pins {
+        assert_eq!(cache_key(&key(path)).unwrap().hex(), hex, "{path}");
+    }
+
+    // Every normalized knob set at once still addresses the quiet spec's
+    // entry.
+    let mut loud = key("tests/specs/fig8_tiny.spec");
+    loud.qtable_save = Some(dir.join("saved.qtable"));
+    loud.targets = vec![AppKind::FFT3D];
+    loud.train = AppKind::LQCD;
+    loud.snapshot = Some(dir.join("train.snap"));
+    loud.trace = Some(dir.join("run.trace"));
+    loud.cache = CacheMode::On;
+    loud.threads = 4;
+    assert_eq!(
+        cache_key(&loud).unwrap().hex(),
+        "dbdc1d9e9a7464fe0c2e3b97914f3024",
+        "loud fig8_tiny.spec"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

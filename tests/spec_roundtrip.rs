@@ -6,8 +6,6 @@
 //! `examples/specs/`) always parse — the format can never drift from the
 //! parser.
 
-use std::path::Path;
-
 use dragonfly_interference::prelude::*;
 
 fn args(list: &[&str]) -> Vec<String> {
@@ -37,12 +35,21 @@ fn parse_emit_parse_is_the_identity_for_every_workload_form() {
 
 #[test]
 fn canonical_files_round_trip_byte_identically() {
-    // The golden spec is stored in canonical (emit) form, so emit(parse())
-    // must reproduce the file byte for byte.
-    let path = Path::new("tests/specs/fig8_tiny.spec");
-    let text = std::fs::read_to_string(path).expect("golden spec checked in");
-    let spec = ExperimentSpec::parse(&text).expect("golden spec parses");
-    assert_eq!(spec.emit(), text, "tests/specs/fig8_tiny.spec is not in canonical form");
+    // The specs under tests/specs/ are stored in canonical (emit) form, so
+    // emit(parse()) must reproduce each file byte for byte.
+    let mut seen = 0;
+    for entry in std::fs::read_dir("tests/specs").expect("tests/specs checked in") {
+        let path = entry.unwrap().path();
+        if path.extension().is_none_or(|e| e != "spec") {
+            continue;
+        }
+        seen += 1;
+        let text = std::fs::read_to_string(&path).unwrap();
+        let spec =
+            ExperimentSpec::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert_eq!(spec.emit(), text, "{} is not in canonical form", path.display());
+    }
+    assert!(seen >= 2, "expected fig8_tiny.spec and every_key.spec, found {seen}");
 }
 
 #[test]
