@@ -7,12 +7,14 @@
 //! simulated is a disk read instead of a simulation:
 //!
 //! * [`cache_key`] — a stable 128-bit FNV-1a hash over the *normalized*
-//!   canonical emit, salted with the [`CACHE_HEADER`] format version.
-//!   Output-only knobs (`trace`, `qtable_save`, `snapshot`, `threads`,
-//!   `cache` itself) and sweep-only fields the run does not consume are
-//!   stripped before hashing, so they never cause spurious misses; the
-//!   `qtable_load` *file content* (not its path) is folded in, so a
-//!   changed snapshot under the same path invalidates the key.
+//!   canonical emit, salted with the [`CACHE_HEADER`] format version. Each
+//!   key's [`KeyClass`] (the `class` of its [`crate::spec::KEYS`] row)
+//!   decides whether its line comes from the spec or from the defaults:
+//!   output-only knobs (`trace`, `qtable_save`, `snapshot`, `threads`,
+//!   `cache` itself) and sweep-only fields the run does not consume never
+//!   cause spurious misses; the `qtable_load` *file content* (not its
+//!   path) is folded in, so a changed snapshot under the same path
+//!   invalidates the key.
 //! * [`ResultCache`] — the disk store (one `KEY.report` file per entry
 //!   under [`CacheMode`]'s directory): a `dfsim-cache v2` header line, the
 //!   recorded key, then little-endian blobs over the checked codec of
@@ -34,6 +36,7 @@
 //! per cell through [`ExperimentSpec::cell`]. Process-wide hit/miss/store
 //! counters ([`session_stats`]) feed the binaries' provenance summaries.
 
+use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -214,99 +217,48 @@ fn fnv1a_128(bytes: &[u8]) -> u128 {
     h
 }
 
-/// The spec projected onto exactly the fields that determine the report.
-///
-/// Stripped (outputs or host-side knobs a run's report is invariant
-/// under — partition-count bit-identity is pinned by the
-/// `partition_equivalence` suite):
-/// `trace`, `qtable_save`, `snapshot`, `threads`, `cache`.
-/// Also stripped: the sweep-orchestration fields (`targets`, `train`) and,
-/// for non-Poisson workloads, the Poisson generator fields
-/// (`rates`/`jobs`/`apps`/`sizes`) that only a `workload poisson` run
-/// consumes. Poisson runs keep `rates` truncated to the first entry (the
-/// only one the generator reads).
-/// How one spec key participates in the content-addressed cache key.
+/// How one spec key participates in the content-addressed cache key (the
+/// `class` of its [`crate::spec::KEYS`] row).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KeyClass {
     /// Changing the key can change the report: full key material.
     Relevant,
     /// Output-only or host-side knob the report is provably invariant
-    /// under: stripped by [`normalized_for_key`].
+    /// under: rendered from the defaults in the key material.
     Normalized,
     /// Participates by the *content* of the file it names, not by the
     /// path value itself (`qtable_load`).
     ContentHashed,
     /// Workload-conditional: key material only for the workload forms
-    /// that read it, stripped otherwise (the Poisson generator fields).
+    /// that read it, rendered from the defaults otherwise (the Poisson
+    /// generator fields).
     Conditional,
 }
 
-/// Explicit cache classification of **every** spec key.
+/// The canonical emit of `spec` projected onto exactly the fields that
+/// determine the report: every row that is not key material is rendered
+/// from [`ExperimentSpec::default`].
 ///
-/// This is the machine-checked contract behind [`normalized_for_key`]:
-/// `dfsim-lint`'s cache-key-coverage rule parses this table and
-/// `spec.rs`'s `SPEC_KEYS` registry out of the source and fails the build
-/// unless they agree key-for-key (and the `classification_covers_every_spec_key`
-/// unit test pins the same in-process), so a future spec key that changes run
-/// behaviour can never silently reuse a stale cached report — the author
-/// must decide its class here, on the record.
-pub const KEY_CLASSIFICATION: [(&str, KeyClass); 31] = [
-    ("workload", KeyClass::Relevant),
-    ("topology", KeyClass::Relevant),
-    ("timing", KeyClass::Relevant),
-    ("routing", KeyClass::Relevant),
-    ("ugal_bias", KeyClass::Relevant),
-    ("nonmin_samples", KeyClass::Relevant),
-    ("qa_alpha", KeyClass::Relevant),
-    ("qa_epsilon", KeyClass::Relevant),
-    ("qtable_load", KeyClass::ContentHashed),
-    ("qtable_save", KeyClass::Normalized),
-    ("scale", KeyClass::Relevant),
-    ("seed", KeyClass::Relevant),
-    ("placement", KeyClass::Relevant),
-    ("queue", KeyClass::Relevant),
-    ("sched", KeyClass::Relevant),
-    ("eager_threshold", KeyClass::Relevant),
-    ("horizon", KeyClass::Relevant),
-    ("max_events", KeyClass::Relevant),
-    ("bin_width", KeyClass::Relevant),
-    ("record_latencies", KeyClass::Relevant),
-    ("record_ports", KeyClass::Relevant),
-    ("rates", KeyClass::Conditional),
-    ("jobs", KeyClass::Conditional),
-    ("apps", KeyClass::Conditional),
-    ("sizes", KeyClass::Conditional),
-    ("targets", KeyClass::Normalized),
-    ("train", KeyClass::Normalized),
-    ("snapshot", KeyClass::Normalized),
-    ("trace", KeyClass::Normalized),
-    ("cache", KeyClass::Normalized),
-    ("threads", KeyClass::Normalized),
-];
-
-fn normalized_for_key(spec: &ExperimentSpec) -> ExperimentSpec {
-    let d = ExperimentSpec::default();
-    let mut k = spec.clone();
-    k.trace = None;
-    k.qtable_save = None;
-    k.snapshot = None;
-    k.threads = 0;
-    k.cache = CacheMode::Off;
-    k.targets = Vec::new();
-    k.train = d.train;
-    // `qtable_load` participates by file *content*, folded into the key
-    // material separately — the path itself must not matter.
-    k.qtable_load = None;
-    match k.workload {
-        Workload::Poisson => k.rates.truncate(1),
-        _ => {
-            k.rates = d.rates;
-            k.jobs = d.jobs;
-            k.apps = d.apps;
-            k.sizes = d.sizes;
-        }
+/// Not key material: the output or host-side knobs a run's report is
+/// invariant under (`trace`, `qtable_save`, `snapshot`, `threads`, `cache`
+/// — partition-count bit-identity is pinned by the `partition_equivalence`
+/// suite), the sweep-orchestration fields (`targets`, `train`), the
+/// `qtable_load` path (its file content is hashed instead), and, for
+/// non-Poisson workloads, the Poisson generator fields
+/// (`rates`/`jobs`/`apps`/`sizes`) that only a `workload poisson` run
+/// consumes.
+fn emit_key_material(spec: &ExperimentSpec, out: &mut String) {
+    let poisson = matches!(spec.workload, Workload::Poisson);
+    let mut spec = Cow::Borrowed(spec);
+    if poisson {
+        spec.to_mut().rates.truncate(1); // the only rate the generator reads
     }
-    k
+    let default = ExperimentSpec::default();
+    ExperimentSpec::emit_rows(out, |key| match key.class {
+        KeyClass::Relevant => &*spec,
+        KeyClass::Conditional if poisson => &*spec,
+        KeyClass::Conditional | KeyClass::Normalized | KeyClass::ContentHashed => &default,
+    });
 }
 
 /// Compute the content-addressed key of a spec. Fails (as a lookup-level
@@ -321,7 +273,7 @@ pub fn cache_key(spec: &ExperimentSpec) -> Result<CacheKey, CacheError> {
             .map_err(|e| CacheError::Io { path: path.clone(), msg: e.to_string() })?;
         material.push_str(&format!("qtable_load_content {:032x}\n", fnv1a_128(&bytes)));
     }
-    material.push_str(&normalized_for_key(spec).emit());
+    emit_key_material(spec, &mut material);
     Ok(CacheKey(fnv1a_128(material.as_bytes())))
 }
 
@@ -1039,34 +991,37 @@ mod tests {
         assert_ne!(cache_key(&routed).unwrap(), key);
     }
 
-    /// The in-process half of the cache-key-coverage contract (the other
-    /// half is `dfsim-lint` parsing both lists out of the source): every
-    /// spec key is classified, exactly once, and no stale entries remain.
+    /// Every spec key has one row, and each row's environment variable
+    /// and flag are spelled from its name.
     #[test]
     fn classification_covers_every_spec_key() {
-        use crate::spec::SPEC_KEYS;
-        assert_eq!(KEY_CLASSIFICATION.len(), SPEC_KEYS.len());
-        for key in SPEC_KEYS {
-            let n = KEY_CLASSIFICATION.iter().filter(|(k, _)| *k == key).count();
-            assert_eq!(n, 1, "spec key `{key}` must be classified exactly once, found {n}");
-        }
-        for (key, _) in KEY_CLASSIFICATION {
-            assert!(SPEC_KEYS.contains(&key), "stale classification for unknown key `{key}`");
+        use crate::spec::{KeyEnv, KEYS, SPEC_KEYS};
+        assert_eq!(SPEC_KEYS.len(), KEYS.len());
+        for (i, key) in KEYS.iter().enumerate() {
+            assert_eq!(SPEC_KEYS[i], key.name);
+            assert!(!SPEC_KEYS[..i].contains(&key.name), "`{}` has two rows", key.name);
+            if let KeyEnv::Core(var) | KeyEnv::OptIn(var) = key.env {
+                assert_eq!(var, key.name.to_ascii_uppercase(), "env var of `{}`", key.name);
+            }
+            if let Some(flag) = key.flag {
+                assert_eq!(flag, format!("--{}", key.name), "flag of `{}`", key.name);
+            }
         }
     }
 
-    /// The classification table must describe what `normalized_for_key`
-    /// actually does: Normalized/ContentHashed keys are reset to defaults
-    /// in the projection, Relevant keys are left alone.
+    /// The key material renders every key that is not key material from the
+    /// defaults: the defaults are a fixed point, and a spec with every
+    /// normalized knob set yields the defaults' material.
     #[test]
     fn classification_matches_normalization_behaviour() {
+        let material = |spec: &ExperimentSpec| {
+            let mut out = String::new();
+            emit_key_material(spec, &mut out);
+            out
+        };
         let d = ExperimentSpec::default();
-        let defaults_emit = d.emit();
-        let norm_emit = normalized_for_key(&d).emit();
-        assert_eq!(defaults_emit, norm_emit, "defaults must be a fixed point");
+        assert_eq!(material(&d), d.emit(), "defaults must be a fixed point");
 
-        // A spec with every strippable knob set must normalize back to the
-        // same key material as the defaults for those fields.
         let loud = ExperimentSpec {
             trace: Some("/tmp/x.trace".into()),
             qtable_save: Some("/tmp/x.qtable".into()),
@@ -1078,7 +1033,7 @@ mod tests {
             qtable_load: Some("/tmp/x.load".into()),
             ..ExperimentSpec::default()
         };
-        assert_eq!(normalized_for_key(&loud).emit(), norm_emit);
+        assert_eq!(material(&loud), d.emit());
     }
 
     #[test]

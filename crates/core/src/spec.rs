@@ -20,12 +20,18 @@
 //! * **named errors** ([`SpecError`]): every malformed line, unknown key,
 //!   bad env var or flag is reported with its location and the valid
 //!   forms — never silently defaulted.
+//! * **one key table** ([`KEYS`]): each key is one row holding its name,
+//!   its result-cache class, its environment variable and flag, and its
+//!   parse/emit function pair. `parse`, `emit`, both override layers and
+//!   [`crate::cache::cache_key`] walk it, and the [`SPEC_KEYS`],
+//!   [`CORE_ENV`], [`EXTENDED_ENV`] and [`CLI_FLAGS`] registries are
+//!   compile-time views of it.
 //! * **one layering rule** ([`ExperimentSpec::resolve`]): `defaults <
 //!   spec file < environment < command line`, implemented once and used by
-//!   `dfsim` and every reproduction binary. A key's text is parsed in one
-//!   place, the file layer's `apply_key`: an env var whose lower-case name
-//!   is a spec key and a value flag whose name minus `--` is one go
-//!   through it too, re-wrapped as [`SpecError::Env`] / [`SpecError::Flag`].
+//!   `dfsim` and every sweep. A key's text is parsed by its row whichever
+//!   layer it arrives through (trimmed first, so a padded env var or flag
+//!   value means what the file line means); env and flag errors are
+//!   re-wrapped as [`SpecError::Env`] / [`SpecError::Flag`].
 //! * a label-based **registry** ([`Registered`], [`lookup`],
 //!   [`lookup_list`]) for routings, workloads, placements and schedulers,
 //!   collapsing the per-binary `parse_*` copies into one case-insensitive
@@ -33,6 +39,7 @@
 //!
 //! The session API that runs a spec lives in [`crate::simulation`].
 
+use std::fmt::{Display, Write};
 use std::path::PathBuf;
 
 use dfsim_apps::arrivals::{parse_arrival_list, ArrivalSpec};
@@ -42,7 +49,7 @@ use dfsim_metrics::RecorderConfig;
 use dfsim_network::{QTableInit, QaParams, RoutingAlgo, RoutingConfig};
 use dfsim_topology::{DragonflyParams, LinkTiming};
 
-use crate::cache::CacheMode;
+use crate::cache::{CacheMode, KeyClass};
 use crate::config::SimConfig;
 use crate::placement::Placement;
 use crate::runner::JobSpec;
@@ -51,19 +58,6 @@ use crate::scenario::SchedPolicy;
 /// Magic first line of every spec file (bump when the format changes; old
 /// files are then rejected with [`SpecError::Version`]).
 pub const SPEC_HEADER: &str = "dfsim-spec v1";
-
-/// Environment variables every front-end consults (the historical shared
-/// knobs of the fig binaries): invalid values are hard errors naming the
-/// variable.
-pub const CORE_ENV: [&str; 8] =
-    ["SCALE", "SEED", "QUEUE", "ROUTING", "PLACEMENT", "SCHED", "THREADS", "CACHE"];
-
-/// Workload/sweep environment variables a front-end must opt into via
-/// [`ExperimentSpec::resolve_env`]. Their names are generic (`TARGET` and
-/// `JOBS` are common shell/CI variables), so only the binaries that
-/// document them listen — exactly as before the spec unification.
-pub const EXTENDED_ENV: [&str; 9] =
-    ["TARGETS", "TARGET", "BG", "RATES", "JOBS", "APPS", "SIZES", "TRAIN", "SNAPSHOT"];
 
 // ---------------------------------------------------------------------------
 // Registry
@@ -549,90 +543,385 @@ impl Default for ExperimentSpec {
     }
 }
 
-/// Every key of the spec format, in canonical emission order.
-///
-/// Adding a key here requires classifying it in
-/// [`crate::cache`]'s `KEY_CLASSIFICATION` (key-relevant or
-/// normalized-out) — `dfsim-lint`'s cache-key-coverage rule and the
-/// cache's own tests fail until both lists agree, so a new
-/// behaviour-changing key can never cause a stale cache hit by omission.
-pub const SPEC_KEYS: [&str; 31] = [
-    "workload",
-    "topology",
-    "timing",
-    "routing",
-    "ugal_bias",
-    "nonmin_samples",
-    "qa_alpha",
-    "qa_epsilon",
-    "qtable_load",
-    "qtable_save",
-    "scale",
-    "seed",
-    "placement",
-    "queue",
-    "sched",
-    "eager_threshold",
-    "horizon",
-    "max_events",
-    "bin_width",
-    "record_latencies",
-    "record_ports",
-    "rates",
-    "jobs",
-    "apps",
-    "sizes",
-    "targets",
-    "train",
-    "snapshot",
-    "trace",
-    "cache",
-    "threads",
-];
+// ---------------------------------------------------------------------------
+// The key table
+// ---------------------------------------------------------------------------
 
-/// Every CLI flag the workspace binaries parse, in sorted order.
-///
-/// This is the machine-checked half of the dead-knob contract for the
-/// command line: `dfsim-lint` parses this table out of the source and
-/// fails the build when a registered flag has no read site left (a knob
-/// users can pass that does nothing), or when a binary parses a
-/// flag-shaped string that was never registered here. Spec keys and env
-/// vars get the same treatment through [`SPEC_KEYS`], [`CORE_ENV`] and
-/// [`EXTENDED_ENV`].
-pub const CLI_FLAGS: [&str; 32] = [
-    "--apps",
-    "--cache",
+/// How the environment layer reaches a spec key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KeyEnv {
+    /// No environment variable sets the key.
+    None,
+    /// A variable every front-end reads (listed in [`CORE_ENV`]).
+    Core(&'static str),
+    /// A variable a front-end must opt into (listed in [`EXTENDED_ENV`]).
+    OptIn(&'static str),
+}
+
+/// One spec key: its name, how it enters the result-cache key, the
+/// environment variable and flag that set it, and how its text is parsed
+/// and rendered. Every layer and the cache key walk [`KEYS`], so a key
+/// cannot exist without all of these.
+#[derive(Debug, Clone, Copy)]
+pub struct Key {
+    /// The name that opens the key's spec-file line.
+    pub name: &'static str,
+    /// How the key enters the result-cache key.
+    pub class: KeyClass,
+    /// The environment variable that sets the key.
+    pub env: KeyEnv,
+    /// The flag that sets the key (`--NAME`), if the command line does.
+    pub flag: Option<&'static str>,
+    /// Set the key from its trimmed text; the error is the bare reason.
+    parse: fn(&mut ExperimentSpec, &str) -> Result<(), String>,
+    /// Render the key's value; rendering nothing omits the line.
+    emit: fn(&ExperimentSpec, &mut String),
+}
+
+impl Key {
+    /// Set this key from its text value: the one parse path of the file,
+    /// environment and command-line layers. The text is trimmed here, so a
+    /// padded env var or flag value means what the same file line means.
+    /// Each layer wraps the error with its own source.
+    fn apply(&self, spec: &mut ExperimentSpec, text: &str) -> Result<(), String> {
+        (self.parse)(spec, text.trim())
+    }
+}
+
+/// Every key of the spec format, in canonical emission order. Reordering
+/// rows reorders `emit` and with it every result-cache key
+/// (`tests/cache_roundtrip.rs` pins them).
+pub const KEYS: [Key; 31] = {
+    use KeyClass::{Conditional, ContentHashed, Normalized, Relevant};
+    use KeyEnv::{Core, OptIn};
+    [
+        Key {
+            name: "workload",
+            class: Relevant,
+            env: KeyEnv::None,
+            flag: None,
+            parse: |s, v| Workload::parse(v).map(|w| s.workload = w),
+            emit: |s, o| o.push_str(&s.workload.describe()),
+        },
+        Key {
+            name: "topology",
+            class: Relevant,
+            env: KeyEnv::None,
+            flag: None,
+            parse: parse_topology,
+            emit: emit_topology,
+        },
+        Key {
+            name: "timing",
+            class: Relevant,
+            env: KeyEnv::None,
+            flag: None,
+            parse: parse_timing,
+            emit: emit_timing,
+        },
+        Key {
+            name: "routing",
+            class: Relevant,
+            env: Core("ROUTING"),
+            flag: Some("--routing"),
+            parse: |s, v| lookup_list(v).map(|r| s.routings = r),
+            emit: |s, o| put_list(o, s.routings.iter().map(|r| r.label())),
+        },
+        Key {
+            name: "ugal_bias",
+            class: Relevant,
+            env: KeyEnv::None,
+            flag: None,
+            parse: |s, v| parse_int(v, "bias").map(|n| s.ugal_bias = n),
+            emit: |s, o| put(o, s.ugal_bias),
+        },
+        Key {
+            name: "nonmin_samples",
+            class: Relevant,
+            env: KeyEnv::None,
+            flag: None,
+            parse: |s, v| parse_int(v, "count").map(|n| s.nonmin_samples = n),
+            emit: |s, o| put(o, s.nonmin_samples),
+        },
+        Key {
+            name: "qa_alpha",
+            class: Relevant,
+            env: KeyEnv::None,
+            flag: None,
+            parse: |s, v| parse_f64(v).map(|x| s.qa_alpha = x),
+            emit: |s, o| put(o, s.qa_alpha),
+        },
+        Key {
+            name: "qa_epsilon",
+            class: Relevant,
+            env: KeyEnv::None,
+            flag: None,
+            parse: |s, v| parse_f64(v).map(|x| s.qa_epsilon = x),
+            emit: |s, o| put(o, s.qa_epsilon),
+        },
+        Key {
+            name: "qtable_load",
+            class: ContentHashed,
+            env: KeyEnv::None,
+            flag: None,
+            parse: |s, v| parse_path(v).map(|p| s.qtable_load = Some(p)),
+            emit: |s, o| put_opt(o, s.qtable_load.as_ref().map(|p| p.display())),
+        },
+        Key {
+            name: "qtable_save",
+            class: Normalized,
+            env: KeyEnv::None,
+            flag: None,
+            parse: |s, v| parse_path(v).map(|p| s.qtable_save = Some(p)),
+            emit: |s, o| put_opt(o, s.qtable_save.as_ref().map(|p| p.display())),
+        },
+        Key {
+            name: "scale",
+            class: Relevant,
+            env: Core("SCALE"),
+            flag: Some("--scale"),
+            parse: |s, v| parse_f64(v).map(|x| s.scale = x),
+            emit: |s, o| put(o, s.scale),
+        },
+        Key {
+            name: "seed",
+            class: Relevant,
+            env: Core("SEED"),
+            flag: Some("--seed"),
+            parse: |s, v| parse_int(v, "seed").map(|n| s.seed = n),
+            emit: |s, o| put(o, s.seed),
+        },
+        Key {
+            name: "placement",
+            class: Relevant,
+            env: Core("PLACEMENT"),
+            flag: Some("--placement"),
+            parse: |s, v| lookup(v).map(|p| s.placement = p),
+            emit: |s, o| o.push_str(s.placement.label()),
+        },
+        Key {
+            name: "queue",
+            class: Relevant,
+            env: Core("QUEUE"),
+            flag: Some("--queue"),
+            parse: |s, v| v.parse().map(|q| s.queue = q),
+            emit: |s, o| o.push_str(&s.queue.describe()),
+        },
+        Key {
+            name: "sched",
+            class: Relevant,
+            env: Core("SCHED"),
+            flag: Some("--sched"),
+            parse: |s, v| lookup(v).map(|p| s.sched = p),
+            emit: |s, o| o.push_str(s.sched.label()),
+        },
+        Key {
+            name: "eager_threshold",
+            class: Relevant,
+            env: KeyEnv::None,
+            flag: None,
+            parse: |s, v| parse_int(v, "bytes").map(|n| s.eager_threshold = n),
+            emit: |s, o| put(o, s.eager_threshold),
+        },
+        Key {
+            name: "horizon",
+            class: Relevant,
+            env: KeyEnv::None,
+            flag: Some("--horizon"),
+            parse: |s, v| parse_duration(v).map(|t| s.horizon = Some(t)),
+            emit: |s, o| put_opt(o, s.horizon.map(|t| format!("{t}ps"))),
+        },
+        Key {
+            name: "max_events",
+            class: Relevant,
+            env: KeyEnv::None,
+            flag: None,
+            parse: |s, v| parse_int(v, "count").map(|n| s.max_events = n),
+            emit: |s, o| put(o, s.max_events),
+        },
+        Key {
+            name: "bin_width",
+            class: Relevant,
+            env: KeyEnv::None,
+            flag: None,
+            parse: |s, v| parse_duration(v).map(|t| s.bin_width = t),
+            emit: |s, o| put(o, format_args!("{}ps", s.bin_width)),
+        },
+        Key {
+            name: "record_latencies",
+            class: Relevant,
+            env: KeyEnv::None,
+            flag: None,
+            parse: |s, v| parse_bool(v).map(|b| s.record_latencies = b),
+            emit: |s, o| put(o, s.record_latencies),
+        },
+        Key {
+            name: "record_ports",
+            class: Relevant,
+            env: KeyEnv::None,
+            flag: None,
+            parse: |s, v| parse_bool(v).map(|b| s.record_ports = b),
+            emit: |s, o| put(o, s.record_ports),
+        },
+        Key {
+            name: "rates",
+            class: Conditional,
+            env: OptIn("RATES"),
+            flag: Some("--rates"),
+            parse: |s, v| parse_f64_list(v).map(|r| s.rates = r),
+            emit: |s, o| put_list(o, &s.rates),
+        },
+        Key {
+            name: "jobs",
+            class: Conditional,
+            env: OptIn("JOBS"),
+            flag: Some("--jobs"),
+            parse: |s, v| parse_int(v, "count").map(|n| s.jobs = n),
+            emit: |s, o| put(o, s.jobs),
+        },
+        Key {
+            name: "apps",
+            class: Conditional,
+            env: OptIn("APPS"),
+            flag: Some("--apps"),
+            parse: |s, v| lookup_list(v).map(|a| s.apps = a),
+            emit: |s, o| put_list(o, s.apps.iter().map(|a| a.name())),
+        },
+        Key {
+            name: "sizes",
+            class: Conditional,
+            env: OptIn("SIZES"),
+            flag: Some("--sizes"),
+            parse: |s, v| parse_u32_list(v).map(|n| s.sizes = n),
+            emit: |s, o| put_list(o, &s.sizes),
+        },
+        Key {
+            name: "targets",
+            class: Normalized,
+            env: OptIn("TARGETS"),
+            flag: Some("--targets"),
+            parse: |s, v| lookup_list(v).map(|a| s.targets = a),
+            emit: |s, o| put_list(o, s.targets.iter().map(|a| a.name())),
+        },
+        Key {
+            name: "train",
+            class: Normalized,
+            env: OptIn("TRAIN"),
+            flag: Some("--train"),
+            parse: |s, v| lookup(v).map(|a| s.train = a),
+            emit: |s, o| o.push_str(s.train.name()),
+        },
+        Key {
+            name: "snapshot",
+            class: Normalized,
+            env: OptIn("SNAPSHOT"),
+            flag: Some("--snapshot"),
+            parse: |s, v| parse_path(v).map(|p| s.snapshot = Some(p)),
+            emit: |s, o| put_opt(o, s.snapshot.as_ref().map(|p| p.display())),
+        },
+        Key {
+            name: "trace",
+            class: Normalized,
+            env: KeyEnv::None,
+            flag: Some("--trace"),
+            parse: |s, v| parse_path(v).map(|p| s.trace = Some(p)),
+            emit: |s, o| put_opt(o, s.trace.as_ref().map(|p| p.display())),
+        },
+        Key {
+            name: "cache",
+            class: Normalized,
+            env: Core("CACHE"),
+            flag: Some("--cache"),
+            parse: |s, v| CacheMode::parse(v).map(|c| s.cache = c),
+            emit: |s, o| put_opt(o, s.cache.enabled().then(|| s.cache.describe())),
+        },
+        Key {
+            name: "threads",
+            class: Normalized,
+            env: Core("THREADS"),
+            flag: Some("--threads"),
+            parse: |s, v| parse_int(v, "count").map(|n| s.threads = n),
+            emit: |s, o| put(o, s.threads),
+        },
+    ]
+};
+
+/// Opt-in environment variables that are not a key's text: each sets one
+/// part of the `workload` value (an arm of `apply_env`).
+const ENV_SHORTHANDS: [&str; 2] = ["TARGET", "BG"];
+
+/// Flags that are not a key's `--NAME`: shorthands onto keys, and the
+/// presentation flags front-ends read themselves (each an arm of
+/// `apply_cli`).
+const CLI_SHORTHANDS: [&str; 12] = [
+    "--spec",
+    "--rate",
+    "--groups",
+    "--routers",
+    "--nodes",
+    "--globals",
+    "--qtable",
     "--contiguous",
+    "--no-cache",
+    "--smoke",
     "--csv",
     "--engine-stats",
-    "--globals",
-    "--groups",
-    "--horizon",
-    "--jobs",
-    "--max-age",
-    "--max-bytes",
-    "--no-cache",
-    "--nodes",
-    "--placement",
-    "--qtable",
-    "--queue",
-    "--rate",
-    "--rates",
-    "--replay",
-    "--routers",
-    "--routing",
-    "--scale",
-    "--sched",
-    "--seed",
-    "--sizes",
-    "--smoke",
-    "--snapshot",
-    "--spec",
-    "--targets",
-    "--threads",
-    "--trace",
-    "--train",
 ];
+
+/// Every spec key name, in [`KEYS`] order.
+pub const SPEC_KEYS: [&str; 31] = view(View::Name, &[]);
+
+/// Environment variables every front-end consults: invalid values are hard
+/// errors naming the variable.
+pub const CORE_ENV: [&str; 8] = view(View::CoreEnv, &[]);
+
+/// Workload/sweep environment variables a front-end must opt into via
+/// [`ExperimentSpec::resolve_env`]. Their names are generic (`TARGET` and
+/// `JOBS` are common shell/CI variables), so only the front-ends that
+/// document them listen.
+pub const EXTENDED_ENV: [&str; 9] = view(View::OptInEnv, &ENV_SHORTHANDS);
+
+/// Every flag the resolver accepts: each key's `--NAME`, then the
+/// shorthands and presentation flags.
+pub const CLI_FLAGS: [&str; 29] = view(View::Flag, &CLI_SHORTHANDS);
+
+/// Which spelling of a key a registry view lists.
+#[derive(Clone, Copy)]
+enum View {
+    Name,
+    CoreEnv,
+    OptInEnv,
+    Flag,
+}
+
+/// A registry view: the spelling `view` picks from each [`KEYS`] row that
+/// has one, in row order, then `extra`. Evaluated at compile time, so a
+/// view whose declared length does not match the rows fails the build.
+const fn view<const N: usize>(view: View, extra: &[&'static str]) -> [&'static str; N] {
+    let mut out = [""; N];
+    let (mut i, mut n) = (0, 0);
+    while i < KEYS.len() + extra.len() {
+        let spelled = if i >= KEYS.len() {
+            Some(extra[i - KEYS.len()])
+        } else {
+            match (view, KEYS[i].env) {
+                (View::Name, _) => Some(KEYS[i].name),
+                (View::CoreEnv, KeyEnv::Core(var)) | (View::OptInEnv, KeyEnv::OptIn(var)) => {
+                    Some(var)
+                }
+                (View::Flag, _) => KEYS[i].flag,
+                _ => None,
+            }
+        };
+        if let Some(s) = spelled {
+            out[n] = s;
+            n += 1;
+        }
+        i += 1;
+    }
+    assert!(n == N, "a registry view's length must match the key table");
+    out
+}
 
 impl ExperimentSpec {
     // -- format ------------------------------------------------------------
@@ -648,8 +937,8 @@ impl ExperimentSpec {
     /// current value, everything else is kept. Unknown keys, duplicate
     /// keys and malformed values are named errors, never ignored.
     pub fn parsed_over(mut self, text: &str) -> Result<Self, SpecError> {
-        const _: () = assert!(SPEC_KEYS.len() <= u64::BITS as usize);
-        let mut seen = 0u64; // bit i: SPEC_KEYS[i] already set by this text
+        const _: () = assert!(KEYS.len() <= u64::BITS as usize);
+        let mut seen = 0u64; // bit i: KEYS[i] already set by this text
         let mut header_ok = false;
         for (i, raw) in text.lines().enumerate() {
             let line_no = i + 1;
@@ -666,14 +955,14 @@ impl ExperimentSpec {
             }
             let (key, rest) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
             let rest = rest.trim();
-            let Some(idx) = SPEC_KEYS.iter().position(|k| *k == key) else {
+            let Some(idx) = KEYS.iter().position(|k| k.name == key) else {
                 return Err(SpecError::UnknownKey { line: line_no, key: key.to_string() });
             };
             if seen & (1 << idx) != 0 {
                 return Err(SpecError::DuplicateKey { line: line_no, key: key.to_string() });
             }
             seen |= 1 << idx;
-            self.apply_key(key, rest).map_err(|msg| SpecError::Value {
+            KEYS[idx].apply(&mut self, rest).map_err(|msg| SpecError::Value {
                 line: line_no,
                 key: key.to_string(),
                 msg,
@@ -696,165 +985,45 @@ impl ExperimentSpec {
         self.parsed_over(&text)
     }
 
-    /// Set one spec key from its text value: the only place a key's text is
-    /// parsed. The error is the bare reason; each layer wraps it with its
-    /// own source (file line, env var, flag).
-    fn apply_key(&mut self, key: &str, rest: &str) -> Result<(), String> {
-        match key {
-            "workload" => self.workload = Workload::parse(rest)?,
-            "topology" => parse_kv_line(rest, |k, v| {
-                let n: u32 = v.parse().map_err(|_| format!("invalid topology {k} '{v}' (u32)"))?;
-                match k {
-                    "groups" => self.params.groups = n,
-                    "routers_per_group" => self.params.routers_per_group = n,
-                    "nodes_per_router" => self.params.nodes_per_router = n,
-                    "globals_per_router" => self.params.globals_per_router = n,
-                    other => return Err(format!("unknown topology field '{other}'")),
-                }
-                Ok(())
-            })?,
-            "timing" => parse_kv_line(rest, |k, v| {
-                // Byte/packet fields are u32 in `LinkTiming`; parse at the
-                // field's width so an out-of-range value is a named error
-                // instead of a silent truncation.
-                let n64 = |v: &str| {
-                    v.parse::<u64>().map_err(|_| format!("invalid timing {k} '{v}' (u64)"))
-                };
-                let n32 = |v: &str| {
-                    v.parse::<u32>().map_err(|_| format!("invalid timing {k} '{v}' (u32)"))
-                };
-                match k {
-                    "bandwidth_gbps" => self.timing.bandwidth_gbps = n64(v)?,
-                    "local_latency_ps" => self.timing.local_latency_ps = n64(v)?,
-                    "global_latency_ps" => self.timing.global_latency_ps = n64(v)?,
-                    "terminal_latency_ps" => self.timing.terminal_latency_ps = n64(v)?,
-                    "flit_bytes" => self.timing.flit_bytes = n32(v)?,
-                    "packet_bytes" => self.timing.packet_bytes = n32(v)?,
-                    "buffer_packets" => self.timing.buffer_packets = n32(v)?,
-                    other => return Err(format!("unknown timing field '{other}'")),
-                }
-                Ok(())
-            })?,
-            "routing" => self.routings = lookup_list(rest)?,
-            "ugal_bias" => self.ugal_bias = parse_int(rest, "bias")?,
-            "nonmin_samples" => self.nonmin_samples = parse_int(rest, "count")?,
-            "qa_alpha" => self.qa_alpha = parse_f64(rest)?,
-            "qa_epsilon" => self.qa_epsilon = parse_f64(rest)?,
-            "qtable_load" => self.qtable_load = Some(parse_path(rest)?),
-            "qtable_save" => self.qtable_save = Some(parse_path(rest)?),
-            "scale" => self.scale = parse_f64(rest)?,
-            "seed" => self.seed = parse_int(rest, "seed")?,
-            "placement" => self.placement = lookup(rest)?,
-            "queue" => self.queue = rest.parse()?,
-            "sched" => self.sched = lookup(rest)?,
-            "eager_threshold" => self.eager_threshold = parse_int(rest, "bytes")?,
-            "horizon" => self.horizon = Some(parse_duration(rest)?),
-            "max_events" => self.max_events = parse_int(rest, "count")?,
-            "bin_width" => self.bin_width = parse_duration(rest)?,
-            "record_latencies" => self.record_latencies = parse_bool(rest)?,
-            "record_ports" => self.record_ports = parse_bool(rest)?,
-            "rates" => self.rates = parse_f64_list(rest)?,
-            "jobs" => self.jobs = parse_int(rest, "count")?,
-            "apps" => self.apps = lookup_list(rest)?,
-            "sizes" => self.sizes = parse_u32_list(rest)?,
-            "targets" => self.targets = lookup_list(rest)?,
-            "train" => self.train = lookup(rest)?,
-            "snapshot" => self.snapshot = Some(parse_path(rest)?),
-            "trace" => self.trace = Some(parse_path(rest)?),
-            "cache" => self.cache = CacheMode::parse(rest)?,
-            "threads" => self.threads = parse_int(rest, "count")?,
-            _ => unreachable!("key membership checked by the caller"),
+    /// Set the key named `name` from its text: how a shorthand reaches the
+    /// key it stands for.
+    fn set(&mut self, name: &str, text: &str) -> Result<(), String> {
+        match KEYS.iter().find(|k| k.name == name) {
+            Some(key) => key.apply(self, text),
+            None => Err(format!("unknown spec key '{name}'")),
         }
-        Ok(())
     }
 
-    /// Canonical text rendering: header, every field in [`SPEC_KEYS`]
-    /// order, optional fields (`qtable_*`, `horizon`, `sizes`, `targets`,
-    /// `snapshot`) omitted when unset. `parse(emit(s)) == s` for every
-    /// spec, and `emit(parse(t)) == t` for canonical files.
+    /// Canonical text rendering: header, then one line per [`KEYS`] row;
+    /// an optional key (`qtable_*`, `horizon`, `sizes`, `targets`,
+    /// `snapshot`, `trace`, `cache`) has no line while unset.
+    /// `parse(emit(s)) == s` for every spec, and `emit(parse(t)) == t` for
+    /// canonical files.
     pub fn emit(&self) -> String {
         let mut out = String::new();
-        let mut line = |s: String| {
-            out.push_str(&s);
-            out.push('\n');
-        };
-        line(SPEC_HEADER.to_string());
-        line(format!("workload {}", self.workload.describe()));
-        line(format!(
-            "topology groups={} routers_per_group={} nodes_per_router={} globals_per_router={}",
-            self.params.groups,
-            self.params.routers_per_group,
-            self.params.nodes_per_router,
-            self.params.globals_per_router
-        ));
-        line(format!(
-            "timing bandwidth_gbps={} local_latency_ps={} global_latency_ps={} \
-             terminal_latency_ps={} flit_bytes={} packet_bytes={} buffer_packets={}",
-            self.timing.bandwidth_gbps,
-            self.timing.local_latency_ps,
-            self.timing.global_latency_ps,
-            self.timing.terminal_latency_ps,
-            self.timing.flit_bytes,
-            self.timing.packet_bytes,
-            self.timing.buffer_packets
-        ));
-        line(format!(
-            "routing {}",
-            self.routings.iter().map(|r| r.label()).collect::<Vec<_>>().join(",")
-        ));
-        line(format!("ugal_bias {}", self.ugal_bias));
-        line(format!("nonmin_samples {}", self.nonmin_samples));
-        line(format!("qa_alpha {}", self.qa_alpha));
-        line(format!("qa_epsilon {}", self.qa_epsilon));
-        if let Some(p) = &self.qtable_load {
-            line(format!("qtable_load {}", p.display()));
-        }
-        if let Some(p) = &self.qtable_save {
-            line(format!("qtable_save {}", p.display()));
-        }
-        line(format!("scale {}", self.scale));
-        line(format!("seed {}", self.seed));
-        line(format!("placement {}", self.placement.label()));
-        line(format!("queue {}", self.queue.describe()));
-        line(format!("sched {}", self.sched.label()));
-        line(format!("eager_threshold {}", self.eager_threshold));
-        if let Some(h) = self.horizon {
-            line(format!("horizon {h}ps"));
-        }
-        line(format!("max_events {}", self.max_events));
-        line(format!("bin_width {}ps", self.bin_width));
-        line(format!("record_latencies {}", self.record_latencies));
-        line(format!("record_ports {}", self.record_ports));
-        line(format!(
-            "rates {}",
-            self.rates.iter().map(|r| r.to_string()).collect::<Vec<_>>().join(",")
-        ));
-        line(format!("jobs {}", self.jobs));
-        line(format!("apps {}", self.apps.iter().map(|a| a.name()).collect::<Vec<_>>().join(",")));
-        if !self.sizes.is_empty() {
-            line(format!(
-                "sizes {}",
-                self.sizes.iter().map(|s| s.to_string()).collect::<Vec<_>>().join(",")
-            ));
-        }
-        if !self.targets.is_empty() {
-            line(format!(
-                "targets {}",
-                self.targets.iter().map(|a| a.name()).collect::<Vec<_>>().join(",")
-            ));
-        }
-        line(format!("train {}", self.train.name()));
-        if let Some(p) = &self.snapshot {
-            line(format!("snapshot {}", p.display()));
-        }
-        if let Some(p) = &self.trace {
-            line(format!("trace {}", p.display()));
-        }
-        if self.cache.enabled() {
-            line(format!("cache {}", self.cache.describe()));
-        }
-        line(format!("threads {}", self.threads));
+        Self::emit_rows(&mut out, |_| self);
         out
+    }
+
+    /// Append the canonical text to `out`, each row rendered from the spec
+    /// `source` picks for it: [`Self::emit`] picks `self` for every row,
+    /// the result-cache key picks the defaults for the rows that are not
+    /// key material.
+    pub(crate) fn emit_rows<'a>(out: &mut String, source: impl Fn(&Key) -> &'a ExperimentSpec) {
+        out.push_str(SPEC_HEADER);
+        out.push('\n');
+        for key in &KEYS {
+            let line = out.len();
+            out.push_str(key.name);
+            out.push(' ');
+            let value = out.len();
+            (key.emit)(source(key), out);
+            if out.len() == value {
+                out.truncate(line);
+            } else {
+                out.push('\n');
+            }
+        }
     }
 
     // -- layering ----------------------------------------------------------
@@ -919,10 +1088,10 @@ impl ExperimentSpec {
     }
 
     /// Apply the environment layer: every [`CORE_ENV`] variable plus the
-    /// [`EXTENDED_ENV`] subset the front-end opted into. A variable whose
-    /// lower-case name is a spec key is that key's text; every variable is
-    /// parsed strictly — an invalid value is a named hard error, never a
-    /// silent default.
+    /// [`EXTENDED_ENV`] subset the front-end opted into. A key's variable
+    /// is that key's text; `TARGET` and `BG` set one part of the workload.
+    /// Every variable is parsed strictly — an invalid value is a named hard
+    /// error, never a silent default.
     fn apply_env<F>(mut self, env: &F, extra_env: &[&str]) -> Result<Self, SpecError>
     where
         F: Fn(&str) -> Option<String>,
@@ -937,42 +1106,50 @@ impl ExperimentSpec {
                 });
             }
         }
-        let opted = EXTENDED_ENV.iter().filter(|v| extra_env.contains(v));
-        for &var in CORE_ENV.iter().chain(opted) {
-            let Some(v) = env(var) else { continue };
-            let applied = match var {
-                "TARGET" => match (lookup(&v), &mut self.workload) {
-                    (Err(e), _) => Err(e),
-                    (Ok(kind), Workload::Standalone(target))
-                    | (Ok(kind), Workload::Pairwise { target, .. }) => {
-                        *target = kind;
-                        Ok(())
-                    }
-                    _ => Err("only applies to standalone/pairwise workloads".to_string()),
-                },
-                "BG" => {
-                    let none = v.eq_ignore_ascii_case("none");
-                    let parsed = if none { Ok(None) } else { lookup(&v).map(Some) };
-                    match (parsed, &mut self.workload) {
-                        (Err(e), _) => Err(e),
-                        (Ok(bg), Workload::Pairwise { background, .. }) => {
-                            *background = bg;
-                            Ok(())
-                        }
-                        _ => Err("only applies to the pairwise workload".to_string()),
-                    }
-                }
-                _ => self.apply_key(&var.to_ascii_lowercase(), &v),
+        let env_err = |var: &str, value, msg| SpecError::Env { var: var.to_string(), value, msg };
+        for key in &KEYS {
+            let var = match key.env {
+                KeyEnv::Core(var) => var,
+                KeyEnv::OptIn(var) if extra_env.contains(&var) => var,
+                _ => continue,
             };
-            applied.map_err(|msg| SpecError::Env { var: var.to_string(), value: v, msg })?;
+            if let Some(v) = env(var) {
+                let applied = key.apply(&mut self, &v);
+                applied.map_err(|msg| env_err(var, v, msg))?;
+            }
+        }
+        let shorthand = |var| env(var).filter(|_| extra_env.contains(&var));
+        if let Some(v) = shorthand("TARGET") {
+            let applied = match (lookup(&v), &mut self.workload) {
+                (Err(e), _) => Err(e),
+                (Ok(kind), Workload::Standalone(target))
+                | (Ok(kind), Workload::Pairwise { target, .. }) => {
+                    *target = kind;
+                    Ok(())
+                }
+                _ => Err("only applies to standalone/pairwise workloads".to_string()),
+            };
+            applied.map_err(|msg| env_err("TARGET", v, msg))?;
+        }
+        if let Some(v) = shorthand("BG") {
+            let none = v.trim().eq_ignore_ascii_case("none");
+            let parsed = if none { Ok(None) } else { lookup(&v).map(Some) };
+            let applied = match (parsed, &mut self.workload) {
+                (Err(e), _) => Err(e),
+                (Ok(bg), Workload::Pairwise { background, .. }) => {
+                    *background = bg;
+                    Ok(())
+                }
+                _ => Err("only applies to the pairwise workload".to_string()),
+            };
+            applied.map_err(|msg| env_err("BG", v, msg))?;
         }
         Ok(self)
     }
 
-    /// Apply the command-line layer. A registered value flag whose name
-    /// minus `--` is a spec key is that key's text; the rest are shorthands
-    /// onto keys. Presentation flags (`--csv`, `--engine-stats`, `--smoke`
-    /// interception by smoke binaries) are the caller's business;
+    /// Apply the command-line layer. A key's flag (`--NAME`) takes that
+    /// key's text; the rest are shorthands onto keys, and presentation
+    /// flags (`--csv`, `--engine-stats`) the caller reads itself;
     /// everything unknown is a named error.
     fn apply_cli(mut self, args: &[String]) -> Result<Self, SpecError> {
         let mut smoke = false;
@@ -995,7 +1172,7 @@ impl ExperimentSpec {
                     // or another flag) means `on`; otherwise `on`/`off`/DIR.
                     match args.get(i + 1).filter(|v| !v.starts_with("--")) {
                         Some(v) => {
-                            self.apply_key("cache", v).map_err(flag_err)?;
+                            self.set("cache", v).map_err(flag_err)?;
                             i += 1;
                         }
                         None => self.cache = CacheMode::On,
@@ -1003,7 +1180,7 @@ impl ExperimentSpec {
                 }
                 "--rate" => {
                     let v = value()?;
-                    self.apply_key("rates", v).map_err(flag_err)?;
+                    self.set("rates", v).map_err(flag_err)?;
                 }
                 "--groups" | "--routers" | "--nodes" | "--globals" => {
                     let field = match a {
@@ -1013,13 +1190,13 @@ impl ExperimentSpec {
                         _ => "globals_per_router",
                     };
                     let v = value()?;
-                    self.apply_key("topology", &format!("{field}={v}")).map_err(flag_err)?;
+                    self.set("topology", &format!("{field}={}", v.trim())).map_err(flag_err)?;
                 }
                 "--qtable" => {
                     let v = value()?;
-                    match v.split_once('=') {
-                        Some(("save", p)) => self.apply_key("qtable_save", p),
-                        Some(("load", p)) => self.apply_key("qtable_load", p),
+                    match v.trim().split_once('=') {
+                        Some(("save", p)) => self.set("qtable_save", p),
+                        Some(("load", p)) => self.set("qtable_load", p),
                         _ => Err(format!("invalid '{v}'")),
                     }
                     .map_err(|m| {
@@ -1032,16 +1209,16 @@ impl ExperimentSpec {
                 // Presentation flags other layers own; accepted so every
                 // binary can combine them freely with spec flags.
                 "--csv" | "--engine-stats" => {}
-                key_flag
-                    if CLI_FLAGS.contains(&key_flag) && SPEC_KEYS.contains(&&key_flag[2..]) =>
-                {
-                    let v = value()?;
-                    self.apply_key(&key_flag[2..], v).map_err(flag_err)?;
-                }
-                other if other.starts_with("--") => {
-                    return Err(SpecError::UnknownFlag { flag: other.to_string() })
-                }
-                _ => return Err(flag_err("unexpected argument".to_string())),
+                other => match KEYS.iter().find(|k| k.flag == Some(other)) {
+                    Some(key) => {
+                        let v = value()?;
+                        key.apply(&mut self, v).map_err(flag_err)?;
+                    }
+                    None if other.starts_with("--") => {
+                        return Err(SpecError::UnknownFlag { flag: other.to_string() })
+                    }
+                    None => return Err(flag_err("unexpected argument".to_string())),
+                },
             }
             i += 1;
         }
@@ -1259,7 +1436,8 @@ fn parse_path(s: &str) -> Result<PathBuf, String> {
     Ok(PathBuf::from(s))
 }
 
-/// Parse a `k=v k=v …` line, feeding each pair to `apply`.
+/// Parse a `k=v k=v …` line, feeding each pair to `apply`. A field given
+/// twice is an error naming it, as a key given twice is.
 fn parse_kv_line(
     rest: &str,
     mut apply: impl FnMut(&str, &str) -> Result<(), String>,
@@ -1267,12 +1445,107 @@ fn parse_kv_line(
     if rest.is_empty() {
         return Err("expected key=value pairs".to_string());
     }
+    let mut seen = Vec::new();
     for pair in rest.split_whitespace() {
         let (k, v) =
             pair.split_once('=').ok_or_else(|| format!("expected key=value, got '{pair}'"))?;
+        if seen.contains(&k) {
+            return Err(format!("field '{k}' given twice"));
+        }
+        seen.push(k);
         apply(k, v)?;
     }
     Ok(())
+}
+
+/// The `topology` key's parser.
+fn parse_topology(s: &mut ExperimentSpec, rest: &str) -> Result<(), String> {
+    parse_kv_line(rest, |k, v| {
+        let n: u32 = v.parse().map_err(|_| format!("invalid topology {k} '{v}' (u32)"))?;
+        match k {
+            "groups" => s.params.groups = n,
+            "routers_per_group" => s.params.routers_per_group = n,
+            "nodes_per_router" => s.params.nodes_per_router = n,
+            "globals_per_router" => s.params.globals_per_router = n,
+            other => return Err(format!("unknown topology field '{other}'")),
+        }
+        Ok(())
+    })
+}
+
+/// The `timing` key's parser. Byte/packet fields are u32 in `LinkTiming`;
+/// each is parsed at the field's width so an out-of-range value is a named
+/// error instead of a silent truncation.
+fn parse_timing(s: &mut ExperimentSpec, rest: &str) -> Result<(), String> {
+    parse_kv_line(rest, |k, v| {
+        let n64 = |v: &str| v.parse::<u64>().map_err(|_| format!("invalid timing {k} '{v}' (u64)"));
+        let n32 = |v: &str| v.parse::<u32>().map_err(|_| format!("invalid timing {k} '{v}' (u32)"));
+        let t = &mut s.timing;
+        match k {
+            "bandwidth_gbps" => t.bandwidth_gbps = n64(v)?,
+            "local_latency_ps" => t.local_latency_ps = n64(v)?,
+            "global_latency_ps" => t.global_latency_ps = n64(v)?,
+            "terminal_latency_ps" => t.terminal_latency_ps = n64(v)?,
+            "flit_bytes" => t.flit_bytes = n32(v)?,
+            "packet_bytes" => t.packet_bytes = n32(v)?,
+            "buffer_packets" => t.buffer_packets = n32(v)?,
+            other => return Err(format!("unknown timing field '{other}'")),
+        }
+        Ok(())
+    })
+}
+
+// ---------------------------------------------------------------------------
+// Value renderers (the emit half of the key table)
+// ---------------------------------------------------------------------------
+
+/// The `topology` key's renderer.
+fn emit_topology(s: &ExperimentSpec, o: &mut String) {
+    let p = &s.params;
+    let _ = write!(
+        o,
+        "groups={} routers_per_group={} nodes_per_router={} globals_per_router={}",
+        p.groups, p.routers_per_group, p.nodes_per_router, p.globals_per_router
+    );
+}
+
+/// The `timing` key's renderer.
+fn emit_timing(s: &ExperimentSpec, o: &mut String) {
+    let t = &s.timing;
+    let _ = write!(
+        o,
+        "bandwidth_gbps={} local_latency_ps={} global_latency_ps={} terminal_latency_ps={} \
+         flit_bytes={} packet_bytes={} buffer_packets={}",
+        t.bandwidth_gbps,
+        t.local_latency_ps,
+        t.global_latency_ps,
+        t.terminal_latency_ps,
+        t.flit_bytes,
+        t.packet_bytes,
+        t.buffer_packets
+    );
+}
+
+/// Append `v` (writing to a `String` cannot fail).
+fn put(o: &mut String, v: impl Display) {
+    let _ = write!(o, "{v}");
+}
+
+/// Append `v` if set: an unset optional key renders nothing.
+fn put_opt(o: &mut String, v: Option<impl Display>) {
+    if let Some(v) = v {
+        put(o, v);
+    }
+}
+
+/// Append `items` comma-separated.
+fn put_list<T: Display>(o: &mut String, items: impl IntoIterator<Item = T>) {
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            o.push(',');
+        }
+        put(o, item);
+    }
 }
 
 #[cfg(test)]
@@ -1513,5 +1786,106 @@ mod tests {
         let spec = ExperimentSpec::default().resolve_with(|_| None, &args).unwrap();
         assert_eq!(spec.params, DragonflyParams::tiny_72());
         assert!(spec.scale >= 2_048.0);
+    }
+
+    /// Regression: a padded env var or flag value used to be rejected where
+    /// the same text on a file line was accepted (`--seed " 7"`,
+    /// `THREADS="2 "`, `--queue " calendar"`).
+    #[test]
+    fn padded_env_and_flag_values_parse_like_the_file_layer() {
+        let file = |line: &str| ExperimentSpec::parse(&format!("{SPEC_HEADER}\n{line}\n")).unwrap();
+        let flag = |f: &str, v: &str| {
+            ExperimentSpec::default().resolve_with(|_| None, &[f.to_string(), v.to_string()])
+        };
+        assert_eq!(flag("--seed", " 7").unwrap(), file("seed  7 "));
+        assert_eq!(flag("--queue", " calendar").unwrap(), file("queue calendar"));
+        assert_eq!(flag("--groups", " 9").unwrap().params.groups, 9);
+        let env = |var: &str| (var == "THREADS").then(|| "2 ".to_string());
+        assert_eq!(ExperimentSpec::default().resolve_with(env, &[]).unwrap(), file("threads 2"));
+    }
+
+    #[test]
+    fn a_repeated_topology_or_timing_field_is_a_named_value_error() {
+        for (line, field) in [
+            ("topology groups=5 groups=9", "groups"),
+            ("timing flit_bytes=64 flit_bytes=128", "flit_bytes"),
+        ] {
+            match ExperimentSpec::parse(&format!("{SPEC_HEADER}\n{line}\n")).unwrap_err() {
+                SpecError::Value { line: 2, msg, .. } => assert!(msg.contains(field), "{msg}"),
+                other => panic!("'{line}' must be a named value error, got {other:?}"),
+            }
+        }
+        // Repeated flags still override: each is its own layer.
+        let args: Vec<String> =
+            ["--groups", "5", "--groups", "9", "--smoke"].map(String::from).to_vec();
+        let spec = ExperimentSpec::default().resolve_with(|_| None, &args).unwrap();
+        assert_eq!(spec.params, DragonflyParams::tiny_72(), "--smoke applies last");
+        let args: Vec<String> = ["--seed", "5", "--seed", "9"].map(String::from).to_vec();
+        assert_eq!(ExperimentSpec::default().resolve_with(|_| None, &args).unwrap().seed, 9);
+    }
+
+    /// Every input outside the key table: a shorthand lands on its key, a
+    /// presentation flag leaves the spec as it was.
+    #[test]
+    fn every_shorthand_lands_on_its_key_and_presentation_flags_change_nothing() {
+        let dir = std::env::temp_dir().join(format!("dfsim_shorthands_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("seed.spec");
+        std::fs::write(&file, format!("{SPEC_HEADER}\nseed 5\n")).unwrap();
+        let base = ExperimentSpec {
+            workload: Workload::pairwise(AppKind::LU, Some(AppKind::UR)),
+            params: DragonflyParams::tiny_72(),
+            routings: vec![RoutingAlgo::QAdaptive],
+            cache: CacheMode::On,
+            ..Default::default()
+        };
+        type Edit = fn(&mut ExperimentSpec);
+        let flags: [(&str, &[&str], Edit); 12] = [
+            ("--spec", &[file.to_str().unwrap()], |s| s.seed = 5),
+            ("--rate", &["2.5"], |s| s.rates = vec![2.5]),
+            ("--groups", &["5"], |s| s.params.groups = 5),
+            ("--routers", &["5"], |s| s.params.routers_per_group = 5),
+            ("--nodes", &["3"], |s| s.params.nodes_per_router = 3),
+            ("--globals", &["3"], |s| s.params.globals_per_router = 3),
+            ("--qtable", &["load=/tmp/q.snap"], |s| s.qtable_load = Some("/tmp/q.snap".into())),
+            ("--contiguous", &[], |s| s.placement = Placement::Contiguous),
+            ("--no-cache", &[], |s| s.cache = CacheMode::Off),
+            ("--smoke", &[], |s| s.scale = 2_048.0),
+            ("--csv", &[], |_| {}),
+            ("--engine-stats", &[], |_| {}),
+        ];
+        let listed: Vec<&str> = flags.iter().map(|(f, ..)| *f).collect();
+        assert_eq!(listed, CLI_SHORTHANDS, "one case per shorthand or presentation flag");
+        for (flag, values, edit) in flags {
+            let args: Vec<String> =
+                std::iter::once(flag).chain(values.iter().copied()).map(String::from).collect();
+            let mut want = base.clone();
+            edit(&mut want);
+            let presentation = matches!(flag, "--csv" | "--engine-stats");
+            assert_eq!(
+                want == base,
+                presentation,
+                "{flag}: only presentation flags change nothing"
+            );
+            let got = base.clone().resolve_with(|_| None, &args);
+            assert_eq!(got.unwrap_or_else(|e| panic!("{flag}: {e}")), want, "{flag}");
+        }
+
+        let vars: [(&str, &str, Edit); 2] = [
+            ("TARGET", "FFT3D", |s| {
+                s.workload = Workload::pairwise(AppKind::FFT3D, Some(AppKind::UR))
+            }),
+            ("BG", "none", |s| s.workload = Workload::pairwise(AppKind::LU, None)),
+        ];
+        let listed: Vec<&str> = vars.iter().map(|(v, ..)| *v).collect();
+        assert_eq!(listed, ENV_SHORTHANDS, "one case per environment shorthand");
+        for (var, value, edit) in vars {
+            let mut want = base.clone();
+            edit(&mut want);
+            let env = |v: &str| (v == var).then(|| value.to_string());
+            let got = base.clone().resolve_env_with(&ENV_SHORTHANDS, env, &[]).unwrap();
+            assert_eq!(got, want, "{var}={value}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

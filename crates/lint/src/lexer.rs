@@ -33,8 +33,8 @@ pub struct Token {
     /// Coarse token class (see [`TokenKind`]).
     pub kind: TokenKind,
     /// Token text. For [`TokenKind::Str`] this is the literal's *content*
-    /// (delimiters stripped) so rules like cache-key-coverage can read
-    /// registry entries; for puncts it is the single character.
+    /// (delimiters stripped) so lock-discipline can read the entries of a
+    /// `LOCK_ORDER` table; for puncts it is the single character.
     pub text: String,
     /// Line the token starts on (1-indexed).
     pub line: usize,

@@ -6,13 +6,11 @@
 //! source-level conventions: wall-clock reads live in designated timing
 //! modules, env reads in the resolution layers, sim state never iterates
 //! hash-ordered containers, randomness flows from seeded streams, stdout
-//! carries only report data, `unsafe` is audited, and every spec key is
-//! explicitly classified for the result cache. v2 adds *failure-behavior*
-//! rules: hot-path modules cannot panic without a written invariant,
-//! mutex guards are never held across blocking calls, codec casts cannot
-//! silently wrap, and every user-settable knob (spec key, env var, CLI
-//! flag) provably reaches a read site. This crate makes those conventions
-//! machine-checked on every PR:
+//! carries only report data, and `unsafe` is audited. v2 adds
+//! *failure-behavior* rules: hot-path modules cannot panic without a
+//! written invariant, mutex guards are never held across blocking calls,
+//! and codec casts cannot silently wrap. This crate makes those
+//! conventions machine-checked on every change:
 //!
 //! ```text
 //! cargo run --release -p dfsim-lint        # lint the workspace, exit 2 on findings
@@ -38,9 +36,6 @@ pub struct LintReport {
     pub findings: Vec<Finding>,
     /// `.rs` files scanned.
     pub files_scanned: usize,
-    /// Spec keys cross-checked by cache-key-coverage (0 when the tree has
-    /// no `SPEC_KEYS` registry — e.g. rule fixtures).
-    pub cache_keys_checked: usize,
 }
 
 /// Directories never linted: build output, offline third-party stubs,
@@ -67,10 +62,8 @@ pub fn lint_sources(files: Vec<SourceFile>) -> LintReport {
         findings.extend(rules::lint_file(f));
     }
     rules::check_crate_roots(&files, &mut findings);
-    let cache_keys_checked = rules::check_cache_key_coverage(&files, &mut findings);
-    rules::check_dead_knobs(&files, &mut findings);
     findings.sort();
-    LintReport { findings, files_scanned: files.len(), cache_keys_checked }
+    LintReport { findings, files_scanned: files.len() }
 }
 
 /// Lex and classify one source file given its workspace-relative path.

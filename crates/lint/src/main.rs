@@ -53,9 +53,8 @@ fn main() -> ExitCode {
         println!("{f}");
     }
     eprintln!(
-        "dfsim-lint: {} file(s) scanned, {} spec key(s) cache-classified, {} finding(s)",
+        "dfsim-lint: {} file(s) scanned, {} finding(s)",
         report.files_scanned,
-        report.cache_keys_checked,
         report.findings.len()
     );
     if report.findings.is_empty() {

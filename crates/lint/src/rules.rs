@@ -20,7 +20,7 @@ use crate::lexer::{Comment, Lexed, TokenKind};
 use std::collections::BTreeMap;
 
 /// Every rule the pass knows, in reporting order.
-pub const RULES: [&str; 12] = [
+pub const RULES: [&str; 10] = [
     "no-wallclock",
     "no-ambient-env",
     "no-unordered-iteration",
@@ -30,8 +30,6 @@ pub const RULES: [&str; 12] = [
     "no-panic-paths",
     "lock-discipline",
     "codec-cast-audit",
-    "cache-key-coverage",
-    "dead-knob",
     "allow-audit",
 ];
 
@@ -699,6 +697,29 @@ struct LiveGuard {
     temp: bool,
 }
 
+/// The string literals of `const <name>: … = [ … ];` in one file, if the
+/// file defines it. Only a definition matches (the identifier must follow
+/// `const`), so a reference like `LOCK_ORDER.iter()` is ignored.
+fn const_str_list_in(f: &SourceFile, name: &str) -> Option<Vec<String>> {
+    let toks = &f.lexed.tokens;
+    let i = (1..toks.len()).find(|&i| {
+        toks[i].text == name && toks[i].kind == TokenKind::Ident && toks[i - 1].text == "const"
+    })?;
+    // Skip the type annotation (its `[&str; N]` contains a `;`): string
+    // literals only count after the `=`.
+    let mut items = Vec::new();
+    let mut past_eq = false;
+    for t in &toks[i + 1..] {
+        match t.kind {
+            TokenKind::Punct if t.text == "=" => past_eq = true,
+            TokenKind::Str if past_eq => items.push(t.text.clone()),
+            TokenKind::Punct if t.text == ";" && past_eq => break,
+            _ => {}
+        }
+    }
+    Some(items)
+}
+
 /// lock-discipline: a mutex guard must never be held across a blocking
 /// call (`send`/`recv`/`join`/`exchange`/`broadcast`, or a condvar wait
 /// that doesn't consume it), and nested acquisitions must follow the
@@ -708,7 +729,7 @@ fn check_lock_discipline(f: &SourceFile, out: &mut Vec<Finding>) {
         return;
     }
     let toks = &f.lexed.tokens;
-    let order = const_str_list_in(f, "LOCK_ORDER").map(|l| l.items);
+    let order = const_str_list_in(f, "LOCK_ORDER");
     let mut guards: Vec<LiveGuard> = Vec::new();
     let mut depth = 0usize;
     for i in 0..toks.len() {
@@ -986,295 +1007,4 @@ fn has_deny_unsafe(f: &SourceFile) -> bool {
             && toks[i + 2].text == "unsafe_code"
             && toks[i + 3].text == ")"
     })
-}
-
-/// cache-key-coverage: every key in `spec.rs`'s `SPEC_KEYS` registry must
-/// be explicitly classified in `cache.rs`'s `KEY_CLASSIFICATION` — so a
-/// future spec key that changes behaviour can never cause a stale cache
-/// hit by omission. Returns the number of keys cross-checked.
-pub fn check_cache_key_coverage(files: &[SourceFile], out: &mut Vec<Finding>) -> usize {
-    let spec = find_const_str_list(files, "SPEC_KEYS");
-    let class = find_const_str_list(files, "KEY_CLASSIFICATION");
-    match (spec, class) {
-        (None, None) => 0, // fixture trees without a registry: rule is silent
-        (Some(spec), None) => {
-            out.push(Finding {
-                file: spec.file,
-                line: spec.line,
-                rule: "cache-key-coverage",
-                message: "spec-key registry `SPEC_KEYS` found but no \
-                          `KEY_CLASSIFICATION` table classifies its keys for the \
-                          result cache"
-                    .to_string(),
-                excerpt: String::new(),
-            });
-            0
-        }
-        (None, Some(class)) => {
-            out.push(Finding {
-                file: class.file,
-                line: class.line,
-                rule: "cache-key-coverage",
-                message: "`KEY_CLASSIFICATION` found but no `SPEC_KEYS` registry to \
-                          check it against"
-                    .to_string(),
-                excerpt: String::new(),
-            });
-            0
-        }
-        (Some(spec), Some(class)) => {
-            let mut checked = 0usize;
-            for dup in duplicates(&spec.items) {
-                out.push(Finding {
-                    file: spec.file.clone(),
-                    line: spec.line,
-                    rule: "cache-key-coverage",
-                    message: format!("spec key `{dup}` appears twice in `SPEC_KEYS`"),
-                    excerpt: String::new(),
-                });
-            }
-            for dup in duplicates(&class.items) {
-                out.push(Finding {
-                    file: class.file.clone(),
-                    line: class.line,
-                    rule: "cache-key-coverage",
-                    message: format!(
-                        "spec key `{dup}` is classified twice in `KEY_CLASSIFICATION`"
-                    ),
-                    excerpt: String::new(),
-                });
-            }
-            for k in &spec.items {
-                if class.items.contains(k) {
-                    checked += 1;
-                } else {
-                    out.push(Finding {
-                        file: class.file.clone(),
-                        line: class.line,
-                        rule: "cache-key-coverage",
-                        message: format!(
-                            "spec key `{k}` has no cache classification in \
-                             `KEY_CLASSIFICATION` — declare it key-relevant or \
-                             normalized-out so it can't cause a stale cache hit by \
-                             omission"
-                        ),
-                        excerpt: String::new(),
-                    });
-                }
-            }
-            for k in &class.items {
-                if !spec.items.contains(k) {
-                    out.push(Finding {
-                        file: class.file.clone(),
-                        line: class.line,
-                        rule: "cache-key-coverage",
-                        message: format!(
-                            "`KEY_CLASSIFICATION` classifies `{k}`, which is not a \
-                             key in `SPEC_KEYS` — stale entry?"
-                        ),
-                        excerpt: String::new(),
-                    });
-                }
-            }
-            checked
-        }
-    }
-}
-
-struct ConstStrList {
-    file: String,
-    line: usize,
-    items: Vec<String>,
-    /// Token-index span of the definition (`const` keyword through the
-    /// terminating `;`), so registry listings are never mistaken for read
-    /// sites of the strings they declare.
-    tok_start: usize,
-    tok_end: usize,
-}
-
-/// Find `const <name>: … = [ …string literals… ];` in one file and
-/// collect every string literal up to the terminating `;`. Only
-/// *definitions* match (the identifier must follow `const`), so references
-/// like `SPEC_KEYS.contains(..)` are ignored.
-fn const_str_list_in(f: &SourceFile, name: &str) -> Option<ConstStrList> {
-    let toks = &f.lexed.tokens;
-    for i in 1..toks.len() {
-        if toks[i].text == name && toks[i].kind == TokenKind::Ident && toks[i - 1].text == "const" {
-            // Skip the type annotation (its `[&str; N]` contains a `;`):
-            // string literals only count after the `=`.
-            let mut items = Vec::new();
-            let mut past_eq = false;
-            let mut end = toks.len();
-            for (off, t) in toks[i + 1..].iter().enumerate() {
-                match t.kind {
-                    TokenKind::Punct if t.text == "=" => past_eq = true,
-                    TokenKind::Str if past_eq => items.push(t.text.clone()),
-                    TokenKind::Punct if t.text == ";" && past_eq => {
-                        end = i + 1 + off;
-                        break;
-                    }
-                    _ => {}
-                }
-            }
-            return Some(ConstStrList {
-                file: f.rel.clone(),
-                line: toks[i].line,
-                items,
-                tok_start: i - 1,
-                tok_end: end,
-            });
-        }
-    }
-    None
-}
-
-/// [`const_str_list_in`] over the whole file set (first definition wins).
-fn find_const_str_list(files: &[SourceFile], name: &str) -> Option<ConstStrList> {
-    files.iter().find_map(|f| const_str_list_in(f, name))
-}
-
-fn duplicates(items: &[String]) -> Vec<String> {
-    let mut seen: BTreeMap<&str, usize> = BTreeMap::new();
-    for it in items {
-        *seen.entry(it.as_str()).or_default() += 1;
-    }
-    seen.into_iter().filter(|&(_, n)| n > 1).map(|(k, _)| k.to_string()).collect()
-}
-
-// ---------------------------------------------------------------------------
-// dead-knob: registries cross-checked against read sites
-// ---------------------------------------------------------------------------
-
-/// Crates whose string literals count when wiring experiment knobs: the
-/// facade binaries, the reproduction bench bins, and `core` (spec/cache
-/// resolution). The lint crate's own CLI is out of scope.
-const KNOB_CRATES: [&str; 3] = ["root", "bench", "core"];
-
-/// Is `s` the exact spelling of a CLI flag (`--seed`, `--no-cache`)?
-/// Prose mentioning flags (usage strings, error messages) contains spaces
-/// or punctuation and never matches.
-fn flag_shaped(s: &str) -> bool {
-    s.len() > 2
-        && s.starts_with("--")
-        && s[2..].starts_with(|c: char| c.is_ascii_lowercase())
-        && s[2..].chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-')
-}
-
-/// dead-knob: every knob a user can set — spec keys in `SPEC_KEYS`, env
-/// vars in `CORE_ENV`/`EXTENDED_ENV`, CLI flags in `CLI_FLAGS` — must
-/// have a read site (an exact string-literal occurrence outside the
-/// registries, i.e. a parser/match arm that consumes it), and every
-/// flag-shaped literal a parser matches must be declared in `CLI_FLAGS`.
-/// The resolver's generic rule is a read site too: an env var whose
-/// lower-case name is a spec key, and a flag whose name minus `--` is one,
-/// are routed to that key's `apply_key` arm without being spelled out.
-/// This is cache-key-coverage's drift class, generalized from hashing to
-/// wiring: a knob that parses but changes nothing is a silent lie to the
-/// user. Like the other registry rules, findings here cannot be waived.
-pub fn check_dead_knobs(files: &[SourceFile], out: &mut Vec<Finding>) {
-    let registries: Vec<(&str, ConstStrList)> =
-        ["SPEC_KEYS", "KEY_CLASSIFICATION", "CORE_ENV", "EXTENDED_ENV", "CLI_FLAGS"]
-            .iter()
-            .filter_map(|n| find_const_str_list(files, n).map(|r| (*n, r)))
-            .collect();
-    // A read site is an exact Str token in live (non-test) lib/bin code,
-    // outside every registry definition span.
-    let occurrences = |needle: &str| -> bool {
-        files.iter().any(|f| {
-            if !matches!(f.class, FileClass::Lib | FileClass::Bin) {
-                return false;
-            }
-            f.lexed.tokens.iter().enumerate().any(|(idx, t)| {
-                t.kind == TokenKind::Str
-                    && t.text == needle
-                    && !f.lexed.in_test_region(t.line)
-                    && !registries
-                        .iter()
-                        .any(|(_, r)| r.file == f.rel && r.tok_start <= idx && idx <= r.tok_end)
-            })
-        })
-    };
-    let registry = |name: &str| -> Option<&ConstStrList> {
-        registries.iter().find(|(n, _)| *n == name).map(|(_, r)| r)
-    };
-    let is_spec_key =
-        |name: &str| registry("SPEC_KEYS").is_some_and(|spec| spec.items.iter().any(|k| k == name));
-    let mut dead = |r: &ConstStrList, item: &str, what: &str, fix: &str| {
-        out.push(Finding {
-            file: r.file.clone(),
-            line: r.line,
-            rule: "dead-knob",
-            message: format!("{what} `{item}` is registered but never read — {fix}"),
-            excerpt: String::new(),
-        });
-    };
-    if let Some(spec) = registry("SPEC_KEYS") {
-        for k in &spec.items {
-            if !occurrences(k) {
-                dead(
-                    spec,
-                    k,
-                    "spec key",
-                    "no `apply_key` arm consumes it; wire it up or drop it from the registry",
-                );
-            }
-        }
-    }
-    for env_reg in ["CORE_ENV", "EXTENDED_ENV"] {
-        if let Some(reg) = registry(env_reg) {
-            for v in &reg.items {
-                if !is_spec_key(&v.to_ascii_lowercase()) && !occurrences(v) {
-                    dead(
-                        reg,
-                        v,
-                        "env var",
-                        "no resolution layer reads it; wire it into `apply_env` or drop it",
-                    );
-                }
-            }
-        }
-    }
-    if let Some(flags) = registry("CLI_FLAGS") {
-        for fl in &flags.items {
-            if !is_spec_key(fl.trim_start_matches("--")) && !occurrences(fl) {
-                dead(
-                    flags,
-                    fl,
-                    "CLI flag",
-                    "no parser matches it; wire it into `apply_cli` (or the binary) or drop it",
-                );
-            }
-        }
-        // The reverse direction: a parser arm matching an undeclared flag.
-        for f in files {
-            if !matches!(f.class, FileClass::Lib | FileClass::Bin)
-                || !KNOB_CRATES.contains(&f.krate.as_str())
-            {
-                continue;
-            }
-            for (idx, t) in f.lexed.tokens.iter().enumerate() {
-                if t.kind == TokenKind::Str
-                    && flag_shaped(&t.text)
-                    && !f.lexed.in_test_region(t.line)
-                    && !flags.items.contains(&t.text)
-                    && !registries
-                        .iter()
-                        .any(|(_, r)| r.file == f.rel && r.tok_start <= idx && idx <= r.tok_end)
-                {
-                    out.push(Finding {
-                        file: f.rel.clone(),
-                        line: t.line,
-                        rule: "dead-knob",
-                        message: format!(
-                            "CLI flag `{}` is parsed here but not declared in the \
-                             `CLI_FLAGS` registry — declare it so its wiring stays \
-                             cross-checked",
-                            t.text
-                        ),
-                        excerpt: f.excerpt(t.line),
-                    });
-                }
-            }
-        }
-    }
 }

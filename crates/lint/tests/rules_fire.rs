@@ -155,44 +155,6 @@ fn unsafe_audit_requires_deny_attribute_in_unsafe_free_crate_roots() {
     assert!(lint_at("crates/des/src/lib.rs", denied).is_empty());
 }
 
-#[test]
-fn cache_key_coverage_fails_on_an_unclassified_spec_key() {
-    let report = lint_sources(vec![
-        load_source("crates/core/src/spec.rs", include_str!("fixtures/spec_keys_registry.rs")),
-        load_source(
-            "crates/core/src/cache.rs",
-            include_str!("fixtures/classification_missing_key.rs"),
-        ),
-    ]);
-    let f = &report.findings;
-    assert_eq!(rules_of(f), vec!["cache-key-coverage"], "{f:#?}");
-    assert!(f[0].message.contains("`new_knob`"), "must name the missing key: {:?}", f[0]);
-    assert_eq!(report.cache_keys_checked, 2, "workload and seed are classified");
-}
-
-#[test]
-fn cache_key_coverage_passes_when_every_key_is_classified() {
-    let report = lint_sources(vec![
-        load_source("crates/core/src/spec.rs", include_str!("fixtures/spec_keys_registry.rs")),
-        load_source(
-            "crates/core/src/cache.rs",
-            include_str!("fixtures/classification_complete.rs"),
-        ),
-    ]);
-    assert!(report.findings.is_empty(), "{:#?}", report.findings);
-    assert_eq!(report.cache_keys_checked, 3);
-}
-
-#[test]
-fn cache_key_coverage_flags_a_registry_without_classification() {
-    let report = lint_sources(vec![load_source(
-        "crates/core/src/spec.rs",
-        include_str!("fixtures/spec_keys_registry.rs"),
-    )]);
-    assert_eq!(rules_of(&report.findings), vec!["cache-key-coverage"]);
-    assert!(report.findings[0].message.contains("KEY_CLASSIFICATION"));
-}
-
 // ---------------------------------------------------------------------------
 // v2: failure-behavior rules
 // ---------------------------------------------------------------------------
@@ -335,87 +297,6 @@ fn lock_discipline_requires_a_declared_order_for_nested_locks() {
     assert!(f[0].message.contains("violates the declared `LOCK_ORDER`"), "{:?}", f[0]);
 }
 
-#[test]
-fn dead_knob_fires_on_a_flag_nothing_parses() {
-    let src = include_str!("fixtures/knob_registry_dead.rs");
-    let f = lint_at("crates/core/src/spec.rs", src);
-    assert_eq!(rules_of(&f), vec!["dead-knob"], "{f:#?}");
-    assert!(f[0].message.contains("`--ghost`"), "must name the dead flag: {:?}", f[0]);
-    assert!(!f[0].message.contains("--seed"), "the parsed flag is live: {:?}", f[0]);
-}
-
-#[test]
-fn dead_knob_passes_when_every_flag_is_parsed() {
-    let src = include_str!("fixtures/knob_registry_live.rs");
-    let f = lint_at("crates/core/src/spec.rs", src);
-    assert!(f.is_empty(), "{f:#?}");
-}
-
-#[test]
-fn dead_knob_counts_the_generic_rule_as_a_read_site_for_spec_keys_only() {
-    // `--seed` and `SCALE` have no literal read site: the resolver routes
-    // them to the `seed` / `scale` arms by name. `--ghost` and `GHOST` name
-    // no spec key and nothing matches them, so the rule still fires.
-    let src = include_str!("fixtures/knob_registry_generic.rs");
-    let f = lint_at("crates/core/src/spec.rs", src);
-    assert_eq!(rules_of(&f), vec!["dead-knob", "dead-knob"], "{f:#?}");
-    assert!(f.iter().any(|x| x.message.contains("env var `GHOST`")), "{f:#?}");
-    assert!(f.iter().any(|x| x.message.contains("CLI flag `--ghost`")), "{f:#?}");
-}
-
-#[test]
-fn dead_knob_fires_on_a_parsed_but_undeclared_flag() {
-    let report = lint_sources(vec![
-        load_source("crates/core/src/spec.rs", include_str!("fixtures/knob_registry_live.rs")),
-        load_source(
-            "crates/core/src/cli.rs",
-            "pub fn parses(arg: &str) -> bool {\narg == \"--rogue\"\n}\n",
-        ),
-    ]);
-    let f = &report.findings;
-    assert_eq!(rules_of(f), vec!["dead-knob"], "{f:#?}");
-    assert!(f[0].message.contains("`--rogue`"), "{:?}", f[0]);
-    assert!(f[0].message.contains("not declared"), "{:?}", f[0]);
-    assert_eq!(f[0].file, "crates/core/src/cli.rs");
-}
-
-#[test]
-fn dead_knob_ignores_test_only_flags_and_out_of_scope_crates() {
-    let registry = include_str!("fixtures/knob_registry_live.rs");
-    // A flag-shaped literal in a test region is not a parser arm…
-    let report = lint_sources(vec![
-        load_source("crates/core/src/spec.rs", registry),
-        load_source(
-            "crates/core/tests/cli_suite.rs",
-            "pub fn parses(arg: &str) -> bool {\narg == \"--warp\"\n}\n",
-        ),
-    ]);
-    assert!(report.findings.is_empty(), "{:#?}", report.findings);
-    // …and neither is one outside the knob crates (e.g. the lint CLI).
-    let report = lint_sources(vec![
-        load_source("crates/core/src/spec.rs", registry),
-        load_source(
-            "crates/lint/src/cli.rs",
-            "pub fn parses(arg: &str) -> bool {\narg == \"--root\"\n}\n",
-        ),
-    ]);
-    assert!(report.findings.is_empty(), "{:#?}", report.findings);
-}
-
-#[test]
-fn dead_knob_cannot_be_waived() {
-    // Like cache-key-coverage, dead-knob is a registry cross-check: an
-    // allow suppresses nothing and is itself flagged as stale.
-    let src = format!(
-        "// lint: allow(dead-knob) — trying to waive the unwaivable\n{}",
-        include_str!("fixtures/knob_registry_dead.rs")
-    );
-    let f = lint_at("crates/core/src/spec.rs", &src);
-    let mut rules = rules_of(&f);
-    rules.sort();
-    assert_eq!(rules, vec!["allow-audit", "dead-knob"], "{f:#?}");
-}
-
 // ---------------------------------------------------------------------------
 // The allow mechanism
 // ---------------------------------------------------------------------------
@@ -474,15 +355,10 @@ fn workspace_is_clean() {
         report.findings.iter().map(|f| f.to_string()).collect::<Vec<_>>().join("\n")
     );
     assert!(report.files_scanned > 100, "walker lost the tree? {}", report.files_scanned);
-    assert!(
-        report.cache_keys_checked >= 31,
-        "cache-key-coverage did not find the real registry ({} keys checked)",
-        report.cache_keys_checked
-    );
     // v2 pin: the failure-behavior rules are in the pass that just ran
-    // clean, so the whole workspace is panic-audited, lock-ordered,
-    // cast-audited and knob-wired — not merely deterministic.
-    for rule in ["no-panic-paths", "lock-discipline", "codec-cast-audit", "dead-knob"] {
+    // clean, so the whole workspace is panic-audited, lock-ordered and
+    // cast-audited — not merely deterministic.
+    for rule in ["no-panic-paths", "lock-discipline", "codec-cast-audit"] {
         assert!(dfsim_lint::rules::RULES.contains(&rule), "v2 rule {rule} missing from the pass");
     }
 }

@@ -1,7 +1,8 @@
 //! `dfsim sweep NAME`: every entry of the figure table runs at `--smoke`
 //! and opens with its own CSV header, the presentation flags behave the
 //! same on every sweep, and a missing or unknown name is a usage error
-//! that lists the valid names.
+//! that lists the valid names. Also the arguments `dfsim cache` and
+//! `dfsim trace` parse themselves, outside the spec resolver.
 
 use std::process::{Command, Output};
 
@@ -106,4 +107,39 @@ fn missing_or_unknown_names_exit_2_and_list_every_sweep() {
     let err = text(&unknown.stderr);
     assert!(err.contains("unknown sweep 'fig99'"), "{err}");
     assert!(names.iter().all(|n| err.contains(n)), "{err}");
+}
+
+/// `dfsim cache gc --max-age/--max-bytes` and `dfsim trace FILE --replay`
+/// parse their own arguments; each works on a real store and trace.
+#[test]
+fn cache_gc_limits_and_trace_replay_work() {
+    let dir = std::env::temp_dir().join(format!("dfsim_sweep_cli_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (cache, trace) = (dir.join("cache"), dir.join("run.trace"));
+    let (cache, trace) = (cache.to_str().unwrap(), trace.to_str().unwrap());
+    let live = dfsim(&[
+        "run",
+        "--spec",
+        "tests/specs/fig8_tiny.spec",
+        "--cache",
+        cache,
+        "--trace",
+        trace,
+        "--csv",
+    ]);
+    assert!(live.status.success(), "{}", text(&live.stderr));
+
+    let replay = dfsim(&["trace", trace, "--replay", "--csv"]);
+    assert!(replay.status.success(), "{}", text(&replay.stderr));
+    assert_eq!(text(&replay.stdout), text(&live.stdout), "the replay rebuilds the live report");
+
+    let gc = |limit: &str| {
+        let out = dfsim(&["cache", "gc", "--cache", cache, limit, "0"]);
+        assert!(out.status.success(), "gc {limit}: {}", text(&out.stderr));
+        text(&out.stdout)
+    };
+    assert!(gc("--max-age").contains("removed"));
+    assert!(gc("--max-bytes").contains("kept 0 (0 bytes)"), "a zero byte cap empties the store");
+    let _ = std::fs::remove_dir_all(&dir);
 }
