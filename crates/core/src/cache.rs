@@ -8,7 +8,7 @@
 //!
 //! * [`cache_key`] — a stable 128-bit FNV-1a hash over the *normalized*
 //!   canonical emit, salted with the [`CACHE_HEADER`] format version. Each
-//!   key's [`KeyClass`] (the `class` of its [`crate::spec::KEYS`] row)
+//!   key's cache class (the `class` of its row in `spec.rs`'s `KEYS` table)
 //!   decides whether its line comes from the spec or from the defaults:
 //!   output-only knobs (`trace`, `qtable_save`, `snapshot`, `threads`,
 //!   `cache` itself) and sweep-only fields the run does not consume never
@@ -218,9 +218,9 @@ fn fnv1a_128(bytes: &[u8]) -> u128 {
 }
 
 /// How one spec key participates in the content-addressed cache key (the
-/// `class` of its [`crate::spec::KEYS`] row).
+/// `class` of its `KEYS` row).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KeyClass {
+pub(crate) enum KeyClass {
     /// Changing the key can change the report: full key material.
     Relevant,
     /// Output-only or host-side knob the report is provably invariant
@@ -236,17 +236,11 @@ pub enum KeyClass {
 }
 
 /// The canonical emit of `spec` projected onto exactly the fields that
-/// determine the report: every row that is not key material is rendered
-/// from [`ExperimentSpec::default`].
-///
-/// Not key material: the output or host-side knobs a run's report is
-/// invariant under (`trace`, `qtable_save`, `snapshot`, `threads`, `cache`
-/// — partition-count bit-identity is pinned by the `partition_equivalence`
-/// suite), the sweep-orchestration fields (`targets`, `train`), the
-/// `qtable_load` path (its file content is hashed instead), and, for
-/// non-Poisson workloads, the Poisson generator fields
-/// (`rates`/`jobs`/`apps`/`sizes`) that only a `workload poisson` run
-/// consumes.
+/// determine the report: each row whose [`KeyClass`] makes it key material
+/// is rendered from `spec`, every other row from
+/// [`ExperimentSpec::default`], so those keys never cause spurious misses.
+/// (`threads` may be `Normalized` because reports are bit-identical at any
+/// partition count, which the `partition_equivalence` suite pins.)
 fn emit_key_material(spec: &ExperimentSpec, out: &mut String) {
     let poisson = matches!(spec.workload, Workload::Poisson);
     let mut spec = Cow::Borrowed(spec);

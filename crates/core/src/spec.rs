@@ -20,7 +20,7 @@
 //! * **named errors** ([`SpecError`]): every malformed line, unknown key,
 //!   bad env var or flag is reported with its location and the valid
 //!   forms — never silently defaulted.
-//! * **one key table** ([`KEYS`]): each key is one row holding its name,
+//! * **one key table** (`KEYS`): each key is one row holding its name,
 //!   its result-cache class, its environment variable and flag, and its
 //!   parse/emit function pair. `parse`, `emit`, both override layers and
 //!   [`crate::cache::cache_key`] walk it, and the [`SPEC_KEYS`],
@@ -549,7 +549,7 @@ impl Default for ExperimentSpec {
 
 /// How the environment layer reaches a spec key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KeyEnv {
+pub(crate) enum KeyEnv {
     /// No environment variable sets the key.
     None,
     /// A variable every front-end reads (listed in [`CORE_ENV`]).
@@ -563,15 +563,15 @@ pub enum KeyEnv {
 /// and rendered. Every layer and the cache key walk [`KEYS`], so a key
 /// cannot exist without all of these.
 #[derive(Debug, Clone, Copy)]
-pub struct Key {
+pub(crate) struct Key {
     /// The name that opens the key's spec-file line.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// How the key enters the result-cache key.
-    pub class: KeyClass,
+    pub(crate) class: KeyClass,
     /// The environment variable that sets the key.
-    pub env: KeyEnv,
+    pub(crate) env: KeyEnv,
     /// The flag that sets the key (`--NAME`), if the command line does.
-    pub flag: Option<&'static str>,
+    pub(crate) flag: Option<&'static str>,
     /// Set the key from its trimmed text; the error is the bare reason.
     parse: fn(&mut ExperimentSpec, &str) -> Result<(), String>,
     /// Render the key's value; rendering nothing omits the line.
@@ -591,7 +591,7 @@ impl Key {
 /// Every key of the spec format, in canonical emission order. Reordering
 /// rows reorders `emit` and with it every result-cache key
 /// (`tests/cache_roundtrip.rs` pins them).
-pub const KEYS: [Key; 31] = {
+pub(crate) const KEYS: [Key; 31] = {
     use KeyClass::{Conditional, ContentHashed, Normalized, Relevant};
     use KeyEnv::{Core, OptIn};
     [
@@ -868,7 +868,7 @@ const CLI_SHORTHANDS: [&str; 12] = [
     "--engine-stats",
 ];
 
-/// Every spec key name, in [`KEYS`] order.
+/// Every spec key name, in `KEYS` (canonical emission) order.
 pub const SPEC_KEYS: [&str; 31] = view(View::Name, &[]);
 
 /// Environment variables every front-end consults: invalid values are hard
@@ -994,11 +994,11 @@ impl ExperimentSpec {
         }
     }
 
-    /// Canonical text rendering: header, then one line per [`KEYS`] row;
-    /// an optional key (`qtable_*`, `horizon`, `sizes`, `targets`,
-    /// `snapshot`, `trace`, `cache`) has no line while unset.
-    /// `parse(emit(s)) == s` for every spec, and `emit(parse(t)) == t` for
-    /// canonical files.
+    /// Canonical text rendering: header, then one line per key in
+    /// [`SPEC_KEYS`] order; an optional key (`qtable_*`, `horizon`,
+    /// `sizes`, `targets`, `snapshot`, `trace`, `cache`) has no line while
+    /// unset. `parse(emit(s)) == s` for every spec, and
+    /// `emit(parse(t)) == t` for canonical files.
     pub fn emit(&self) -> String {
         let mut out = String::new();
         Self::emit_rows(&mut out, |_| self);
