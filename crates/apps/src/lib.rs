@@ -18,8 +18,10 @@
 //! compute times — which preserves injection *rates* and peak-ingress
 //! *ordering* while shrinking simulated volume (`DESIGN.md` §5).
 
-#![deny(unsafe_code)]
 #![warn(missing_docs)]
+// Library code: stdout belongs to the report/CSV emitters, so that
+// `--csv > file` stays clean; diagnostics go to stderr.
+#![deny(clippy::print_stdout)]
 
 pub mod allreduce;
 pub mod arrivals;

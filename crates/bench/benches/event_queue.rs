@@ -45,9 +45,10 @@ fn events_of(spec: ExperimentSpec) -> u64 {
 }
 
 fn smoke() -> bool {
-    // lint: allow(no-ambient-env) — CI harness knob selecting smoke iteration
-    // counts; it configures the bench runner itself, never an experiment, so
-    // it has no spec-resolution path to ride.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "CI harness knob selecting smoke iteration counts; it configures the bench runner itself, never an experiment, so it has no spec-resolution path to ride."
+    )]
     std::env::var("DFSIM_BENCH_SMOKE").is_ok_and(|v| v != "0")
 }
 

@@ -36,6 +36,29 @@
 //! per cell through [`ExperimentSpec::cell`]. Process-wide hit/miss/store
 //! counters ([`session_stats`]) feed the binaries' provenance summaries.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "cache GC ages entries by file mtime; the clock never feeds a report"
+)]
+// Codec over external input: a short or corrupt file must surface as a
+// named error, never as a panic or a silently wrapped value.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::integer_division
+)]
+// Hot path: a panic here is an outage. Rewrite it onto the error enum,
+// or waive it with the invariant that rules it out.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -114,6 +137,10 @@ impl CacheMode {
     pub fn dir(&self) -> Option<PathBuf> {
         match self {
             CacheMode::Off => None,
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the cache directory is host setup, not an experiment input: it never enters a cache key or a report"
+            )]
             CacheMode::On => Some(
                 std::env::var(CACHE_DIR_ENV)
                     .ok()

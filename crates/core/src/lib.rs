@@ -46,7 +46,9 @@
 //! ```
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+// Library code: stdout belongs to the report/CSV emitters, so that
+// `--csv > file` stays clean; diagnostics go to stderr.
+#![deny(clippy::print_stdout)]
 
 pub mod cache;
 pub mod config;

@@ -52,6 +52,21 @@
 //! push logs and the keyed journal, and sees completions the moment they
 //! happen.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "run-cost accounting: `wall_s` times the run on the host clock; it never feeds simulation state"
+)]
+// Hot path: a panic here is an outage. Rewrite it onto the error enum,
+// or waive it with the invariant that rules it out.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -154,7 +169,10 @@ pub(crate) fn merge_ranks(logs: &[Vec<LogEntry>], wseg: u64) -> Vec<Vec<u64>> {
                 best = Some((key, p));
             }
         }
-        // lint: allow(no-panic-paths) — the outer loop runs exactly sum(lens) times, so at least one un-exhausted head remains on every iteration
+        #[expect(
+            clippy::expect_used,
+            reason = "the outer loop runs exactly sum(lens) times, so at least one un-exhausted head remains on every iteration"
+        )]
         let p = best.expect("merge ran out of heads").1;
         ranks[p][heads[p]] = counter;
         heads[p] += 1;
@@ -264,7 +282,10 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
             // rank completions) out of the per-shard streams — they enter
             // the final file from the merged journal, in canonical order.
             let p = if parts > 1 { shard_trace_path(path, me) } else { path.clone() };
-            // lint: allow(no-panic-paths) — shard workers have no error channel back to the driver; failing to open the trace file must abort the run loudly rather than silently drop the trace
+            #[expect(
+                clippy::panic,
+                reason = "shard workers have no error channel back to the driver; failing to open the trace file must abort the run loudly rather than silently drop the trace"
+            )]
             let w = TraceWriter::create(&p).unwrap_or_else(|e| panic!("{e}"));
             rec.set_sink(Box::new(w));
         }
@@ -471,7 +492,10 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
             if pt >= e || pt > h {
                 break;
             }
-            // lint: allow(no-panic-paths) — `peek_time` just returned `Some` and this thread is the queue's only mutator, so the head cannot disappear between peek and pop
+            #[expect(
+                clippy::expect_used,
+                reason = "`peek_time` just returned `Some` and this thread is the queue's only mutator, so the head cannot disappear between peek and pop"
+            )]
             let (t, key, ev) = self.world.queue.q.pop_keyed().expect("peeked event vanished");
             self.win_pops += 1;
             self.win_last_pop = t;
@@ -871,8 +895,11 @@ fn assemble(
             base.net.adopt_qtables_from(&o.net, map.routers_of(p));
             journal.extend(std::mem::take(&mut o.journal));
             if let Some(sink) = o.rec.take_sink() {
+                #[expect(
+                    clippy::panic,
+                    reason = "end-of-run trace I/O has no Result plumbing through the parallel driver; a failed write must stop the run rather than report success with a corrupt trace"
+                )]
                 sink.finish(None)
-                    // lint: allow(no-panic-paths) — end-of-run trace I/O has no Result plumbing through the parallel driver; a failed write must stop the run rather than report success with a corrupt trace
                     .unwrap_or_else(|e| panic!("shard trace finalization failed: {e}"));
             }
             base.rec.absorb(o.rec);
@@ -906,7 +933,10 @@ fn assemble(
     }
     stats.events_processed = events;
     if let Some(sink) = base.rec.take_sink() {
-        // lint: allow(no-panic-paths) — the sink this branch just took was installed from `cfg.trace` at setup, so the path is necessarily present here
+        #[expect(
+            clippy::expect_used,
+            reason = "the sink this branch just took was installed from `cfg.trace` at setup, so the path is necessarily present here"
+        )]
         let path = cfg.trace.as_ref().expect("a sink exists only when tracing is on");
         let meta = crate::trace::encode_meta(
             cfg,
@@ -921,7 +951,10 @@ fn assemble(
             &base.job_reports,
         );
         if parts == 1 {
-            // lint: allow(no-panic-paths) — end-of-run trace I/O: no Result path through the driver, and silently dropping the trace would misreport a successful run
+            #[expect(
+                clippy::panic,
+                reason = "end-of-run trace I/O: no Result path through the driver, and silently dropping the trace would misreport a successful run"
+            )]
             sink.finish(Some(&meta)).unwrap_or_else(|e| panic!("trace finalization failed: {e}"));
         } else {
             // base's sink is shard 0's temporary. Finish it, then splice
@@ -930,21 +963,33 @@ fn assemble(
             // the keyed events are order-sensitive on replay; everything
             // else aggregates commutatively, so shard concatenation is as
             // good as the live interleaving.
-            // lint: allow(no-panic-paths) — end-of-run trace splicing: I/O failures here have no Result path through the driver and must stop the run loudly
+            #[expect(
+                clippy::panic,
+                reason = "end-of-run trace splicing: I/O failures here have no Result path through the driver and must stop the run loudly"
+            )]
             sink.finish(None).unwrap_or_else(|e| panic!("shard trace finalization failed: {e}"));
-            // lint: allow(no-panic-paths) — same end-of-run splice: a final trace file that cannot be created must stop the run loudly
+            #[expect(
+                clippy::panic,
+                reason = "same end-of-run splice: a final trace file that cannot be created must stop the run loudly"
+            )]
             let mut w = TraceWriter::create(path).unwrap_or_else(|e| panic!("{e}"));
             for p in 0..parts {
                 let tmp = shard_trace_path(path, p);
+                #[expect(
+                    clippy::panic,
+                    reason = "a shard temporary that fails to re-read means the final trace would be incomplete; stopping loudly beats shipping a silently truncated file"
+                )]
                 read_trace(&tmp, |ev| w.record(ev))
-                    // lint: allow(no-panic-paths) — a shard temporary that fails to re-read means the final trace would be incomplete; stopping loudly beats shipping a silently truncated file
                     .unwrap_or_else(|e| panic!("splicing shard trace failed: {e}"));
                 let _ = std::fs::remove_file(&tmp);
             }
             for ev in &trace_keyed {
                 w.record(ev);
             }
-            // lint: allow(no-panic-paths) — final trace flush: a failed write must stop the run rather than report success over a corrupt trace
+            #[expect(
+                clippy::panic,
+                reason = "final trace flush: a failed write must stop the run rather than report success over a corrupt trace"
+            )]
             w.finish(Some(&meta)).unwrap_or_else(|e| panic!("trace finalization failed: {e}"));
         }
     }
@@ -1021,9 +1066,15 @@ fn execute(
 
 /// Validate `cfg` at a run entry point and build its topology.
 fn validated_topology(cfg: &SimConfig) -> Arc<Topology> {
-    // lint: allow(no-panic-paths) — run entry point, before any simulation work: an invalid config is a caller programming error surfaced at the API boundary (`Simulation::prepare` names it first)
+    #[expect(
+        clippy::expect_used,
+        reason = "run entry point, before any simulation work: an invalid config is a caller programming error surfaced at the API boundary (`Simulation::prepare` names it first)"
+    )]
     cfg.validate().expect("invalid simulation config");
-    // lint: allow(no-panic-paths) — `cfg.validate()` on the line above already vetted the dragonfly params, so topology construction cannot fail here
+    #[expect(
+        clippy::expect_used,
+        reason = "`cfg.validate()` on the line above already vetted the dragonfly params, so topology construction cannot fail here"
+    )]
     Arc::new(Topology::new(cfg.params).expect("validated params"))
 }
 
@@ -1068,7 +1119,10 @@ pub(crate) fn exec_scenario(
     placement: Placement,
 ) -> (RunReport, Option<dfsim_network::QTableSnapshot>) {
     let topo = validated_topology(cfg);
-    // lint: allow(no-panic-paths) — run entry point: an oversized or empty scenario is a caller programming error surfaced before any simulation work starts
+    #[expect(
+        clippy::expect_used,
+        reason = "run entry point: an oversized or empty scenario is a caller programming error surfaced before any simulation work starts"
+    )]
     scenario.validate(topo.num_nodes()).expect("invalid scenario");
     let specs: Vec<&JobSpec> = scenario.arrivals.iter().map(|a| &a.spec).collect();
     // Every shard replays the same table and admission decisions from the

@@ -108,7 +108,7 @@ mod tests {
     fn random_spreads_across_groups() {
         let t = topo();
         let jobs = place(&t, Placement::Random, &[528], 3);
-        let groups: std::collections::HashSet<u32> =
+        let groups: std::collections::BTreeSet<u32> =
             jobs[0].iter().map(|&n| t.group_of_node(n).0).collect();
         assert!(groups.len() > 20, "random placement should span most groups");
     }

@@ -2,10 +2,9 @@
 //! from.
 
 use dfsim_metrics::{LatencySummary, Stats};
-use serde::{Deserialize, Serialize};
 
 /// Per-application results of one run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AppReport {
     /// App name (paper spelling).
     pub name: String,
@@ -39,7 +38,7 @@ pub struct AppReport {
 }
 
 /// Network-level results of one run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NetworkReport {
     /// Sum of local-link stall time per group, ms (Fig 11 circles).
     pub local_stall_ms: Vec<f64>,
@@ -70,7 +69,7 @@ pub struct NetworkReport {
 /// worked. Unlike every other report field this is **not**
 /// backend-invariant — it describes the engine itself (the
 /// `backend_equivalence` suite deliberately excludes it).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct EngineReport {
     /// Full backend form (`heap`, `calendar:auto`,
     /// `calendar:width=..,buckets=..`).
@@ -123,7 +122,7 @@ impl EngineReport {
 /// over all level-1 Q-table updates. Present only on Q-adaptive runs.
 /// Large early values mean the tables are still learning the traffic; a
 /// warm-started run should begin near its steady-state floor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LearningReport {
     /// Q-table initialization (`cold` or `warm`).
     pub init: String,
@@ -166,7 +165,7 @@ impl LearningReport {
 /// Per-job scheduling outcome of a scenario (churn) run. Static runs leave
 /// the list empty: every job starts at t = 0 and the per-app data lives in
 /// [`AppReport`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JobReport {
     /// Job index (arrival order).
     pub job: u32,
@@ -197,7 +196,7 @@ pub struct JobReport {
 }
 
 /// The full result of one simulation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunReport {
     /// Routing algorithm label.
     pub routing: String,

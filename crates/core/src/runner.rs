@@ -64,7 +64,10 @@ pub fn run(cfg: &SimConfig, jobs: &[JobSpec]) -> RunReport {
 /// finish time; `finished[i]` is app `i`'s completion time if it completed;
 /// `events` is the canonical processed-event count; `job_reports` carries
 /// the per-job churn outcomes (empty for static runs).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one argument per merged shard outcome; the callers hold them as separate values"
+)]
 pub(crate) fn build_report(
     cfg: &SimConfig,
     jobs: &[&JobSpec],

@@ -25,6 +25,17 @@
 //!   returns a [`RunHandle`] — the report plus the learned Q-table
 //!   snapshot.
 
+// Hot path: a panic here is an outage. Rewrite it onto the error enum,
+// or waive it with the invariant that rules it out.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use dfsim_network::QTableSnapshot;
 
 use crate::cache::{cache_key, ResultCache};
@@ -259,7 +270,10 @@ impl Simulation {
 
     /// Live execution, no cache interaction.
     fn run_live_uncached(&mut self) -> Result<RunHandle, SpecError> {
-        // lint: allow(no-panic-paths) — private method, only called by `run` after `prepare` populated `self.prepared`; the Option is Some by control flow
+        #[expect(
+            clippy::expect_used,
+            reason = "private method, only called by `run` after `prepare` populated `self.prepared`; the Option is Some by control flow"
+        )]
         let prepared = self.prepared.as_ref().expect("prepare already succeeded");
         let (report, qtable_snapshot) = match &prepared.work {
             PreparedWork::Static(jobs) => exec_static(&prepared.cfg, jobs, self.spec.placement),

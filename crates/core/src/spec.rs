@@ -12,8 +12,8 @@
 //!   backend, Q-table lifecycle, recorder granularity, horizons, sweep
 //!   sets. Everything `SimConfig`/`Scenario` express is representable.
 //! * a **line-oriented text format** ([`ExperimentSpec::parse`] /
-//!   [`ExperimentSpec::emit`]) in the same vendored-serde-free philosophy
-//!   as `dfsim_network::snapshot`: versioned header, `key value` lines,
+//!   [`ExperimentSpec::emit`]), hand-rolled like
+//!   `dfsim_network::snapshot`'s: versioned header, `key value` lines,
 //!   `#` comments. `emit` is canonical — emitting a parsed spec and
 //!   re-parsing yields the identical value, and canonical files round-trip
 //!   byte-identically.
@@ -1043,6 +1043,10 @@ impl ExperimentSpec {
     /// extended names (`TARGET`, `JOBS`, `APPS`, …) are generic enough to
     /// collide with unrelated shell/CI variables, so each front-end names
     /// exactly the ones it documents instead of all of them ambient.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the env layer of `defaults < file < env < CLI`: one of the two designated ambient-env reads"
+    )]
     pub fn resolve_env(self, extra_env: &[&str], args: &[String]) -> Result<Self, SpecError> {
         self.resolve_env_with(extra_env, |var| std::env::var(var).ok(), args)
     }

@@ -9,16 +9,10 @@
 //! before returning (a sweep's cells run for seconds; the spawn costs
 //! microseconds), so nested and concurrent calls compose freely.
 
-use parking_lot::Mutex;
-use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
-/// Declared lock-acquisition order of this file, parsed out of the source
-/// and enforced by `dfsim-lint`'s lock-discipline rule: a thread already
-/// holding one of these locks may only take locks that appear *later* in
-/// the list. `work` and `results` are the per-slot sweep mutexes,
-/// `payload` the first-panic slot.
-pub const LOCK_ORDER: [&str; 3] = ["work", "results", "payload"];
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, PoisonError};
+use std::thread;
 
 /// Map `f` over `items` on up to `threads` worker threads (0 = all
 /// available cores; explicit counts are capped at the machine's available
@@ -28,8 +22,8 @@ pub const LOCK_ORDER: [&str; 3] = ["work", "results", "payload"];
 /// A panic inside `f` is re-raised on the calling thread with its
 /// *original* payload (`std::panic::resume_unwind`), so a failed sweep
 /// shows the real assertion message instead of a generic "worker
-/// panicked". When several workers panic, the first captured payload wins
-/// and the remaining workers stop picking up new items.
+/// panicked". When several workers panic, the payload of the first one
+/// joined wins and the remaining workers stop picking up new items.
 pub fn parallel_map<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
 where
     T: Send,
@@ -58,47 +52,48 @@ where
         return items.into_iter().map(f).collect();
     }
 
-    let work: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    let panicked = AtomicBool::new(false);
-    let payload: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
+    // One shared work iterator keeps the load balanced; its lock is held
+    // only for `next()`, which cannot panic, so it is never poisoned.
+    let work = Mutex::new(items.into_iter().enumerate());
+    let failed = AtomicBool::new(false);
 
-    // One worker's share of the sweep: pull the next unclaimed index until
-    // the cursor runs dry (or a sibling panicked).
-    let worker = || loop {
-        if panicked.load(Ordering::Relaxed) {
-            break; // drain fast once a sibling failed
-        }
-        let i = cursor.fetch_add(1, Ordering::Relaxed);
-        if i >= n {
-            break;
-        }
-        let item = work[i].lock().take().expect("each slot taken once");
-        match std::panic::catch_unwind(AssertUnwindSafe(|| f(item))) {
-            Ok(r) => *results[i].lock() = Some(r),
-            Err(p) => {
-                let mut slot = payload.lock();
-                if slot.is_none() {
-                    *slot = Some(p);
+    // One worker's share of the sweep: pull the next unclaimed item until
+    // the iterator runs dry (or a sibling panicked), returning the results
+    // it produced with their input indices.
+    let worker = || {
+        let mut done = Vec::new();
+        while !failed.load(Ordering::Relaxed) {
+            let next = work.lock().unwrap_or_else(PoisonError::into_inner).next();
+            let Some((i, item)) = next else { break };
+            match panic::catch_unwind(AssertUnwindSafe(|| f(item))) {
+                Ok(r) => done.push((i, r)),
+                Err(p) => {
+                    failed.store(true, Ordering::Relaxed); // drain fast
+                    panic::resume_unwind(p);
                 }
-                panicked.store(true, Ordering::Relaxed);
-                break;
             }
         }
+        done
     };
 
-    crossbeam::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| worker());
+    let mut results = Vec::with_capacity(n);
+    let mut first_panic = None;
+    thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+        for h in handles {
+            match h.join() {
+                Ok(part) => results.extend(part),
+                Err(p) => {
+                    first_panic.get_or_insert(p);
+                }
+            }
         }
-    })
-    .expect("worker thread died outside catch_unwind");
-
-    if let Some(p) = payload.into_inner() {
-        std::panic::resume_unwind(p);
+    });
+    if let Some(p) = first_panic {
+        panic::resume_unwind(p);
     }
-    results.into_iter().map(|m| m.into_inner().expect("all slots filled")).collect()
+    results.sort_unstable_by_key(|&(i, _)| i);
+    results.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -141,6 +136,34 @@ mod tests {
             .or_else(|| caught.downcast_ref::<&str>().map(|s| s.to_string()))
             .expect("payload should be a message");
         assert!(msg.contains("sweep cell 11 exploded"), "payload lost: {msg}");
+    }
+
+    /// Several panicking cells: the caller sees one of the original
+    /// payloads (not a "worker died" panic of the join itself), and the
+    /// call returns instead of hanging on the workers that failed. The
+    /// barrier makes cells 0 and 1 panic together on two workers.
+    #[test]
+    fn several_worker_panics_surface_one_original_payload() {
+        let both = std::sync::Barrier::new(2);
+        let caught = std::panic::catch_unwind(|| {
+            parallel_map_at((0..32).collect::<Vec<i32>>(), 4, |i| {
+                if i < 2 {
+                    both.wait();
+                    panic!("sweep cell {i} exploded");
+                }
+                i
+            })
+        })
+        .expect_err("the panic must propagate");
+        let msg = caught
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| caught.downcast_ref::<&str>().map(|s| s.to_string()))
+            .expect("payload should be a message");
+        assert!(
+            msg == "sweep cell 0 exploded" || msg == "sweep cell 1 exploded",
+            "payload lost: {msg}"
+        );
     }
 
     /// An absurd thread request must not translate into an absurd pool:

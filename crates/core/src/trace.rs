@@ -13,6 +13,25 @@
 //! decoded with the metrics crate's little-endian primitives — checked
 //! reads that fail as named [`TraceError`]s.
 
+// Codec over external input: a short or corrupt file must surface as a
+// named error, never as a panic or a silently wrapped value.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::integer_division
+)]
+// Hot path: a panic here is an outage. Rewrite it onto the error enum,
+// or waive it with the invariant that rules it out.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::path::Path;
 use std::sync::Arc;
 
@@ -66,7 +85,10 @@ pub struct TraceMeta {
 
 /// Encode the META payload for a finished run (the runner's half of
 /// [`replay_trace`]'s losslessness contract).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one argument per META field group, mirroring `build_report`"
+)]
 pub(crate) fn encode_meta(
     cfg: &SimConfig,
     jobs: &[&JobSpec],

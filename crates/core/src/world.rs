@@ -16,6 +16,17 @@
 //! admission-slot keys. On one partition it is `None` and every push is a
 //! plain auto-sequenced push.
 
+// Hot path: a panic here is an outage. Rewrite it onto the error enum,
+// or waive it with the invariant that rules it out.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::sync::Arc;
 
 use dfsim_des::queue::{PendingEvents, SimQueue};

@@ -194,8 +194,7 @@ impl<E> CalendarQueue<E> {
 
     /// Sorted insert keeping each bucket ordered by (time, seq).
     fn insert_sorted(bucket: &mut Vec<Entry<E>>, entry: Entry<E>) {
-        let pos =
-            bucket.binary_search_by(|e| (e.time, e.seq).cmp(&(entry.time, entry.seq))).unwrap_err();
+        let pos = bucket.partition_point(|e| (e.time, e.seq) < (entry.time, entry.seq));
         bucket.insert(pos, entry);
     }
 
@@ -230,7 +229,10 @@ impl<E> CalendarQueue<E> {
             scanned += 1;
             self.bucket_scans += 1;
             if scanned >= n {
-                // lint: allow(no-panic-paths) — pop is only reached when len > 0 (checked by the caller), so at least one bucket holds a pending event and the scan minimum exists
+                #[expect(
+                    clippy::expect_used,
+                    reason = "pop is only reached when len > 0 (checked by the caller), so at least one bucket holds a pending event and the scan minimum exists"
+                )]
                 let min_t = self.min_pending_time().expect("len > 0 but no pending events");
                 self.cursor = self.bucket_index(min_t);
                 self.day_start = self.day_of(min_t) * self.width;

@@ -81,9 +81,12 @@ impl SimCommunicator for LocalThreadCommunicator {
             }
             // Channels are unbounded, so sends never block; a send only
             // fails if the peer already hung up, i.e. it panicked.
+            #[expect(
+                clippy::panic,
+                reason = "a failed send means the peer partition already panicked; propagating that panic here is the correct (and only) escalation, there is no error channel back to the caller mid-window"
+            )]
             self.txs[p]
                 .send(frame)
-                // lint: allow(no-panic-paths) — a failed send means the peer partition already panicked; propagating that panic here is the correct (and only) escalation, there is no error channel back to the caller mid-window
                 .unwrap_or_else(|_| panic!("partition {p} hung up (worker panicked?)"));
         }
         let mut out = Vec::with_capacity(n);
@@ -91,10 +94,13 @@ impl SimCommunicator for LocalThreadCommunicator {
             if p == self.rank {
                 out.push(Vec::new()); // replaced with `own` below
             } else {
+                #[expect(
+                    clippy::panic,
+                    reason = "a failed recv means the peer partition already panicked; the exchange protocol has no error path, so joining that panic is the only sound behavior"
+                )]
                 out.push(
                     self.rxs[p]
                         .recv()
-                        // lint: allow(no-panic-paths) — a failed recv means the peer partition already panicked; the exchange protocol has no error path, so joining that panic is the only sound behavior
                         .unwrap_or_else(|_| panic!("partition {p} hung up (worker panicked?)")),
                 );
             }

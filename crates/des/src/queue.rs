@@ -433,8 +433,11 @@ impl<E> Default for EventQueue<E> {
 
 #[cold]
 #[inline(never)]
+#[expect(
+    clippy::panic,
+    reason = "the monotone contract is what keeps the radix buckets ordered; a caller that breaks it has a scheduling bug, and carrying on would silently reorder events"
+)]
 fn contract_violation(what: &str, time: Time, limit: Time) -> ! {
-    // lint: allow(no-panic-paths) — the monotone contract is what keeps the radix buckets ordered; a caller that breaks it has a scheduling bug, and carrying on would silently reorder events
     panic!("{what}: {time} ps against {limit} ps")
 }
 
@@ -655,7 +658,10 @@ impl<E> PendingEvents<E> for EventQueue<E> {
             self.run.clear();
             self.head = 0;
         }
-        // lint: allow(no-panic-paths) — a key is filed only together with its payload (`insert`) and leaves the run only here, so the slot of a pending key is always occupied
+        #[expect(
+            clippy::expect_used,
+            reason = "a key is filed only together with its payload (`insert`) and leaves the run only here, so the slot of a pending key is always occupied"
+        )]
         let event = self.slab[key.slot].take().expect("pending key without a payload");
         self.free.push(key.slot);
         self.len -= 1;

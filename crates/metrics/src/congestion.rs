@@ -7,10 +7,9 @@
 //! `i`'s directed local links.
 
 use dfsim_des::Time;
-use serde::{Deserialize, Serialize};
 
 /// Byte counters per group pair, convertible into congestion indices.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CongestionMatrix {
     groups: usize,
     /// Directed global-link bytes, `bytes[i * groups + j]`.

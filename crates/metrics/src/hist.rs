@@ -4,8 +4,6 @@
 //! show both the distribution (Fig 6, Fig 13a: quartiles, p95, p99) and the
 //! evolution along simulated time (Fig 7).
 
-use serde::{Deserialize, Serialize};
-
 use crate::summary::quantile_sorted;
 use dfsim_des::Time;
 
@@ -17,7 +15,7 @@ pub struct SamplePool {
 }
 
 /// Distribution summary in the shape the paper's box plots report.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LatencySummary {
     /// Sample count.
     pub n: usize,

@@ -11,7 +11,6 @@ use std::sync::Arc;
 
 use dfsim_des::{Time, MILLISECOND};
 use dfsim_topology::{LinkKind, Port, RouterId, Topology};
-use serde::{Deserialize, Serialize};
 
 use crate::congestion::CongestionMatrix;
 use crate::hist::SamplePool;
@@ -21,7 +20,7 @@ use crate::sink::{EventSink, TraceEvent};
 use crate::stall::PortTable;
 
 /// Identifies one application (job) within a simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AppId(pub u16);
 
 impl AppId {
@@ -40,7 +39,7 @@ impl std::fmt::Display for AppId {
 
 /// Recorder configuration: what to collect and at which granularity —
 /// the "flexibly configured IO module" of paper §III.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecorderConfig {
     /// Time-series bin width (default 0.1 ms, matching the paper's plots).
     pub bin_width: Time,

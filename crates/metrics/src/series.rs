@@ -1,10 +1,9 @@
 //! Binned time series for throughput-along-time figures (Figs 5, 9, 13b).
 
 use dfsim_des::{Time, MILLISECOND};
-use serde::{Deserialize, Serialize};
 
 /// Accumulates a quantity (bytes) into fixed-width time bins.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BinSeries {
     width: Time,
     bins: Vec<u64>,

@@ -7,10 +7,9 @@
 //! per group pair.
 
 use dfsim_topology::LinkKind;
-use serde::{Deserialize, Serialize};
 
 /// Accumulated counters for one directed router output port.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct PortStats {
     /// Total time packets spent head-of-line blocked wanting this port, ps.
     pub stall_ps: u64,

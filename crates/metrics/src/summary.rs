@@ -1,9 +1,7 @@
 //! Scalar summary statistics used throughout the report tables.
 
-use serde::{Deserialize, Serialize};
-
 /// Mean / standard deviation / extrema of a sample set.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Stats {
     /// Sample count.
     pub n: usize,

@@ -37,6 +37,15 @@
 //! than one frame in memory either. Every malformation is a *named*
 //! [`TraceError`], mirroring the `dfsim-qtable v1` snapshot conventions.
 
+// Codec over external input: a short or corrupt file must surface as a
+// named error, never as a panic or a silently wrapped value.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::integer_division
+)]
+
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -166,8 +175,11 @@ pub fn put_opt_f64(b: &mut Vec<u8>, v: Option<f64>) {
 /// job/app/series counts, embedded blobs) is bounded far below `u32::MAX`
 /// by construction; a breach is a programming error that must stop the
 /// writer, because a silently wrapped length word corrupts the file.
+#[expect(
+    clippy::expect_used,
+    reason = "writer-side invariant: codec lengths are bounded far below u32::MAX by construction, and wrapping the length word would corrupt the blob, so a breach must stop the writer"
+)]
 pub fn len_u32(n: usize, what: &'static str) -> u32 {
-    // lint: allow(no-panic-paths) — writer-side invariant: codec lengths are bounded far below u32::MAX by construction, and wrapping the length word would corrupt the blob, so a breach must stop the writer
     u32::try_from(n).expect(what)
 }
 
@@ -561,7 +573,10 @@ fn scan(
 
     let mut header = [0u8; TRACE_HEADER.len()];
     let got = read_up_to(&mut rd, &mut header).map_err(|e| TraceError::io(path, e))?;
-    // lint: allow(no-panic-paths) — `read_up_to` returns got <= header.len(), so the prefix range is in bounds by construction
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`read_up_to` returns got <= header.len(), so the prefix range is in bounds by construction"
+    )]
     let head = &header[..got];
     if head != TRACE_HEADER {
         return Err(TraceError::Version {
@@ -658,7 +673,10 @@ fn host_len(len: u32, offset: u64) -> Result<usize, TraceError> {
 fn read_up_to(rd: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
     let mut got = 0;
     while got < buf.len() {
-        // lint: allow(no-panic-paths) — the loop guard keeps got < buf.len(), so the tail range is in bounds
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the loop guard keeps got < buf.len(), so the tail range is in bounds"
+        )]
         let n = rd.read(&mut buf[got..])?;
         if n == 0 {
             break;

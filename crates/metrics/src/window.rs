@@ -8,10 +8,9 @@
 //! The `churn` bench binary combines both to build its interference matrix.
 
 use dfsim_des::Time;
-use serde::{Deserialize, Serialize};
 
 /// A half-open interval `[start, end)` of simulated time, picoseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
     /// Inclusive start.
     pub start: Time,

@@ -209,7 +209,7 @@ mod tests {
     fn alltoall_is_a_complete_exchange() {
         let members: Vec<u32> = (0..5).collect();
         // Union over all ranks: every ordered pair appears exactly once.
-        let mut pair_count = std::collections::HashMap::new();
+        let mut pair_count = std::collections::BTreeMap::new();
         for me in 0..5u32 {
             let ops = expand(Collective::AllToAll { bytes: 100 }, CommId(0), &members, me, 0);
             let (sends, recvs) = sends_and_recvs(&ops);

@@ -19,8 +19,20 @@
 //! * peak-ingress-volume measurement: the largest burst of message bytes a
 //!   rank posts without blocking (Table I).
 
-#![deny(unsafe_code)]
 #![warn(missing_docs)]
+// Library code: stdout belongs to the report/CSV emitters, so that
+// `--csv > file` stays clean; diagnostics go to stderr.
+#![deny(clippy::print_stdout)]
+// Hot path: a panic here is an outage. Rewrite it onto the error enum,
+// or waive it with the invariant that rules it out.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod collectives;
 pub mod matching;

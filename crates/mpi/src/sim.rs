@@ -159,7 +159,10 @@ impl MpiSim {
         net: &mut NetworkSim,
         rec: &mut Recorder,
     ) {
-        // lint: allow(no-panic-paths) — AppIds are minted by `register` and never removed; a missing slot means the caller forged an id, which must stop the run
+        #[expect(
+            clippy::expect_used,
+            reason = "AppIds are minted by `register` and never removed; a missing slot means the caller forged an id, which must stop the run"
+        )]
         let n = self.apps[app.idx()].as_ref().expect("unknown app").ranks.len();
         for r in 0..n as u32 {
             self.advance(app, r, sched, net, rec);
@@ -189,12 +192,15 @@ impl MpiSim {
     /// entry is kept: the origin shard still consumes the `MessageInjected`
     /// effect when the send completes locally.
     pub fn export_meta(&self, msg: MessageId) -> Vec<u8> {
+        #[expect(
+            clippy::expect_used,
+            reason = "every message the boundary exports was locally injected with metadata recorded in the same call; absence is a protocol bug, not an input condition"
+        )]
         let meta = self
             .meta
             .get(msg.idx())
             .copied()
             .flatten()
-            // lint: allow(no-panic-paths) — every message the boundary exports was locally injected with metadata recorded in the same call; absence is a protocol bug, not an input condition
             .expect("exporting a message without metadata");
         let mut w = WireWriter::new();
         match meta {
@@ -272,7 +278,10 @@ impl MpiSim {
                 recv_req: r.u32(),
                 send_req: r.u32(),
             },
-            // lint: allow(no-panic-paths) — meta frames come from a sibling partition over the trusted intra-run wire protocol, not from external input; a bad tag means memory corruption or a version skew bug
+            #[expect(
+                clippy::panic,
+                reason = "meta frames come from a sibling partition over the trusted intra-run wire protocol, not from external input; a bad tag means memory corruption or a version skew bug"
+            )]
             t => panic!("corrupt meta frame: tag {t}"),
         };
         debug_assert!(r.is_empty(), "trailing bytes in meta frame");
@@ -352,7 +361,10 @@ impl MpiSim {
     // ---- internals ---------------------------------------------------------
 
     fn app_mut(&mut self, app: AppId) -> &mut AppState {
-        // lint: allow(no-panic-paths) — AppIds are minted by `register` and never removed; a missing slot means the caller forged an id, which must stop the run
+        #[expect(
+            clippy::expect_used,
+            reason = "AppIds are minted by `register` and never removed; a missing slot means the caller forged an id, which must stop the run"
+        )]
         self.apps[app.idx()].as_mut().expect("unknown app")
     }
 
@@ -458,9 +470,12 @@ impl MpiSim {
             // per-collective clone of the communicator) while the rank
             // state is mutated.
             let AppState { comms, ranks, .. } = self.app_mut(app);
+            #[expect(
+                clippy::panic,
+                reason = "communicator ids are produced by `comm_create` on this same app and never deleted; an out-of-range id is a workload-generator bug worth a loud stop"
+            )]
             let members = comms
                 .get(comm.0 as usize)
-                // lint: allow(no-panic-paths) — communicator ids are produced by `comm_create` on this same app and never deleted; an out-of-range id is a workload-generator bug worth a loud stop
                 .unwrap_or_else(|| panic!("unknown communicator {comm:?}"));
             let Some(me) = members.iter().position(|&m| m == rank) else {
                 return; // not a member: collective is a no-op for this rank
@@ -479,7 +494,10 @@ impl MpiSim {
             MpiOp::Recv { src, tag } => MicroOp::Recv { src, tag },
             MpiOp::Irecv { src, tag } => MicroOp::Irecv { src, tag },
             MpiOp::WaitAll => MicroOp::WaitAll,
-            // lint: allow(no-panic-paths) — the `is_collective` branch above returned early for every collective op, so only point-to-point ops reach this match
+            #[expect(
+                clippy::unreachable,
+                reason = "the `is_collective` branch above returned early for every collective op, so only point-to-point ops reach this match"
+            )]
             _ => unreachable!("collectives handled above"),
         };
         self.rank_mut(app, rank).stack.push(micro);
@@ -487,7 +505,10 @@ impl MpiSim {
 
     /// Issue a send request and hand the message (or its RTS) to the
     /// network. Returns the request id.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the event-handler context (sched, net, rec) rides along with the four message fields"
+    )]
     fn do_send<S: WorldSched>(
         &mut self,
         app: AppId,
@@ -523,7 +544,10 @@ impl MpiSim {
 
     /// Post a receive; may complete immediately against an unexpected eager
     /// message, or trigger the CTS of a queued RTS.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the event-handler context (sched, net, rec) rides along with the receive's match fields"
+    )]
     fn do_recv<S: WorldSched>(
         &mut self,
         app: AppId,
@@ -566,7 +590,10 @@ impl MpiSim {
     }
 
     /// Send the rendezvous clear-to-send back to the data's sender.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a CTS names both ends of the rendezvous plus the event-handler context (sched, net, rec)"
+    )]
     fn send_cts<S: WorldSched>(
         &mut self,
         app: AppId,

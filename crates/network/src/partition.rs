@@ -247,7 +247,10 @@ pub fn decode_packet(r: &mut WireReader<'_>) -> Packet {
                 PLAN_MINIMAL => PathPlan::Minimal,
                 PLAN_VIA_GROUP => PathPlan::NonMinimalGroup { via: GroupId(r.u32()) },
                 PLAN_VIA_ROUTER => PathPlan::NonMinimalRouter { via: RouterId(r.u32()) },
-                // lint: allow(no-panic-paths) — boundary frames travel the trusted intra-run wire between sibling partitions; a bad tag is a protocol bug, not external input, and must stop the run
+                #[expect(
+                    clippy::panic,
+                    reason = "boundary frames travel the trusted intra-run wire between sibling partitions; a bad tag is a protocol bug, not external input, and must stop the run"
+                )]
                 t => panic!("corrupt boundary frame: plan tag {t}"),
             };
             let via_done = r.u8() != 0;
@@ -255,7 +258,10 @@ pub fn decode_packet(r: &mut WireReader<'_>) -> Packet {
             RouteState::Planned { progress: RouteProgress { plan, via_done }, revisable }
         }
         STATE_QDECIDING => RouteState::QDeciding { local_hops: r.u8() },
-        // lint: allow(no-panic-paths) — same trusted intra-run wire as above: a bad route-state tag means an encode/decode skew bug, which must stop the run
+        #[expect(
+            clippy::panic,
+            reason = "same trusted intra-run wire as above: a bad route-state tag means an encode/decode skew bug, which must stop the run"
+        )]
         t => panic!("corrupt boundary frame: route-state tag {t}"),
     };
     let cached_port = match r.u8() {
@@ -295,7 +301,10 @@ pub fn encode_event(w: &mut WireWriter, time: Time, key: u64, ev: &NetEvent) {
             w.u32(*dst_local);
             w.u64(*sample);
         }
-        // lint: allow(no-panic-paths) — the group-sharded partitioner only exports the event kinds encoded above (pinned by the partition-equivalence suite); anything else is a partitioning bug
+        #[expect(
+            clippy::panic,
+            reason = "the group-sharded partitioner only exports the event kinds encoded above (pinned by the partition-equivalence suite); anything else is a partitioning bug"
+        )]
         other => panic!("event kind never crosses partitions: {other:?}"),
     }
 }
@@ -320,7 +329,10 @@ pub fn decode_event(r: &mut WireReader<'_>) -> (Time, u64, NetEvent) {
             dst_local: r.u32(),
             sample: r.u64(),
         },
-        // lint: allow(no-panic-paths) — trusted intra-run wire protocol; a bad event tag is a protocol bug that must stop the run rather than corrupt the replay
+        #[expect(
+            clippy::panic,
+            reason = "trusted intra-run wire protocol; a bad event tag is a protocol bug that must stop the run rather than corrupt the replay"
+        )]
         t => panic!("corrupt boundary frame: event tag {t}"),
     };
     (time, key, ev)

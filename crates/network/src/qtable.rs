@@ -62,7 +62,10 @@ impl QTable {
             let hop_cost = match topo.port_kind(port) {
                 LinkKind::Local => local,
                 LinkKind::Global => global,
-                // lint: allow(no-panic-paths) — the `let else` above already skipped every port whose endpoint is not a router, and terminal ports never lead to routers
+                #[expect(
+                    clippy::unreachable,
+                    reason = "the `let else` above already skipped every port whose endpoint is not a router, and terminal ports never lead to routers"
+                )]
                 LinkKind::Terminal => unreachable!("router endpoint on terminal port"),
             };
             let next_group = topo.group_of_router(next);
@@ -74,9 +77,12 @@ impl QTable {
                 let remaining = if next_group == dst_group {
                     local + term
                 } else {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "a canonical dragonfly is all-to-all at the group level: every distinct group pair has exactly one gateway (pinned by the topology suite)"
+                    )]
                     let (gw, _) = topo
                         .gateway(next_group, dst_group)
-                        // lint: allow(no-panic-paths) — a canonical dragonfly is all-to-all at the group level: every distinct group pair has exactly one gateway (pinned by the topology suite)
                         .expect("distinct groups have a gateway");
                     let to_gw = if gw == next { 0.0 } else { local };
                     to_gw + global + local + term

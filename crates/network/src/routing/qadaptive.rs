@@ -117,7 +117,10 @@ fn candidates<'a>(
     let p_min = topo.min_next_port(router.id, dst);
     let pser = timing.packet_serialize();
     let buffer_packets = timing.buffer_packets;
-    // lint: allow(no-panic-paths) — `NetworkSim::new` installs a Q-table on every router when the algo is Q-adaptive, and this path is only reached under that algo
+    #[expect(
+        clippy::expect_used,
+        reason = "`NetworkSim::new` installs a Q-table on every router when the algo is Q-adaptive, and this path is only reached under that algo"
+    )]
     let qtable = router.qtable.as_ref().expect("Q-adaptive router has a Q-table");
     (0..router.radix() as u8).filter_map(move |p| {
         let port = Port(p);

@@ -116,9 +116,15 @@ impl NetworkSim {
     ) -> Self {
         let warm: Option<QTableSnapshot> = match (&cfg.algo, &cfg.qtable_init) {
             (RoutingAlgo::QAdaptive, QTableInit::Load(path)) => {
-                // lint: allow(no-panic-paths) — warm-start setup before any simulation: a missing or unreadable snapshot file is a user-input error with no error channel out of the constructor
+                #[expect(
+                    clippy::panic,
+                    reason = "warm-start setup before any simulation: a missing or unreadable snapshot file is a user-input error with no error channel out of the constructor"
+                )]
                 let snap = QTableSnapshot::load(path).unwrap_or_else(|e| panic!("{e}"));
-                // lint: allow(no-panic-paths) — a snapshot whose shape or alpha disagrees with this run would silently corrupt the warm start; stopping at setup is the only safe response
+                #[expect(
+                    clippy::panic,
+                    reason = "a snapshot whose shape or alpha disagrees with this run would silently corrupt the warm start; stopping at setup is the only safe response"
+                )]
                 snap.verify(topo.params(), &timing, cfg.qa.alpha).unwrap_or_else(|e| panic!("{e}"));
                 Some(snap)
             }
@@ -198,7 +204,10 @@ impl NetworkSim {
     /// can be delivered here. Driven by the barrier exchange of
     /// [`MsgExport`] records.
     pub fn import_message(&mut self, tagged: u64, expected: u32) {
-        // lint: allow(no-panic-paths) — only the partitioned barrier exchange calls this, and it installs `part` at shard construction
+        #[expect(
+            clippy::expect_used,
+            reason = "only the partitioned barrier exchange calls this, and it installs `part` at shard construction"
+        )]
         let ps = self.part.as_mut().expect("import outside a partitioned run");
         debug_assert!(partition::is_tagged(tagged), "importing an untagged message id");
         debug_assert_ne!(partition::origin_of(tagged), ps.me, "importing an owned message");
@@ -212,10 +221,9 @@ impl NetworkSim {
     pub fn release_exported_slot(&mut self, tagged: u64) {
         debug_assert!(partition::is_tagged(tagged));
         debug_assert_eq!(
-            partition::origin_of(tagged),
-            // lint: allow(no-panic-paths) — release notices only travel over the partitioned barrier, which exists only when `part` was installed at shard construction
-            self.part.as_ref().expect("release outside a partitioned run").me,
-            "release notice routed to the wrong shard"
+            self.part.as_ref().map(|ps| ps.me),
+            Some(partition::origin_of(tagged)),
+            "release notice outside a partitioned run or routed to the wrong shard"
         );
         let idx = (tagged & partition::IDX_MASK) as usize;
         let info = &mut self.msgs[idx];
@@ -234,7 +242,10 @@ impl NetworkSim {
     /// destination (it is untagged again on the way home, and intermediate
     /// shards never dereference it).
     pub fn on_packet_exported(&mut self, packet: &mut Packet) {
-        // lint: allow(no-panic-paths) — boundary exports only happen under the partitioned driver, which installs `part` at shard construction
+        #[expect(
+            clippy::expect_used,
+            reason = "boundary exports only happen under the partitioned driver, which installs `part` at shard construction"
+        )]
         let ps = self.part.as_ref().expect("export outside a partitioned run");
         debug_assert!(self.in_flight > 0, "exporting with nothing in flight");
         self.in_flight -= 1;
@@ -248,7 +259,10 @@ impl NetworkSim {
     /// the origin (a detoured packet coming home).
     pub fn on_packet_imported(&mut self, packet: &mut Packet) {
         self.in_flight += 1;
-        // lint: allow(no-panic-paths) — boundary imports only happen under the partitioned driver, which installs `part` at shard construction
+        #[expect(
+            clippy::expect_used,
+            reason = "boundary imports only happen under the partitioned driver, which installs `part` at shard construction"
+        )]
         let ps = self.part.as_ref().expect("import outside a partitioned run");
         if partition::is_tagged(packet.msg.0) && partition::origin_of(packet.msg.0) == ps.me {
             packet.msg = MessageId(packet.msg.0 & partition::IDX_MASK);
@@ -295,10 +309,13 @@ impl NetworkSim {
         let entries = self.q_undo.take().unwrap_or_default();
         for e in entries.iter().rev() {
             if (e.time, e.seq) > (time, seq) {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "undo entries are only recorded by Q-table updates, so the router they name necessarily carries a table"
+                )]
                 let qt = self.routers[e.router.idx()]
                     .qtable
                     .as_mut()
-                    // lint: allow(no-panic-paths) — undo entries are only recorded by Q-table updates, so the router they name necessarily carries a table
                     .expect("undo entry for a router without a Q-table");
                 if e.level2 {
                     qt.set2_raw(e.index, e.port, e.old);
@@ -363,9 +380,15 @@ impl NetworkSim {
         if partition::is_tagged(msg.0) {
             // Foreign message delivered here: drop the imported entry and
             // queue a release notice for the origin shard's slab.
-            // lint: allow(no-panic-paths) — tagged message ids are only minted by the partitioned export path, which requires `part` to be installed
+            #[expect(
+                clippy::expect_used,
+                reason = "tagged message ids are only minted by the partitioned export path, which requires `part` to be installed"
+            )]
             let ps = self.part.as_mut().expect("tagged release outside a partitioned run");
-            // lint: allow(no-panic-paths) — the barrier imports every foreign message before any of its packets can arrive, so a release always finds its imported entry
+            #[expect(
+                clippy::expect_used,
+                reason = "the barrier imports every foreign message before any of its packets can arrive, so a release always finds its imported entry"
+            )]
             let info = ps.imported.remove(&msg.0).expect("releasing an unknown imported message");
             debug_assert!(info.live, "double release of imported {msg}");
             debug_assert_eq!(info.received, info.expected, "releasing an undelivered {msg}");
@@ -474,8 +497,11 @@ impl NetworkSim {
                 }
                 return;
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "the `return` above already handled the empty-queue case, so the queue is non-empty here"
+            )]
             let (meta, bytes, msg_done) =
-                // lint: allow(no-panic-paths) — the `return` above already handled the empty-queue case, so the queue is non-empty here
                 nic.next_packet(packet_bytes, CONTROL_BYTES).expect("queue checked non-empty");
             let flits = bytes.div_ceil(self.timing.flit_bytes).max(1) as u64;
             let ser = flits * self.flit_time;
@@ -585,14 +611,16 @@ impl NetworkSim {
                     packet.hops,
                 );
                 self.in_flight -= 1;
+                #[expect(
+                    clippy::expect_used,
+                    reason = "tagged ids exist only in partitioned runs, where `part` is installed at shard construction, and the barrier imports every foreign message before its packets can be delivered here"
+                )]
                 let info: &mut MsgInfo = if partition::is_tagged(packet.msg.0) {
                     self.part
                         .as_mut()
-                        // lint: allow(no-panic-paths) — tagged ids exist only in partitioned runs, where `part` is installed at shard construction
                         .expect("foreign packet outside a partitioned run")
                         .imported
                         .get_mut(&packet.msg.0)
-                        // lint: allow(no-panic-paths) — the barrier imports every foreign message before its packets can be delivered here
                         .expect("delivery of an undeclared foreign message")
                 } else {
                     &mut self.msgs[packet.msg.idx()]
@@ -699,8 +727,11 @@ impl NetworkSim {
         if dst_router == router {
             return term;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "this estimator is only called under Q-adaptive routing, and `NetworkSim::new` installs a Q-table on every router for that algo"
+        )]
         let qt =
-            // lint: allow(no-panic-paths) — this estimator is only called under Q-adaptive routing, and `NetworkSim::new` installs a Q-table on every router for that algo
             self.routers[router.idx()].qtable.as_ref().expect("Q-adaptive routers carry Q-tables");
         let dst_group = self.topo.group_of_router(dst_router);
         let est = if self.topo.group_of_router(router) == dst_group {
@@ -774,16 +805,24 @@ impl NetworkSim {
         // Resource checks: credit first, then link.
         if !terminal_out && self.routers[r_idx].credits(out, ovc) == 0 {
             let input = self.routers[r_idx].input(in_port, in_vc);
-            // lint: allow(no-panic-paths) — `pkt` was popped from this very queue a few lines up without an intervening push/pop, so the head slot still exists to write back into
-            *input.queue.front_mut().expect("head exists") = pkt;
+            #[expect(
+                clippy::expect_used,
+                reason = "`pkt` was popped from this very queue a few lines up without an intervening push/pop, so the head slot still exists to write back into"
+            )]
+            let head = input.queue.front_mut().expect("head exists");
+            *head = pkt;
             input.blocked_since.get_or_insert(now);
             self.routers[r_idx].wait_for_credit(out, ovc, (in_port, in_vc));
             return Service::Blocked;
         }
         if self.routers[r_idx].busy_until(out) > now {
             let input = self.routers[r_idx].input(in_port, in_vc);
-            // lint: allow(no-panic-paths) — same write-back as the credit-blocked branch: the head was peeked from this queue with nothing popped since
-            *input.queue.front_mut().expect("head exists") = pkt;
+            #[expect(
+                clippy::expect_used,
+                reason = "same write-back as the credit-blocked branch: the head was peeked from this queue with nothing popped since"
+            )]
+            let head = input.queue.front_mut().expect("head exists");
+            *head = pkt;
             input.blocked_since.get_or_insert(now);
             self.routers[r_idx].wait_for_link(out, (in_port, in_vc));
             return Service::Blocked;
@@ -811,13 +850,19 @@ impl NetworkSim {
             PortPeer::Node(n) => {
                 sched.at(now + self.timing.terminal_latency_ps, NetEvent::NodeCredit { node: n });
             }
-            // lint: allow(no-panic-paths) — a packet sitting in this input queue proves the upstream peer exists; unconnected ports never enqueue
+            #[expect(
+                clippy::unreachable,
+                reason = "a packet sitting in this input queue proves the upstream peer exists; unconnected ports never enqueue"
+            )]
             PortPeer::Unconnected => unreachable!("packet entered via unconnected port"),
         }
 
         if terminal_out {
+            #[expect(
+                clippy::unreachable,
+                reason = "`terminal_out` was computed from the topology's port kind, and terminal ports wire to nodes by construction"
+            )]
             let PortPeer::Node(n) = self.routers[r_idx].peer(out) else {
-                // lint: allow(no-panic-paths) — `terminal_out` was computed from the topology's port kind, and terminal ports wire to nodes by construction
                 unreachable!("terminal port faces a node");
             };
             pkt.cached_port = None;
@@ -827,8 +872,11 @@ impl NetworkSim {
             );
         } else {
             self.routers[r_idx].take_credit(out, ovc);
+            #[expect(
+                clippy::unreachable,
+                reason = "routing only emits connected ports, and every non-terminal connected port wires to a router by construction"
+            )]
             let PortPeer::Router(nr, nport) = self.routers[r_idx].peer(out) else {
-                // lint: allow(no-panic-paths) — routing only emits connected ports, and every non-terminal connected port wires to a router by construction
                 unreachable!("non-terminal output faces a router");
             };
             pkt.hops += 1;

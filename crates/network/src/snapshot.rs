@@ -12,8 +12,8 @@
 //!
 //! ## Format
 //!
-//! A snapshot is a deterministic line-oriented text file (the vendored
-//! `serde` is an offline API stub, so the format is hand-rolled). All
+//! A snapshot is a deterministic line-oriented text file with a
+//! hand-rolled, dependency-free reader and writer. All
 //! `f64` values are written as the 16-hex-digit big-endian rendering of
 //! [`f64::to_bits`], so `save → load → save` is byte-identical and values
 //! survive the round trip bit-exactly:

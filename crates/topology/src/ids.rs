@@ -4,25 +4,23 @@
 //! hash/compare as integers (hot-path friendly), while the type system keeps
 //! node, router, group and port spaces from being mixed up.
 
-use serde::{Deserialize, Serialize};
-
 /// A compute node (endpoint). Nodes are numbered consecutively:
 /// `node = router * nodes_per_router + terminal_index`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 /// A router. Routers are numbered consecutively:
 /// `router = group * routers_per_group + local_index`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RouterId(pub u32);
 
 /// A group of routers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GroupId(pub u32);
 
 /// A router port index. Ports are laid out as
 /// `[terminals | locals | globals]` (see [`crate::topo::Topology`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Port(pub u8);
 
 impl NodeId {
@@ -79,7 +77,7 @@ impl std::fmt::Display for Port {
 }
 
 /// Classification of a router port / link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkKind {
     /// Router ↔ compute node.
     Terminal,

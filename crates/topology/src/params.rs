@@ -1,11 +1,9 @@
 //! Structural and timing parameters of a Dragonfly system.
 
-use serde::{Deserialize, Serialize};
-
 /// The four structural Dragonfly parameters, in the notation of Kim et al.
 /// (`g` groups, `a` routers per group, `p` terminals per router, `h` global
 /// channels per router).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DragonflyParams {
     /// Number of groups (`g`).
     pub groups: u32,
@@ -133,7 +131,7 @@ impl DragonflyParams {
 /// Link bandwidth/latency configuration (paper §III: 200 Gb/s links, 30 ns
 /// local and 300 ns global propagation — the 1:10 ratio of prior work; 128 B
 /// flits, 512 B packets, 30-packet port buffers).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkTiming {
     /// Link bandwidth in Gb/s (all link classes; Slingshot-like 200).
     pub bandwidth_gbps: u64,

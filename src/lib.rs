@@ -35,7 +35,9 @@
 //! );
 //! ```
 
-#![deny(unsafe_code)]
+// Library code: stdout belongs to the report/CSV emitters, so that
+// `--csv > file` stays clean; diagnostics go to stderr.
+#![deny(clippy::print_stdout)]
 
 pub use dfsim_apps as apps;
 pub use dfsim_core as core;
