@@ -1045,7 +1045,7 @@ impl ExperimentSpec {
     /// exactly the ones it documents instead of all of them ambient.
     #[expect(
         clippy::disallowed_methods,
-        reason = "the env layer of `defaults < file < env < CLI`: one of the two designated ambient-env reads"
+        reason = "the env layer of `defaults < file < env < CLI`: the resolution layers are where ambient env may enter a run"
     )]
     pub fn resolve_env(self, extra_env: &[&str], args: &[String]) -> Result<Self, SpecError> {
         self.resolve_env_with(extra_env, |var| std::env::var(var).ok(), args)
