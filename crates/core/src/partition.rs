@@ -39,7 +39,12 @@
 //!   finish key** `K`, pops after `K` in the final window are subtracted
 //!   from the event count, their journal entries are dropped, and their
 //!   Q-table updates are rolled back ([`NetworkSim::q_undo_revert_after`]),
-//!   so the final state equals a single shard's, which stops *at* `K`.
+//!   so the final state equals a single shard's, which stops *at* `K`. The
+//!   Q-undo journal holds the current window only: every barrier the run
+//!   continues past clears it. That is enough because the stop is decided
+//!   at the first barrier that sees every rank finished, which closes the
+//!   window containing `K`; every update of an earlier window carries a key
+//!   before that window's start, hence before `K`, and is never undone.
 //!
 //! Two stop conditions are intentionally **barrier-granular** at every
 //! partition count including 1, as cross-count bit-identity requires: the
@@ -216,6 +221,8 @@ struct ShardOutcome {
     k: (Time, u64),
     pops: u64,
     post_k: u64,
+    /// Q-table updates rolled back because they came after `k`.
+    q_undone: usize,
     stats: dfsim_des::EngineStats,
     net: NetworkSim,
     rec: Recorder,
@@ -248,6 +255,8 @@ struct Shard<'a, Q> {
     journal: Vec<KeyedEntry>,
     /// Keys popped in the current window (translated at its barrier).
     wpop_keys: Vec<(Time, u64)>,
+    /// Start of the current window (at the stop: of the final one).
+    win_start: Time,
     win_pops: u64,
     win_last_pop: Time,
     total_pops: u64,
@@ -314,6 +323,7 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
             k: (0, 0),
             journal: Vec::new(),
             wpop_keys: Vec::new(),
+            win_start: 0,
             win_pops: 0,
             win_last_pop: 0,
             total_pops: 0,
@@ -775,11 +785,21 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
         if gn > h {
             return Err((StopReason::Horizon, gn));
         }
+        // The run goes on, so no update of this window can be rolled back.
+        if let Some(entries) = self.world.net.q_undo_entries_mut() {
+            entries.clear();
+        }
         Ok(gn)
     }
 
-    /// The lockstep window loop.
+    /// Run the shard to its stop and hand back the outcome.
     fn run(mut self) -> ShardOutcome {
+        let (stop, end) = self.drive();
+        self.finish(stop, end)
+    }
+
+    /// The lockstep window loop: returns why and when the run stopped.
+    fn drive(&mut self) -> (StopReason, Time) {
         debug_assert!(self.lookahead > 0, "`SimConfig::validate` requires a positive lookahead");
         let mut started = self.init_cut();
         if self.parts == 1 {
@@ -787,7 +807,7 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
             self.take_local_finishes(0);
         }
         if self.total_done() {
-            return self.finish(StopReason::AllFinished, 0);
+            return (StopReason::AllFinished, 0);
         }
         let mut b: Time = 0;
         // Before anything starts, the only future activity is the first
@@ -811,13 +831,14 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
             }
             let e = s.saturating_add(self.lookahead).min(self.next_arrival_time());
             self.world.queue.begin_window();
-            if let Some((stop, t)) = self.run_window(e) {
-                return self.finish(stop, t);
+            self.win_start = s;
+            if let Some(stop) = self.run_window(e) {
+                return stop;
             }
             b = e;
             gn = match self.barrier(b) {
                 Ok(g) => g,
-                Err((stop, t)) => return self.finish(stop, t),
+                Err(stop) => return stop,
             };
             self.world.queue.q.advance_clock(b);
             self.world.queue.begin_cut();
@@ -827,12 +848,20 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
 
     fn finish(mut self, stop: StopReason, end: Time) -> ShardOutcome {
         let mut post_k = 0u64;
+        let mut q_undone = 0;
         if self.parts > 1 && stop == StopReason::AllFinished {
             // The final window may overrun the stop key: subtract those
             // pops from the event count and roll their Q-updates back, so
             // the result matches an engine that stopped exactly at K.
             post_k = self.wpop_keys.iter().filter(|&&key| key > self.k).count() as u64;
-            self.world.net.q_undo_revert_after(self.k.0, self.k.1);
+            debug_assert!(
+                self.world
+                    .net
+                    .q_undo_entries_mut()
+                    .is_none_or(|entries| entries.iter().all(|e| e.time >= self.win_start)),
+                "the Q-undo journal outlived its window"
+            );
+            q_undone = self.world.net.q_undo_revert_after(self.k.0, self.k.1);
         }
         let napps = self.napps();
         let finished: Vec<Option<Time>> = if self.parts > 1 {
@@ -850,6 +879,7 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
             k: self.k,
             pops: self.world.queue.events_processed(),
             post_k,
+            q_undone,
             stats: self.world.queue.q.stats(),
             net: self.world.net,
             rec: self.world.rec,
@@ -877,6 +907,7 @@ fn assemble(
     let (stop, end) = (base.stop, base.end);
     let mut pops = base.pops;
     let mut post_k = base.post_k;
+    let mut q_undone = base.q_undone;
     let mut stats = base.stats;
     let mut trace_keyed: Vec<TraceEvent> = Vec::new();
     if parts > 1 {
@@ -886,6 +917,7 @@ fn assemble(
             debug_assert!(o.stop == stop && o.end == end, "shards disagree on the stop");
             pops += o.pops;
             post_k += o.post_k;
+            q_undone += o.q_undone;
             stats.events_scheduled += o.stats.events_scheduled;
             stats.pending += o.stats.pending;
             stats.peak_pending += o.stats.peak_pending;
@@ -925,6 +957,8 @@ fn assemble(
         }
         base.rec.replay_keyed(journal);
     }
+    // Every rolled-back update was made by an event popped after K.
+    debug_assert!(q_undone == 0 || post_k > 0, "Q-table updates undone without a pop after K");
     let mut events = pops - post_k;
     if stop == StopReason::Horizon {
         // The report counts the first event past the horizon as processed;
@@ -1139,9 +1173,102 @@ pub(crate) fn exec_scenario(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dfsim_apps::AppKind;
     use dfsim_des::queue::PendingEvents;
     use dfsim_mpi::MpiOp;
+    use dfsim_network::QTableSnapshot;
     use proptest::prelude::*;
+
+    /// A tiny Q-adaptive cell whose two-partition final window overruns the
+    /// stop key `K` and makes Q-table updates past it, so the rollback at
+    /// `Shard::finish` has work to do: DL ends on an allreduce, whose last
+    /// hops' Q-feedback lands after the final delivery (seed found by a
+    /// search; pinned).
+    fn overrun_cell() -> (SimConfig, Vec<JobSpec>) {
+        let mut cfg = SimConfig::test_tiny(RoutingAlgo::QAdaptive);
+        cfg.seed = 3;
+        let jobs = vec![JobSpec::sized(AppKind::DL, 36), JobSpec::sized(AppKind::Halo3D, 36)];
+        (cfg, jobs)
+    }
+
+    /// The shards' work for `jobs` under `cfg`, placed as `exec_static` does.
+    fn static_work(cfg: &SimConfig, topo: &Topology, jobs: &[JobSpec]) -> impl Fn() -> ShardWork {
+        let sizes: Vec<u32> = jobs.iter().map(|j| j.size).collect();
+        let nodes = place(topo, Placement::Random, &sizes, cfg.seed);
+        let jobs = jobs.to_vec();
+        move || ShardWork::Static { jobs: jobs.clone(), nodes: nodes.clone() }
+    }
+
+    /// Run `jobs` at `parts` partitions: the Q-table updates the shards
+    /// rolled back, and the learned snapshot.
+    fn run_static(cfg: &SimConfig, jobs: &[JobSpec], parts: usize) -> (usize, QTableSnapshot) {
+        let topo = validated_topology(cfg);
+        let map = partition_map(cfg, parts);
+        let work = static_work(cfg, &topo, jobs);
+        let outcomes = run_shards::<EventQueue<WorldEvent>>(cfg, &topo, &map, work);
+        assert!(outcomes.iter().all(|o| o.stop == StopReason::AllFinished));
+        let undone = outcomes.iter().map(|o| o.q_undone).sum();
+        let specs: Vec<&JobSpec> = jobs.iter().collect();
+        let (_, snapshot) = assemble(cfg, &specs, &topo, &map, outcomes, 0.0);
+        (undone, snapshot.unwrap())
+    }
+
+    /// The rollback is load-bearing: on this cell the two-partition final
+    /// window makes Q-table updates after `K`, and only undoing them gives
+    /// the one-partition run's learned tables.
+    #[test]
+    fn rollback_past_stop_key_restores_one_partition_qtables() {
+        let (cfg, jobs) = overrun_cell();
+        let (undone_p1, want) = run_static(&cfg, &jobs, 1);
+        assert_eq!(undone_p1, 0, "one partition stops exactly at K");
+        let (undone, got) = run_static(&cfg, &jobs, 2);
+        assert!(undone > 0, "the pinned cell no longer overruns K with Q-table updates");
+        assert!(
+            got.to_text() == want.to_text(),
+            "two-partition Q-tables differ from one partition's"
+        );
+    }
+
+    /// The Q-undo journal holds one window, not the run: when a
+    /// two-partition Q-adaptive run stops, every entry left in it was made
+    /// in the final window.
+    #[test]
+    fn q_undo_journal_holds_only_the_final_window() {
+        let (cfg, jobs) = overrun_cell();
+        let topo = validated_topology(&cfg);
+        let map = partition_map(&cfg, 2);
+        let work = static_work(&cfg, &topo, &jobs);
+        let journals: Vec<(Time, Vec<Time>)> = std::thread::scope(|sc| {
+            let handles: Vec<_> = local_mesh(2)
+                .into_iter()
+                .enumerate()
+                .map(|(p, comm)| {
+                    let (cfg, topo, map, work) = (&cfg, &topo, &map, &work);
+                    sc.spawn(move || {
+                        let mut shard = Shard::<EventQueue<WorldEvent>>::new(
+                            cfg,
+                            topo,
+                            Arc::clone(map),
+                            p,
+                            comm,
+                            work(),
+                        );
+                        assert_eq!(shard.drive().0, StopReason::AllFinished);
+                        let entries = shard.world.net.q_undo_entries_mut().unwrap();
+                        (shard.win_start, entries.iter().map(|e| e.time).collect())
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let start = journals[0].0;
+        assert!(start > 0, "the run ended in its first window");
+        assert!(journals.iter().all(|j| j.0 == start), "shards disagree on the final window");
+        assert!(journals.iter().any(|j| !j.1.is_empty()), "the final window made no Q-updates");
+        for (_, times) in &journals {
+            assert!(times.iter().all(|&t| t >= start), "journal entry before the final window");
+        }
+    }
 
     /// A receive nobody matches leaves its app unfinished once the queue
     /// runs dry: the run stops as drained, at the last event it popped.

@@ -88,7 +88,9 @@ pub struct NetworkSim {
     /// Undo journal for Q-table updates, tagged with the key of the event
     /// being dispatched. Enabled by the partitioned driver so updates that
     /// land after the logical end of a run can be rolled back, keeping
-    /// warm-start snapshots bit-identical to the sequential engine.
+    /// warm-start snapshots bit-identical to the sequential engine. The
+    /// driver clears it at every barrier the run continues past, so it holds
+    /// the current window's updates only.
     q_undo: Option<Vec<QUndoEntry>>,
     /// `(time, seq)` key of the event currently being dispatched (only
     /// maintained when `q_undo` is enabled).
@@ -282,15 +284,19 @@ impl NetworkSim {
         }
     }
 
-    /// Enable the Q-table undo journal (partitioned driver only). Each
-    /// Q-table update is logged with the key set by
-    /// [`NetworkSim::set_event_key`] and its pre-update value.
+    /// Enable the Q-table undo journal (partitioned driver only). From then
+    /// on each Q-table update is logged with the key set by
+    /// [`NetworkSim::set_event_key`] and its pre-update value, until the
+    /// driver clears the journal.
     pub fn enable_q_undo(&mut self) {
         self.q_undo = Some(Vec::new());
     }
 
-    /// Mutable access to the undo journal so the driver can renumber its
-    /// keys at a barrier and clear it per window. `None` unless enabled.
+    /// Mutable access to the undo journal, `None` unless enabled. The
+    /// partitioned driver renumbers the entries' provisional keys at each
+    /// barrier, then clears the journal (keeping its allocation) if the run
+    /// continues, so only the final window's updates reach
+    /// [`NetworkSim::q_undo_revert_after`].
     pub fn q_undo_entries_mut(&mut self) -> Option<&mut Vec<QUndoEntry>> {
         self.q_undo.as_mut()
     }
@@ -304,11 +310,14 @@ impl NetworkSim {
     /// than `(time, seq)`, in reverse order. Used at the end of a
     /// partitioned run: shards pop to the window boundary, which may lie
     /// past the logical end of the run (the last rank-finish event), and
-    /// only Q-table state is mutated by those extra dispatches.
-    pub fn q_undo_revert_after(&mut self, time: Time, seq: u64) {
+    /// only Q-table state is mutated by those extra dispatches. Returns the
+    /// number of updates undone.
+    pub fn q_undo_revert_after(&mut self, time: Time, seq: u64) -> usize {
         let entries = self.q_undo.take().unwrap_or_default();
+        let mut undone = 0;
         for e in entries.iter().rev() {
             if (e.time, e.seq) > (time, seq) {
+                undone += 1;
                 #[expect(
                     clippy::expect_used,
                     reason = "undo entries are only recorded by Q-table updates, so the router they name necessarily carries a table"
@@ -325,6 +334,7 @@ impl NetworkSim {
             }
         }
         self.q_undo = Some(entries);
+        undone
     }
 
     /// The topology this network runs on.

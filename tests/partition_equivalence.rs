@@ -132,8 +132,8 @@ fn churn_reports_identical_at_any_partition_count() {
 /// Warm start: train once single-threaded, then evaluate the snapshot at
 /// every partition count. Pins both the Q-table *load* path (every shard
 /// seeds its groups' routers from the snapshot) and the learned-table
-/// *capture* path (training at 2 partitions writes the same snapshot the
-/// single-threaded trainer does).
+/// *capture* path (training at 2, 4 and 9 partitions writes the same
+/// snapshot the single-threaded trainer does).
 #[test]
 fn warm_start_reports_identical_at_any_partition_count() {
     let dir = std::env::temp_dir();
@@ -147,13 +147,15 @@ fn warm_start_reports_identical_at_any_partition_count() {
     assert!(r1.completed, "training run incomplete: {}", r1.stop_reason);
 
     // Training partitioned must learn the exact same tables.
-    train.qtable_save = Some(train_path("t2"));
-    run_at(&train, 2);
-    let (b1, b2) = (
-        std::fs::read(train_path("t1")).expect("t1 snapshot written"),
-        std::fs::read(train_path("t2")).expect("t2 snapshot written"),
-    );
-    assert_eq!(b1, b2, "partitioned training wrote a different Q-table snapshot");
+    let b1 = std::fs::read(train_path("t1")).expect("t1 snapshot written");
+    for parts in PARTITIONS {
+        let tag = format!("t{parts}");
+        train.qtable_save = Some(train_path(&tag));
+        run_at(&train, parts);
+        let bp = std::fs::read(train_path(&tag)).expect("partitioned snapshot written");
+        assert_eq!(b1, bp, "training at {parts} partitions wrote a different Q-table snapshot");
+        let _ = std::fs::remove_file(train_path(&tag));
+    }
 
     // Evaluate warm on a shifted seed at every partition count.
     for queue in backends() {
@@ -163,9 +165,7 @@ fn warm_start_reports_identical_at_any_partition_count() {
         eval.qtable_load = Some(train_path("t1"));
         assert_all_partition_counts_match(&eval, "warm-start eval");
     }
-    for tag in ["t1", "t2"] {
-        let _ = std::fs::remove_file(train_path(tag));
-    }
+    let _ = std::fs::remove_file(train_path("t1"));
 }
 
 /// `threads` beyond the group count is a configuration error surfaced by
