@@ -27,10 +27,11 @@ pub const BASE_ITERS: u32 = 18;
 /// iterations, minus the ~280 µs network-limited exchange time).
 pub const COMPUTE_PS: u64 = 400_000_000;
 
-/// Build LULESH for `size` ranks (must be a perfect cube).
+/// Build LULESH for `size` ranks (a perfect cube, as
+/// [`crate::AppKind::check_size`] requires).
 pub fn build(size: u32, scale: f64) -> AppInstance {
     let k = (size as f64).cbrt().round() as u32;
-    assert_eq!(k * k * k, size, "LULESH needs a perfect process cube, got {size}");
+    debug_assert_eq!(k * k * k, size, "`AppKind::build` checks the size first");
     let s = scale_split(BASE_ITERS, 4, scale);
     let face = div_bytes(FACE_BYTES, s.byte_div);
     let edge = div_bytes(EDGE_BYTES, s.byte_div);
@@ -145,6 +146,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "perfect process cube")]
     fn rejects_non_cube_sizes() {
-        let _ = build(100, 1.0);
+        let _ = crate::AppKind::LULESH.build(100, 1.0, 7);
     }
 }

@@ -180,10 +180,26 @@ impl AppKind {
         }
     }
 
+    /// Check that one job of this app can have `size` ranks: every app
+    /// needs at least one, and LULESH a perfect process cube.
+    pub fn check_size(&self, size: u32) -> Result<(), String> {
+        if size == 0 {
+            return Err("empty job".to_string());
+        }
+        let side = (size as f64).cbrt().round() as u32;
+        if *self == AppKind::LULESH && side * side * side != size {
+            return Err(format!("LULESH needs a perfect process cube, got {size}"));
+        }
+        Ok(())
+    }
+
     /// Build the per-rank programs (and sub-communicators) for a job of
-    /// `size` ranks at scale divisor `scale`, seeded by `seed`.
+    /// `size` ranks at scale divisor `scale`, seeded by `seed`. Panics when
+    /// `size` fails [`Self::check_size`].
     pub fn build(&self, size: u32, scale: f64, seed: u64) -> AppInstance {
-        assert!(size > 0, "empty job");
+        if let Err(e) = self.check_size(size) {
+            panic!("{e}");
+        }
         let scale = scale.max(1.0);
         match self {
             AppKind::UR => crate::ur::build(size, scale, seed),
@@ -297,6 +313,17 @@ mod tests {
         assert_eq!(AppKind::LULESH.preferred_size(512), 512);
         assert_eq!(AppKind::LULESH.preferred_size(511), 343);
         assert_eq!(AppKind::UR.preferred_size(528), 528);
+    }
+
+    #[test]
+    fn check_size_names_the_rule() {
+        for k in AppKind::ALL {
+            assert_eq!(k.check_size(k.preferred_size(36)), Ok(()), "{k}");
+            assert_eq!(k.check_size(0), Err("empty job".to_string()), "{k}");
+        }
+        assert_eq!(AppKind::UR.check_size(5), Ok(()));
+        let err = AppKind::LULESH.check_size(5).unwrap_err();
+        assert!(err.contains("perfect process cube, got 5"), "{err}");
     }
 
     #[test]

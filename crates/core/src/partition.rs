@@ -52,10 +52,12 @@
 //! a job completion happens at the next barrier (arrival-driven admissions
 //! stay time-exact because windows are cut at arrival times).
 //!
-//! This is the only world loop: static and churn runs alike execute here,
-//! at `max(threads, 1)` partitions. A single shard skips the exchange, the
-//! push logs and the keyed journal, and sees completions the moment they
-//! happen.
+//! This is the only world loop, and every run is a scenario: a static run's
+//! jobs arrive at t = 0 pinned to the nodes [`place`] chose, a churn run's
+//! at their arrival times. It runs at `max(threads, 1)` partitions. A
+//! single shard skips the exchange, the push logs and the keyed journal,
+//! and sees completions the moment they happen, including those of ranks
+//! that finish as they are admitted.
 
 #![expect(
     clippy::disallowed_types,
@@ -92,7 +94,7 @@ use crate::config::SimConfig;
 use crate::placement::{place, Placement};
 use crate::report::{JobReport, RunReport};
 use crate::runner::{build_report, capture_qtables, JobSpec};
-use crate::scenario::{JobTable, Scenario, SchedPolicy, Scheduler as JobScheduler};
+use crate::scenario::{Arrival, JobTable, Scenario, SchedPolicy};
 use crate::world::{PartKeys, StopReason, World, WorldEvent};
 
 /// Bits of a sequence key below the segment field.
@@ -196,22 +198,49 @@ fn xlate(key: u64, wseg: u64, ranks_p: &[u64]) -> u64 {
     }
 }
 
-/// Per-shard work description.
-enum ShardWork {
-    /// Static run: every (non-idle) job starts at t = 0 on pre-placed
-    /// nodes.
-    Static { jobs: Vec<JobSpec>, nodes: Vec<Vec<NodeId>> },
-    /// Churn run: timed arrivals admitted by a job scheduler whenever nodes
-    /// free up. Every shard replays the identical admission decisions (the
-    /// table and scheduler are deterministic in replicated inputs), so the
-    /// job → node mapping needs no communication.
-    Churn {
-        table: JobTable,
-        sched: Box<dyn JobScheduler + Send>,
-        arrive: Vec<Time>,
-        next_arrival: usize,
-        to_reclaim: Vec<JobId>,
-    },
+/// Per-shard work: a scenario's timed arrivals, admitted under `sched`
+/// whenever nodes free up. Every shard replays the identical admission
+/// decisions (the table and policy are deterministic in replicated inputs),
+/// so the job → node mapping needs no communication.
+struct ShardWork {
+    table: JobTable,
+    sched: SchedPolicy,
+    arrive: Vec<Time>,
+    next_arrival: usize,
+    to_reclaim: Vec<JobId>,
+}
+
+impl ShardWork {
+    fn new(
+        topo: &Topology,
+        scenario: &Scenario,
+        sched: SchedPolicy,
+        placement: Placement,
+        seed: u64,
+    ) -> Self {
+        Self {
+            table: JobTable::new(topo, scenario, placement, seed),
+            sched,
+            arrive: scenario.arrivals.iter().map(|a| a.at).collect(),
+            next_arrival: 0,
+            to_reclaim: Vec::new(),
+        }
+    }
+
+    fn next_arrival_time(&self) -> Time {
+        self.arrive.get(self.next_arrival).copied().unwrap_or(Time::MAX)
+    }
+
+    /// Enqueue every arrival at or before `t`. Returns whether any arrived.
+    fn take_arrivals(&mut self, t: Time) -> bool {
+        let mut any = false;
+        while self.next_arrival < self.arrive.len() && self.arrive[self.next_arrival] <= t {
+            self.table.enqueue(JobId(self.next_arrival as u32));
+            self.next_arrival += 1;
+            any = true;
+        }
+        any
+    }
 }
 
 /// Everything a finished shard hands back to the assembly step.
@@ -244,11 +273,9 @@ struct Shard<'a, Q> {
     lookahead: Time,
     world: World<Q>,
     work: ShardWork,
-    /// Unfinished ranks per app: from exchanged completion notices on
-    /// several partitions, from local completions on one (static runs).
+    /// Unfinished ranks per app, from exchanged completion notices
+    /// (multi-partition only).
     remaining: Vec<u32>,
-    total_remaining: u64,
-    app_finish: Vec<Option<Time>>,
     /// Maximum finish key seen (the canonical stop key `K`).
     k: (Time, u64),
     /// Merged keyed-metric journal (multi-partition only).
@@ -298,10 +325,7 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
             let w = TraceWriter::create(&p).unwrap_or_else(|e| panic!("{e}"));
             rec.set_sink(Box::new(w));
         }
-        let napps = match &work {
-            ShardWork::Static { jobs, .. } => jobs.len(),
-            ShardWork::Churn { arrive, .. } => arrive.len(),
-        };
+        let napps = work.arrive.len();
         let lookahead = cfg.timing.global_latency_ps;
         let mpi = MpiSim::new(MpiConfig { eager_threshold: cfg.eager_threshold });
         let mut world = World::with_backend(net, mpi, rec, cfg.queue);
@@ -318,8 +342,6 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
             world,
             work,
             remaining: vec![0; napps],
-            total_remaining: 0,
-            app_finish: vec![None; napps],
             k: (0, 0),
             journal: Vec::new(),
             wpop_keys: Vec::new(),
@@ -332,49 +354,35 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
         }
     }
 
-    fn napps(&self) -> usize {
-        self.remaining.len()
-    }
-
-    fn next_arrival_time(&self) -> Time {
-        match &self.work {
-            ShardWork::Static { .. } => Time::MAX,
-            ShardWork::Churn { arrive, next_arrival, .. } => {
-                arrive.get(*next_arrival).copied().unwrap_or(Time::MAX)
-            }
-        }
-    }
-
     fn total_done(&self) -> bool {
-        match &self.work {
-            ShardWork::Static { .. } => self.total_remaining == 0,
-            ShardWork::Churn { table, .. } => table.all_done(),
-        }
+        self.work.table.all_done()
     }
 
-    /// Enqueue every arrival at or before `t`. Returns whether any arrived.
-    fn take_arrivals(&mut self, t: Time) -> bool {
-        let ShardWork::Churn { table, arrive, next_arrival, .. } = &mut self.work else {
-            return false;
-        };
-        let mut any = false;
-        while *next_arrival < arrive.len() && arrive[*next_arrival] <= t {
-            table.enqueue(JobId(*next_arrival as u32));
-            *next_arrival += 1;
-            any = true;
+    /// The next global activity after the barrier at `b`, given the
+    /// earliest pending event anywhere: that event or the next arrival,
+    /// whichever comes first. With neither, a waiting job may still fit
+    /// into the nodes of jobs that finished this window; the cut at `b`
+    /// reclaims them, so that cut is the next activity (if within the
+    /// horizon `h`).
+    fn next_activity(&self, peek: Time, b: Time, h: Time) -> Time {
+        let gn = peek.min(self.work.next_arrival_time());
+        let reclaim_admits =
+            !self.work.to_reclaim.is_empty() && !self.work.table.waiting_is_empty();
+        if gn == Time::MAX && reclaim_admits && b <= h {
+            b
+        } else {
+            gn
         }
-        any
     }
 
     /// One admission pass at time `now` (every shard runs the identical
     /// pass; each starts only the ranks whose node it owns, but advances
     /// the admission-slot counter for all of them so cut keys agree).
-    /// Returns whether anything was admitted.
+    /// On one partition, apps whose ranks finish as they start are
+    /// accounted at `now`. Returns whether anything was admitted.
     fn admit(&mut self, now: Time) -> bool {
         let picked: Vec<(JobId, Vec<NodeId>, JobSpec)> = {
-            let ShardWork::Churn { table, sched, .. } = &mut self.work else {
-                return false;
-            };
+            let ShardWork { table, sched, .. } = &mut self.work;
             if table.waiting_is_empty() {
                 return false;
             }
@@ -403,6 +411,9 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
         for (job, nodes, spec) in picked {
             self.spawn(AppId(job.0 as u16), &spec, nodes);
         }
+        if self.parts == 1 {
+            self.take_local_finishes(now);
+        }
         true
     }
 
@@ -413,7 +424,6 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
         let seed = self.cfg.seed ^ (u64::from(app.0) << 32);
         let inst = spec.kind.build(spec.size, self.cfg.scale, seed);
         self.remaining[app.0 as usize] = nodes.len() as u32;
-        self.total_remaining += nodes.len() as u64;
         self.world.mpi.add_app(app, nodes.clone(), inst.programs, inst.comms);
         for (r, node) in nodes.iter().enumerate() {
             self.world.queue.next_slot();
@@ -423,43 +433,17 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
         }
     }
 
-    /// The initial cut at t = 0 (segment 0). Returns whether any rank
+    /// Cut at `b` (the initial one at t = 0, then one per barrier): reclaim
+    /// nodes of jobs that completed, take arrivals at or before `b`, and run
+    /// an admission pass if anything changed. Returns whether any rank
     /// started.
-    fn init_cut(&mut self) -> bool {
-        match &mut self.work {
-            ShardWork::Static { jobs, nodes } => {
-                let (jobs, nodes) = (std::mem::take(jobs), std::mem::take(nodes));
-                for (i, (job, nd)) in jobs.iter().zip(nodes).enumerate() {
-                    self.spawn(AppId(i as u16), job, nd);
-                }
-                !jobs.is_empty()
-            }
-            ShardWork::Churn { .. } => {
-                if self.take_arrivals(0) {
-                    self.admit(0)
-                } else {
-                    false
-                }
-            }
-        }
-    }
-
-    /// Barrier-time cut at `b`: reclaim nodes of jobs that completed, take
-    /// arrivals at or before `b`, and run an admission pass if anything
-    /// changed. Returns whether any rank started.
     fn cut(&mut self, b: Time) -> bool {
-        let changed = {
-            let ShardWork::Churn { table, to_reclaim, .. } = &mut self.work else {
-                return false;
-            };
-            let mut changed = false;
-            for job in std::mem::take(to_reclaim) {
-                table.reclaim(job);
-                changed = true;
-            }
-            changed
-        };
-        let arrived = self.take_arrivals(b);
+        let ShardWork { table, to_reclaim, .. } = &mut self.work;
+        let changed = !to_reclaim.is_empty();
+        for job in to_reclaim.drain(..) {
+            table.reclaim(job);
+        }
+        let arrived = self.work.take_arrivals(b);
         if changed || arrived {
             self.admit(b)
         } else {
@@ -476,17 +460,9 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
             return false;
         }
         for app in self.fin_scratch.drain(..) {
-            match &mut self.work {
-                ShardWork::Static { .. } => {
-                    let left = std::mem::take(&mut self.remaining[app.0 as usize]);
-                    self.total_remaining -= u64::from(left);
-                }
-                ShardWork::Churn { table, to_reclaim, .. } => {
-                    let job = JobId(u32::from(app.0));
-                    table.mark_finished(job, now);
-                    to_reclaim.push(job);
-                }
-            }
+            let job = JobId(u32::from(app.0));
+            self.work.table.mark_finished(job, now);
+            self.work.to_reclaim.push(job);
         }
         true
     }
@@ -539,7 +515,7 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
         let Some(keys) = self.world.queue.part.as_mut() else {
             // Single partition: nothing to exchange.
             let q = &self.world.queue.q;
-            let gn = q.peek_time().unwrap_or(Time::MAX).min(self.next_arrival_time());
+            let gn = self.next_activity(q.peek_time().unwrap_or(Time::MAX), b, h);
             if gn == Time::MAX {
                 return Err((StopReason::Drained, self.global_last_pop));
             }
@@ -749,24 +725,18 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
             let i = app as usize;
             debug_assert!(self.remaining[i] > 0, "finish notice for a finished app");
             self.remaining[i] -= 1;
-            self.total_remaining -= 1;
             self.k = self.k.max((t, s));
             if self.remaining[i] == 0 {
-                self.app_finish[i] = Some(t);
-                if let ShardWork::Churn { table, to_reclaim, .. } = &mut self.work {
-                    let job = JobId(app as u32);
-                    table.mark_finished(job, t);
-                    to_reclaim.push(job);
-                }
+                let job = JobId(u32::from(app));
+                self.work.table.mark_finished(job, t);
+                self.work.to_reclaim.push(job);
             }
         }
 
         // -- Global counters and the stop decision (identical on every
         // shard: all inputs are replicated).
-        let mut gn = self.next_arrival_time();
         let mut wpops = 0u64;
         for p in 0..self.parts {
-            gn = gn.min(peer_peek[p]);
             wpops += peer_pops[p];
             if peer_pops[p] > 0 {
                 self.global_last_pop = self.global_last_pop.max(peer_last[p]);
@@ -776,6 +746,7 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
         if self.total_done() {
             return Err((StopReason::AllFinished, self.k.0));
         }
+        let gn = self.next_activity(peer_peek.iter().copied().min().unwrap_or(Time::MAX), b, h);
         if gn == Time::MAX {
             return Err((StopReason::Drained, self.global_last_pop));
         }
@@ -801,20 +772,20 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
     /// The lockstep window loop: returns why and when the run stopped.
     fn drive(&mut self) -> (StopReason, Time) {
         debug_assert!(self.lookahead > 0, "`SimConfig::validate` requires a positive lookahead");
-        let mut started = self.init_cut();
-        if self.parts == 1 {
-            // Apps that finished synchronously at start.
-            self.take_local_finishes(0);
-        }
-        if self.total_done() {
-            return (StopReason::AllFinished, 0);
-        }
+        // The initial cut (segment 0).
+        let mut started = self.cut(0);
         let mut b: Time = 0;
         // Before anything starts, the only future activity is the first
         // arrival — replicated knowledge, no exchange needed.
         let q = &self.world.queue.q;
-        let mut gn: Time = q.peek_time().unwrap_or(Time::MAX).min(self.next_arrival_time());
+        let mut gn: Time = q.peek_time().unwrap_or(Time::MAX).min(self.work.next_arrival_time());
         loop {
+            // Outside a window only a cut can finish the run: no jobs at
+            // all, or (on one partition) a last job whose ranks finish as
+            // they start.
+            if self.total_done() {
+                return (StopReason::AllFinished, b);
+            }
             // Window start: if the last cut started ranks, their events can
             // land anywhere at or after the cut time, so the window must
             // open at the cut; otherwise jump to the global next event.
@@ -825,11 +796,11 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
                 // An arrival exactly at the jump target is processed here,
                 // at its exact time (still in the previous cut segment; the
                 // window about to open covers whatever it admits).
-                if self.take_arrivals(s) {
-                    self.admit(s);
+                if self.work.take_arrivals(s) && self.admit(s) && self.total_done() {
+                    return (StopReason::AllFinished, s);
                 }
             }
-            let e = s.saturating_add(self.lookahead).min(self.next_arrival_time());
+            let e = s.saturating_add(self.lookahead).min(self.work.next_arrival_time());
             self.world.queue.begin_window();
             self.win_start = s;
             if let Some(stop) = self.run_window(e) {
@@ -863,16 +834,9 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
             );
             q_undone = self.world.net.q_undo_revert_after(self.k.0, self.k.1);
         }
-        let napps = self.napps();
-        let finished: Vec<Option<Time>> = if self.parts > 1 {
-            std::mem::take(&mut self.app_finish)
-        } else {
-            (0..napps).map(|i| self.world.mpi.app_finished_at(AppId(i as u16))).collect()
-        };
-        let (starts, job_reports) = match &self.work {
-            ShardWork::Static { .. } => (vec![0; napps], Vec::new()),
-            ShardWork::Churn { table, .. } => (table.start_times(end), table.job_reports(end)),
-        };
+        let table = &self.work.table;
+        let (finished, starts) = (table.finish_times(), table.start_times(end));
+        let job_reports = table.job_reports(end);
         ShardOutcome {
             stop,
             end,
@@ -1079,15 +1043,20 @@ fn run_shards<Q: SimQueue<WorldEvent>>(
     })
 }
 
-/// Run `work` at `max(threads, 1)` partitions on the configured queue
-/// backend and assemble the report; `wall_s` covers shard assembly and the
-/// window loop.
+/// Run `scenario` under `sched` and `placement` at `max(threads, 1)`
+/// partitions on the configured queue backend and assemble the report;
+/// `wall_s` covers shard assembly and the window loop.
 fn execute(
     cfg: &SimConfig,
     topo: &Arc<Topology>,
-    specs: &[&JobSpec],
-    work: impl Fn() -> ShardWork + Sync,
+    scenario: &Scenario,
+    sched: SchedPolicy,
+    placement: Placement,
 ) -> (RunReport, Option<dfsim_network::QTableSnapshot>) {
+    let specs: Vec<&JobSpec> = scenario.arrivals.iter().map(|a| &a.spec).collect();
+    // Every shard replays the same table and admission decisions from the
+    // same replicated inputs.
+    let work = || ShardWork::new(topo, scenario, sched, placement, cfg.seed);
     let map = partition_map(cfg, cfg.threads.max(1));
     let wall = Instant::now();
     let outcomes = match cfg.queue.kind() {
@@ -1095,7 +1064,7 @@ fn execute(
         QueueKind::Calendar => run_shards::<CalendarQueue<WorldEvent>>(cfg, topo, &map, work),
     };
     let wall_s = wall.elapsed().as_secs_f64();
-    assemble(cfg, specs, topo, &map, outcomes, wall_s)
+    assemble(cfg, &specs, topo, &map, outcomes, wall_s)
 }
 
 /// Validate `cfg` at a run entry point and build its topology.
@@ -1112,34 +1081,34 @@ fn validated_topology(cfg: &SimConfig) -> Arc<Topology> {
     Arc::new(Topology::new(cfg.params).expect("validated params"))
 }
 
-/// The static-run entry: run `jobs` under `cfg`, every job starting at
-/// t = 0 on nodes placed by `placement`, and return the report plus the
-/// learned Q-table snapshot (Q-adaptive runs only). Jobs are placed in
+/// A static run as a scenario: every non-idle job of `jobs` arrives at
+/// t = 0, pinned to the nodes `placement` gives it. Jobs are placed in
 /// order on the shuffled node list, so a given `(seed, job-size prefix)`
 /// keeps earlier jobs' mappings stable when later jobs are added or removed
 /// (the paper's standalone-vs-interfered methodology); idle jobs reserve
 /// their nodes and run nothing.
+fn static_scenario(topo: &Topology, jobs: &[JobSpec], placement: Placement, seed: u64) -> Scenario {
+    let sizes: Vec<u32> = jobs.iter().map(|j| j.size).collect();
+    let arrivals = jobs
+        .iter()
+        .zip(place(topo, placement, &sizes, seed))
+        .filter(|(job, _)| !job.idle)
+        .map(|(job, nodes)| Arrival { spec: job.clone(), at: 0, nodes: Some(nodes) })
+        .collect();
+    Scenario { arrivals }
+}
+
+/// The static-run entry: run `jobs` under `cfg`, every job starting at
+/// t = 0 on nodes placed by `placement` ([`static_scenario`]), and return
+/// the report plus the learned Q-table snapshot (Q-adaptive runs only).
 pub(crate) fn exec_static(
     cfg: &SimConfig,
     jobs: &[JobSpec],
     placement: Placement,
 ) -> (RunReport, Option<dfsim_network::QTableSnapshot>) {
     let topo = validated_topology(cfg);
-    let sizes: Vec<u32> = jobs.iter().map(|j| j.size).collect();
-    let partitions = place(&topo, placement, &sizes, cfg.seed);
-    let mut app_jobs: Vec<JobSpec> = Vec::new();
-    let mut app_nodes: Vec<Vec<NodeId>> = Vec::new();
-    for (job, nodes) in jobs.iter().zip(partitions) {
-        if !job.idle {
-            app_jobs.push(job.clone());
-            app_nodes.push(nodes);
-        }
-    }
-    let specs: Vec<&JobSpec> = app_jobs.iter().collect();
-    execute(cfg, &topo, &specs, || ShardWork::Static {
-        jobs: app_jobs.clone(),
-        nodes: app_nodes.clone(),
-    })
+    let scenario = static_scenario(&topo, jobs, placement, cfg.seed);
+    execute(cfg, &topo, &scenario, SchedPolicy::Fcfs, placement)
 }
 
 /// The churn entry — the canonical scenario loop: jobs spawn at their
@@ -1155,19 +1124,10 @@ pub(crate) fn exec_scenario(
     let topo = validated_topology(cfg);
     #[expect(
         clippy::expect_used,
-        reason = "run entry point: an oversized or empty scenario is a caller programming error surfaced before any simulation work starts"
+        reason = "run entry point: a scenario with an idle, oversized or wrongly sized job is a caller programming error surfaced before any simulation work starts (`Simulation::prepare` names it first)"
     )]
     scenario.validate(topo.num_nodes()).expect("invalid scenario");
-    let specs: Vec<&JobSpec> = scenario.arrivals.iter().map(|a| &a.spec).collect();
-    // Every shard replays the same table and admission decisions from the
-    // same replicated inputs, each with its own scheduler instance.
-    execute(cfg, &topo, &specs, || ShardWork::Churn {
-        table: JobTable::new(&topo, scenario, placement, cfg.seed),
-        sched: Box::new(sched.scheduler()),
-        arrive: scenario.arrivals.iter().map(|a| a.at).collect(),
-        next_arrival: 0,
-        to_reclaim: Vec::new(),
-    })
+    execute(cfg, &topo, scenario, sched, placement)
 }
 
 #[cfg(test)]
@@ -1192,11 +1152,14 @@ mod tests {
     }
 
     /// The shards' work for `jobs` under `cfg`, placed as `exec_static` does.
-    fn static_work(cfg: &SimConfig, topo: &Topology, jobs: &[JobSpec]) -> impl Fn() -> ShardWork {
-        let sizes: Vec<u32> = jobs.iter().map(|j| j.size).collect();
-        let nodes = place(topo, Placement::Random, &sizes, cfg.seed);
-        let jobs = jobs.to_vec();
-        move || ShardWork::Static { jobs: jobs.clone(), nodes: nodes.clone() }
+    fn static_work(
+        cfg: &SimConfig,
+        topo: &Arc<Topology>,
+        jobs: &[JobSpec],
+    ) -> impl Fn() -> ShardWork {
+        let scenario = static_scenario(topo, jobs, Placement::Random, cfg.seed);
+        let (topo, seed) = (Arc::clone(topo), cfg.seed);
+        move || ShardWork::new(&topo, &scenario, SchedPolicy::Fcfs, Placement::Random, seed)
     }
 
     /// Run `jobs` at `parts` partitions: the Q-table updates the shards
@@ -1277,7 +1240,15 @@ mod tests {
         let cfg = SimConfig::test_tiny(RoutingAlgo::Par);
         let topo = validated_topology(&cfg);
         let comm = local_mesh(1).pop().unwrap();
-        let work = ShardWork::Static { jobs: Vec::new(), nodes: Vec::new() };
+        // One job, pinned to the two nodes the stuck programs run on and
+        // admitted by hand, so the initial cut has nothing left to admit.
+        let nodes = vec![NodeId(0), NodeId(9)];
+        let job = JobSpec::sized(AppKind::UR, 2);
+        let scenario =
+            Scenario { arrivals: vec![Arrival { spec: job, at: 0, nodes: Some(nodes.clone()) }] };
+        let mut work = ShardWork::new(&topo, &scenario, SchedPolicy::Fcfs, Placement::Random, 0);
+        assert!(work.take_arrivals(0));
+        work.table.admit(JobId(0), 0);
         let mut shard = Shard::<EventQueue<WorldEvent>>::new(
             &cfg,
             &topo,
@@ -1288,15 +1259,13 @@ mod tests {
         );
         shard.world.mpi.add_app(
             AppId(0),
-            vec![NodeId(0), NodeId(9)],
+            nodes,
             vec![
                 Box::new(vec![MpiOp::Compute(1_000_000)].into_iter()), // 1 µs
                 Box::new(vec![MpiOp::Recv { src: Some(0), tag: 1 }].into_iter()),
             ],
             vec![],
         );
-        shard.remaining = vec![2];
-        shard.total_remaining = 2;
         for rank in 0..2 {
             shard.world.start_rank(AppId(0), rank);
         }

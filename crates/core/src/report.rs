@@ -162,9 +162,10 @@ impl LearningReport {
     }
 }
 
-/// Per-job scheduling outcome of a scenario (churn) run. Static runs leave
-/// the list empty: every job starts at t = 0 and the per-app data lives in
-/// [`AppReport`].
+/// Per-job scheduling outcome of a scenario (churn) run. Jobs pinned to
+/// their nodes before the run never queue and have none, so a static run
+/// (all of whose jobs are pinned at t = 0) leaves the list empty; its
+/// per-app data lives in [`AppReport`].
 #[derive(Debug, Clone)]
 pub struct JobReport {
     /// Job index (arrival order).

@@ -63,7 +63,8 @@ pub fn run(cfg: &SimConfig, jobs: &[JobSpec]) -> RunReport {
 /// static runs), subtracted so `exec_ms` is service time, not absolute
 /// finish time; `finished[i]` is app `i`'s completion time if it completed;
 /// `events` is the canonical processed-event count; `job_reports` carries
-/// the per-job churn outcomes (empty for static runs).
+/// the per-job churn outcomes (none for pinned jobs, so empty for static
+/// runs).
 #[expect(
     clippy::too_many_arguments,
     reason = "one argument per merged shard outcome; the callers hold them as separate values"

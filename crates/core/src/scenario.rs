@@ -1,5 +1,5 @@
-//! Dynamic (churn) scenarios: timed job arrivals, a pluggable job
-//! scheduler, and the scenario run loop.
+//! Dynamic (churn) scenarios: timed job arrivals, FCFS/backfill admission,
+//! and the job table the run loop admits them through.
 //!
 //! The paper studies interference between *statically co-placed* pairs —
 //! every job starts at t = 0 and the machine never changes. A production
@@ -10,9 +10,8 @@
 //!
 //! * a [`Scenario`] is a timed stream of job arrivals (explicit lists,
 //!   parsed specs, or Poisson-process synthesis from the seeded RNG),
-//! * a [`Scheduler`] decides which queued jobs to admit whenever nodes free
-//!   up ([`Fcfs`] implements first-come-first-served with optional
-//!   backfill),
+//! * a [`SchedPolicy`] decides which queued jobs to admit whenever nodes
+//!   free up (first-come-first-served, optionally with backfill),
 //! * a [`JobTable`] owns the job → partition mapping: it places admitted
 //!   jobs onto the free-node pool with the existing [`Placement`] policies
 //!   and reclaims nodes at teardown,
@@ -25,9 +24,13 @@
 //!   queue backends *and* every partition count realize the same canonical
 //!   event order and scenario reports are bit-identical across all of them.
 //!
+//! A static run is the special case of t = 0 arrivals pinned to the nodes
+//! [`crate::placement::place`] chose; pinned jobs never queue and get no
+//! per-job report.
+//!
 //! Per-job wait, service and slowdown land in
-//! [`crate::report::RunReport::jobs`]; the `churn` bench binary combines
-//! them with the windowed metrics ([`dfsim_metrics::Span`]) into an
+//! [`crate::report::RunReport::jobs`]; `dfsim sweep churn` combines them
+//! with the windowed metrics ([`dfsim_metrics::Span`]) into an
 //! interference matrix under churn.
 
 use dfsim_apps::arrivals::ArrivalSpec;
@@ -46,6 +49,9 @@ pub struct Arrival {
     pub spec: JobSpec,
     /// Arrival time, picoseconds.
     pub at: Time,
+    /// The nodes a static run placed the job on (rank order); `None`
+    /// leaves placement to the job table at admission.
+    pub(crate) nodes: Option<Vec<NodeId>>,
 }
 
 /// A timed stream of job arrivals (sorted by arrival time).
@@ -67,7 +73,7 @@ impl Scenario {
         Self::new(
             specs
                 .iter()
-                .map(|s| Arrival { spec: JobSpec::sized(s.kind, s.size), at: s.at })
+                .map(|s| Arrival { spec: JobSpec::sized(s.kind, s.size), at: s.at, nodes: None })
                 .collect(),
         )
     }
@@ -115,9 +121,7 @@ impl Scenario {
             if a.spec.idle {
                 return Err(format!("job {i}: idle placeholders are not allowed in scenarios"));
             }
-            if a.spec.size == 0 {
-                return Err(format!("job {i}: empty job"));
-            }
+            a.spec.kind.check_size(a.spec.size).map_err(|e| format!("job {i}: {e}"))?;
             if a.spec.size > num_nodes {
                 return Err(format!(
                     "job {i} ({}) needs {} nodes, system has {num_nodes}",
@@ -129,69 +133,13 @@ impl Scenario {
     }
 }
 
-/// A queued job as seen by a [`Scheduler`].
+/// A queued job as seen by [`SchedPolicy::select`].
 #[derive(Debug, Clone, Copy)]
 pub struct QueuedJob {
     /// The job.
     pub job: JobId,
     /// Nodes requested.
     pub size: u32,
-    /// Arrival time, ps.
-    pub arrival: Time,
-}
-
-/// A job-admission policy: decides which queued jobs start whenever the
-/// machine's free-node count changes (an arrival or a teardown).
-///
-/// Contract: `select` receives the waiting queue in arrival order and the
-/// current free-node count; it returns *strictly increasing* indices into
-/// `waiting` whose sizes sum to at most `free`. The scenario loop admits
-/// them in that order at the current simulation time. Implementations must
-/// be deterministic — admission decisions feed the event order that the
-/// backend-equivalence guarantee relies on.
-pub trait Scheduler {
-    /// Stable policy name (reports, CLI).
-    fn name(&self) -> &'static str;
-
-    /// Choose which waiting jobs to admit now.
-    fn select(&mut self, waiting: &[QueuedJob], free: u32) -> Vec<usize>;
-}
-
-/// First-come-first-served admission, optionally with backfill.
-///
-/// Without backfill the queue blocks behind its head: jobs are admitted in
-/// arrival order until the first one that does not fit. With backfill,
-/// later jobs that fit into the remaining free nodes may jump the blocked
-/// head (EASY-style backfill without reservations — fine for a simulator
-/// where jobs have no user-supplied runtime estimates).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Fcfs {
-    /// Allow smaller jobs to jump a blocked queue head.
-    pub backfill: bool,
-}
-
-impl Scheduler for Fcfs {
-    fn name(&self) -> &'static str {
-        if self.backfill {
-            "fcfs+backfill"
-        } else {
-            "fcfs"
-        }
-    }
-
-    fn select(&mut self, waiting: &[QueuedJob], free: u32) -> Vec<usize> {
-        let mut picks = Vec::new();
-        let mut free = free;
-        for (i, j) in waiting.iter().enumerate() {
-            if j.size <= free {
-                picks.push(i);
-                free -= j.size;
-            } else if !self.backfill {
-                break;
-            }
-        }
-        picks
-    }
 }
 
 /// Named admission policies (CLI/env selectable).
@@ -216,9 +164,31 @@ impl SchedPolicy {
         }
     }
 
-    /// The scheduler this policy names.
-    pub fn scheduler(&self) -> Fcfs {
-        Fcfs { backfill: *self == SchedPolicy::Backfill }
+    /// Choose which waiting jobs to admit now, whenever the machine's
+    /// free-node count changes (an arrival or a teardown).
+    ///
+    /// `waiting` is the queue in arrival order and `free` the free-node
+    /// count; the result is *strictly increasing* indices into `waiting`
+    /// whose sizes sum to at most `free`, admitted in that order at the
+    /// current simulation time. Strict FCFS blocks behind the queue head:
+    /// jobs are admitted in arrival order until the first one that does not
+    /// fit. With backfill, later jobs that fit into the remaining free nodes
+    /// may jump the blocked head (EASY-style backfill without reservations
+    /// — fine for a simulator where jobs have no user-supplied runtime
+    /// estimates). Deterministic: admission decisions feed the event order
+    /// that the backend-equivalence guarantee relies on.
+    pub fn select(&self, waiting: &[QueuedJob], free: u32) -> Vec<usize> {
+        let mut picks = Vec::new();
+        let mut free = free;
+        for (i, j) in waiting.iter().enumerate() {
+            if j.size <= free {
+                picks.push(i);
+                free -= j.size;
+            } else if *self == SchedPolicy::Fcfs {
+                break;
+            }
+        }
+        picks
     }
 }
 
@@ -236,6 +206,8 @@ struct JobEntry {
     start: Option<Time>,
     finish: Option<Time>,
     nodes: Vec<NodeId>,
+    /// Placed before the run (static runs): admitted onto `nodes` as given.
+    pinned: bool,
 }
 
 /// The owned job → partition mapping of a scenario run: tracks each job's
@@ -265,7 +237,8 @@ impl JobTable {
                     arrival: a.at,
                     start: None,
                     finish: None,
-                    nodes: Vec::new(),
+                    nodes: a.nodes.clone().unwrap_or_default(),
+                    pinned: a.nodes.is_some(),
                 })
                 .collect(),
             waiting: Vec::new(),
@@ -285,10 +258,7 @@ impl JobTable {
     pub fn waiting_view(&self) -> Vec<QueuedJob> {
         self.waiting
             .iter()
-            .map(|&j| {
-                let e = &self.entries[j.idx()];
-                QueuedJob { job: j, size: e.spec.size, arrival: e.arrival }
-            })
+            .map(|&j| QueuedJob { job: j, size: self.entries[j.idx()].spec.size })
             .collect()
     }
 
@@ -319,14 +289,23 @@ impl JobTable {
     }
 
     /// Admit a waiting job at time `now`: remove it from the queue, carve
-    /// its partition out of the free pool under the placement policy, and
-    /// return the node list (rank order).
+    /// its partition out of the free pool (a pinned job's own nodes, else
+    /// under the placement policy), and return the node list (rank order).
     pub(crate) fn admit(&mut self, job: JobId, now: Time) -> Vec<NodeId> {
         let pos = self.waiting.iter().position(|&j| j == job).expect("job not waiting");
         self.waiting.remove(pos);
-        let size = self.entries[job.idx()].spec.size as usize;
+        let e = &self.entries[job.idx()];
+        let size = e.spec.size as usize;
         assert!(size <= self.free.len(), "scheduler over-admitted: {size} > {}", self.free.len());
         let nodes: Vec<NodeId> = match self.policy {
+            _ if e.pinned => {
+                let mut taken = e.nodes.clone();
+                taken.sort_unstable();
+                let free_before = self.free.len();
+                self.free.retain(|n| taken.binary_search(n).is_err());
+                debug_assert_eq!(free_before - self.free.len(), size, "pinned nodes not all free");
+                e.nodes.clone()
+            }
             Placement::Random => {
                 // One independent stream per job id, so the mapping depends
                 // only on (seed, job, free pool) — not on admission history.
@@ -412,12 +391,19 @@ impl JobTable {
         self.entries.iter().map(|e| e.start.unwrap_or(end)).collect()
     }
 
-    /// Per-job scheduling outcomes for the report.
+    /// Completion times per job (`None` for jobs that never finished).
+    pub fn finish_times(&self) -> Vec<Option<Time>> {
+        self.entries.iter().map(|e| e.finish).collect()
+    }
+
+    /// Per-job scheduling outcomes for the report. Pinned jobs never
+    /// queued, so they have none; the others keep their scenario index.
     pub fn job_reports(&self, end: Time) -> Vec<JobReport> {
         let ms = |t: Time| t as f64 / MILLISECOND as f64;
         self.entries
             .iter()
             .enumerate()
+            .filter(|(_, e)| !e.pinned)
             .map(|(i, e)| {
                 let wait = e.start.unwrap_or(end).saturating_sub(e.arrival);
                 let run = match (e.start, e.finish) {
@@ -464,13 +450,13 @@ mod tests {
         sizes
             .iter()
             .enumerate()
-            .map(|(i, &size)| QueuedJob { job: JobId(i as u32), size, arrival: i as Time })
+            .map(|(i, &size)| QueuedJob { job: JobId(i as u32), size })
             .collect()
     }
 
     #[test]
     fn fcfs_blocks_behind_queue_head() {
-        let mut s = Fcfs { backfill: false };
+        let s = SchedPolicy::Fcfs;
         // Head needs 10, only 8 free: nothing may start.
         assert!(s.select(&queued(&[10, 4, 2]), 8).is_empty());
         // Head fits, second blocks, third never considered.
@@ -479,7 +465,7 @@ mod tests {
 
     #[test]
     fn backfill_jumps_a_blocked_head() {
-        let mut s = Fcfs { backfill: true };
+        let s = SchedPolicy::Backfill;
         assert_eq!(s.select(&queued(&[10, 4, 2]), 8), vec![1, 2]);
         // Backfill still respects remaining capacity.
         assert_eq!(s.select(&queued(&[10, 7, 2]), 8), vec![1]);
@@ -491,8 +477,6 @@ mod tests {
             assert_eq!(crate::spec::lookup::<SchedPolicy>(p.label()).unwrap(), p);
         }
         assert!(crate::spec::lookup::<SchedPolicy>("mystery").is_err());
-        assert!(!SchedPolicy::Fcfs.scheduler().backfill);
-        assert!(SchedPolicy::Backfill.scheduler().backfill);
     }
 
     #[test]
@@ -501,7 +485,7 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert!(s.validate(72).is_ok());
         assert!(s.validate(20).is_err(), "36 > 20 nodes must be rejected");
-        let idle = Scenario::new(vec![Arrival { spec: JobSpec::idle(4), at: 0 }]);
+        let idle = Scenario::new(vec![Arrival { spec: JobSpec::idle(4), at: 0, nodes: None }]);
         assert!(idle.validate(72).is_err());
     }
 
@@ -524,13 +508,38 @@ mod tests {
         assert_eq!(all.len(), 60);
         // Third job cannot fit until a reclaim.
         t.enqueue(JobId(2));
-        assert!(Fcfs::default().select(&t.waiting_view(), t.free_count()).is_empty());
+        assert!(SchedPolicy::Fcfs.select(&t.waiting_view(), t.free_count()).is_empty());
         t.mark_finished(JobId(0), 500);
         t.reclaim(JobId(0));
         assert_eq!(t.free_count(), 42);
         let c = t.admit(JobId(2), 600);
         assert_eq!(c.len(), 30);
         assert!(!t.all_done());
+    }
+
+    /// A pinned job is admitted onto exactly its own nodes, which leave the
+    /// free pool; an unpinned job admitted after it draws only from the
+    /// rest. Only the unpinned job is reported, under its scenario index.
+    #[test]
+    fn pinned_admission_takes_exactly_its_nodes() {
+        let topo = Topology::new(dfsim_topology::DragonflyParams::tiny_72()).unwrap();
+        let pinned: Vec<NodeId> = [70, 3, 41, 12].map(NodeId).to_vec();
+        let scenario = Scenario::new(vec![
+            Arrival { spec: JobSpec::sized(AppKind::UR, 4), at: 0, nodes: Some(pinned.clone()) },
+            Arrival { spec: JobSpec::sized(AppKind::LU, 60), at: 0, nodes: None },
+        ]);
+        let mut t = JobTable::new(&topo, &scenario, Placement::Random, 9);
+        t.enqueue(JobId(0));
+        t.enqueue(JobId(1));
+        assert_eq!(t.admit(JobId(0), 0), pinned, "pinned nodes, in rank order");
+        assert_eq!(t.free_count(), 68);
+        let rest = t.admit(JobId(1), 0);
+        assert_eq!(rest.len(), 60);
+        assert!(rest.iter().all(|n| !pinned.contains(n)), "drew a pinned node");
+        assert_eq!(t.free_count(), 8);
+        let reports = t.job_reports(0);
+        assert_eq!(reports.len(), 1, "the pinned job never queued");
+        assert_eq!((reports[0].job, reports[0].name.as_str()), (1, "LU"));
     }
 
     #[test]

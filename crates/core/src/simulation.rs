@@ -166,6 +166,9 @@ impl Simulation {
         };
         match &work {
             PreparedWork::Static(jobs) => {
+                for (i, job) in jobs.iter().enumerate().filter(|(_, j)| !j.idle) {
+                    job.kind.check_size(job.size).map_err(|e| invalid(format!("job {i}: {e}")))?;
+                }
                 let total: u64 = jobs.iter().map(|j| j.size as u64).sum();
                 if total > num_nodes as u64 {
                     return Err(invalid(format!(
@@ -410,6 +413,25 @@ mod tests {
         let err = sim.prepare().unwrap_err().to_string();
         assert!(err.contains("100 nodes"), "{err}");
         assert!(err.contains("72"), "{err}");
+    }
+
+    /// A LULESH size that is not a perfect cube is a named error in
+    /// `prepare`, for static job lists and scenarios alike, not a panic
+    /// inside the run.
+    #[test]
+    fn non_cube_lulesh_sizes_fail_in_prepare() {
+        let arrivals = dfsim_apps::parse_arrival_list("UR:4@0,LULESH:5@1us").unwrap();
+        for workload in [
+            Workload::jobs(vec![
+                JobSpec::sized(AppKind::UR, 4),
+                JobSpec::sized(AppKind::LULESH, 5),
+            ]),
+            Workload::Scenario(arrivals),
+        ] {
+            let spec = tiny_spec(RoutingAlgo::UgalG).with_workload(workload);
+            let err = Simulation::from_spec(spec).unwrap().prepare().unwrap_err().to_string();
+            assert!(err.contains("job 1: LULESH needs a perfect process cube, got 5"), "{err}");
+        }
     }
 
     #[test]

@@ -77,7 +77,8 @@ pub struct TraceMeta {
     pub end_time: Time,
     /// Host wall-clock seconds of the original run.
     pub wall_s: f64,
-    /// Per-job churn outcomes (empty for static runs).
+    /// Per-job churn outcomes (none for pinned jobs, so empty for static
+    /// runs).
     pub job_reports: Vec<JobReport>,
 }
 

@@ -45,7 +45,7 @@ pub enum WorldEvent {
     /// An MPI event.
     Mpi(MpiEvent),
     /// Never scheduled; `benchmark/benches/spans.rs` matches on it until
-    /// ROADMAP item 2.
+    /// ROADMAP item 5.
     Job(JobEvent),
 }
 
@@ -147,7 +147,7 @@ pub struct WorldQueue<Q = DefaultBackend> {
 
 impl<Q: PendingEvents<WorldEvent>> WorldQueue<Q> {
     /// Pop the earliest event. No product caller; `benchmark/benches/spans.rs`
-    /// drives its own loop with it until ROADMAP item 2.
+    /// drives its own loop with it until ROADMAP item 5.
     pub fn pop(&mut self) -> Option<(Time, WorldEvent)> {
         self.q.pop()
     }

@@ -129,6 +129,40 @@ fn churn_reports_identical_at_any_partition_count() {
     }
 }
 
+/// Run the scenario `cell` under PAR on both backends: every job completes,
+/// the last one (a one-rank UR job, whose empty program finishes as it
+/// starts) finishes at its admission time, and every partition count
+/// reproduces the one-partition report.
+fn assert_admission_cell_completes_everywhere(cell: &str) {
+    let arrivals = dragonfly_interference::apps::parse_arrival_list(cell).expect("valid cell");
+    for queue in backends() {
+        let spec =
+            tiny_spec(queue, RoutingAlgo::Par).with_workload(Workload::Scenario(arrivals.clone()));
+        let baseline = run_at(&spec, 1);
+        assert!(baseline.completed, "{cell}: stopped {}", baseline.stop_reason);
+        assert_eq!(baseline.jobs.len(), arrivals.len(), "{cell}");
+        assert!(baseline.jobs.iter().all(|j| j.completed), "{cell}: a job never finished");
+        let last = baseline.jobs.last().expect("non-empty cell");
+        assert_eq!(last.finish_ms, last.start_ms, "{cell}: the one-rank job finishes at admission");
+        assert_partition_counts_match(&spec, cell, &baseline);
+    }
+}
+
+/// A job that finishes as it is admitted is accounted at its admission
+/// time at every partition count: mid-run, and as the run's last job.
+#[test]
+fn admission_time_finishes_identical_at_any_partition_count() {
+    assert_admission_cell_completes_everywhere("UR:36@0,UR:1@5us");
+    assert_admission_cell_completes_everywhere("UR:2@0,UR:1@1ms");
+}
+
+/// A job queued behind two that both finish in the final window is
+/// admitted at that window's barrier instead of the run stopping drained.
+#[test]
+fn final_window_reclaim_admits_the_queued_job_at_any_partition_count() {
+    assert_admission_cell_completes_everywhere("UR:36@0,UR:36@0,UR:1@0");
+}
+
 /// Warm start: train once single-threaded, then evaluate the snapshot at
 /// every partition count. Pins both the Q-table *load* path (every shard
 /// seeds its groups' routers from the snapshot) and the learned-table
