@@ -29,16 +29,21 @@
 //!   order is isomorphic to a single shard's push order, and since no
 //!   report field contains a raw key, order-isomorphism is enough for
 //!   bit-identical output.
-//! * **Keyed metric journal.** The only order-sensitive metrics (the
-//!   Q-learning trace's float accumulation and `rank_comm` push order) are
-//!   journaled with the key of the producing event and replayed in global
-//!   key order after the run ([`Recorder::drain_keyed`]); everything else
-//!   merges commutatively.
+//! * **Keyed metric journal, folded at every barrier.** The only
+//!   order-sensitive metrics (the Q-learning trace's float accumulation and
+//!   `rank_comm` push order) are journaled with the key of the producing
+//!   event ([`Recorder::drain_keyed`]). At every barrier each peer ships its
+//!   window's entries to shard 0, which renumbers their keys, merges them
+//!   with its own in global key order and folds them into its recorder
+//!   ([`Recorder::replay_keyed`]). No shard keeps an entry past the barrier
+//!   of its window, so the journal's memory is one window, not the run.
+//!   Everything else merges commutatively at assembly.
 //! * **Canonical stop keys.** "All ranks finished" is detected at barriers
 //!   from exchanged completion notices; the stop time is the **maximum
 //!   finish key** `K`, pops after `K` in the final window are subtracted
-//!   from the event count, their journal entries are dropped, and their
-//!   Q-table updates are rolled back ([`NetworkSim::q_undo_revert_after`]),
+//!   from the event count, their keyed entries are dropped from shard 0's
+//!   final fold, and their Q-table updates are rolled back
+//!   ([`NetworkSim::q_undo_revert_after`]),
 //!   so the final state equals a single shard's, which stops *at* `K`. The
 //!   Q-undo journal holds the current window only: every barrier the run
 //!   continues past clears it. That is enough because the stop is decided
@@ -55,9 +60,9 @@
 //! This is the only world loop, and every run is a scenario: a static run's
 //! jobs arrive at t = 0 pinned to the nodes [`place`] chose, a churn run's
 //! at their arrival times. It runs at `max(threads, 1)` partitions. A
-//! single shard skips the exchange, the push logs and the keyed journal,
-//! and sees completions the moment they happen, including those of ranks
-//! that finish as they are admitted.
+//! single shard skips the exchange, the push logs and the keyed journal
+//! (its recorder aggregates directly), and sees completions the moment
+//! they happen, including those of ranks that finish as they are admitted.
 
 #![expect(
     clippy::disallowed_types,
@@ -83,7 +88,9 @@ use dfsim_des::{
     local_mesh, CalendarQueue, EventQueue, JobId, LocalThreadCommunicator, QueueKind,
     SimCommunicator, SimRng, Time, WireReader, WireWriter,
 };
-use dfsim_metrics::{read_trace, AppId, KeyedEntry, KeyedKind, Recorder, TraceEvent, TraceWriter};
+use dfsim_metrics::{
+    read_trace, AppId, EventSink, KeyedEntry, KeyedKind, Recorder, TraceEvent, TraceWriter,
+};
 use dfsim_mpi::sim::MpiConfig;
 use dfsim_mpi::MpiSim;
 use dfsim_network::partition::{decode_event, encode_event, origin_of, IDX_MASK};
@@ -105,12 +112,77 @@ pub(crate) const VAL_MASK: u64 = (1 << SEG_SHIFT) - 1;
 pub(crate) const SLOT_SHIFT: u32 = 20;
 
 /// Per-shard temporary trace path of a multi-partition run: the final path
-/// plus a `.part<p>` suffix. The temporaries are spliced into the final
-/// file (and deleted) at assembly.
+/// plus a `.part<p>` suffix. Shard 0 also streams the folded keyed events
+/// into `.part<P>`, one past the last shard. The temporaries are spliced
+/// into the final file in suffix order (and deleted) at assembly.
 fn shard_trace_path(path: &Path, p: usize) -> PathBuf {
     let mut os = path.as_os_str().to_os_string();
     os.push(format!(".part{p}"));
     PathBuf::from(os)
+}
+
+/// Create a shard's trace stream at `path`.
+#[expect(
+    clippy::panic,
+    reason = "shard workers have no error channel back to the driver; failing to open a trace file must abort the run loudly rather than silently drop the trace"
+)]
+fn create_trace(path: &Path) -> TraceWriter {
+    TraceWriter::create(path).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Encode one window's keyed entries for shard 0's fold, with their
+/// provisional keys. A Q1 update's timestamp is its event's time, so it
+/// travels as `(time, seq, delta)`; a rank finish as `(time, seq, app, rank,
+/// comm, exec)`.
+fn put_keyed(w: &mut WireWriter, entries: &[KeyedEntry]) {
+    w.u32(entries.len() as u32);
+    for e in entries {
+        w.u64(e.time);
+        w.u64(e.seq);
+        match e.kind {
+            KeyedKind::Q1Update { t, delta_ps } => {
+                debug_assert_eq!(t, e.time, "a Q1 update is stamped with its event's time");
+                w.u8(0);
+                w.f64(delta_ps);
+            }
+            KeyedKind::RankFinished { app, rank, comm, exec } => {
+                w.u8(1);
+                w.u16(app.0);
+                w.u32(rank);
+                w.u64(comm);
+                w.u64(exec);
+            }
+        }
+    }
+}
+
+/// Decode a [`put_keyed`] section onto `out`.
+fn get_keyed(r: &mut WireReader, out: &mut Vec<KeyedEntry>) {
+    let n = r.u32() as usize;
+    out.reserve(n);
+    for _ in 0..n {
+        let (time, seq) = (r.u64(), r.u64());
+        let kind = match r.u8() {
+            0 => KeyedKind::Q1Update { t: time, delta_ps: r.f64() },
+            _ => KeyedKind::RankFinished {
+                app: AppId(r.u16()),
+                rank: r.u32(),
+                comm: r.u64(),
+                exec: r.u64(),
+            },
+        };
+        out.push(KeyedEntry { time, seq, kind });
+    }
+}
+
+/// The trace event a keyed entry stands for.
+fn keyed_trace_event(kind: &KeyedKind) -> TraceEvent {
+    match *kind {
+        KeyedKind::Q1Update { t, delta_ps } => TraceEvent::Q1Updated { t, delta_ps },
+        KeyedKind::RankFinished { app, rank, comm, exec } => {
+            TraceEvent::RankFinished { app, rank, comm, exec }
+        }
+    }
 }
 
 /// How a just-popped event is identified when its pushes are logged: by its
@@ -247,15 +319,18 @@ impl ShardWork {
 struct ShardOutcome {
     stop: StopReason,
     end: Time,
-    k: (Time, u64),
     pops: u64,
     post_k: u64,
-    /// Q-table updates rolled back because they came after `k`.
+    /// Q-table updates rolled back because they came after the stop key.
     q_undone: usize,
+    /// Keyed entries dropped from the final fold because they came after
+    /// the stop key (shard 0 only).
+    keyed_dropped: usize,
     stats: dfsim_des::EngineStats,
     net: NetworkSim,
     rec: Recorder,
-    journal: Vec<KeyedEntry>,
+    /// Shard 0's stream of folded keyed events (multi-partition tracing).
+    keyed_trace: Option<TraceWriter>,
     finished: Vec<Option<Time>>,
     starts: Vec<Time>,
     job_reports: Vec<JobReport>,
@@ -278,8 +353,10 @@ struct Shard<'a, Q> {
     remaining: Vec<u32>,
     /// Maximum finish key seen (the canonical stop key `K`).
     k: (Time, u64),
-    /// Merged keyed-metric journal (multi-partition only).
-    journal: Vec<KeyedEntry>,
+    /// Keyed entries the final fold dropped as past `K` (shard 0 only).
+    keyed_dropped: usize,
+    /// Shard 0's stream of folded keyed events (multi-partition tracing).
+    keyed_trace: Option<TraceWriter>,
     /// Keys popped in the current window (translated at its barrier).
     wpop_keys: Vec<(Time, u64)>,
     /// Start of the current window (at the stop: of the final one).
@@ -311,19 +388,18 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
                 net.enable_q_undo();
             }
         }
+        let mut keyed_trace = None;
         if let Some(path) = &cfg.trace {
             // A lone shard streams straight into the final file; with peers
             // each shard writes a temporary spliced together at assembly.
             // Keyed capture keeps the order-sensitive events (Q1 trace,
-            // rank completions) out of the per-shard streams — they enter
-            // the final file from the merged journal, in canonical order.
+            // rank completions) out of the per-shard streams — shard 0
+            // writes them, in canonical order, as it folds them.
             let p = if parts > 1 { shard_trace_path(path, me) } else { path.clone() };
-            #[expect(
-                clippy::panic,
-                reason = "shard workers have no error channel back to the driver; failing to open the trace file must abort the run loudly rather than silently drop the trace"
-            )]
-            let w = TraceWriter::create(&p).unwrap_or_else(|e| panic!("{e}"));
-            rec.set_sink(Box::new(w));
+            rec.set_sink(Box::new(create_trace(&p)));
+            if parts > 1 && me == 0 {
+                keyed_trace = Some(create_trace(&shard_trace_path(path, parts)));
+            }
         }
         let napps = work.arrive.len();
         let lookahead = cfg.timing.global_latency_ps;
@@ -343,7 +419,8 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
             work,
             remaining: vec![0; napps],
             k: (0, 0),
-            journal: Vec::new(),
+            keyed_dropped: 0,
+            keyed_trace,
             wpop_keys: Vec::new(),
             win_start: 0,
             win_pops: 0,
@@ -506,10 +583,11 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
     }
 
     /// The window barrier at time `b`: exchange push logs, boundary events,
-    /// message metadata and completion notices; merge the logs into global
-    /// ranks; renumber everything provisional; import peer traffic; process
-    /// completions; and decide whether (and why) to stop. `Ok` carries the
-    /// global next-event time.
+    /// message metadata and completion notices, and ship keyed metrics to
+    /// shard 0; merge the logs into global ranks; renumber everything
+    /// provisional; import peer traffic; process completions; decide whether
+    /// (and why) to stop; and, on shard 0, fold the window's keyed metrics.
+    /// `Ok` carries the global next-event time.
     fn barrier(&mut self, b: Time) -> Result<Time, (StopReason, Time)> {
         let h = self.cfg.horizon.unwrap_or(Time::MAX);
         let Some(keys) = self.world.queue.part.as_mut() else {
@@ -610,6 +688,9 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
             for &r in &rel_by[p] {
                 w.u64(r);
             }
+            if p == 0 && self.me != 0 {
+                put_keyed(&mut w, &my_keyed);
+            }
             frames.push(w.into_frame());
         }
         // Keep the drained per-peer buffers for the next window.
@@ -629,6 +710,7 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
         let mut in_events: Vec<(usize, Time, u32, NetEvent)> = Vec::new();
         let mut in_msgs: Vec<(u64, u32, Vec<u8>)> = Vec::new();
         let mut in_rels: Vec<u64> = Vec::new();
+        let mut in_keyed: Vec<Vec<KeyedEntry>> = (0..self.parts).map(|_| Vec::new()).collect();
         for (p, frame) in got.iter().enumerate() {
             let mut r = WireReader::new(frame);
             peer_pops[p] = r.u64();
@@ -670,6 +752,9 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
             for _ in 0..nr {
                 in_rels.push(r.u64());
             }
+            if self.me == 0 {
+                get_keyed(&mut r, &mut in_keyed[p]);
+            }
         }
 
         // -- Merge push logs into the global push order; renumber every
@@ -689,11 +774,18 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
                 e.seq = xlate(e.seq, wseg, rme);
             }
         }
-        let mut my_keyed = my_keyed;
-        for e in &mut my_keyed {
-            e.seq = xlate(e.seq, wseg, rme);
+        // Shard 0 gathers the window's keyed entries of every shard, keys
+        // final, for the fold after the stop decision.
+        let mut keyed = Vec::new();
+        if self.me == 0 {
+            in_keyed[0] = my_keyed;
+            for (p, entries) in in_keyed.iter_mut().enumerate() {
+                for e in entries.iter_mut() {
+                    e.seq = xlate(e.seq, wseg, &ranks[p]);
+                }
+                keyed.append(entries);
+            }
         }
-        self.journal.append(&mut my_keyed);
 
         // -- Import peer traffic. Message metadata first (deliveries later
         // in the run look it up), then events, then release notices.
@@ -743,10 +835,27 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
             }
         }
         self.total_pops += wpops;
+        let verdict = self.verdict(b, h, peer_peek.iter().copied().min().unwrap_or(Time::MAX));
+        if self.me == 0 {
+            self.fold_keyed(keyed, matches!(verdict, Err((StopReason::AllFinished, _))));
+        }
+        if verdict.is_ok() {
+            // The run goes on, so no update of this window can be rolled back.
+            if let Some(entries) = self.world.net.q_undo_entries_mut() {
+                entries.clear();
+            }
+        }
+        verdict
+    }
+
+    /// The stop decision of a multi-partition barrier at `b`, given the
+    /// earliest pending event anywhere (identical on every shard: all
+    /// inputs are replicated). `Ok` carries the global next-activity time.
+    fn verdict(&self, b: Time, h: Time, peek: Time) -> Result<Time, (StopReason, Time)> {
         if self.total_done() {
             return Err((StopReason::AllFinished, self.k.0));
         }
-        let gn = self.next_activity(peer_peek.iter().copied().min().unwrap_or(Time::MAX), b, h);
+        let gn = self.next_activity(peek, b, h);
         if gn == Time::MAX {
             return Err((StopReason::Drained, self.global_last_pop));
         }
@@ -756,11 +865,30 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
         if gn > h {
             return Err((StopReason::Horizon, gn));
         }
-        // The run goes on, so no update of this window can be rolled back.
-        if let Some(entries) = self.world.net.q_undo_entries_mut() {
-            entries.clear();
-        }
         Ok(gn)
+    }
+
+    /// Shard 0: fold one window's keyed entries of every shard (keys final)
+    /// into the recorder, and into the keyed trace stream, in global key
+    /// order. Keys are unique across shards and each shard's entries are in
+    /// key order, so a stable sort is a merge that keeps one event's entries
+    /// in emission order. When the run stops with every rank finished, the
+    /// entries past `K` are dropped first, as an engine that stopped at `K`
+    /// never made them; earlier windows hold none.
+    fn fold_keyed(&mut self, mut keyed: Vec<KeyedEntry>, all_finished: bool) {
+        keyed.sort_by_key(|e| (e.time, e.seq));
+        if all_finished {
+            let k = self.k;
+            let kept = keyed.partition_point(|e| (e.time, e.seq) <= k);
+            self.keyed_dropped = keyed.len() - kept;
+            keyed.truncate(kept);
+        }
+        if let Some(w) = &mut self.keyed_trace {
+            for e in &keyed {
+                w.record(&keyed_trace_event(&e.kind));
+            }
+        }
+        self.world.rec.replay_keyed(keyed);
     }
 
     /// Run the shard to its stop and hand back the outcome.
@@ -771,6 +899,12 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
 
     /// The lockstep window loop: returns why and when the run stopped.
     fn drive(&mut self) -> (StopReason, Time) {
+        self.drive_observed(|_, _| {})
+    }
+
+    /// [`Shard::drive`], showing the shard to `at_barrier` at the end of
+    /// every window, just before its barrier at the given time.
+    fn drive_observed(&mut self, mut at_barrier: impl FnMut(&Self, Time)) -> (StopReason, Time) {
         debug_assert!(self.lookahead > 0, "`SimConfig::validate` requires a positive lookahead");
         // The initial cut (segment 0).
         let mut started = self.cut(0);
@@ -807,6 +941,7 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
                 return stop;
             }
             b = e;
+            at_barrier(self, b);
             gn = match self.barrier(b) {
                 Ok(g) => g,
                 Err(stop) => return stop,
@@ -840,14 +975,14 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
         ShardOutcome {
             stop,
             end,
-            k: self.k,
             pops: self.world.queue.events_processed(),
             post_k,
             q_undone,
+            keyed_dropped: self.keyed_dropped,
             stats: self.world.queue.q.stats(),
             net: self.world.net,
             rec: self.world.rec,
-            journal: self.journal,
+            keyed_trace: self.keyed_trace,
             finished,
             starts,
             job_reports,
@@ -855,9 +990,10 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
     }
 }
 
-/// Combine shard outcomes into the final report: absorb recorders, replay
-/// the merged keyed journal in global key order, adopt each shard's learned
-/// Q-tables, sum engine counters, and derive the canonical event count.
+/// Combine shard outcomes into the final report: absorb the peers'
+/// recorders into shard 0's (which already folded every keyed entry), adopt
+/// each shard's learned Q-tables, sum engine counters, and derive the
+/// canonical event count.
 fn assemble(
     cfg: &SimConfig,
     specs: &[&JobSpec],
@@ -872,10 +1008,9 @@ fn assemble(
     let mut pops = base.pops;
     let mut post_k = base.post_k;
     let mut q_undone = base.q_undone;
+    let keyed_dropped = base.keyed_dropped;
     let mut stats = base.stats;
-    let mut trace_keyed: Vec<TraceEvent> = Vec::new();
     if parts > 1 {
-        let mut journal = std::mem::take(&mut base.journal);
         for (i, mut o) in outcomes.into_iter().enumerate() {
             let p = i + 1;
             debug_assert!(o.stop == stop && o.end == end, "shards disagree on the stop");
@@ -889,7 +1024,6 @@ fn assemble(
             stats.bucket_scans += o.stats.bucket_scans;
             stats.sparse_jumps += o.stats.sparse_jumps;
             base.net.adopt_qtables_from(&o.net, map.routers_of(p));
-            journal.extend(std::mem::take(&mut o.journal));
             if let Some(sink) = o.rec.take_sink() {
                 #[expect(
                     clippy::panic,
@@ -900,29 +1034,11 @@ fn assemble(
             }
             base.rec.absorb(o.rec);
         }
-        journal.sort_by_key(|e| (e.time, e.seq));
-        base.rec.disable_keyed_capture();
-        if stop == StopReason::AllFinished {
-            // Drop entries past the canonical stop key K, matching an
-            // engine that stopped exactly at K.
-            let k = base.k;
-            journal.retain(|e| (e.time, e.seq) <= k);
-        }
-        if cfg.trace.is_some() {
-            trace_keyed = journal
-                .iter()
-                .map(|e| match e.kind {
-                    KeyedKind::Q1Update { t, delta_ps } => TraceEvent::Q1Updated { t, delta_ps },
-                    KeyedKind::RankFinished { app, rank, comm, exec } => {
-                        TraceEvent::RankFinished { app, rank, comm, exec }
-                    }
-                })
-                .collect();
-        }
-        base.rec.replay_keyed(journal);
     }
-    // Every rolled-back update was made by an event popped after K.
+    // Every rolled-back update and every dropped keyed entry was made by an
+    // event popped after K.
     debug_assert!(q_undone == 0 || post_k > 0, "Q-table updates undone without a pop after K");
+    debug_assert!(keyed_dropped == 0 || post_k > 0, "keyed entries dropped without a pop after K");
     let mut events = pops - post_k;
     if stop == StopReason::Horizon {
         // The report counts the first event past the horizon as processed;
@@ -955,23 +1071,28 @@ fn assemble(
             )]
             sink.finish(Some(&meta)).unwrap_or_else(|e| panic!("trace finalization failed: {e}"));
         } else {
-            // base's sink is shard 0's temporary. Finish it, then splice
-            // every shard temporary (deterministic shard order) plus the
-            // canonically-ordered keyed events into the final file. Only
-            // the keyed events are order-sensitive on replay; everything
-            // else aggregates commutatively, so shard concatenation is as
-            // good as the live interleaving.
-            #[expect(
-                clippy::panic,
-                reason = "end-of-run trace splicing: I/O failures here have no Result path through the driver and must stop the run loudly"
-            )]
-            sink.finish(None).unwrap_or_else(|e| panic!("shard trace finalization failed: {e}"));
+            // base's sinks are shard 0's temporaries: its segment and its
+            // stream of canonically-ordered keyed events. Finish them, then
+            // splice every shard segment (deterministic shard order) and the
+            // keyed events, last, into the final file. Only the keyed events
+            // are order-sensitive on replay; everything else aggregates
+            // commutatively, so shard concatenation is as good as the live
+            // interleaving.
+            let keyed = base.keyed_trace.take().map(|w| Box::new(w) as Box<dyn EventSink>);
+            for sink in std::iter::once(sink).chain(keyed) {
+                #[expect(
+                    clippy::panic,
+                    reason = "end-of-run trace splicing: I/O failures here have no Result path through the driver and must stop the run loudly"
+                )]
+                sink.finish(None)
+                    .unwrap_or_else(|e| panic!("shard trace finalization failed: {e}"));
+            }
             #[expect(
                 clippy::panic,
                 reason = "same end-of-run splice: a final trace file that cannot be created must stop the run loudly"
             )]
             let mut w = TraceWriter::create(path).unwrap_or_else(|e| panic!("{e}"));
-            for p in 0..parts {
+            for p in 0..=parts {
                 let tmp = shard_trace_path(path, p);
                 #[expect(
                     clippy::panic,
@@ -980,9 +1101,6 @@ fn assemble(
                 read_trace(&tmp, |ev| w.record(ev))
                     .unwrap_or_else(|e| panic!("splicing shard trace failed: {e}"));
                 let _ = std::fs::remove_file(&tmp);
-            }
-            for ev in &trace_keyed {
-                w.record(ev);
             }
             #[expect(
                 clippy::panic,
@@ -1162,18 +1280,52 @@ mod tests {
         move || ShardWork::new(&topo, &scenario, SchedPolicy::Fcfs, Placement::Random, seed)
     }
 
-    /// Run `jobs` at `parts` partitions: the Q-table updates the shards
-    /// rolled back, and the learned snapshot.
-    fn run_static(cfg: &SimConfig, jobs: &[JobSpec], parts: usize) -> (usize, QTableSnapshot) {
+    /// What a run of [`run_static`] hands back.
+    struct StaticRun {
+        /// Q-table updates the shards rolled back.
+        undone: usize,
+        /// Keyed entries dropped from the final fold.
+        dropped: usize,
+        report: RunReport,
+        snapshot: QTableSnapshot,
+    }
+
+    /// Run `jobs` at `parts` partitions and assemble the report.
+    fn run_static(cfg: &SimConfig, jobs: &[JobSpec], parts: usize) -> StaticRun {
         let topo = validated_topology(cfg);
         let map = partition_map(cfg, parts);
         let work = static_work(cfg, &topo, jobs);
         let outcomes = run_shards::<EventQueue<WorldEvent>>(cfg, &topo, &map, work);
         assert!(outcomes.iter().all(|o| o.stop == StopReason::AllFinished));
         let undone = outcomes.iter().map(|o| o.q_undone).sum();
+        let dropped = outcomes.iter().map(|o| o.keyed_dropped).sum();
         let specs: Vec<&JobSpec> = jobs.iter().collect();
-        let (_, snapshot) = assemble(cfg, &specs, &topo, &map, outcomes, 0.0);
-        (undone, snapshot.unwrap())
+        let (report, snapshot) = assemble(cfg, &specs, &topo, &map, outcomes, 0.0);
+        StaticRun { undone, dropped, report, snapshot: snapshot.unwrap() }
+    }
+
+    /// Drive the two shards of a two-partition run of `jobs` on scoped
+    /// threads, handing each to `body`; returns what `body` returns, in
+    /// shard order.
+    fn on_two_shards<R: Send>(
+        cfg: &SimConfig,
+        jobs: &[JobSpec],
+        body: impl Fn(Shard<'_, EventQueue<WorldEvent>>) -> R + Sync,
+    ) -> Vec<R> {
+        let topo = validated_topology(cfg);
+        let map = partition_map(cfg, 2);
+        let work = static_work(cfg, &topo, jobs);
+        std::thread::scope(|sc| {
+            let handles: Vec<_> = local_mesh(2)
+                .into_iter()
+                .enumerate()
+                .map(|(p, comm)| {
+                    let (topo, map, work, body) = (&topo, &map, &work, &body);
+                    sc.spawn(move || body(Shard::new(cfg, topo, Arc::clone(map), p, comm, work())))
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
     }
 
     /// The rollback is load-bearing: on this cell the two-partition final
@@ -1182,14 +1334,63 @@ mod tests {
     #[test]
     fn rollback_past_stop_key_restores_one_partition_qtables() {
         let (cfg, jobs) = overrun_cell();
-        let (undone_p1, want) = run_static(&cfg, &jobs, 1);
-        assert_eq!(undone_p1, 0, "one partition stops exactly at K");
-        let (undone, got) = run_static(&cfg, &jobs, 2);
-        assert!(undone > 0, "the pinned cell no longer overruns K with Q-table updates");
+        let p1 = run_static(&cfg, &jobs, 1);
+        assert_eq!(p1.undone, 0, "one partition stops exactly at K");
+        let p2 = run_static(&cfg, &jobs, 2);
+        assert!(p2.undone > 0, "the pinned cell no longer overruns K with Q-table updates");
         assert!(
-            got.to_text() == want.to_text(),
+            p2.snapshot.to_text() == p1.snapshot.to_text(),
             "two-partition Q-tables differ from one partition's"
         );
+    }
+
+    /// The past-`K` filter is load-bearing: on this cell shard 0's final
+    /// fold drops keyed entries made after `K`, and the reports at every
+    /// partition count, learning trace included, equal one partition's.
+    #[test]
+    fn keyed_entries_past_stop_key_are_dropped() {
+        let canonical = |r: &RunReport| {
+            let mut r = r.clone();
+            r.engine = crate::report::EngineReport::default();
+            format!("{r:#?}")
+        };
+        let (cfg, jobs) = overrun_cell();
+        let p1 = run_static(&cfg, &jobs, 1);
+        assert_eq!(p1.dropped, 0, "one partition stops exactly at K");
+        assert!(p1.report.learning.is_some(), "the pinned cell records no learning trace");
+        let want = canonical(&p1.report);
+        for parts in [2, 4, 9] {
+            let run = run_static(&cfg, &jobs, parts);
+            if parts == 2 {
+                assert!(run.dropped > 0, "the pinned cell no longer makes keyed entries past K");
+            }
+            assert!(canonical(&run.report) == want, "report diverged at {parts} partitions");
+        }
+    }
+
+    /// The keyed journal holds one window, not the run: as each window of a
+    /// two-partition Q-adaptive run ends, every keyed entry a shard holds
+    /// was made in that window (or the cut that opened it), and the final
+    /// barrier leaves none behind.
+    #[test]
+    fn keyed_entries_never_outlive_their_window() {
+        let (cfg, jobs) = overrun_cell();
+        let most_held = on_two_shards(&cfg, &jobs, |mut shard| {
+            let (mut prev, mut most) = (0, 0);
+            let stop = shard.drive_observed(|s, b| {
+                let held = s.world.rec.keyed_pending();
+                assert!(
+                    held.iter().all(|e| prev <= e.time && e.time < b),
+                    "a keyed entry outlived the window [{prev}, {b})"
+                );
+                most = most.max(held.len());
+                prev = b;
+            });
+            assert_eq!(stop.0, StopReason::AllFinished);
+            assert!(shard.world.rec.keyed_pending().is_empty(), "keyed entries past the run");
+            most
+        });
+        assert!(most_held.iter().all(|&n| n > 0), "a shard made no keyed entries");
     }
 
     /// The Q-undo journal holds one window, not the run: when a
@@ -1198,31 +1399,10 @@ mod tests {
     #[test]
     fn q_undo_journal_holds_only_the_final_window() {
         let (cfg, jobs) = overrun_cell();
-        let topo = validated_topology(&cfg);
-        let map = partition_map(&cfg, 2);
-        let work = static_work(&cfg, &topo, &jobs);
-        let journals: Vec<(Time, Vec<Time>)> = std::thread::scope(|sc| {
-            let handles: Vec<_> = local_mesh(2)
-                .into_iter()
-                .enumerate()
-                .map(|(p, comm)| {
-                    let (cfg, topo, map, work) = (&cfg, &topo, &map, &work);
-                    sc.spawn(move || {
-                        let mut shard = Shard::<EventQueue<WorldEvent>>::new(
-                            cfg,
-                            topo,
-                            Arc::clone(map),
-                            p,
-                            comm,
-                            work(),
-                        );
-                        assert_eq!(shard.drive().0, StopReason::AllFinished);
-                        let entries = shard.world.net.q_undo_entries_mut().unwrap();
-                        (shard.win_start, entries.iter().map(|e| e.time).collect())
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        let journals: Vec<(Time, Vec<Time>)> = on_two_shards(&cfg, &jobs, |mut shard| {
+            assert_eq!(shard.drive().0, StopReason::AllFinished);
+            let entries = shard.world.net.q_undo_entries_mut().unwrap();
+            (shard.win_start, entries.iter().map(|e| e.time).collect())
         });
         let start = journals[0].0;
         assert!(start > 0, "the run ended in its first window");

@@ -62,11 +62,12 @@ impl SamplePool {
         &self.samples
     }
 
-    /// Append every sample of `other` (merging per-partition pools; all
-    /// summaries sort before aggregating, so concatenation order is
+    /// Move every sample of `other` onto the end of this pool, leaving
+    /// `other` empty (merging per-partition pools without keeping a copy;
+    /// all summaries sort before aggregating, so concatenation order is
     /// immaterial to the reported numbers).
-    pub fn extend_from(&mut self, other: &SamplePool) {
-        self.samples.extend_from_slice(&other.samples);
+    pub fn append(&mut self, other: &mut SamplePool) {
+        self.samples.append(&mut other.samples);
     }
 
     /// Distribution summary over all samples.
@@ -175,8 +176,8 @@ mod tests {
             b.record(v, v * 7 + 3);
         }
         let mut concat = SamplePool::new();
-        concat.extend_from(&a);
-        concat.extend_from(&b);
+        concat.append(&mut a.clone());
+        concat.append(&mut b.clone());
         let want = concat.summarize();
         let got = summarize_slices(&[a.samples(), b.samples()]);
         for (x, y) in [

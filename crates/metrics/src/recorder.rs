@@ -100,9 +100,10 @@ impl AppRecord {
 
 /// One order-sensitive metric event captured under keyed capture (see
 /// [`Recorder::enable_keyed_capture`]). `(time, seq)` is the key of the
-/// simulation event that produced it; a partitioned run merges the journals
-/// of all partitions, sorts by key, and replays them into one recorder so
-/// the order-sensitive aggregates match a single-threaded run bit for bit.
+/// simulation event that produced it; at every window barrier a partitioned
+/// run merges all partitions' entries of that window in key order and folds
+/// them into one recorder, so the order-sensitive aggregates match a
+/// single-threaded run bit for bit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KeyedEntry {
     /// Event time of the producing simulation event.
@@ -237,9 +238,11 @@ impl Recorder {
 
     /// Divert order-sensitive hooks ([`Recorder::q1_updated`],
     /// [`Recorder::rank_finished`]) into a keyed journal instead of the
-    /// live aggregates. Partition workers enable this so the driver can
-    /// merge all journals in global `(time, seq)` order and replay them
-    /// through [`Recorder::replay_keyed`] deterministically.
+    /// live aggregates (and the sink). Partition workers enable this and
+    /// drain the journal at every window barrier, so it holds one window;
+    /// the window's entries of all partitions are merged in global
+    /// `(time, seq)` order and folded into one recorder through
+    /// [`Recorder::replay_keyed`].
     pub fn enable_keyed_capture(&mut self) {
         self.keyed = Some(Vec::new());
     }
@@ -252,23 +255,23 @@ impl Recorder {
     }
 
     /// Take the journal accumulated since the last drain (empty when keyed
-    /// capture was never enabled). Capture stays enabled.
+    /// capture was never enabled). Capture stays enabled. The partition
+    /// driver drains at every window barrier.
     pub fn drain_keyed(&mut self) -> Vec<KeyedEntry> {
         self.keyed.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
-    /// Stop diverting into the keyed journal, discarding anything not yet
-    /// drained. The partition driver calls this on the recorder it elected
-    /// as the merge base before replaying the combined journals into it.
-    pub fn disable_keyed_capture(&mut self) {
-        self.keyed = None;
+    /// The journal accumulated since the last drain, without taking it.
+    pub fn keyed_pending(&self) -> &[KeyedEntry] {
+        self.keyed.as_deref().unwrap_or_default()
     }
 
-    /// Apply journal entries through the normal recording paths. Callers
-    /// pass the merged journals of all partitions, sorted by `(time, seq)`,
-    /// into a recorder *without* keyed capture enabled.
+    /// Fold journal entries into `learning` and `rank_comm`. Callers pass
+    /// one window's entries of all partitions, sorted by `(time, seq)`,
+    /// window after window. The entries go straight to the aggregates, never
+    /// into this recorder's own journal or sink, so a recorder that is
+    /// itself capturing can fold.
     pub fn replay_keyed(&mut self, entries: impl IntoIterator<Item = KeyedEntry>) {
-        debug_assert!(self.keyed.is_none(), "replaying into a capturing recorder loops");
         for e in entries {
             match e.kind {
                 KeyedKind::Q1Update { t, delta_ps } => self.learning.record(t, delta_ps),
@@ -281,19 +284,20 @@ impl Recorder {
 
     /// Fold another partition's recorder into this one. Merges everything
     /// whose aggregation is order-insensitive (counters, binned series,
-    /// sample pools, port/congestion tables); the order-sensitive state
-    /// (`learning`, `rank_comm`) must arrive via [`Recorder::replay_keyed`],
-    /// so `other` is expected to have captured it into its journal.
+    /// port/congestion tables) and moves `other`'s latency samples over,
+    /// freeing its pools as it goes; the order-sensitive state (`learning`,
+    /// `rank_comm`) must arrive via [`Recorder::replay_keyed`], so `other`
+    /// is expected to have captured it into its journal.
     pub fn absorb(&mut self, other: Recorder) {
         debug_assert!(
             other.learning.is_empty(),
             "absorbing a recorder with live learning state; enable keyed capture on workers"
         );
-        for (idx, a) in other.apps.into_iter().enumerate() {
+        for (idx, mut a) in other.apps.into_iter().enumerate() {
             let dst = self.app_mut(AppId(idx as u16));
             dst.injected.merge(&a.injected);
             dst.delivered.merge(&a.delivered);
-            dst.latencies.extend_from(&a.latencies);
+            dst.latencies.append(&mut a.latencies);
             dst.packets_injected += a.packets_injected;
             dst.packets_delivered += a.packets_delivered;
             dst.packets_detoured += a.packets_detoured;
@@ -744,6 +748,31 @@ mod tests {
         master.replay_keyed(journal);
         assert_eq!(master.learning().updates(), 1);
         assert_eq!(master.app(AppId(0)).unwrap().rank_comm, vec![(2, 50, 150)]);
+    }
+
+    /// A partition that captures its own hooks still folds replayed
+    /// entries straight into its aggregates (shard 0 of a partitioned run).
+    #[test]
+    fn a_capturing_recorder_folds_replayed_entries() {
+        use crate::sink::VecSink;
+        let sink = VecSink::new();
+        let mut r = rec();
+        r.enable_keyed_capture();
+        r.set_sink(Box::new(sink.clone()));
+        r.set_key(300, 4);
+        r.q1_updated(300, 1.0);
+        let mut worker = rec();
+        worker.enable_keyed_capture();
+        worker.set_key(100, 7);
+        worker.q1_updated(100, 5.0);
+        worker.rank_finished(AppId(0), 2, 50, 150);
+        assert_eq!(worker.keyed_pending().len(), 2);
+        r.replay_keyed(worker.drain_keyed());
+        assert!(worker.keyed_pending().is_empty());
+        assert_eq!(r.learning().updates(), 1);
+        assert_eq!(r.app(AppId(0)).unwrap().rank_comm, vec![(2, 50, 150)]);
+        assert_eq!(r.keyed_pending().len(), 1, "the fold does not touch the own journal");
+        assert!(sink.events().is_empty(), "folded entries do not reach the sink");
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! [`replay_trace`] rebuilds the run's *exact* [`RunReport`] — every field,
 //! including engine counters and wall time (both carried by the META frame)
 //! — without re-simulating anything. Pinned here on both queue backends, at
-//! 1 and 2 partitions, for static (pairwise) and churn (Poisson) runs; plus
-//! the named-error surface for damaged files.
+//! 1, 2, 4 and 9 partitions, for static (pairwise) and churn (Poisson) runs;
+//! plus the named-error surface for damaged files.
 
 use std::path::PathBuf;
 
@@ -34,6 +34,11 @@ fn canonical(report: &RunReport) -> String {
     format!("{report:#?}")
 }
 
+/// Partition counts: one, two, uneven ownership (tiny_72's 9 groups as
+/// 3+2+2+2) and one shard per group, so keyed events from many shards go
+/// through the splice.
+const THREADS: [usize; 4] = [1, 2, 4, 9];
+
 fn backends() -> [QueueBackend; 2] {
     [QueueBackend::BinaryHeap, QueueBackend::calendar_auto()]
 }
@@ -60,12 +65,12 @@ fn assert_replay_rebuilds(spec: ExperimentSpec, what: &str) {
     let _ = std::fs::remove_file(&path);
 }
 
-/// Static pairwise interference: both backends, one partition and two
-/// (per-shard temporaries spliced at assembly).
+/// Static pairwise interference: both backends, every partition count in
+/// [`THREADS`] (per-shard temporaries spliced at assembly).
 #[test]
 fn static_runs_replay_bit_identically() {
     for queue in backends() {
-        for threads in [1usize, 2] {
+        for threads in THREADS {
             let tag = format!("static_{queue}_{threads}");
             let spec = tiny_spec(queue, threads, &tag)
                 .with_workload(Workload::pairwise(AppKind::FFT3D, Some(AppKind::Halo3D)));
@@ -80,7 +85,7 @@ fn static_runs_replay_bit_identically() {
 #[test]
 fn churn_runs_replay_bit_identically() {
     for queue in backends() {
-        for threads in [1usize, 2] {
+        for threads in THREADS {
             let tag = format!("churn_{queue}_{threads}");
             let mut spec = tiny_spec(queue, threads, &tag);
             spec.workload = Workload::Poisson;
