@@ -2,7 +2,7 @@
 
 /// Factor `n` into `dims` near-balanced factors (largest first): the prime
 /// factors of `n` are distributed greedily onto the smallest current
-/// dimension. E.g. 528 → 3 dims = [11, 8, 6], 243 → 5 dims = [3,3,3,3,3].
+/// dimension. E.g. 528 → 3 dims = [11, 8, 6], 243 → 5 dims = \[3,3,3,3,3\].
 pub fn factorize(n: u32, dims: usize) -> Vec<u32> {
     assert!(n > 0 && dims > 0);
     let mut primes = prime_factors(n);

@@ -1,7 +1,7 @@
 //! LULESH — the hydrodynamics proxy app (paper §IV, "Hybrid").
 //!
 //! The communication pattern follows the characterization the paper cites
-//! (Durango / automated pattern analysis [39], [40]): a 26-point 3-D
+//! (Durango / automated pattern analysis \[39\], \[40\]): a 26-point 3-D
 //! stencil (faces, edges and corners with geometrically shrinking message
 //! sizes) followed by a sweep3d-style wavefront exchange, then compute.
 //! LULESH requires a perfect process cube (512 ranks of the 528-node

@@ -28,7 +28,10 @@
 //! workload, default Halo3D), `APPS` (evaluation workloads) and `SNAPSHOT`
 //! (keep the trained snapshot at this path instead of a deleted temp file).
 //! The generic `--qtable` knobs are rejected: this binary owns its own
-//! Q-table lifecycle.
+//! Q-table lifecycle. The snapshot is an ordinary `--qtable save=` file
+//! (`dfsim-qtable v2`: a header line, then the binary section a result-cache
+//! entry embeds). `--smoke` checks that it loads, verifies and re-saves
+//! byte-identically before comparing warm against cold start.
 
 use std::path::Path;
 
@@ -139,14 +142,15 @@ fn smoke() -> ! {
     if !trained.completed {
         die("transfer smoke FAILED: training run incomplete");
     }
-    let text = std::fs::read_to_string(&snap)
-        .unwrap_or_else(|e| die(format!("transfer smoke FAILED: snapshot unreadable: {e}")));
-    let loaded =
-        QTableSnapshot::load(&snap).unwrap_or_else(|e| die(format!("transfer smoke FAILED: {e}")));
-    loaded
-        .verify(&base.params, &base.timing, base.qa_alpha)
-        .unwrap_or_else(|e| die(format!("transfer smoke FAILED: {e}")));
-    if loaded.to_text() != text {
+    let fail = |e: &dyn std::fmt::Display| -> ! { die(format!("transfer smoke FAILED: {e}")) };
+    let loaded = QTableSnapshot::load(&snap).unwrap_or_else(|e| fail(&e));
+    loaded.verify(&base.params, &base.timing, base.qa_alpha).unwrap_or_else(|e| fail(&e));
+    let resaved = snap.with_extension("resaved");
+    loaded.save(&resaved).unwrap_or_else(|e| fail(&e));
+    let read = |p: &Path| std::fs::read(p).unwrap_or_else(|e| fail(&e));
+    let identical = read(&snap) == read(&resaved);
+    let _ = std::fs::remove_file(&resaved);
+    if !identical {
         die("transfer smoke FAILED: save -> load -> save is not byte-identical");
     }
 

@@ -65,9 +65,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use dfsim_network::QTableSnapshot;
 
-use crate::report::{AppReport, EngineReport, JobReport, LearningReport, NetworkReport, RunReport};
+use crate::report::{
+    get_job_reports, put_job_reports, AppReport, EngineReport, LearningReport, NetworkReport,
+    RunReport,
+};
 use crate::spec::{ExperimentSpec, Workload};
-use dfsim_metrics::trace::{len_u32, put_f64, put_opt_f64, put_str, put_u32, put_u64, put_u8, Cur};
+use dfsim_metrics::trace::{len_u32, put_f64, put_str, put_u32, put_u64, put_u8, Cur};
 use dfsim_metrics::{LatencySummary, Stats};
 
 /// Magic header of every cache entry file, and the version salt of every
@@ -376,20 +379,7 @@ pub fn encode_report(r: &RunReport) -> Vec<u8> {
         put_f64(&mut b, a.detour_frac);
         put_f64(&mut b, a.mean_hops);
     }
-    put_u32(&mut b, len_u32(r.jobs.len(), "the job count"));
-    for j in &r.jobs {
-        put_u32(&mut b, j.job);
-        put_str(&mut b, &j.name);
-        put_u32(&mut b, j.size);
-        put_f64(&mut b, j.arrival_ms);
-        put_opt_f64(&mut b, j.start_ms);
-        put_opt_f64(&mut b, j.finish_ms);
-        put_f64(&mut b, j.wait_ms);
-        put_f64(&mut b, j.run_ms);
-        put_f64(&mut b, j.response_ms);
-        put_opt_f64(&mut b, j.slowdown);
-        put_u8(&mut b, u8::from(j.completed));
-    }
+    put_job_reports(&mut b, &r.jobs);
     let n = &r.network;
     put_f64s(&mut b, &n.local_stall_ms);
     put_matrix(&mut b, &n.global_stall_ms);
@@ -480,10 +470,6 @@ fn get_matrix(c: &mut Cur<'_>, what: &'static str) -> Result<Vec<Vec<f64>>, Cach
     Ok(m)
 }
 
-fn get_opt_f64(c: &mut Cur<'_>, what: &'static str) -> Result<Option<f64>, CacheError> {
-    c.opt_f64(what).map_err(cur_err)
-}
-
 /// Decode a blob written by [`encode_report`].
 pub fn decode_report(blob: &[u8]) -> Result<RunReport, CacheError> {
     let mut c = Cur::new(blob);
@@ -525,23 +511,7 @@ pub fn decode_report(blob: &[u8]) -> Result<RunReport, CacheError> {
             mean_hops: c.f64("app.mean_hops").map_err(cur_err)?,
         });
     }
-    let njobs = c.len("job count").map_err(cur_err)?;
-    let mut jobs = Vec::with_capacity(njobs.min(1 << 20));
-    for _ in 0..njobs {
-        jobs.push(JobReport {
-            job: c.u32("job.job").map_err(cur_err)?,
-            name: c.str("job.name").map_err(cur_err)?,
-            size: c.u32("job.size").map_err(cur_err)?,
-            arrival_ms: c.f64("job.arrival_ms").map_err(cur_err)?,
-            start_ms: get_opt_f64(&mut c, "job.start_ms")?,
-            finish_ms: get_opt_f64(&mut c, "job.finish_ms")?,
-            wait_ms: c.f64("job.wait_ms").map_err(cur_err)?,
-            run_ms: c.f64("job.run_ms").map_err(cur_err)?,
-            response_ms: c.f64("job.response_ms").map_err(cur_err)?,
-            slowdown: get_opt_f64(&mut c, "job.slowdown")?,
-            completed: c.u8("job.completed").map_err(cur_err)? != 0,
-        });
-    }
+    let jobs = get_job_reports(&mut c).map_err(cur_err)?;
     let network = NetworkReport {
         local_stall_ms: get_f64s(&mut c, "network.local_stall_ms")?,
         global_stall_ms: get_matrix(&mut c, "network.global_stall_ms")?,

@@ -1,6 +1,20 @@
 //! Run reports: the data products the paper's tables and figures are built
-//! from.
+//! from, and the one binary form of the [`JobReport`] list that result-cache
+//! entries and trace META blobs share.
 
+// The job-report decoder reads cache entries and trace files: a corrupt
+// blob must surface as a named error, never as a panic or a wrapped value.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::cast_possible_truncation,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
+
+use dfsim_metrics::trace::{
+    len_u32, put_f64, put_opt_f64, put_str, put_u32, put_u8, Cur, TraceError,
+};
 use dfsim_metrics::{LatencySummary, Stats};
 
 /// Per-application results of one run.
@@ -194,6 +208,50 @@ pub struct JobReport {
     pub slowdown: Option<f64>,
     /// Whether every rank of the job finished.
     pub completed: bool,
+}
+
+/// Append `jobs` in their binary form: a `u32` count, then each job's
+/// fields in declaration order (`f64`s as raw bits, options as a presence
+/// byte and the value). Result-cache entries and trace META blobs both
+/// embed exactly these bytes.
+pub(crate) fn put_job_reports(b: &mut Vec<u8>, jobs: &[JobReport]) {
+    put_u32(b, len_u32(jobs.len(), "the job-report count"));
+    for j in jobs {
+        put_u32(b, j.job);
+        put_str(b, &j.name);
+        put_u32(b, j.size);
+        put_f64(b, j.arrival_ms);
+        put_opt_f64(b, j.start_ms);
+        put_opt_f64(b, j.finish_ms);
+        put_f64(b, j.wait_ms);
+        put_f64(b, j.run_ms);
+        put_f64(b, j.response_ms);
+        put_opt_f64(b, j.slowdown);
+        put_u8(b, u8::from(j.completed));
+    }
+}
+
+/// Decode a list written by [`put_job_reports`]. The count word reserves at
+/// most 2^20 jobs up front; a longer list grows as its jobs decode.
+pub(crate) fn get_job_reports(c: &mut Cur<'_>) -> Result<Vec<JobReport>, TraceError> {
+    let n = c.len("the job-report count")?;
+    let mut jobs = Vec::with_capacity(n.min(1 << 20));
+    for _ in 0..n {
+        jobs.push(JobReport {
+            job: c.u32("job.job")?,
+            name: c.str("job.name")?,
+            size: c.u32("job.size")?,
+            arrival_ms: c.f64("job.arrival_ms")?,
+            start_ms: c.opt_f64("job.start_ms")?,
+            finish_ms: c.opt_f64("job.finish_ms")?,
+            wait_ms: c.f64("job.wait_ms")?,
+            run_ms: c.f64("job.run_ms")?,
+            response_ms: c.f64("job.response_ms")?,
+            slowdown: c.opt_f64("job.slowdown")?,
+            completed: c.u8("job.completed")? != 0,
+        });
+    }
+    Ok(jobs)
 }
 
 /// The full result of one simulation.

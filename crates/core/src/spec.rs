@@ -1442,7 +1442,7 @@ fn parse_path(s: &str) -> Result<PathBuf, String> {
 
 /// Parse a `k=v k=v …` line, feeding each pair to `apply`. A field given
 /// twice is an error naming it, as a key given twice is.
-fn parse_kv_line(
+fn parse_pairs(
     rest: &str,
     mut apply: impl FnMut(&str, &str) -> Result<(), String>,
 ) -> Result<(), String> {
@@ -1464,7 +1464,7 @@ fn parse_kv_line(
 
 /// The `topology` key's parser.
 fn parse_topology(s: &mut ExperimentSpec, rest: &str) -> Result<(), String> {
-    parse_kv_line(rest, |k, v| {
+    parse_pairs(rest, |k, v| {
         let n: u32 = v.parse().map_err(|_| format!("invalid topology {k} '{v}' (u32)"))?;
         match k {
             "groups" => s.params.groups = n,
@@ -1481,7 +1481,7 @@ fn parse_topology(s: &mut ExperimentSpec, rest: &str) -> Result<(), String> {
 /// each is parsed at the field's width so an out-of-range value is a named
 /// error instead of a silent truncation.
 fn parse_timing(s: &mut ExperimentSpec, rest: &str) -> Result<(), String> {
-    parse_kv_line(rest, |k, v| {
+    parse_pairs(rest, |k, v| {
         let n64 = |v: &str| v.parse::<u64>().map_err(|_| format!("invalid timing {k} '{v}' (u64)"));
         let n32 = |v: &str| v.parse::<u32>().map_err(|_| format!("invalid timing {k} '{v}' (u32)"));
         let t = &mut s.timing;

@@ -38,15 +38,15 @@ use std::sync::Arc;
 use dfsim_apps::AppKind;
 use dfsim_des::{EngineStats, QueueBackend, Time};
 use dfsim_metrics::trace::{
-    len_u32, put_f64, put_opt_f64, put_opt_u64, put_str, put_u32, put_u64, put_u8, read_meta,
+    len_u32, put_f64, put_machine, put_opt_u64, put_str, put_u32, put_u64, put_u8, read_meta,
     read_trace, Cur, TraceContents, TraceError,
 };
 use dfsim_metrics::{Recorder, RecorderConfig};
 use dfsim_network::{QTableInit, RoutingAlgo, RoutingConfig};
-use dfsim_topology::{DragonflyParams, LinkTiming, Topology};
+use dfsim_topology::Topology;
 
 use crate::config::SimConfig;
-use crate::report::{JobReport, RunReport};
+use crate::report::{get_job_reports, put_job_reports, JobReport, RunReport};
 use crate::runner::{build_report, JobSpec};
 use crate::world::StopReason;
 
@@ -104,18 +104,7 @@ pub(crate) fn encode_meta(
 ) -> Vec<u8> {
     let mut b = Vec::with_capacity(256);
     put_u32(&mut b, META_VERSION);
-    // Topology + timing.
-    put_u32(&mut b, cfg.params.groups);
-    put_u32(&mut b, cfg.params.routers_per_group);
-    put_u32(&mut b, cfg.params.nodes_per_router);
-    put_u32(&mut b, cfg.params.globals_per_router);
-    put_u64(&mut b, cfg.timing.bandwidth_gbps);
-    put_u64(&mut b, cfg.timing.local_latency_ps);
-    put_u64(&mut b, cfg.timing.global_latency_ps);
-    put_u64(&mut b, cfg.timing.terminal_latency_ps);
-    put_u32(&mut b, cfg.timing.flit_bytes);
-    put_u32(&mut b, cfg.timing.packet_bytes);
-    put_u32(&mut b, cfg.timing.buffer_packets);
+    put_machine(&mut b, &cfg.params, &cfg.timing);
     // Routing / queue / run identity.
     put_str(&mut b, cfg.routing.algo.label());
     put_str(&mut b, cfg.routing.qtable_init.label());
@@ -161,20 +150,7 @@ pub(crate) fn encode_meta(
     put_u64(&mut b, end_time);
     put_f64(&mut b, wall_s);
     // Churn job outcomes.
-    put_u32(&mut b, len_u32(job_reports.len(), "the job-report count"));
-    for j in job_reports {
-        put_u32(&mut b, j.job);
-        put_str(&mut b, &j.name);
-        put_u32(&mut b, j.size);
-        put_f64(&mut b, j.arrival_ms);
-        put_opt_f64(&mut b, j.start_ms);
-        put_opt_f64(&mut b, j.finish_ms);
-        put_f64(&mut b, j.wait_ms);
-        put_f64(&mut b, j.run_ms);
-        put_f64(&mut b, j.response_ms);
-        put_opt_f64(&mut b, j.slowdown);
-        put_u8(&mut b, u8::from(j.completed));
-    }
+    put_job_reports(&mut b, job_reports);
     b
 }
 
@@ -189,21 +165,7 @@ pub fn decode_meta(blob: &[u8]) -> Result<TraceMeta, TraceError> {
             c.bad(format!("unsupported trace meta version {ver} (expected {META_VERSION})"))
         );
     }
-    let params = DragonflyParams {
-        groups: c.u32("params.groups")?,
-        routers_per_group: c.u32("params.routers_per_group")?,
-        nodes_per_router: c.u32("params.nodes_per_router")?,
-        globals_per_router: c.u32("params.globals_per_router")?,
-    };
-    let timing = LinkTiming {
-        bandwidth_gbps: c.u64("timing.bandwidth_gbps")?,
-        local_latency_ps: c.u64("timing.local_latency_ps")?,
-        global_latency_ps: c.u64("timing.global_latency_ps")?,
-        terminal_latency_ps: c.u64("timing.terminal_latency_ps")?,
-        flit_bytes: c.u32("timing.flit_bytes")?,
-        packet_bytes: c.u32("timing.packet_bytes")?,
-        buffer_packets: c.u32("timing.buffer_packets")?,
-    };
+    let (params, timing) = c.machine()?;
     let routing_label = c.str("the routing label")?;
     let algo = *RoutingAlgo::ALL
         .iter()
@@ -261,23 +223,7 @@ pub fn decode_meta(blob: &[u8]) -> Result<TraceMeta, TraceError> {
     };
     let end_time = c.u64("the end time")?;
     let wall_s = c.f64("the wall time")?;
-    let nreports = c.len("the job-report count")?;
-    let mut job_reports = Vec::with_capacity(nreports);
-    for _ in 0..nreports {
-        job_reports.push(JobReport {
-            job: c.u32("job_report.job")?,
-            name: c.str("job_report.name")?,
-            size: c.u32("job_report.size")?,
-            arrival_ms: c.f64("job_report.arrival_ms")?,
-            start_ms: c.opt_f64("job_report.start_ms")?,
-            finish_ms: c.opt_f64("job_report.finish_ms")?,
-            wait_ms: c.f64("job_report.wait_ms")?,
-            run_ms: c.f64("job_report.run_ms")?,
-            response_ms: c.f64("job_report.response_ms")?,
-            slowdown: c.opt_f64("job_report.slowdown")?,
-            completed: c.u8("job_report.completed")? != 0,
-        });
-    }
+    let job_reports = get_job_reports(&mut c)?;
     let cfg =
         SimConfig { params, timing, routing, recorder, scale, seed, queue, ..Default::default() };
     Ok(TraceMeta {

@@ -116,11 +116,6 @@ impl CalendarTuning {
         Self { width: Some(width), buckets: Some(buckets) }
     }
 
-    /// Whether any knob is left to the self-tuning policy.
-    pub fn is_auto(&self) -> bool {
-        self.width.is_none() || self.buckets.is_none()
-    }
-
     /// Compact suffix form (`auto`, `width=..`, `width=..,buckets=..`).
     fn describe(&self) -> String {
         match (self.width, self.buckets) {

@@ -35,7 +35,8 @@
 //! the run is. [`read_trace`] streams a file back out, frame by frame,
 //! handing each decoded event to a callback — the reader never holds more
 //! than one frame in memory either. Every malformation is a *named*
-//! [`TraceError`], mirroring the `dfsim-qtable v1` snapshot conventions.
+//! [`TraceError`]; the same checked primitives decode the result cache and
+//! `dfsim-qtable` snapshot files.
 
 // Codec over external input: a short or corrupt file must surface as a
 // named error, never as a panic or a silently wrapped value.
@@ -50,7 +51,7 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use dfsim_topology::{Port, RouterId};
+use dfsim_topology::{DragonflyParams, LinkTiming, Port, RouterId};
 
 use crate::recorder::AppId;
 use crate::sink::{EventSink, TraceEvent};
@@ -169,6 +170,21 @@ pub fn put_opt_u64(b: &mut Vec<u8>, v: Option<u64>) {
 pub fn put_opt_f64(b: &mut Vec<u8>, v: Option<f64>) {
     put_u8(b, u8::from(v.is_some()));
     put_f64(b, v.unwrap_or(0.0));
+}
+
+/// Append a machine: the four [`DragonflyParams`] words, then the
+/// [`LinkTiming`] fields in declaration order. Q-table snapshots and trace
+/// META blobs both carry exactly these bytes (see [`Cur::machine`]).
+pub fn put_machine(b: &mut Vec<u8>, p: &DragonflyParams, t: &LinkTiming) {
+    for v in [p.groups, p.routers_per_group, p.nodes_per_router, p.globals_per_router] {
+        put_u32(b, v);
+    }
+    for v in [t.bandwidth_gbps, t.local_latency_ps, t.global_latency_ps, t.terminal_latency_ps] {
+        put_u64(b, v);
+    }
+    for v in [t.flit_bytes, t.packet_bytes, t.buffer_packets] {
+        put_u32(b, v);
+    }
 }
 
 /// Encode-side length word. Every length the codecs write (label strings,
@@ -293,6 +309,31 @@ impl<'a> Cur<'a> {
         let has = self.u8(what)? != 0;
         let v = self.f64(what)?;
         Ok(has.then_some(v))
+    }
+
+    /// A machine written by [`put_machine`].
+    pub fn machine(&mut self) -> Result<(DragonflyParams, LinkTiming), TraceError> {
+        let params = DragonflyParams {
+            groups: self.u32("params.groups")?,
+            routers_per_group: self.u32("params.routers_per_group")?,
+            nodes_per_router: self.u32("params.nodes_per_router")?,
+            globals_per_router: self.u32("params.globals_per_router")?,
+        };
+        let timing = LinkTiming {
+            bandwidth_gbps: self.u64("timing.bandwidth_gbps")?,
+            local_latency_ps: self.u64("timing.local_latency_ps")?,
+            global_latency_ps: self.u64("timing.global_latency_ps")?,
+            terminal_latency_ps: self.u64("timing.terminal_latency_ps")?,
+            flit_bytes: self.u32("timing.flit_bytes")?,
+            packet_bytes: self.u32("timing.packet_bytes")?,
+            buffer_packets: self.u32("timing.buffer_packets")?,
+        };
+        Ok((params, timing))
+    }
+
+    /// Bytes not yet read.
+    pub fn remaining(&self) -> usize {
+        self.data.len().saturating_sub(self.pos)
     }
 
     /// A [`TraceError::Malformed`] at the cursor's position.
@@ -439,7 +480,6 @@ pub struct TraceWriter {
     out: BufWriter<File>,
     path: PathBuf,
     buf: Vec<u8>,
-    events: u64,
     err: Option<std::io::Error>,
 }
 
@@ -453,14 +493,8 @@ impl TraceWriter {
             out,
             path: path.to_path_buf(),
             buf: Vec::with_capacity(FLUSH_THRESHOLD + 64),
-            events: 0,
             err: None,
         })
-    }
-
-    /// Events observed so far.
-    pub fn events_written(&self) -> u64 {
-        self.events
     }
 
     fn write_frame(&mut self, kind: u8, payload: &[u8]) {
@@ -500,7 +534,6 @@ impl TraceWriter {
     /// Observe one event (also the [`EventSink::event`] body).
     pub fn record(&mut self, ev: &TraceEvent) {
         encode_event(&mut self.buf, ev);
-        self.events += 1;
         if self.buf.len() >= FLUSH_THRESHOLD {
             self.flush_events();
         }

@@ -2,7 +2,7 @@
 
 use dfsim_des::Time;
 
-/// Message tag. Application tags must stay below [`Tag::COLLECTIVE_BASE`];
+/// Message tag. Application tags must stay below [`TagSpace::COLLECTIVE_BASE`];
 /// the collective engine reserves the upper tag space.
 pub type Tag = u64;
 

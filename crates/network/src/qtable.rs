@@ -1,5 +1,5 @@
 //! The two-level Q-table of Q-adaptive routing (paper §II-B, Fig 2; Kang et
-//! al., HPDC'21 [14]).
+//! al., HPDC'21 \[14\]).
 //!
 //! Each router keeps estimated *delivery times*:
 //!

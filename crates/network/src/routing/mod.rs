@@ -75,7 +75,7 @@ impl std::fmt::Display for RoutingAlgo {
     }
 }
 
-/// Q-adaptive hyperparameters ("same hyperparameters as in [14]" — the
+/// Q-adaptive hyperparameters ("same hyperparameters as in \[14\]" — the
 /// reproduced text does not list the values, so they are configurable with
 /// defaults chosen to converge within a fraction of one run; `DESIGN.md` §5).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -123,11 +123,6 @@ impl RoutingConfig {
             qa: QaParams::default(),
             qtable_init: QTableInit::Cold,
         }
-    }
-
-    /// This config, warm-starting Q-tables from `init`.
-    pub fn with_qtable_init(self, init: QTableInit) -> Self {
-        Self { qtable_init: init, ..self }
     }
 }
 

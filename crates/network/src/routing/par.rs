@@ -1,4 +1,4 @@
-//! PAR: Progressive Adaptive Routing (Jiang et al. [6]; paper §II-B).
+//! PAR: Progressive Adaptive Routing (Jiang et al. \[6\]; paper §II-B).
 //!
 //! PAR behaves like UGALn at the source router but keeps the minimal
 //! decision *revisable*: every router the packet visits inside its source

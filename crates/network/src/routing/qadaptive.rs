@@ -1,4 +1,4 @@
-//! Q-adaptive routing decisions (Kang et al., HPDC'21 [14]; paper §II-B).
+//! Q-adaptive routing decisions (Kang et al., HPDC'21 \[14\]; paper §II-B).
 //!
 //! While the packet is still inside its *source group*, every router it
 //! visits scores all legal output ports as

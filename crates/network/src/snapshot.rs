@@ -12,38 +12,19 @@
 //!
 //! ## Format
 //!
-//! A snapshot is a deterministic line-oriented text file with a
-//! hand-rolled, dependency-free reader and writer. All
-//! `f64` values are written as the 16-hex-digit big-endian rendering of
-//! [`f64::to_bits`], so `save → load → save` is byte-identical and values
-//! survive the round trip bit-exactly:
-//!
-//! ```text
-//! dfsim-qtable v1
-//! params groups=9 routers_per_group=4 nodes_per_router=2 globals_per_router=2
-//! timing bandwidth_gbps=200 local_latency_ps=30000 ... buffer_packets=30
-//! alpha 3fc999999999999a
-//! tables routers=36 radix=7 groups=9
-//! router 0
-//! q1 4110a1c800000000 7ff0000000000000 ...
-//! q2 ...
-//! router 1
-//! ...
-//! ```
-//!
-//! ## Binary form
-//!
-//! The result cache embeds snapshots in a second, binary form
-//! ([`QTableSnapshot::encode`] / [`QTableSnapshot::decode`]) over the
-//! checked little-endian codec of `dfsim_metrics::trace`: the same
-//! fingerprint, then every router's tables as raw `f64` bits — half the
-//! bytes of the text and a plain copy to decode. The text file stays the
-//! user-facing format; both forms take their table shape from the params
-//! through one checked geometry derivation.
+//! A snapshot file is the header line `dfsim-qtable v2\n`, then exactly the
+//! bytes [`QTableSnapshot::encode`] appends to a result-cache entry: the
+//! fingerprint, then every router's tables as raw little-endian `f64`
+//! bits, so `save → load → save` is byte-identical. The save file and the
+//! cache share one checked decoder ([`QTableSnapshot::decode`]), which
+//! derives the table shape from the params and bounds it against the input
+//! before allocating. Any other first line (a retired v1 text file
+//! included) is [`SnapshotError::VersionMismatch`]; a short body or bytes
+//! past the last table are [`SnapshotError::Malformed`].
 //!
 //! ## Fingerprint
 //!
-//! The header carries the structural topology parameters, the full link
+//! The body opens with the structural topology parameters, the full link
 //! timing, and the learning rate α. [`QTableSnapshot::verify`] compares all
 //! three against the loading run's configuration and returns a *named*
 //! error ([`SnapshotError::ParamsMismatch`], [`SnapshotError::TimingMismatch`],
@@ -52,7 +33,7 @@
 
 use std::path::{Path, PathBuf};
 
-use dfsim_metrics::trace::{put_f64, put_u32, put_u64, Cur, TraceError};
+use dfsim_metrics::trace::{put_f64, put_machine, put_u64, Cur, TraceError};
 use dfsim_topology::{DragonflyParams, LinkTiming};
 
 use crate::qtable::QTable;
@@ -60,7 +41,7 @@ use crate::qtable::QTable;
 /// Magic first line of every snapshot file (bump the version when the
 /// format changes; old files are then rejected with
 /// [`SnapshotError::VersionMismatch`]).
-pub const SNAPSHOT_HEADER: &str = "dfsim-qtable v1";
+pub const SNAPSHOT_HEADER: &str = "dfsim-qtable v2";
 
 /// How Q-adaptive Q-tables are initialized at network construction.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -100,16 +81,15 @@ pub enum SnapshotError {
         /// The OS error rendering.
         msg: String,
     },
-    /// The file is not a well-formed snapshot.
+    /// The file body is not a well-formed snapshot.
     Malformed {
-        /// 1-based line number of the offending line.
-        line: usize,
-        /// What was wrong.
+        /// What was wrong, with the byte offset where it was found.
         msg: String,
     },
     /// The file's header names another format version.
     VersionMismatch {
-        /// The first line actually found.
+        /// The first line actually found (lossy UTF-8, at most 64 bytes of
+        /// it).
         found: String,
     },
     /// The snapshot was trained on a different Dragonfly structure.
@@ -144,9 +124,7 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::Io { path, msg } => {
                 write!(f, "Q-table snapshot I/O error on {}: {msg}", path.display())
             }
-            SnapshotError::Malformed { line, msg } => {
-                write!(f, "malformed Q-table snapshot (line {line}): {msg}")
-            }
+            SnapshotError::Malformed { msg } => write!(f, "malformed Q-table snapshot: {msg}"),
             SnapshotError::VersionMismatch { found } => write!(
                 f,
                 "Q-table snapshot version mismatch: expected '{SNAPSHOT_HEADER}', found '{found}'"
@@ -192,7 +170,7 @@ struct RouterTables {
 const FINGERPRINT_BYTES: usize = 4 * 4 + 4 * 8 + 3 * 4 + 8;
 
 /// The table shape a params fingerprint implies, derived with checked
-/// arithmetic. Both decoders take every size from here, so params that
+/// arithmetic. The decoder takes every size from here, so params that
 /// describe no machine (a zero parameter) or one too large to address
 /// fail as a named error before any table is allocated.
 #[derive(Debug, Clone, Copy)]
@@ -281,16 +259,6 @@ impl QTableSnapshot {
         f64::from_bits(self.alpha_bits)
     }
 
-    /// The topology parameters recorded in the fingerprint.
-    pub fn params(&self) -> &DragonflyParams {
-        &self.params
-    }
-
-    /// The link timing recorded in the fingerprint.
-    pub fn timing(&self) -> &LinkTiming {
-        &self.timing
-    }
-
     /// Number of routers covered.
     pub fn num_routers(&self) -> usize {
         self.tables.len()
@@ -329,9 +297,9 @@ impl QTableSnapshot {
     }
 
     /// Rebuild router `r`'s [`QTable`] from the snapshot (panics if `r` is
-    /// out of range — callers verify the fingerprint first, and parsing
-    /// enforces that the table geometry matches the params header, so the
-    /// router count is pinned through the topology parameters).
+    /// out of range — callers verify the fingerprint first, and decoding
+    /// derives the table geometry from the params, so the router count is
+    /// pinned through the topology parameters).
     pub(crate) fn table_for(&self, r: usize) -> QTable {
         let t = &self.tables[r];
         QTable::from_raw(self.radix, self.groups, t.q1.clone(), t.q2.clone(), self.alpha())
@@ -342,153 +310,17 @@ impl QTableSnapshot {
         self.tables[r].q1[dst_group * self.radix + port]
     }
 
-    // ---- text round trip ---------------------------------------------------
+    // ---- binary form ----------------------------------------------------------
 
-    /// Render the deterministic text form (see the module docs).
-    pub fn to_text(&self) -> String {
-        let p = &self.params;
-        let t = &self.timing;
-        let mut out = String::with_capacity(64 + self.tables.len() * (self.groups + 8) * 17);
-        out.push_str(SNAPSHOT_HEADER);
-        out.push('\n');
-        out.push_str(&format!(
-            "params groups={} routers_per_group={} nodes_per_router={} globals_per_router={}\n",
-            p.groups, p.routers_per_group, p.nodes_per_router, p.globals_per_router
-        ));
-        out.push_str(&format!(
-            "timing bandwidth_gbps={} local_latency_ps={} global_latency_ps={} \
-             terminal_latency_ps={} flit_bytes={} packet_bytes={} buffer_packets={}\n",
-            t.bandwidth_gbps,
-            t.local_latency_ps,
-            t.global_latency_ps,
-            t.terminal_latency_ps,
-            t.flit_bytes,
-            t.packet_bytes,
-            t.buffer_packets
-        ));
-        out.push_str(&format!("alpha {:016x}\n", self.alpha_bits));
-        out.push_str(&format!(
-            "tables routers={} radix={} groups={}\n",
-            self.tables.len(),
-            self.radix,
-            self.groups
-        ));
-        for (r, t) in self.tables.iter().enumerate() {
-            out.push_str(&format!("router {r}\n"));
-            for (tag, vals) in [("q1", &t.q1), ("q2", &t.q2)] {
-                out.push_str(tag);
-                for v in vals {
-                    out.push(' ');
-                    out.push_str(&format!("{:016x}", v.to_bits()));
-                }
-                out.push('\n');
-            }
-        }
-        out
-    }
-
-    /// Parse the text form back into a snapshot.
-    pub fn from_text(s: &str) -> Result<Self, SnapshotError> {
-        let mut lines = s.lines().enumerate();
-        let mut next = |what: &str| {
-            lines.next().ok_or_else(|| SnapshotError::Malformed {
-                line: s.lines().count() + 1,
-                msg: format!("unexpected end of file, expected {what}"),
-            })
-        };
-
-        let (_, header) = next("the version header")?;
-        if header.trim_end() != SNAPSHOT_HEADER {
-            return Err(SnapshotError::VersionMismatch { found: header.to_string() });
-        }
-        let (ln, params_line) = next("the params line")?;
-        let pv = parse_kv_line(params_line, "params", ln + 1)?;
-        let params = DragonflyParams {
-            groups: kv(&pv, "groups", ln + 1)? as u32,
-            routers_per_group: kv(&pv, "routers_per_group", ln + 1)? as u32,
-            nodes_per_router: kv(&pv, "nodes_per_router", ln + 1)? as u32,
-            globals_per_router: kv(&pv, "globals_per_router", ln + 1)? as u32,
-        };
-        let geo =
-            Geometry::of(&params).map_err(|msg| SnapshotError::Malformed { line: ln + 1, msg })?;
-        let (ln, timing_line) = next("the timing line")?;
-        let tv = parse_kv_line(timing_line, "timing", ln + 1)?;
-        let timing = LinkTiming {
-            bandwidth_gbps: kv(&tv, "bandwidth_gbps", ln + 1)?,
-            local_latency_ps: kv(&tv, "local_latency_ps", ln + 1)?,
-            global_latency_ps: kv(&tv, "global_latency_ps", ln + 1)?,
-            terminal_latency_ps: kv(&tv, "terminal_latency_ps", ln + 1)?,
-            flit_bytes: kv(&tv, "flit_bytes", ln + 1)? as u32,
-            packet_bytes: kv(&tv, "packet_bytes", ln + 1)? as u32,
-            buffer_packets: kv(&tv, "buffer_packets", ln + 1)? as u32,
-        };
-        let (ln, alpha_line) = next("the alpha line")?;
-        let alpha_hex = alpha_line.strip_prefix("alpha ").ok_or_else(|| {
-            SnapshotError::Malformed { line: ln + 1, msg: "expected 'alpha <hex>'".into() }
-        })?;
-        let alpha_bits = u64::from_str_radix(alpha_hex.trim(), 16).map_err(|e| {
-            SnapshotError::Malformed { line: ln + 1, msg: format!("bad alpha bits: {e}") }
-        })?;
-        let (ln, tables_line) = next("the tables line")?;
-        let hv = parse_kv_line(tables_line, "tables", ln + 1)?;
-        let routers = kv(&hv, "routers", ln + 1)? as usize;
-        let radix = kv(&hv, "radix", ln + 1)? as usize;
-        let groups = kv(&hv, "groups", ln + 1)? as usize;
-        // The table geometry is fully derived from the params header; an
-        // inconsistent file must fail *here* with a named error, not pass
-        // `verify` and then misindex (or silently misapply) at warm-start.
-        if (routers, radix, groups) != (geo.routers, geo.radix, geo.groups) {
-            return Err(SnapshotError::Malformed {
-                line: ln + 1,
-                msg: format!(
-                    "table geometry routers={routers} radix={radix} groups={groups} does not \
-                     match the params header (expects routers={} radix={} groups={})",
-                    geo.routers, geo.radix, geo.groups
-                ),
-            });
-        }
-
-        // Grown as routers parse, not reserved from the header: the text
-        // bounds how many tables there can be, the params words do not.
-        let mut tables = Vec::new();
-        for r in 0..routers {
-            let (ln, marker) = next("a router marker")?;
-            if marker.trim_end() != format!("router {r}") {
-                return Err(SnapshotError::Malformed {
-                    line: ln + 1,
-                    msg: format!("expected 'router {r}', found '{marker}'"),
-                });
-            }
-            let (ln1, l1) = next("a q1 line")?;
-            let q1 = parse_values(l1, "q1", geo.q1_len, ln1 + 1)?;
-            let (ln2, l2) = next("a q2 line")?;
-            let q2 = parse_values(l2, "q2", geo.q2_len, ln2 + 1)?;
-            tables.push(RouterTables { q1, q2 });
-        }
-        Ok(Self { params, timing, alpha_bits, radix, groups, tables })
-    }
-
-    // ---- binary round trip -------------------------------------------------
-
-    /// Append the binary form (the section a result-cache entry embeds):
+    /// Append the binary form (the section a result-cache entry embeds and
+    /// the body of a save file):
     /// the fingerprint — params, timing, α bits — then every router's q1
     /// and q2 as raw little-endian `f64` bits. The table geometry is not
     /// written; [`Self::decode`] derives it from the params.
     pub fn encode(&self, b: &mut Vec<u8>) {
-        let p = &self.params;
-        let t = &self.timing;
         let values: usize = self.tables.iter().map(|r| r.q1.len() + r.q2.len()).sum();
         b.reserve(FINGERPRINT_BYTES + values * 8);
-        for v in [p.groups, p.routers_per_group, p.nodes_per_router, p.globals_per_router] {
-            put_u32(b, v);
-        }
-        for v in [t.bandwidth_gbps, t.local_latency_ps, t.global_latency_ps, t.terminal_latency_ps]
-        {
-            put_u64(b, v);
-        }
-        for v in [t.flit_bytes, t.packet_bytes, t.buffer_packets] {
-            put_u32(b, v);
-        }
+        put_machine(b, &self.params, &self.timing);
         put_u64(b, self.alpha_bits);
         for r in &self.tables {
             for &v in r.q1.iter().chain(&r.q2) {
@@ -503,21 +335,7 @@ impl QTableSnapshot {
     /// machine, is a named [`TraceError`] — never a panic or an allocation
     /// larger than the input.
     pub fn decode(c: &mut Cur<'_>) -> Result<Self, TraceError> {
-        let params = DragonflyParams {
-            groups: c.u32("snapshot params")?,
-            routers_per_group: c.u32("snapshot params")?,
-            nodes_per_router: c.u32("snapshot params")?,
-            globals_per_router: c.u32("snapshot params")?,
-        };
-        let timing = LinkTiming {
-            bandwidth_gbps: c.u64("snapshot timing")?,
-            local_latency_ps: c.u64("snapshot timing")?,
-            global_latency_ps: c.u64("snapshot timing")?,
-            terminal_latency_ps: c.u64("snapshot timing")?,
-            flit_bytes: c.u32("snapshot timing")?,
-            packet_bytes: c.u32("snapshot timing")?,
-            buffer_packets: c.u32("snapshot timing")?,
-        };
+        let (params, timing) = c.machine()?;
         let alpha_bits = c.u64("snapshot alpha")?;
         let geo = Geometry::of(&params).map_err(|msg| c.bad(format!("snapshot {msg}")))?;
         let raw = c.bytes(geo.table_bytes, "snapshot tables")?;
@@ -535,72 +353,62 @@ impl QTableSnapshot {
         Ok(Self { params, timing, alpha_bits, radix: geo.radix, groups: geo.groups, tables })
     }
 
-    /// Write the snapshot to `path`.
+    // ---- the save file ------------------------------------------------------
+
+    /// The save file's bytes: the header line, then [`Self::encode`]'s.
+    fn file_bytes(&self) -> Vec<u8> {
+        let mut b = SNAPSHOT_HEADER.as_bytes().to_vec();
+        b.push(b'\n');
+        self.encode(&mut b);
+        b
+    }
+
+    /// Parse a save file: the header line, then exactly one
+    /// [`Self::decode`] body. Error offsets count from the file's start.
+    fn from_file_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
+        let first_line = bytes.split(|&b| b == b'\n').next().unwrap_or_default();
+        let mut c = Cur::new(bytes);
+        if first_line != SNAPSHOT_HEADER.as_bytes()
+            || c.bytes(first_line.len() + 1, "the header line").is_err()
+        {
+            // Bounded: a binary file may have no newline at all.
+            let shown = first_line.get(..64).unwrap_or(first_line);
+            return Err(SnapshotError::VersionMismatch {
+                found: String::from_utf8_lossy(shown).into_owned(),
+            });
+        }
+        let snap = Self::decode(&mut c).map_err(malformed)?;
+        match c.remaining() {
+            0 => Ok(snap),
+            n => Err(malformed(c.bad(format!("{n} trailing bytes after the last table")))),
+        }
+    }
+
+    /// Write the snapshot to `path` (the module-docs format).
     pub fn save(&self, path: &Path) -> Result<(), SnapshotError> {
-        std::fs::write(path, self.to_text())
+        std::fs::write(path, self.file_bytes())
             .map_err(|e| SnapshotError::Io { path: path.to_path_buf(), msg: e.to_string() })
     }
 
-    /// Read and parse a snapshot from `path`.
+    /// Read and decode a snapshot from `path`.
     pub fn load(path: &Path) -> Result<Self, SnapshotError> {
-        let text = std::fs::read_to_string(path)
+        let bytes = std::fs::read(path)
             .map_err(|e| SnapshotError::Io { path: path.to_path_buf(), msg: e.to_string() })?;
-        Self::from_text(&text)
+        Self::from_file_bytes(&bytes)
     }
 }
 
-/// Parse `tag k=v k=v ...` into the `(k, v)` pairs.
-fn parse_kv_line(line: &str, tag: &str, ln: usize) -> Result<Vec<(String, u64)>, SnapshotError> {
-    let rest = line.strip_prefix(tag).ok_or_else(|| SnapshotError::Malformed {
-        line: ln,
-        msg: format!("expected a '{tag}' line, found '{line}'"),
-    })?;
-    rest.split_whitespace()
-        .map(|pair| {
-            let (k, v) = pair.split_once('=').ok_or_else(|| SnapshotError::Malformed {
-                line: ln,
-                msg: format!("expected 'key=value', found '{pair}'"),
-            })?;
-            let v = v.parse::<u64>().map_err(|e| SnapshotError::Malformed {
-                line: ln,
-                msg: format!("bad value for {k}: {e}"),
-            })?;
-            Ok((k.to_string(), v))
-        })
-        .collect()
-}
-
-/// Look up one key of a parsed `k=v` line.
-fn kv(pairs: &[(String, u64)], key: &str, ln: usize) -> Result<u64, SnapshotError> {
-    pairs
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|&(_, v)| v)
-        .ok_or_else(|| SnapshotError::Malformed { line: ln, msg: format!("missing field '{key}'") })
-}
-
-/// Parse `tag <hex> <hex> ...` into exactly `n` f64 values.
-fn parse_values(line: &str, tag: &str, n: usize, ln: usize) -> Result<Vec<f64>, SnapshotError> {
-    let rest = line.strip_prefix(tag).ok_or_else(|| SnapshotError::Malformed {
-        line: ln,
-        msg: format!("expected a '{tag}' line"),
-    })?;
-    let vals: Vec<f64> = rest
-        .split_whitespace()
-        .map(|w| {
-            u64::from_str_radix(w, 16).map(f64::from_bits).map_err(|e| SnapshotError::Malformed {
-                line: ln,
-                msg: format!("bad {tag} value '{w}': {e}"),
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    if vals.len() != n {
-        return Err(SnapshotError::Malformed {
-            line: ln,
-            msg: format!("{tag} holds {} values, expected {n}", vals.len()),
-        });
-    }
-    Ok(vals)
+/// Map a body decode failure onto [`SnapshotError::Malformed`], in the
+/// snapshot's own words rather than the trace codec's.
+fn malformed(e: TraceError) -> SnapshotError {
+    let msg = match e {
+        TraceError::Truncated { offset, what } => {
+            format!("file ends at byte {offset} while reading {what}")
+        }
+        TraceError::Malformed { offset, msg } => format!("byte {offset}: {msg}"),
+        other => other.to_string(),
+    };
+    SnapshotError::Malformed { msg }
 }
 
 #[cfg(test)]
@@ -620,12 +428,17 @@ mod tests {
     }
 
     #[test]
-    fn text_round_trip_is_exact() {
+    fn save_file_is_the_header_then_the_cache_section() {
         let s = snap();
-        let text = s.to_text();
-        let back = QTableSnapshot::from_text(&text).unwrap();
+        // The section a cache entry embeds after its snapshot flag.
+        let mut entry = vec![1u8];
+        s.encode(&mut entry);
+        let file = s.file_bytes();
+        let body = file.strip_prefix(b"dfsim-qtable v2\n").expect("header line");
+        assert_eq!(body, &entry[1..], "save-file body differs from the cache section");
+        let back = QTableSnapshot::from_file_bytes(&file).unwrap();
         assert_eq!(s, back);
-        assert_eq!(text, back.to_text(), "save -> load -> save must be byte-identical");
+        assert_eq!(file, back.file_bytes(), "save -> load -> save must be byte-identical");
     }
 
     #[test]
@@ -637,7 +450,6 @@ mod tests {
         assert_eq!(c.u8("lead").unwrap(), 0xAB);
         let back = QTableSnapshot::decode(&mut c).unwrap();
         assert_eq!(s, back);
-        assert_eq!(s.to_text(), back.to_text());
         // 36 routers × (9×7 + 4×7) values × 8 bytes, after the fingerprint.
         assert_eq!(bytes.len(), 1 + FINGERPRINT_BYTES + 36 * 91 * 8);
     }
@@ -714,31 +526,24 @@ mod tests {
 
     #[test]
     fn version_and_shape_errors_are_reported() {
-        let e = QTableSnapshot::from_text("dfsim-qtable v99\n").unwrap_err();
-        assert!(matches!(e, SnapshotError::VersionMismatch { .. }), "{e}");
+        let load = QTableSnapshot::from_file_bytes;
+        let file = snap().file_bytes();
 
-        let mut text = snap().to_text();
-        text = text.replacen("router 1\n", "router 7\n", 1);
-        let e = QTableSnapshot::from_text(&text).unwrap_err();
-        assert!(matches!(e, SnapshotError::Malformed { .. }), "{e}");
-
-        // Table geometry inconsistent with the params header: a truncated
-        // snapshot must fail parsing with a named error, not pass `verify`
-        // and misindex at warm-start.
-        let text = snap().to_text().replacen("tables routers=36", "tables routers=18", 1);
-        let e = QTableSnapshot::from_text(&text).unwrap_err();
-        assert!(matches!(e, SnapshotError::Malformed { .. }), "{e}");
-        assert!(e.to_string().contains("geometry"), "{e}");
-        let text = snap().to_text().replacen("radix=7", "radix=6", 1);
-        let e = QTableSnapshot::from_text(&text).unwrap_err();
-        assert!(e.to_string().contains("geometry"), "{e}");
-
-        // Truncated value line.
-        let s = snap();
-        let text = s.to_text();
-        let cut = text.rfind(' ').unwrap();
-        let e = QTableSnapshot::from_text(&text[..cut]).unwrap_err();
-        assert!(matches!(e, SnapshotError::Malformed { .. }), "{e}");
+        // Another version, a v1 text file, a binary file without a header
+        // line (shown bounded), and a header with nothing after it.
+        let headless = vec![0xFF; 200];
+        for bytes in
+            [&b"dfsim-qtable v99\n"[..], b"dfsim-qtable v1\nparams", &headless, &file[..15]]
+        {
+            let e = load(bytes).unwrap_err();
+            assert!(matches!(e, SnapshotError::VersionMismatch { .. }), "{e}");
+        }
+        match load(&headless) {
+            Err(SnapshotError::VersionMismatch { found }) => assert_eq!(found.chars().count(), 64),
+            other => panic!("{other:?}"),
+        }
+        let e = load(&file[..16]).unwrap_err();
+        assert!(e.to_string().contains("file ends at byte 16 while reading params.groups"), "{e}");
     }
 
     #[test]

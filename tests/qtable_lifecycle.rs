@@ -1,6 +1,7 @@
 //! The Q-table lifecycle contract: snapshots round-trip bit-exactly,
 //! stale snapshots are rejected with *named* fingerprint errors (never
-//! silently applied), and warm-started runs are deterministic — including
+//! silently applied), files of another version, cut short or overlong are
+//! named errors too, and warm-started runs are deterministic — including
 //! bit-identical reports across both event-queue backends.
 
 use std::path::{Path, PathBuf};
@@ -52,6 +53,42 @@ fn save_load_save_is_byte_identical() {
     assert_eq!(snap, QTableSnapshot::load(&p2).unwrap());
     let _ = std::fs::remove_file(&p1);
     let _ = std::fs::remove_file(&p2);
+}
+
+/// Train and save a snapshot, rewrite its bytes with `corrupt`, and return
+/// the errors `load` and a warm-start `prepare` must both refuse it with.
+fn refused(tag: &str, corrupt: impl FnOnce(Vec<u8>) -> Vec<u8>) -> (SnapshotError, String) {
+    let p = temp_snap(tag);
+    train_and_save(&p);
+    std::fs::write(&p, corrupt(std::fs::read(&p).unwrap())).unwrap();
+    let load = QTableSnapshot::load(&p).expect_err("a bad snapshot loaded");
+    let spec = ExperimentSpec { qtable_load: Some(p.clone()), ..train_spec(11) };
+    let prepare = Simulation::from_spec(spec).unwrap().prepare().expect_err("a bad snapshot");
+    let _ = std::fs::remove_file(&p);
+    (load, prepare.to_string())
+}
+
+#[test]
+fn v1_text_snapshot_is_a_version_mismatch_in_prepare() {
+    let v1 = "dfsim-qtable v1\nparams groups=9 routers_per_group=4 nodes_per_router=2 \
+              globals_per_router=2\n";
+    let (e, err) = refused("v1", |_| v1.as_bytes().to_vec());
+    assert!(matches!(&e, SnapshotError::VersionMismatch { found } if found == "dfsim-qtable v1"));
+    assert!(err.contains("version mismatch") && err.contains("'dfsim-qtable v1'"), "{err}");
+}
+
+#[test]
+fn truncated_save_file_is_malformed() {
+    let (e, err) = refused("truncated", |b| b[..b.len() / 2].to_vec());
+    assert!(matches!(e, SnapshotError::Malformed { .. }), "{e}");
+    assert!(err.contains("malformed Q-table snapshot: file ends at byte"), "{err}");
+}
+
+#[test]
+fn save_file_with_trailing_bytes_is_malformed() {
+    let (e, err) = refused("trailing", |b| [b, vec![0; 8]].concat());
+    assert!(matches!(e, SnapshotError::Malformed { .. }), "{e}");
+    assert!(err.contains("8 trailing bytes after the last table"), "{err}");
 }
 
 #[test]
