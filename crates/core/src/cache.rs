@@ -285,20 +285,29 @@ fn emit_key_material(spec: &ExperimentSpec, out: &mut String) {
     });
 }
 
-/// Compute the content-addressed key of a spec. Fails (as a lookup-level
-/// miss) only when a configured `qtable_load` snapshot cannot be read for
-/// content-hashing.
+/// Compute the content-addressed key of a spec, reading a configured
+/// `qtable_load` snapshot for content-hashing. Fails (as a lookup-level
+/// miss) only when that file cannot be read.
 pub fn cache_key(spec: &ExperimentSpec) -> Result<CacheKey, CacheError> {
+    let load = spec.qtable_load.as_ref().map(|path| {
+        std::fs::read(path).map_err(|e| CacheError::Io { path: path.clone(), msg: e.to_string() })
+    });
+    Ok(key_of(spec, load.transpose()?.as_deref()))
+}
+
+/// The key of `spec` whose `qtable_load` file holds the bytes `load`
+/// (`None` exactly when the spec names no snapshot). A session hashes the
+/// bytes it read once and runs from, so its key is [`cache_key`] over the
+/// file as it was then.
+pub(crate) fn key_of(spec: &ExperimentSpec, load: Option<&[u8]>) -> CacheKey {
     let mut material = String::new();
     material.push_str(CACHE_HEADER);
     material.push('\n');
-    if let Some(path) = &spec.qtable_load {
-        let bytes = std::fs::read(path)
-            .map_err(|e| CacheError::Io { path: path.clone(), msg: e.to_string() })?;
-        material.push_str(&format!("qtable_load_content {:032x}\n", fnv1a_128(&bytes)));
+    if let Some(bytes) = load {
+        material.push_str(&format!("qtable_load_content {:032x}\n", fnv1a_128(bytes)));
     }
     emit_key_material(spec, &mut material);
-    Ok(CacheKey(fnv1a_128(material.as_bytes())))
+    CacheKey(fnv1a_128(material.as_bytes()))
 }
 
 // ---------------------------------------------------------------------------

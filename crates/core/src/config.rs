@@ -9,9 +9,11 @@ use dfsim_topology::{DragonflyParams, LinkTiming};
 
 /// Everything needed to instantiate one simulation.
 ///
-/// Not `Copy` since the Q-table lifecycle knobs carry paths
-/// ([`QTableInit::Load`], [`SimConfig::qtable_save`]); sweep code clones
-/// per cell.
+/// Holds no Q-table file paths: the session
+/// ([`crate::simulation::Simulation`]) reads a warm-start snapshot before
+/// the run and writes the learned tables after it; the config only labels
+/// the start (`routing.qtable_init`). Not `Copy`, since the trace path is
+/// a `PathBuf`; sweep code clones per cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Structural topology parameters (default: the paper's 1,056-node
@@ -42,9 +44,6 @@ pub struct SimConfig {
     /// identical reports for a given config; the knob exists for the
     /// event-queue performance ablation.
     pub queue: QueueBackend,
-    /// After the run, write the learned Q-tables to this path (Q-adaptive
-    /// runs only; `validate` rejects it under any other routing).
-    pub qtable_save: Option<PathBuf>,
     /// Stream every metric event to a `dfsim-trace v1` file at this path as
     /// the run executes (bounded memory; replayable into the exact same
     /// report). `None` (the default) keeps tracing entirely off the hot
@@ -72,7 +71,6 @@ impl Default for SimConfig {
             horizon: None,
             max_events: 2_000_000_000,
             queue: QueueBackend::default(),
-            qtable_save: None,
             trace: None,
             threads: 0,
         }
@@ -124,23 +122,15 @@ impl SimConfig {
                 self.threads, self.params.groups, self.params.groups
             ));
         }
-        if self.routing.algo != RoutingAlgo::QAdaptive {
-            // Never silently ignore a lifecycle knob: only Q-adaptive
-            // routers carry Q-tables to load or save.
-            if self.routing.qtable_init != QTableInit::Cold {
-                return Err(format!(
-                    "Q-table warm-start (--qtable load=..) requires Q-adaptive routing, \
-                     got {}",
-                    self.routing.algo
-                ));
-            }
-            if self.qtable_save.is_some() {
-                return Err(format!(
-                    "Q-table snapshot saving (--qtable save=..) requires Q-adaptive routing, \
-                     got {}",
-                    self.routing.algo
-                ));
-            }
+        // Never silently ignore a warm start: only Q-adaptive routers carry
+        // Q-tables to load.
+        if self.routing.algo != RoutingAlgo::QAdaptive
+            && self.routing.qtable_init != QTableInit::Cold
+        {
+            return Err(format!(
+                "Q-table warm-start (--qtable load=..) requires Q-adaptive routing, got {}",
+                self.routing.algo
+            ));
         }
         Ok(())
     }
@@ -188,17 +178,12 @@ mod tests {
     #[test]
     fn qtable_lifecycle_knobs_require_qadaptive() {
         let mut c = SimConfig::default(); // UGALg
-        c.routing.qtable_init = QTableInit::load("/tmp/q.snap");
-        let e = c.validate().unwrap_err();
-        assert!(e.contains("Q-adaptive"), "{e}");
-
-        let c = SimConfig { qtable_save: Some("/tmp/q.snap".into()), ..Default::default() };
+        c.routing.qtable_init = QTableInit::Warm;
         let e = c.validate().unwrap_err();
         assert!(e.contains("Q-adaptive"), "{e}");
 
         let mut c = SimConfig::with_routing(RoutingAlgo::QAdaptive);
-        c.routing.qtable_init = QTableInit::load("/tmp/q.snap");
-        c.qtable_save = Some("/tmp/q.snap".into());
+        c.routing.qtable_init = QTableInit::Warm;
         c.validate().unwrap();
     }
 }

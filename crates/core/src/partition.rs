@@ -63,6 +63,12 @@
 //! single shard skips the exchange, the push logs and the keyed journal
 //! (its recorder aggregates directly), and sees completions the moment
 //! they happen, including those of ranks that finish as they are admitted.
+//!
+//! Each shard builds its network whole with [`NetworkSim::shard`]: the
+//! map, its index and the session's verified warm-start snapshot, one
+//! in-memory copy shared by every shard (this module never opens a Q-table
+//! file). The network turns its Q-undo journal on exactly when the map has
+//! more than one partition under Q-adaptive routing.
 
 #![expect(
     clippy::disallowed_types,
@@ -94,13 +100,13 @@ use dfsim_metrics::{
 use dfsim_mpi::sim::MpiConfig;
 use dfsim_mpi::MpiSim;
 use dfsim_network::partition::{decode_event, encode_event, origin_of, IDX_MASK};
-use dfsim_network::{MessageId, MsgExport, NetEvent, NetworkSim, PartitionMap, RoutingAlgo};
+use dfsim_network::{MessageId, MsgExport, NetEvent, NetworkSim, PartitionMap, QTableSnapshot};
 use dfsim_topology::{NodeId, Topology};
 
 use crate::config::SimConfig;
 use crate::placement::{place, Placement};
 use crate::report::{JobReport, RunReport};
-use crate::runner::{build_report, capture_qtables, JobSpec};
+use crate::runner::{build_report, JobSpec};
 use crate::scenario::{Arrival, JobTable, Scenario, SchedPolicy};
 use crate::world::{PartKeys, StopReason, World, WorldEvent};
 
@@ -369,6 +375,8 @@ struct Shard<'a, Q> {
 }
 
 impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
+    /// Build shard `me` of `map`; `warm` is the run's verified warm-start
+    /// snapshot, shared by every shard.
     fn new(
         cfg: &'a SimConfig,
         topo: &Arc<Topology>,
@@ -376,17 +384,22 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
         me: usize,
         comm: LocalThreadCommunicator,
         work: ShardWork,
+        warm: Option<&QTableSnapshot>,
     ) -> Self {
         let parts = map.parts();
         let rng = SimRng::new(cfg.seed);
         let mut rec = Recorder::new(topo, cfg.recorder);
-        let mut net = NetworkSim::new(Arc::clone(topo), cfg.timing, cfg.routing.clone(), &rng);
+        let net = NetworkSim::shard(
+            Arc::clone(topo),
+            cfg.timing,
+            cfg.routing,
+            &rng,
+            Arc::clone(&map),
+            me,
+            warm,
+        );
         if parts > 1 {
-            net.set_partition(Arc::clone(&map), me);
             rec.enable_keyed_capture();
-            if cfg.routing.algo == RoutingAlgo::QAdaptive {
-                net.enable_q_undo();
-            }
         }
         let mut keyed_trace = None;
         if let Some(path) = &cfg.trace {
@@ -1001,7 +1014,7 @@ fn assemble(
     map: &PartitionMap,
     mut outcomes: Vec<ShardOutcome>,
     wall_s: f64,
-) -> (RunReport, Option<dfsim_network::QTableSnapshot>) {
+) -> (RunReport, Option<QTableSnapshot>) {
     let parts = outcomes.len();
     let mut base = outcomes.remove(0);
     let (stop, end) = (base.stop, base.end);
@@ -1109,7 +1122,7 @@ fn assemble(
             w.finish(Some(&meta)).unwrap_or_else(|e| panic!("trace finalization failed: {e}"));
         }
     }
-    let snapshot = capture_qtables(cfg, &base.net);
+    let snapshot = base.net.qtable_snapshot();
     let report = build_report(
         cfg,
         specs,
@@ -1138,14 +1151,17 @@ fn partition_map(cfg: &SimConfig, parts: usize) -> Arc<PartitionMap> {
 
 /// Run one shard per partition of `map` — inline on the calling thread when
 /// there is one, on scoped threads otherwise — and collect the outcomes in
-/// shard order. `work` builds each shard's work from replicated inputs.
+/// shard order. `work` builds each shard's work from replicated inputs;
+/// every shard starts from the same `warm` tables.
 fn run_shards<Q: SimQueue<WorldEvent>>(
     cfg: &SimConfig,
     topo: &Arc<Topology>,
     map: &Arc<PartitionMap>,
     work: impl Fn() -> ShardWork + Sync,
+    warm: Option<&QTableSnapshot>,
 ) -> Vec<ShardOutcome> {
-    let shard = |(p, comm)| Shard::<Q>::new(cfg, topo, Arc::clone(map), p, comm, work()).run();
+    let shard =
+        |(p, comm)| Shard::<Q>::new(cfg, topo, Arc::clone(map), p, comm, work(), warm).run();
     let comms = local_mesh(map.parts()).into_iter().enumerate();
     if map.parts() == 1 {
         return comms.map(shard).collect();
@@ -1170,7 +1186,8 @@ fn execute(
     scenario: &Scenario,
     sched: SchedPolicy,
     placement: Placement,
-) -> (RunReport, Option<dfsim_network::QTableSnapshot>) {
+    warm: Option<&QTableSnapshot>,
+) -> (RunReport, Option<QTableSnapshot>) {
     let specs: Vec<&JobSpec> = scenario.arrivals.iter().map(|a| &a.spec).collect();
     // Every shard replays the same table and admission decisions from the
     // same replicated inputs.
@@ -1178,8 +1195,8 @@ fn execute(
     let map = partition_map(cfg, cfg.threads.max(1));
     let wall = Instant::now();
     let outcomes = match cfg.queue.kind() {
-        QueueKind::Heap => run_shards::<EventQueue<WorldEvent>>(cfg, topo, &map, work),
-        QueueKind::Calendar => run_shards::<CalendarQueue<WorldEvent>>(cfg, topo, &map, work),
+        QueueKind::Heap => run_shards::<EventQueue<WorldEvent>>(cfg, topo, &map, work, warm),
+        QueueKind::Calendar => run_shards::<CalendarQueue<WorldEvent>>(cfg, topo, &map, work, warm),
     };
     let wall_s = wall.elapsed().as_secs_f64();
     assemble(cfg, &specs, topo, &map, outcomes, wall_s)
@@ -1217,16 +1234,18 @@ fn static_scenario(topo: &Topology, jobs: &[JobSpec], placement: Placement, seed
 }
 
 /// The static-run entry: run `jobs` under `cfg`, every job starting at
-/// t = 0 on nodes placed by `placement` ([`static_scenario`]), and return
-/// the report plus the learned Q-table snapshot (Q-adaptive runs only).
+/// t = 0 on nodes placed by `placement` ([`static_scenario`]), from the
+/// verified `warm` tables if given, and return the report plus the learned
+/// Q-table snapshot (Q-adaptive runs only).
 pub(crate) fn exec_static(
     cfg: &SimConfig,
     jobs: &[JobSpec],
     placement: Placement,
-) -> (RunReport, Option<dfsim_network::QTableSnapshot>) {
+    warm: Option<&QTableSnapshot>,
+) -> (RunReport, Option<QTableSnapshot>) {
     let topo = validated_topology(cfg);
     let scenario = static_scenario(&topo, jobs, placement, cfg.seed);
-    execute(cfg, &topo, &scenario, SchedPolicy::Fcfs, placement)
+    execute(cfg, &topo, &scenario, SchedPolicy::Fcfs, placement, warm)
 }
 
 /// The churn entry — the canonical scenario loop: jobs spawn at their
@@ -1238,14 +1257,15 @@ pub(crate) fn exec_scenario(
     scenario: &Scenario,
     sched: SchedPolicy,
     placement: Placement,
-) -> (RunReport, Option<dfsim_network::QTableSnapshot>) {
+    warm: Option<&QTableSnapshot>,
+) -> (RunReport, Option<QTableSnapshot>) {
     let topo = validated_topology(cfg);
     #[expect(
         clippy::expect_used,
         reason = "run entry point: a scenario with an idle, oversized or wrongly sized job is a caller programming error surfaced before any simulation work starts (`Simulation::prepare` names it first)"
     )]
     scenario.validate(topo.num_nodes()).expect("invalid scenario");
-    execute(cfg, &topo, scenario, sched, placement)
+    execute(cfg, &topo, scenario, sched, placement, warm)
 }
 
 #[cfg(test)]
@@ -1254,7 +1274,7 @@ mod tests {
     use dfsim_apps::AppKind;
     use dfsim_des::queue::PendingEvents;
     use dfsim_mpi::MpiOp;
-    use dfsim_network::QTableSnapshot;
+    use dfsim_network::RoutingAlgo;
     use proptest::prelude::*;
 
     /// A tiny Q-adaptive cell whose two-partition final window overruns the
@@ -1295,7 +1315,7 @@ mod tests {
         let topo = validated_topology(cfg);
         let map = partition_map(cfg, parts);
         let work = static_work(cfg, &topo, jobs);
-        let outcomes = run_shards::<EventQueue<WorldEvent>>(cfg, &topo, &map, work);
+        let outcomes = run_shards::<EventQueue<WorldEvent>>(cfg, &topo, &map, work, None);
         assert!(outcomes.iter().all(|o| o.stop == StopReason::AllFinished));
         let undone = outcomes.iter().map(|o| o.q_undone).sum();
         let dropped = outcomes.iter().map(|o| o.keyed_dropped).sum();
@@ -1321,7 +1341,9 @@ mod tests {
                 .enumerate()
                 .map(|(p, comm)| {
                     let (topo, map, work, body) = (&topo, &map, &work, &body);
-                    sc.spawn(move || body(Shard::new(cfg, topo, Arc::clone(map), p, comm, work())))
+                    sc.spawn(move || {
+                        body(Shard::new(cfg, topo, Arc::clone(map), p, comm, work(), None))
+                    })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -1441,6 +1463,7 @@ mod tests {
             0,
             comm,
             work,
+            None,
         );
         shard.world.mpi.add_app(
             AppId(0),

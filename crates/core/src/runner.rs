@@ -1,9 +1,19 @@
 //! Build–run–report: execute a job mix and produce a [`RunReport`].
 
+// Hot path: a panic here is an outage. Rewrite it onto the error enum,
+// or waive it with the invariant that rules it out.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use dfsim_apps::AppKind;
 use dfsim_des::{EngineStats, Time, MICROSECOND, MILLISECOND};
 use dfsim_metrics::{AppId, Recorder, Stats};
-use dfsim_network::NetworkSim;
 use dfsim_topology::{LinkKind, Port, RouterId, Topology};
 
 use crate::config::SimConfig;
@@ -36,26 +46,11 @@ impl JobSpec {
     }
 }
 
-/// Capture the learned Q-tables of a finished world (Q-adaptive runs only)
-/// and write them out if [`SimConfig::qtable_save`] is set (`validate`
-/// already pinned the routing to Q-adaptive).
-pub(crate) fn capture_qtables(
-    cfg: &SimConfig,
-    net: &NetworkSim,
-) -> Option<dfsim_network::QTableSnapshot> {
-    let snapshot = net.qtable_snapshot();
-    if let Some(path) = &cfg.qtable_save {
-        let snap = snapshot.as_ref().expect("qtable_save validated to require Q-adaptive routing");
-        snap.save(path).unwrap_or_else(|e| panic!("{e}"));
-    }
-    snapshot
-}
-
 /// Run `jobs` under an engine-level [`SimConfig`] with the paper's random
-/// placement — the one entry below [`crate::simulation::Simulation`], for
-/// the engine's own tests.
+/// placement, from cold Q-tables — the one entry below
+/// [`crate::simulation::Simulation`], for the engine's own tests.
 pub fn run(cfg: &SimConfig, jobs: &[JobSpec]) -> RunReport {
-    crate::partition::exec_static(cfg, jobs, Placement::Random).0
+    crate::partition::exec_static(cfg, jobs, Placement::Random, None).0
 }
 
 /// Assemble the [`RunReport`] of a finished run from its merged shard

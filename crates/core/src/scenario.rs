@@ -443,7 +443,7 @@ mod tests {
         sched: SchedPolicy,
         placement: Placement,
     ) -> RunReport {
-        crate::partition::exec_scenario(cfg, scenario, sched, placement).0
+        crate::partition::exec_scenario(cfg, scenario, sched, placement, None).0
     }
 
     fn queued(sizes: &[u32]) -> Vec<QueuedJob> {

@@ -19,11 +19,16 @@
 //! * [`Simulation::from_spec`] validates the spec (exactly one routing —
 //!   sweep binaries iterate [`ExperimentSpec::cell`]).
 //! * [`Simulation::prepare`] materializes the workload (job lists, churn
-//!   scenarios), pre-verifies the Q-table snapshot fingerprint and the
-//!   save path's writability, so misconfiguration fails *before* the run.
-//! * [`Simulation::run`] executes on the configured queue backend and
-//!   returns a [`RunHandle`] — the report plus the learned Q-table
-//!   snapshot.
+//!   scenarios), checks the output paths' writability and reads the
+//!   `qtable_load` snapshot file — once per session: the same bytes are
+//!   hashed into the session's cache key and decoded, fingerprint-verified
+//!   and handed to every shard. Misconfiguration fails *before* the run.
+//! * [`Simulation::run`] executes on the configured queue backend (or
+//!   serves a cache hit), writes `qtable_save` once, and returns a
+//!   [`RunHandle`] — the report plus the learned Q-table snapshot.
+//!
+//! The session is the only code that touches Q-table files; the engine
+//! below it takes and returns snapshots in memory.
 
 // Hot path: a panic here is an outage. Rewrite it onto the error enum,
 // or waive it with the invariant that rules it out.
@@ -38,7 +43,7 @@
 
 use dfsim_network::QTableSnapshot;
 
-use crate::cache::{cache_key, ResultCache};
+use crate::cache::{key_of, CacheKey, ResultCache};
 use crate::config::SimConfig;
 use crate::experiments::mixed_jobs;
 use crate::partition::{exec_scenario, exec_static};
@@ -89,6 +94,12 @@ enum PreparedWork {
 struct Prepared {
     cfg: SimConfig,
     work: PreparedWork,
+    /// The verified warm-start tables, decoded from the session's one read
+    /// of the `qtable_load` file.
+    warm: Option<QTableSnapshot>,
+    /// The session's result-cache key (cache enabled only), over the same
+    /// snapshot bytes `warm` was decoded from.
+    key: Option<CacheKey>,
 }
 
 /// A simulation session: spec in, [`RunHandle`] out.
@@ -123,17 +134,76 @@ impl Simulation {
     }
 
     /// Materialize and validate everything the run needs: the concrete job
-    /// list or churn scenario, the simulation config, the Q-table snapshot
-    /// fingerprint (a stale snapshot fails *here*, not mid-construction)
-    /// and the snapshot save path's writability (a post-run write error
-    /// would discard the whole run). Idempotent; [`Self::run`] calls it
-    /// implicitly.
+    /// list or churn scenario, the simulation config, the output paths'
+    /// writability (a post-run write error would discard the whole run),
+    /// and the `qtable_load` snapshot — read once here, fingerprint-checked
+    /// (a stale snapshot fails *here*, not mid-run) and kept with the cache
+    /// key of the bytes read, so a later change to the file cannot reach
+    /// this session. Idempotent; [`Self::run`] calls it implicitly.
     pub fn prepare(&mut self) -> Result<(), SpecError> {
-        if self.prepared.is_some() {
-            return Ok(());
-        }
-        let invalid = |msg: String| SpecError::Invalid { msg };
+        prepared(&self.spec, &mut self.prepared).map(|_| ())
+    }
+
+    /// Execute the session and return the [`RunHandle`]. Deterministic:
+    /// running the same session (or a clone) again reproduces the report
+    /// bit for bit — which is exactly what lets the result cache serve a
+    /// prior run's report when the spec's `cache` knob is enabled. Cache
+    /// failures of any kind degrade to a live run; a run that would write
+    /// a trace file always runs live (the trace is an output a cached
+    /// report cannot reproduce), though its result is still stored. Either
+    /// way the learned tables go to `qtable_save` once, and a failed write
+    /// is the named "cannot write qtable_save" error.
+    pub fn run(&mut self) -> Result<RunHandle, SpecError> {
         let spec = &self.spec;
+        let prepared = prepared(spec, &mut self.prepared)?;
+        let cache = ResultCache::open(&spec.cache).unwrap_or_else(|e| {
+            eprintln!("warning: result cache unavailable ({e}); running uncached");
+            None
+        });
+        let cache = cache.zip(prepared.key);
+        if let Some((cache, key)) = cache.as_ref().filter(|_| spec.trace.is_none()) {
+            // A hit must still honor `qtable_save` — from the embedded
+            // snapshot. An entry without one (from a run that predates the
+            // knob) falls through to a live run rather than skipping the
+            // requested output.
+            if let Some(hit) =
+                cache.lookup(key).filter(|hit| spec.qtable_save.is_none() || hit.snapshot.is_some())
+            {
+                let handle =
+                    RunHandle { report: hit.report, qtable_snapshot: hit.snapshot, cached: true };
+                return save_tables(spec, handle);
+            }
+        }
+        let handle = prepared.execute(spec);
+        if let Some((cache, key)) = &cache {
+            cache.store_lenient(key, &handle.report, handle.qtable_snapshot.as_ref());
+        }
+        save_tables(spec, handle)
+    }
+
+    /// One-shot convenience: run `workload` under `spec` (the spec's own
+    /// workload field is replaced). The sweep binaries' inner loop.
+    pub fn run_one(spec: &ExperimentSpec, workload: Workload) -> Result<RunHandle, SpecError> {
+        Simulation::from_spec(spec.clone().with_workload(workload))?.run()
+    }
+}
+
+/// The session's prepared state in `slot`, built from `spec` on first use.
+fn prepared<'a>(
+    spec: &ExperimentSpec,
+    slot: &'a mut Option<Prepared>,
+) -> Result<&'a Prepared, SpecError> {
+    let prepared = match slot.take() {
+        Some(p) => p,
+        None => Prepared::new(spec)?,
+    };
+    Ok(slot.insert(prepared))
+}
+
+impl Prepared {
+    /// See [`Simulation::prepare`].
+    fn new(spec: &ExperimentSpec) -> Result<Self, SpecError> {
+        let invalid = |msg: String| SpecError::Invalid { msg };
         let cfg = spec.sim();
         cfg.validate().map_err(invalid)?;
         let num_nodes = spec.params.num_nodes();
@@ -180,118 +250,57 @@ impl Simulation {
                 scenario.validate(num_nodes).map_err(invalid)?;
             }
         }
-        if let Some(path) = &spec.qtable_load {
-            // Pre-validate the snapshot so a stale file fails with the
-            // named fingerprint error instead of panicking mid-build.
-            let snap = QTableSnapshot::load(path).map_err(|e| invalid(e.to_string()))?;
-            snap.verify(&spec.params, &spec.timing, spec.qa_alpha)
-                .map_err(|e| invalid(e.to_string()))?;
-        }
-        if let Some(path) = &spec.qtable_save {
-            if let Err(e) = std::fs::OpenOptions::new().append(true).create(true).open(path) {
-                return Err(invalid(format!("cannot write qtable_save {}: {e}", path.display())));
-            }
-        }
-        if let Some(path) = &spec.trace {
-            // Same contract as qtable_save: an unwritable trace path fails
-            // here, before any simulation time is spent.
-            if let Err(e) = std::fs::OpenOptions::new().append(true).create(true).open(path) {
-                return Err(invalid(format!("cannot write trace {}: {e}", path.display())));
-            }
-        }
-        self.prepared = Some(Prepared { cfg, work });
-        Ok(())
-    }
-
-    /// Execute the session and return the [`RunHandle`]. Deterministic:
-    /// running the same session (or a clone) again reproduces the report
-    /// bit for bit — which is exactly what lets the result cache serve a
-    /// prior run's report when the spec's `cache` knob is enabled. Cache
-    /// failures of any kind degrade to a live run; a run that would write
-    /// a trace file always runs live (the trace is an output a cached
-    /// report cannot reproduce), though its result is still stored.
-    pub fn run(&mut self) -> Result<RunHandle, SpecError> {
-        self.prepare()?;
-        let cache = match ResultCache::open(&self.spec.cache) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("warning: result cache unavailable ({e}); running uncached");
-                None
-            }
+        let load = match &spec.qtable_load {
+            Some(path) => Some(std::fs::read(path).map_err(|e| {
+                invalid(format!("cannot read qtable_load {}: {e}", path.display()))
+            })?),
+            None => None,
         };
-        let key = cache.as_ref().and_then(|_| match cache_key(&self.spec) {
-            Ok(k) => Some(k),
-            Err(e) => {
-                eprintln!("warning: result cache key failed ({e}); running uncached");
-                None
+        let warm = match &load {
+            Some(bytes) => {
+                let snap =
+                    QTableSnapshot::from_file_bytes(bytes).map_err(|e| invalid(e.to_string()))?;
+                snap.verify(&spec.params, &spec.timing, spec.qa_alpha)
+                    .map_err(|e| invalid(e.to_string()))?;
+                Some(snap)
             }
-        });
-        if self.spec.trace.is_none() {
-            if let (Some(cache), Some(key)) = (&cache, &key) {
-                if let Some(hit) = cache.lookup(key) {
-                    // A hit must still honor `qtable_save` — from the
-                    // embedded snapshot. An entry without one (from a run
-                    // that predates the knob) falls through to a live run
-                    // rather than skipping the requested output.
-                    match (&self.spec.qtable_save, &hit.snapshot) {
-                        (Some(path), Some(snap)) => {
-                            snap.save(path).map_err(|e| SpecError::Invalid {
-                                msg: format!("cannot write qtable_save on cache hit: {e}"),
-                            })?;
-                        }
-                        (Some(_), None) => {
-                            return self.run_live(&cache.clone(), &Some(*key));
-                        }
-                        (None, _) => {}
-                    }
-                    return Ok(RunHandle {
-                        report: hit.report,
-                        qtable_snapshot: hit.snapshot,
-                        cached: true,
-                    });
+            None => None,
+        };
+        // An unwritable output path fails here, before any simulation time
+        // is spent.
+        for (key, path) in [("qtable_save", &spec.qtable_save), ("trace", &spec.trace)] {
+            if let Some(path) = path {
+                if let Err(e) = std::fs::OpenOptions::new().append(true).create(true).open(path) {
+                    return Err(invalid(format!("cannot write {key} {}: {e}", path.display())));
                 }
             }
         }
-        match (cache, key) {
-            (Some(cache), key @ Some(_)) => self.run_live(&cache, &key),
-            _ => self.run_live_uncached(),
-        }
-    }
-
-    /// Live execution plus a cache store.
-    fn run_live(
-        &mut self,
-        cache: &ResultCache,
-        key: &Option<crate::cache::CacheKey>,
-    ) -> Result<RunHandle, SpecError> {
-        let handle = self.run_live_uncached()?;
-        if let Some(key) = key {
-            cache.store_lenient(key, &handle.report, handle.qtable_snapshot.as_ref());
-        }
-        Ok(handle)
+        let key = spec.cache.enabled().then(|| key_of(spec, load.as_deref()));
+        Ok(Self { cfg, work, warm, key })
     }
 
     /// Live execution, no cache interaction.
-    fn run_live_uncached(&mut self) -> Result<RunHandle, SpecError> {
-        #[expect(
-            clippy::expect_used,
-            reason = "private method, only called by `run` after `prepare` populated `self.prepared`; the Option is Some by control flow"
-        )]
-        let prepared = self.prepared.as_ref().expect("prepare already succeeded");
-        let (report, qtable_snapshot) = match &prepared.work {
-            PreparedWork::Static(jobs) => exec_static(&prepared.cfg, jobs, self.spec.placement),
+    fn execute(&self, spec: &ExperimentSpec) -> RunHandle {
+        let warm = self.warm.as_ref();
+        let (report, qtable_snapshot) = match &self.work {
+            PreparedWork::Static(jobs) => exec_static(&self.cfg, jobs, spec.placement, warm),
             PreparedWork::Churn(scenario) => {
-                exec_scenario(&prepared.cfg, scenario, self.spec.sched, self.spec.placement)
+                exec_scenario(&self.cfg, scenario, spec.sched, spec.placement, warm)
             }
         };
-        Ok(RunHandle { report, qtable_snapshot, cached: false })
+        RunHandle { report, qtable_snapshot, cached: false }
     }
+}
 
-    /// One-shot convenience: run `workload` under `spec` (the spec's own
-    /// workload field is replaced). The sweep binaries' inner loop.
-    pub fn run_one(spec: &ExperimentSpec, workload: Workload) -> Result<RunHandle, SpecError> {
-        Simulation::from_spec(spec.clone().with_workload(workload))?.run()
+/// Write `handle`'s learned tables to the spec's `qtable_save` path, if it
+/// names one (only Q-adaptive runs, which always carry tables, may).
+fn save_tables(spec: &ExperimentSpec, handle: RunHandle) -> Result<RunHandle, SpecError> {
+    if let (Some(path), Some(snap)) = (&spec.qtable_save, &handle.qtable_snapshot) {
+        std::fs::write(path, snap.to_file_bytes()).map_err(|e| SpecError::Invalid {
+            msg: format!("cannot write qtable_save {}: {e}", path.display()),
+        })?;
     }
+    Ok(handle)
 }
 
 /// The pairwise job construction (paper §V): target on its half-system

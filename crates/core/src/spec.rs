@@ -1346,8 +1346,8 @@ impl ExperimentSpec {
                 ugal_bias: self.ugal_bias,
                 nonmin_samples: self.nonmin_samples,
                 qa: QaParams { alpha: self.qa_alpha, epsilon: self.qa_epsilon },
-                qtable_init: match &self.qtable_load {
-                    Some(p) => QTableInit::load(p),
+                qtable_init: match self.qtable_load {
+                    Some(_) => QTableInit::Warm,
                     None => QTableInit::Cold,
                 },
             },
@@ -1362,7 +1362,6 @@ impl ExperimentSpec {
             horizon: self.horizon,
             max_events: self.max_events,
             queue: self.queue,
-            qtable_save: self.qtable_save.clone(),
             trace: self.trace.clone(),
             threads: self.threads,
         }

@@ -175,8 +175,7 @@ pub fn decode_meta(blob: &[u8]) -> Result<TraceMeta, TraceError> {
     let init_label = c.str("the qtable-init label")?;
     routing.qtable_init = match init_label.as_str() {
         "cold" => QTableInit::Cold,
-        // Only the label reaches the report; the original path is gone.
-        "warm" => QTableInit::load(""),
+        "warm" => QTableInit::Warm,
         other => return Err(c.bad(format!("unknown qtable-init label '{other}'"))),
     };
     let queue_s = c.str("the queue backend")?;
@@ -190,7 +189,7 @@ pub fn decode_meta(blob: &[u8]) -> Result<TraceMeta, TraceError> {
         record_ports: c.u8("recorder.record_ports")? != 0,
     };
     let njobs = c.len("the job count")?;
-    let mut jobs = Vec::with_capacity(njobs);
+    let mut jobs = Vec::with_capacity(njobs.min(1 << 20));
     for _ in 0..njobs {
         let name = c.str("a job kind")?;
         let kind = *AppKind::ALL
@@ -303,7 +302,7 @@ mod tests {
     #[test]
     fn meta_round_trips_through_the_codec() {
         let mut cfg = SimConfig::test_tiny(RoutingAlgo::QAdaptive);
-        cfg.routing.qtable_init = QTableInit::load("/tmp/q.snap");
+        cfg.routing.qtable_init = QTableInit::Warm;
         let jobs = [JobSpec::sized(AppKind::FFT3D, 36), JobSpec::sized(AppKind::UR, 36)];
         let job_refs: Vec<&JobSpec> = jobs.iter().collect();
         let stats = EngineStats {
@@ -379,5 +378,32 @@ mod tests {
         bad[0] = 99; // version word
         let e = decode_meta(&bad).unwrap_err();
         assert!(e.to_string().contains("meta version"), "{e}");
+    }
+
+    /// A META frame claiming `u32::MAX` jobs is a named error at the first
+    /// missing job, not an allocation of ~2^32 job specs.
+    #[test]
+    fn meta_claiming_u32_max_jobs_is_a_named_error() {
+        let cfg = SimConfig::test_tiny(RoutingAlgo::UgalG);
+        let blob = encode_meta(
+            &cfg,
+            &[],
+            &[],
+            EngineStats::default(),
+            0,
+            StopReason::AllFinished,
+            0,
+            0.0,
+            &[],
+            &[],
+        );
+        // With no jobs, the job count is followed only by the fixed tail:
+        // 9 engine words, the event count, the stop byte, the end time, the
+        // wall time and the (empty) job-report count.
+        let at = blob.len() - (9 * 8 + 8 + 1 + 8 + 8 + 4) - 4;
+        let mut bad = blob[..at].to_vec();
+        bad.extend_from_slice(&u32::MAX.to_le_bytes());
+        let e = decode_meta(&bad).unwrap_err();
+        assert!(matches!(e, TraceError::Truncated { what: "a job kind", .. }), "{e}");
     }
 }

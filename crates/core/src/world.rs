@@ -15,6 +15,11 @@
 //! boundary pushes diverted to per-peer buffers; cut pushes get final
 //! admission-slot keys. On one partition it is `None` and every push is a
 //! plain auto-sequenced push.
+//!
+//! The network arrives whole: [`dfsim_network::NetworkSim::shard`] gives it
+//! the partition map, its shard index and the run's verified warm-start
+//! snapshot at construction, so one partition is the one-partition map, not
+//! a network set up differently afterwards.
 
 // Hot path: a panic here is an outage. Rewrite it onto the error enum,
 // or waive it with the invariant that rules it out.

@@ -83,12 +83,6 @@ impl PartitionMap {
         self.parts
     }
 
-    /// Number of dragonfly groups.
-    #[inline]
-    pub fn groups(&self) -> u32 {
-        self.groups
-    }
-
     /// Partition owning group `g` (balanced contiguous ranges).
     #[inline]
     pub fn part_of_group(&self, g: GroupId) -> usize {

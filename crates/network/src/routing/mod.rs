@@ -92,11 +92,10 @@ impl Default for QaParams {
     }
 }
 
-/// Full routing configuration.
-///
-/// Not `Copy`: [`QTableInit::Load`] carries the snapshot path, so configs
-/// clone explicitly wherever they fan out across runs.
-#[derive(Debug, Clone, PartialEq)]
+/// Full routing configuration: plain values, so it is `Copy`. Warm-start
+/// tables are not part of it; a network gets them at construction
+/// ([`crate::NetworkSim::shard`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoutingConfig {
     /// The algorithm.
     pub algo: RoutingAlgo,
@@ -107,9 +106,10 @@ pub struct RoutingConfig {
     /// Q-adaptive hyperparameters.
     pub qa: QaParams,
     /// How Q-adaptive Q-tables start: cold (static topology estimates, the
-    /// paper's setting) or warm-started from a fingerprint-checked snapshot.
-    /// Ignored by every other algorithm (validated upstream in
-    /// `dfsim-core`'s `SimConfig::validate`).
+    /// paper's setting) or warm (from a fingerprint-checked snapshot). A
+    /// label for reports and traces; it must agree with the snapshot
+    /// handed to [`crate::NetworkSim::shard`]. Only Q-adaptive runs may be
+    /// warm (validated upstream in `dfsim-core`'s `SimConfig::validate`).
     pub qtable_init: QTableInit,
 }
 

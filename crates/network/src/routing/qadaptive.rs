@@ -119,7 +119,7 @@ fn candidates<'a>(
     let buffer_packets = timing.buffer_packets;
     #[expect(
         clippy::expect_used,
-        reason = "`NetworkSim::new` installs a Q-table on every router when the algo is Q-adaptive, and this path is only reached under that algo"
+        reason = "`NetworkSim::shard` installs a Q-table on every router when the algo is Q-adaptive, and this path is only reached under that algo"
     )]
     let qtable = router.qtable.as_ref().expect("Q-adaptive router has a Q-table");
     (0..router.radix() as u8).filter_map(move |p| {

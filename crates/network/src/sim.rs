@@ -46,9 +46,10 @@ struct MsgInfo {
     live: bool,
 }
 
-/// Per-shard partitioning state. Present only in partitioned runs; the
-/// sequential engine never pays for the extra branches because `part` stays
-/// `None`.
+/// Which shard of which partition map this network is, and the bookkeeping
+/// of messages that cross its boundary. A one-partition map (every
+/// [`NetworkSim::new`] network) owns every node, so nothing is ever
+/// exported, imported or released through it.
 #[derive(Debug)]
 struct PartState {
     map: Arc<PartitionMap>,
@@ -83,59 +84,73 @@ pub struct NetworkSim {
     next_packet_id: u64,
     in_flight: u64,
     flit_time: Time,
-    /// Partitioned-run state (`None` in the sequential engine).
-    part: Option<PartState>,
+    /// This shard's place in the partition map.
+    part: PartState,
     /// Undo journal for Q-table updates, tagged with the key of the event
-    /// being dispatched. Enabled by the partitioned driver so updates that
-    /// land after the logical end of a run can be rolled back, keeping
-    /// warm-start snapshots bit-identical to the sequential engine. The
-    /// driver clears it at every barrier the run continues past, so it holds
-    /// the current window's updates only.
+    /// being dispatched: `Some` exactly when the map has more than one
+    /// partition under Q-adaptive routing, so updates that land after the
+    /// logical end of a run can be rolled back, keeping warm-start
+    /// snapshots bit-identical to one partition's. The driver clears it at
+    /// every barrier the run continues past, so it holds the current
+    /// window's updates only.
     q_undo: Option<Vec<QUndoEntry>>,
     /// `(time, seq)` key of the event currently being dispatched (only
-    /// maintained when `q_undo` is enabled).
+    /// maintained when `q_undo` is on).
     event_key: (Time, u64),
 }
 
 impl NetworkSim {
-    /// Build the network for `topo` under a routing configuration. `seed`
-    /// derives all per-router randomness. The topology is shared by
-    /// reference counting — runners keep their own handle for reporting
-    /// without deep-cloning the structure per run.
-    ///
-    /// Under Q-adaptive routing with [`QTableInit::Load`], the Q-tables
-    /// warm-start from the snapshot instead of the static topology
-    /// estimates. The snapshot's fingerprint (topology parameters, link
-    /// timing, α) must match this configuration exactly; a mismatch panics
-    /// with the [`crate::SnapshotError`] message rather than silently
-    /// applying stale estimates — CLI front-ends pre-validate with
-    /// [`QTableSnapshot::verify`] to fail cleanly before a run starts.
+    /// Build the whole network for `topo` under a routing configuration,
+    /// cold: one partition, and under Q-adaptive routing the static
+    /// topology estimates. `rng` derives all per-router randomness. The
+    /// topology is shared by reference counting — runners keep their own
+    /// handle for reporting without deep-cloning the structure per run.
     pub fn new(
         topo: Arc<Topology>,
         timing: LinkTiming,
         cfg: RoutingConfig,
         rng: &dfsim_des::SimRng,
     ) -> Self {
-        let warm: Option<QTableSnapshot> = match (&cfg.algo, &cfg.qtable_init) {
-            (RoutingAlgo::QAdaptive, QTableInit::Load(path)) => {
-                #[expect(
-                    clippy::panic,
-                    reason = "warm-start setup before any simulation: a missing or unreadable snapshot file is a user-input error with no error channel out of the constructor"
-                )]
-                let snap = QTableSnapshot::load(path).unwrap_or_else(|e| panic!("{e}"));
-                #[expect(
-                    clippy::panic,
-                    reason = "a snapshot whose shape or alpha disagrees with this run would silently corrupt the warm start; stopping at setup is the only safe response"
-                )]
-                snap.verify(topo.params(), &timing, cfg.qa.alpha).unwrap_or_else(|e| panic!("{e}"));
-                Some(snap)
-            }
-            _ => None,
-        };
+        let p = topo.params();
+        let map = PartitionMap::new(p.groups, p.routers_per_group, p.nodes_per_router, 1);
+        Self::shard(topo, timing, cfg, rng, Arc::new(map), 0, None)
+    }
+
+    /// Build shard `me` of `map`: every router and NIC (the shard executes
+    /// only the events of its own groups), with messages to other shards'
+    /// nodes exported at barriers (see [`NetworkSim::take_msg_exports`]).
+    /// The Q-undo journal is on exactly when `map` has more than one
+    /// partition under Q-adaptive routing.
+    ///
+    /// Under Q-adaptive routing, `warm` replaces the static estimates with
+    /// its tables. The caller has already checked it with
+    /// [`QTableSnapshot::verify`] against `topo`, `timing` and `cfg.qa.alpha`,
+    /// and `cfg.qtable_init` labels it ([`crate::QTableInit::Warm`] exactly
+    /// when `warm` is given).
+    pub fn shard(
+        topo: Arc<Topology>,
+        timing: LinkTiming,
+        cfg: RoutingConfig,
+        rng: &dfsim_des::SimRng,
+        map: Arc<PartitionMap>,
+        me: usize,
+        warm: Option<&QTableSnapshot>,
+    ) -> Self {
+        assert!(me < map.parts(), "shard index out of range");
+        debug_assert_eq!(
+            warm.is_some(),
+            cfg.qtable_init == QTableInit::Warm,
+            "the warm-start label disagrees with the snapshot handed in"
+        );
+        debug_assert!(
+            warm.is_none_or(|s| s.verify(topo.params(), &timing, cfg.qa.alpha).is_ok()),
+            "unverified warm-start snapshot"
+        );
+        let qadaptive = cfg.algo == RoutingAlgo::QAdaptive;
         let routers = (0..topo.num_routers())
             .map(|r| {
                 let id = RouterId(r);
-                let qtable = (cfg.algo == RoutingAlgo::QAdaptive).then(|| match &warm {
+                let qtable = qadaptive.then(|| match warm {
                     Some(snap) => snap.table_for(r as usize),
                     None => QTable::new(&topo, id, &timing, cfg.qa.alpha),
                 });
@@ -152,6 +167,7 @@ impl NetworkSim {
         let nics =
             (0..topo.num_nodes()).map(|n| Nic::new(NodeId(n), timing.buffer_packets)).collect();
         let flit_time = timing.serialize(timing.flit_bytes);
+        let q_undo = (qadaptive && map.parts() > 1).then(Vec::new);
         Self {
             topo,
             timing,
@@ -163,35 +179,25 @@ impl NetworkSim {
             next_packet_id: 0,
             in_flight: 0,
             flit_time,
-            part: None,
-            q_undo: None,
+            part: PartState {
+                map,
+                me,
+                imported: BTreeMap::new(),
+                pending_exports: Vec::new(),
+                pending_releases: Vec::new(),
+            },
+            q_undo,
             event_key: (0, 0),
         }
     }
 
     // ---- partitioning ------------------------------------------------------
 
-    /// Enter partitioned mode as shard `me` of `map`. Must be called before
-    /// any traffic is sent; afterwards, messages addressed to foreign nodes
-    /// produce export records (see [`NetworkSim::take_msg_exports`]) and
-    /// foreign deliveries resolve against the imported-message table.
-    pub fn set_partition(&mut self, map: Arc<PartitionMap>, me: usize) {
-        assert!(me < map.parts(), "shard index out of range");
-        debug_assert!(self.msgs.is_empty(), "set_partition after traffic started");
-        self.part = Some(PartState {
-            map,
-            me,
-            imported: BTreeMap::new(),
-            pending_exports: Vec::new(),
-            pending_releases: Vec::new(),
-        });
-    }
-
     /// Drain the export records of messages created since the last barrier
     /// whose packets will cross into another shard. The driver forwards each
     /// record (plus the matching MPI metadata) to the destination shard.
     pub fn take_msg_exports(&mut self) -> Vec<MsgExport> {
-        self.part.as_mut().map_or_else(Vec::new, |ps| std::mem::take(&mut ps.pending_exports))
+        std::mem::take(&mut self.part.pending_exports)
     }
 
     /// Drain the tagged ids of foreign messages fully delivered and released
@@ -199,18 +205,14 @@ impl NetworkSim {
     /// origin shard, which frees the slab slot via
     /// [`NetworkSim::release_exported_slot`].
     pub fn take_msg_releases(&mut self) -> Vec<u64> {
-        self.part.as_mut().map_or_else(Vec::new, |ps| std::mem::take(&mut ps.pending_releases))
+        std::mem::take(&mut self.part.pending_releases)
     }
 
     /// Register a foreign message (owned by another shard) so its packets
     /// can be delivered here. Driven by the barrier exchange of
     /// [`MsgExport`] records.
     pub fn import_message(&mut self, tagged: u64, expected: u32) {
-        #[expect(
-            clippy::expect_used,
-            reason = "only the partitioned barrier exchange calls this, and it installs `part` at shard construction"
-        )]
-        let ps = self.part.as_mut().expect("import outside a partitioned run");
+        let ps = &mut self.part;
         debug_assert!(partition::is_tagged(tagged), "importing an untagged message id");
         debug_assert_ne!(partition::origin_of(tagged), ps.me, "importing an owned message");
         let prev = ps.imported.insert(tagged, MsgInfo { expected, received: 0, live: true });
@@ -223,9 +225,9 @@ impl NetworkSim {
     pub fn release_exported_slot(&mut self, tagged: u64) {
         debug_assert!(partition::is_tagged(tagged));
         debug_assert_eq!(
-            self.part.as_ref().map(|ps| ps.me),
-            Some(partition::origin_of(tagged)),
-            "release notice outside a partitioned run or routed to the wrong shard"
+            self.part.me,
+            partition::origin_of(tagged),
+            "release notice routed to the wrong shard"
         );
         let idx = (tagged & partition::IDX_MASK) as usize;
         let info = &mut self.msgs[idx];
@@ -244,15 +246,10 @@ impl NetworkSim {
     /// destination (it is untagged again on the way home, and intermediate
     /// shards never dereference it).
     pub fn on_packet_exported(&mut self, packet: &mut Packet) {
-        #[expect(
-            clippy::expect_used,
-            reason = "boundary exports only happen under the partitioned driver, which installs `part` at shard construction"
-        )]
-        let ps = self.part.as_ref().expect("export outside a partitioned run");
         debug_assert!(self.in_flight > 0, "exporting with nothing in flight");
         self.in_flight -= 1;
         if !partition::is_tagged(packet.msg.0) {
-            packet.msg = MessageId(partition::tag_msg(ps.me, packet.msg.0));
+            packet.msg = MessageId(partition::tag_msg(self.part.me, packet.msg.0));
         }
     }
 
@@ -261,12 +258,8 @@ impl NetworkSim {
     /// the origin (a detoured packet coming home).
     pub fn on_packet_imported(&mut self, packet: &mut Packet) {
         self.in_flight += 1;
-        #[expect(
-            clippy::expect_used,
-            reason = "boundary imports only happen under the partitioned driver, which installs `part` at shard construction"
-        )]
-        let ps = self.part.as_ref().expect("import outside a partitioned run");
-        if partition::is_tagged(packet.msg.0) && partition::origin_of(packet.msg.0) == ps.me {
+        if partition::is_tagged(packet.msg.0) && partition::origin_of(packet.msg.0) == self.part.me
+        {
             packet.msg = MessageId(packet.msg.0 & partition::IDX_MASK);
         }
     }
@@ -284,15 +277,9 @@ impl NetworkSim {
         }
     }
 
-    /// Enable the Q-table undo journal (partitioned driver only). From then
-    /// on each Q-table update is logged with the key set by
-    /// [`NetworkSim::set_event_key`] and its pre-update value, until the
-    /// driver clears the journal.
-    pub fn enable_q_undo(&mut self) {
-        self.q_undo = Some(Vec::new());
-    }
-
-    /// Mutable access to the undo journal, `None` unless enabled. The
+    /// Mutable access to the undo journal, `None` unless on (see
+    /// [`NetworkSim::shard`]). Each Q-table update is logged with the key
+    /// set by [`NetworkSim::set_event_key`] and its pre-update value. The
     /// partitioned driver renumbers the entries' provisional keys at each
     /// barrier, then clears the journal (keeping its allocation) if the run
     /// continues, so only the final window's updates reach
@@ -342,11 +329,6 @@ impl NetworkSim {
         &self.topo
     }
 
-    /// The link timing constants.
-    pub fn timing(&self) -> &LinkTiming {
-        &self.timing
-    }
-
     /// The routing configuration.
     pub fn routing(&self) -> &RoutingConfig {
         &self.cfg
@@ -390,11 +372,7 @@ impl NetworkSim {
         if partition::is_tagged(msg.0) {
             // Foreign message delivered here: drop the imported entry and
             // queue a release notice for the origin shard's slab.
-            #[expect(
-                clippy::expect_used,
-                reason = "tagged message ids are only minted by the partitioned export path, which requires `part` to be installed"
-            )]
-            let ps = self.part.as_mut().expect("tagged release outside a partitioned run");
+            let ps = &mut self.part;
             #[expect(
                 clippy::expect_used,
                 reason = "the barrier imports every foreign message before any of its packets can arrive, so a release always finds its imported entry"
@@ -468,18 +446,17 @@ impl NetworkSim {
             sched.after(copy, NetEvent::LocalDeliver { msg });
             return msg;
         }
-        if let Some(ps) = self.part.as_mut() {
-            if ps.map.part_of_node(dst) != ps.me {
-                // Packets of this message will cross a boundary: record the
-                // export so the destination shard can pre-register delivery
-                // bookkeeping at the next barrier (always before the first
-                // packet can arrive there, thanks to the lookahead window).
-                ps.pending_exports.push(MsgExport {
-                    msg: partition::tag_msg(ps.me, msg.0),
-                    expected,
-                    dst,
-                });
-            }
+        let ps = &mut self.part;
+        if ps.map.part_of_node(dst) != ps.me {
+            // Packets of this message will cross a boundary: record the
+            // export so the destination shard can pre-register delivery
+            // bookkeeping at the next barrier (always before the first
+            // packet can arrive there, thanks to the lookahead window).
+            ps.pending_exports.push(MsgExport {
+                msg: partition::tag_msg(ps.me, msg.0),
+                expected,
+                dst,
+            });
         }
         self.nics[src.idx()].enqueue(msg, dst, app, bytes);
         self.pump(src, sched, rec);
@@ -623,12 +600,10 @@ impl NetworkSim {
                 self.in_flight -= 1;
                 #[expect(
                     clippy::expect_used,
-                    reason = "tagged ids exist only in partitioned runs, where `part` is installed at shard construction, and the barrier imports every foreign message before its packets can be delivered here"
+                    reason = "the barrier imports every foreign message before its packets can be delivered here"
                 )]
                 let info: &mut MsgInfo = if partition::is_tagged(packet.msg.0) {
                     self.part
-                        .as_mut()
-                        .expect("foreign packet outside a partitioned run")
                         .imported
                         .get_mut(&packet.msg.0)
                         .expect("delivery of an undeclared foreign message")
@@ -739,7 +714,7 @@ impl NetworkSim {
         }
         #[expect(
             clippy::expect_used,
-            reason = "this estimator is only called under Q-adaptive routing, and `NetworkSim::new` installs a Q-table on every router for that algo"
+            reason = "this estimator is only called under Q-adaptive routing, and `NetworkSim::shard` installs a Q-table on every router for that algo"
         )]
         let qt =
             self.routers[router.idx()].qtable.as_ref().expect("Q-adaptive routers carry Q-tables");

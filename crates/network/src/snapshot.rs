@@ -6,9 +6,15 @@
 //! estimates, so every run re-pays the training time and only the paper's
 //! "no pre-trained information" condition can be studied. A snapshot
 //! captures the learned two-level tables of all routers after a run; a
-//! later run can *warm-start* from it ([`QTableInit::Load`] on
-//! [`crate::RoutingConfig`]), replacing the static estimates — enabling
-//! pre-trained-vs-cold comparisons and cheap sweep restarts.
+//! later run can *warm-start* from it (the verified snapshot handed to
+//! [`crate::NetworkSim::shard`]), replacing the static estimates —
+//! enabling pre-trained-vs-cold comparisons and cheap sweep restarts.
+//!
+//! The network never opens a snapshot file. A simulation session reads
+//! the file once, decodes it with [`QTableSnapshot::from_file_bytes`],
+//! verifies it and hands the result to every shard it builds;
+//! [`QTableSnapshot::load`] and [`QTableSnapshot::save`] serve tools and
+//! tests.
 //!
 //! ## Format
 //!
@@ -43,30 +49,27 @@ use crate::qtable::QTable;
 /// [`SnapshotError::VersionMismatch`]).
 pub const SNAPSHOT_HEADER: &str = "dfsim-qtable v2";
 
-/// How Q-adaptive Q-tables are initialized at network construction.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// How a run's Q-adaptive Q-tables started: the label reports and trace
+/// files carry. It holds no tables; a warm network gets its snapshot at
+/// construction ([`crate::NetworkSim::shard`]), so a report rebuilt from a
+/// trace can say `warm` without the snapshot it started from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QTableInit {
     /// Static topology-derived estimates (the paper's "no pre-trained
     /// information" condition).
     #[default]
     Cold,
-    /// Warm-start from a snapshot file previously written with
-    /// [`QTableSnapshot::save`]. The snapshot's fingerprint must match the
-    /// run's topology parameters, link timing and α exactly.
-    Load(PathBuf),
+    /// Warm-started from a snapshot whose fingerprint matched the run's
+    /// topology parameters, link timing and α exactly.
+    Warm,
 }
 
 impl QTableInit {
-    /// Convenience constructor for the load form.
-    pub fn load(path: impl Into<PathBuf>) -> Self {
-        QTableInit::Load(path.into())
-    }
-
     /// Short label for reports/CLI (`cold` or `warm`).
-    pub fn label(&self) -> &'static str {
+    pub fn label(self) -> &'static str {
         match self {
             QTableInit::Cold => "cold",
-            QTableInit::Load(_) => "warm",
+            QTableInit::Warm => "warm",
         }
     }
 }
@@ -356,16 +359,16 @@ impl QTableSnapshot {
     // ---- the save file ------------------------------------------------------
 
     /// The save file's bytes: the header line, then [`Self::encode`]'s.
-    fn file_bytes(&self) -> Vec<u8> {
+    pub fn to_file_bytes(&self) -> Vec<u8> {
         let mut b = SNAPSHOT_HEADER.as_bytes().to_vec();
         b.push(b'\n');
         self.encode(&mut b);
         b
     }
 
-    /// Parse a save file: the header line, then exactly one
+    /// Parse a save file's bytes: the header line, then exactly one
     /// [`Self::decode`] body. Error offsets count from the file's start.
-    fn from_file_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
+    pub fn from_file_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
         let first_line = bytes.split(|&b| b == b'\n').next().unwrap_or_default();
         let mut c = Cur::new(bytes);
         if first_line != SNAPSHOT_HEADER.as_bytes()
@@ -386,7 +389,7 @@ impl QTableSnapshot {
 
     /// Write the snapshot to `path` (the module-docs format).
     pub fn save(&self, path: &Path) -> Result<(), SnapshotError> {
-        std::fs::write(path, self.file_bytes())
+        std::fs::write(path, self.to_file_bytes())
             .map_err(|e| SnapshotError::Io { path: path.to_path_buf(), msg: e.to_string() })
     }
 
@@ -433,12 +436,12 @@ mod tests {
         // The section a cache entry embeds after its snapshot flag.
         let mut entry = vec![1u8];
         s.encode(&mut entry);
-        let file = s.file_bytes();
+        let file = s.to_file_bytes();
         let body = file.strip_prefix(b"dfsim-qtable v2\n").expect("header line");
         assert_eq!(body, &entry[1..], "save-file body differs from the cache section");
         let back = QTableSnapshot::from_file_bytes(&file).unwrap();
         assert_eq!(s, back);
-        assert_eq!(file, back.file_bytes(), "save -> load -> save must be byte-identical");
+        assert_eq!(file, back.to_file_bytes(), "save -> load -> save must be byte-identical");
     }
 
     #[test]
@@ -527,7 +530,7 @@ mod tests {
     #[test]
     fn version_and_shape_errors_are_reported() {
         let load = QTableSnapshot::from_file_bytes;
-        let file = snap().file_bytes();
+        let file = snap().to_file_bytes();
 
         // Another version, a v1 text file, a binary file without a header
         // line (shown bounded), and a header with nothing after it.
@@ -549,7 +552,7 @@ mod tests {
     #[test]
     fn qtable_init_labels() {
         assert_eq!(QTableInit::Cold.label(), "cold");
-        assert_eq!(QTableInit::load("/tmp/x").label(), "warm");
+        assert_eq!(QTableInit::Warm.label(), "warm");
         assert_eq!(QTableInit::default(), QTableInit::Cold);
     }
 }

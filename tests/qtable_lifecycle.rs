@@ -2,7 +2,9 @@
 //! stale snapshots are rejected with *named* fingerprint errors (never
 //! silently applied), files of another version, cut short or overlong are
 //! named errors too, and warm-started runs are deterministic — including
-//! bit-identical reports across both event-queue backends.
+//! bit-identical reports across both event-queue backends. The session
+//! touches the files exactly twice: it reads the snapshot once in
+//! `prepare` and writes `qtable_save` once after the run.
 
 use std::path::{Path, PathBuf};
 
@@ -31,6 +33,22 @@ fn train_spec(seed: u64) -> ExperimentSpec {
 
 fn run_spec(spec: ExperimentSpec) -> RunReport {
     Simulation::from_spec(spec).unwrap().run().unwrap().report
+}
+
+/// A report with its host-time fields zeroed, for comparing two live runs.
+fn canonical(report: &RunReport) -> String {
+    let mut r = report.clone();
+    r.wall_s = 0.0;
+    r.engine = EngineReport::default();
+    format!("{r:#?}")
+}
+
+/// A fresh, empty directory per test and tag.
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("dfsim_qtable_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
 }
 
 /// Train a tiny Q-adaptive run and save its snapshot to `path`.
@@ -140,14 +158,19 @@ fn stale_snapshot_is_rejected_in_prepare_not_applied() {
     let _ = std::fs::remove_file(&p);
 }
 
+/// The warm-start label lives on the engine config, the save path on the
+/// spec only; each is refused off Q-adaptive routing.
 #[test]
 fn non_qadaptive_configs_reject_lifecycle_knobs() {
     let mut cfg = SimConfig::test_tiny(RoutingAlgo::UgalG);
-    cfg.routing.qtable_init = QTableInit::load("/nonexistent.snap");
+    cfg.routing.qtable_init = QTableInit::Warm;
     assert!(cfg.validate().unwrap_err().contains("Q-adaptive"));
-    let mut cfg = SimConfig::test_tiny(RoutingAlgo::Par);
-    cfg.qtable_save = Some("/nonexistent.snap".into());
-    assert!(cfg.validate().unwrap_err().contains("Q-adaptive"));
+    let spec = ExperimentSpec {
+        routings: vec![RoutingAlgo::Par],
+        qtable_save: Some("/nonexistent.snap".into()),
+        ..train_spec(7)
+    };
+    assert!(spec.validate().unwrap_err().to_string().contains("Q-adaptive"));
 }
 
 #[test]
@@ -202,4 +225,73 @@ fn warm_start_actually_replaces_the_static_estimates() {
         "warm start must change the Q-value trajectory (identical traces mean the snapshot \
          was not applied)"
     );
+}
+
+/// `prepare` reads the warm-start snapshot once and nothing after it opens
+/// the file: with the file deleted between `prepare` and `run`, the run at
+/// one and two partitions reports what it does with the file in place, and
+/// its cache entry is keyed by the bytes it ran from, so a fresh session
+/// over a file with those bytes hits it.
+#[test]
+fn deleting_the_snapshot_after_prepare_changes_nothing() {
+    let p = temp_snap("read_once");
+    train_and_save(&p);
+    let bytes = std::fs::read(&p).unwrap();
+    for threads in [1, 2] {
+        let dir = temp_dir(&format!("read_once_cache_{threads}"));
+        let spec = ExperimentSpec { qtable_load: Some(p.clone()), threads, ..train_spec(11) };
+        let want = canonical(&run_spec(spec.clone()));
+        let cached = ExperimentSpec { cache: CacheMode::Dir(dir.clone()), ..spec };
+
+        let mut sim = Simulation::from_spec(cached.clone()).unwrap();
+        sim.prepare().unwrap();
+        std::fs::remove_file(&p).unwrap();
+        let live = sim.run().expect("the run must not reopen the snapshot file");
+        assert!(!live.cached, "t{threads}: the first run must be live");
+        assert!(canonical(&live.report) == want, "t{threads}: report diverged without the file");
+
+        std::fs::write(&p, &bytes).unwrap();
+        let store = ResultCache::open(&cached.cache).unwrap().unwrap();
+        let stored = store.load(&cache_key(&cached).unwrap()).unwrap();
+        assert!(stored.is_some(), "t{threads}: the session's key is not cache_key's");
+        let hit = Simulation::from_spec(cached).unwrap().run().unwrap();
+        assert!(hit.cached, "t{threads}: the same snapshot bytes must hit the stored entry");
+        assert!(canonical(&hit.report) == want, "t{threads}: the hit's report diverged");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    let _ = std::fs::remove_file(&p);
+}
+
+/// `run` writes `qtable_save` once, after a live run or a cache hit alike:
+/// a save path that turned into a directory after `prepare` is the same
+/// named error on both paths, at one and two partitions — never a panic.
+#[test]
+fn unwritable_qtable_save_is_one_named_error_live_and_on_a_hit() {
+    for threads in [1, 2] {
+        let dir = temp_dir(&format!("unwritable_{threads}"));
+        let save = dir.join("saved.qtable");
+        let spec = ExperimentSpec { qtable_save: Some(save.clone()), threads, ..train_spec(7) };
+        let cached = ExperimentSpec { cache: CacheMode::Dir(dir.join("cache")), ..spec.clone() };
+        assert!(!Simulation::from_spec(cached.clone()).unwrap().run().unwrap().cached);
+        let cache = ResultCache::open(&cached.cache).unwrap().unwrap();
+        let entry = cache.load(&cache_key(&cached).unwrap()).unwrap();
+        assert!(entry.is_some_and(|e| e.snapshot.is_some()), "t{threads}: no entry to hit");
+
+        let errors: Vec<String> = [spec, cached]
+            .into_iter()
+            .map(|spec| {
+                let mut sim = Simulation::from_spec(spec).unwrap();
+                sim.prepare().unwrap();
+                std::fs::remove_file(&save).unwrap();
+                std::fs::create_dir(&save).unwrap();
+                let err = sim.run().expect_err("an unwritable qtable_save must fail the run");
+                std::fs::remove_dir(&save).unwrap();
+                err.to_string()
+            })
+            .collect();
+        let want = format!("cannot write qtable_save {}: ", save.display());
+        assert!(errors[0].contains(&want), "t{threads}: {}", errors[0]);
+        assert_eq!(errors[0], errors[1], "t{threads}: live and hit must fail alike");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
