@@ -70,7 +70,7 @@ use crate::report::{
     RunReport,
 };
 use crate::spec::{ExperimentSpec, Workload};
-use dfsim_metrics::trace::{len_u32, put_f64, put_str, put_u32, put_u64, put_u8, Cur};
+use dfsim_des::wire::{len_u32, put_f64, put_str, put_u32, put_u64, put_u8, WireError, WireReader};
 use dfsim_metrics::{LatencySummary, Stats};
 
 /// Magic header of every cache entry file, and the version salt of every
@@ -212,6 +212,12 @@ impl std::fmt::Display for CacheError {
 }
 
 impl std::error::Error for CacheError {}
+
+impl From<WireError> for CacheError {
+    fn from(e: WireError) -> Self {
+        CacheError::Malformed { msg: e.to_string() }
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Keys
@@ -424,132 +430,112 @@ pub fn encode_report(r: &RunReport) -> Vec<u8> {
     b
 }
 
-/// Map a trace-cursor failure onto the cache's named error.
-fn cur_err(e: dfsim_metrics::trace::TraceError) -> CacheError {
-    CacheError::Malformed { msg: e.to_string() }
-}
-
-fn get_stats(c: &mut Cur<'_>, what: &'static str) -> Result<Stats, CacheError> {
+fn get_stats(c: &mut WireReader<'_>, what: &'static str) -> Result<Stats, WireError> {
     Ok(Stats {
-        n: c.count64(what).map_err(cur_err)?,
-        mean: c.f64(what).map_err(cur_err)?,
-        std: c.f64(what).map_err(cur_err)?,
-        min: c.f64(what).map_err(cur_err)?,
-        max: c.f64(what).map_err(cur_err)?,
+        n: c.count64(what)?,
+        mean: c.f64(what)?,
+        std: c.f64(what)?,
+        min: c.f64(what)?,
+        max: c.f64(what)?,
     })
 }
 
-fn get_latency(c: &mut Cur<'_>, what: &'static str) -> Result<LatencySummary, CacheError> {
+fn get_latency(c: &mut WireReader<'_>, what: &'static str) -> Result<LatencySummary, WireError> {
     Ok(LatencySummary {
-        n: c.count64(what).map_err(cur_err)?,
-        mean: c.f64(what).map_err(cur_err)?,
-        q1: c.f64(what).map_err(cur_err)?,
-        median: c.f64(what).map_err(cur_err)?,
-        q3: c.f64(what).map_err(cur_err)?,
-        p95: c.f64(what).map_err(cur_err)?,
-        p99: c.f64(what).map_err(cur_err)?,
-        max: c.f64(what).map_err(cur_err)?,
+        n: c.count64(what)?,
+        mean: c.f64(what)?,
+        q1: c.f64(what)?,
+        median: c.f64(what)?,
+        q3: c.f64(what)?,
+        p95: c.f64(what)?,
+        p99: c.f64(what)?,
+        max: c.f64(what)?,
     })
 }
 
-fn get_series(c: &mut Cur<'_>, what: &'static str) -> Result<Vec<(f64, f64)>, CacheError> {
-    let n = c.len(what).map_err(cur_err)?;
-    let mut v = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        v.push((c.f64(what).map_err(cur_err)?, c.f64(what).map_err(cur_err)?));
-    }
-    Ok(v)
+fn get_series(c: &mut WireReader<'_>, what: &'static str) -> Result<Vec<(f64, f64)>, WireError> {
+    c.list(what, |c| Ok((c.f64(what)?, c.f64(what)?)))
 }
 
-fn get_f64s(c: &mut Cur<'_>, what: &'static str) -> Result<Vec<f64>, CacheError> {
-    let n = c.len(what).map_err(cur_err)?;
-    let mut v = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        v.push(c.f64(what).map_err(cur_err)?);
-    }
-    Ok(v)
+fn get_f64s(c: &mut WireReader<'_>, what: &'static str) -> Result<Vec<f64>, WireError> {
+    c.list(what, |c| c.f64(what))
 }
 
-fn get_matrix(c: &mut Cur<'_>, what: &'static str) -> Result<Vec<Vec<f64>>, CacheError> {
-    let n = c.len(what).map_err(cur_err)?;
-    let mut m = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        m.push(get_f64s(c, what)?);
-    }
-    Ok(m)
+fn get_matrix(c: &mut WireReader<'_>, what: &'static str) -> Result<Vec<Vec<f64>>, WireError> {
+    c.list(what, |c| get_f64s(c, what))
 }
 
 /// Decode a blob written by [`encode_report`].
 pub fn decode_report(blob: &[u8]) -> Result<RunReport, CacheError> {
-    let mut c = Cur::new(blob);
-    let ver = c.u32("the report blob version").map_err(cur_err)?;
+    let mut c = WireReader::new(blob);
+    let ver = c.u32("the report blob version")?;
     if ver != REPORT_BLOB_VERSION {
         return Err(CacheError::Version { found: format!("report blob v{ver}") });
     }
-    let routing = c.str("routing").map_err(cur_err)?;
-    let queue = c.str("queue").map_err(cur_err)?;
-    let seed = c.u64("seed").map_err(cur_err)?;
-    let scale = c.f64("scale").map_err(cur_err)?;
-    let completed = c.u8("completed").map_err(cur_err)? != 0;
-    let stop_reason = c.str("stop_reason").map_err(cur_err)?;
-    let sim_ms = c.f64("sim_ms").map_err(cur_err)?;
-    let events = c.u64("events").map_err(cur_err)?;
-    let wall_s = c.f64("wall_s").map_err(cur_err)?;
-    let napps = c.len("app count").map_err(cur_err)?;
+    let routing = c.str("routing")?;
+    let queue = c.str("queue")?;
+    let seed = c.u64("seed")?;
+    let scale = c.f64("scale")?;
+    let completed = c.u8("completed")? != 0;
+    let stop_reason = c.str("stop_reason")?;
+    let sim_ms = c.f64("sim_ms")?;
+    let events = c.u64("events")?;
+    let wall_s = c.f64("wall_s")?;
+    let napps = c.len("app count")?;
     let mut apps = Vec::with_capacity(napps.min(1 << 16));
     for _ in 0..napps {
-        let name = c.str("app.name").map_err(cur_err)?;
-        let app_word = c.u32("app.app").map_err(cur_err)?;
+        let name = c.str("app.name")?;
+        let app_word = c.u32("app.app")?;
         let app = u16::try_from(app_word).map_err(|_| CacheError::Malformed {
             msg: format!("app id {app_word} overflows u16"),
         })?;
         apps.push(AppReport {
             name,
             app,
-            size: c.u32("app.size").map_err(cur_err)?,
+            size: c.u32("app.size")?,
             comm_ms: get_stats(&mut c, "app.comm_ms")?,
-            exec_ms: c.f64("app.exec_ms").map_err(cur_err)?,
-            total_msg_mb: c.f64("app.total_msg_mb").map_err(cur_err)?,
-            inj_rate_gbs: c.f64("app.inj_rate_gbs").map_err(cur_err)?,
-            peak_ingress_bytes: c.u64("app.peak_ingress_bytes").map_err(cur_err)?,
+            exec_ms: c.f64("app.exec_ms")?,
+            total_msg_mb: c.f64("app.total_msg_mb")?,
+            inj_rate_gbs: c.f64("app.inj_rate_gbs")?,
+            peak_ingress_bytes: c.u64("app.peak_ingress_bytes")?,
             latency_us: get_latency(&mut c, "app.latency_us")?,
             throughput: get_series(&mut c, "app.throughput")?,
             latency_series: get_series(&mut c, "app.latency_series")?,
-            delivery_ratio: c.f64("app.delivery_ratio").map_err(cur_err)?,
-            detour_frac: c.f64("app.detour_frac").map_err(cur_err)?,
-            mean_hops: c.f64("app.mean_hops").map_err(cur_err)?,
+            delivery_ratio: c.f64("app.delivery_ratio")?,
+            detour_frac: c.f64("app.detour_frac")?,
+            mean_hops: c.f64("app.mean_hops")?,
         });
     }
-    let jobs = get_job_reports(&mut c).map_err(cur_err)?;
+    let jobs = get_job_reports(&mut c)?;
     let network = NetworkReport {
         local_stall_ms: get_f64s(&mut c, "network.local_stall_ms")?,
         global_stall_ms: get_matrix(&mut c, "network.global_stall_ms")?,
-        avg_local_stall_ms: c.f64("network.avg_local_stall_ms").map_err(cur_err)?,
-        avg_global_stall_ms: c.f64("network.avg_global_stall_ms").map_err(cur_err)?,
+        avg_local_stall_ms: c.f64("network.avg_local_stall_ms")?,
+        avg_global_stall_ms: c.f64("network.avg_global_stall_ms")?,
         congestion: get_matrix(&mut c, "network.congestion")?,
-        mean_global_congestion: c.f64("network.mean_global_congestion").map_err(cur_err)?,
-        std_global_congestion: c.f64("network.std_global_congestion").map_err(cur_err)?,
+        mean_global_congestion: c.f64("network.mean_global_congestion")?,
+        std_global_congestion: c.f64("network.std_global_congestion")?,
         system_latency_us: get_latency(&mut c, "network.system_latency_us")?,
         system_throughput: get_series(&mut c, "network.system_throughput")?,
-        mean_system_throughput: c.f64("network.mean_system_throughput").map_err(cur_err)?,
-        total_delivered_gb: c.f64("network.total_delivered_gb").map_err(cur_err)?,
+        mean_system_throughput: c.f64("network.mean_system_throughput")?,
+        total_delivered_gb: c.f64("network.total_delivered_gb")?,
     };
     let engine = EngineReport {
-        backend: c.str("engine.backend").map_err(cur_err)?,
-        events_scheduled: c.u64("engine.events_scheduled").map_err(cur_err)?,
-        peak_pending: c.u64("engine.peak_pending").map_err(cur_err)?,
-        resizes: c.u64("engine.resizes").map_err(cur_err)?,
-        bucket_scans: c.u64("engine.bucket_scans").map_err(cur_err)?,
-        sparse_jumps: c.u64("engine.sparse_jumps").map_err(cur_err)?,
-        final_buckets: c.u64("engine.final_buckets").map_err(cur_err)?,
-        final_width_ps: c.u64("engine.final_width_ps").map_err(cur_err)?,
-        events_per_sec: c.f64("engine.events_per_sec").map_err(cur_err)?,
+        backend: c.str("engine.backend")?,
+        events_scheduled: c.u64("engine.events_scheduled")?,
+        peak_pending: c.u64("engine.peak_pending")?,
+        resizes: c.u64("engine.resizes")?,
+        bucket_scans: c.u64("engine.bucket_scans")?,
+        sparse_jumps: c.u64("engine.sparse_jumps")?,
+        final_buckets: c.u64("engine.final_buckets")?,
+        final_width_ps: c.u64("engine.final_width_ps")?,
+        events_per_sec: c.f64("engine.events_per_sec")?,
     };
-    let learning = if c.u8("learning flag").map_err(cur_err)? != 0 {
+    let learning = if c.u8("learning flag")? != 0 {
         Some(LearningReport {
-            init: c.str("learning.init").map_err(cur_err)?,
-            updates: c.u64("learning.updates").map_err(cur_err)?,
-            mean_abs_dq1_ns: c.f64("learning.mean_abs_dq1_ns").map_err(cur_err)?,
+            init: c.str("learning.init")?,
+            updates: c.u64("learning.updates")?,
+            mean_abs_dq1_ns: c.f64("learning.mean_abs_dq1_ns")?,
             series: get_series(&mut c, "learning.series")?,
         })
     } else {
@@ -928,11 +914,11 @@ fn decode_entry_inner(bytes: &[u8]) -> Result<(CacheEntry, String), CacheError> 
         return Err(CacheError::Version { found: header });
     }
     let recorded_key = line("key")?;
-    let mut c = Cur::new(rest);
-    let blob_len = c.len("report blob length").map_err(cur_err)?;
-    let blob = c.bytes(blob_len, "report blob").map_err(cur_err)?;
+    let mut c = WireReader::new(rest);
+    let blob_len = c.len("report blob length")?;
+    let blob = c.bytes(blob_len, "report blob")?;
     let report = decode_report(blob)?;
-    let snapshot = if c.u8("snapshot flag").map_err(cur_err)? != 0 {
+    let snapshot = if c.u8("snapshot flag")? != 0 {
         Some(
             QTableSnapshot::decode(&mut c)
                 .map_err(|e| malformed(&format!("embedded snapshot: {e}")))?,

@@ -24,7 +24,7 @@
 //!   globally, so keys are totally ordered across phases. Window pushes get
 //!   a provisional per-shard key and are renumbered at the barrier by a
 //!   P-way merge of the per-shard push logs into the *global push order*
-//!   ([`merge_ranks`]); cut pushes (job admissions at barriers) are keyed
+//!   (`merge_ranks`); cut pushes (job admissions at barriers) are keyed
 //!   by their deterministic admission slot directly. The resulting key
 //!   order is isomorphic to a single shard's push order, and since no
 //!   report field contains a raw key, order-isomorphism is enough for
@@ -90,9 +90,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dfsim_des::queue::SimQueue;
+use dfsim_des::wire::{len_u32, put_f64, put_u16, put_u32, put_u64, put_u8, WireError, WireReader};
 use dfsim_des::{
     local_mesh, CalendarQueue, EventQueue, JobId, LocalThreadCommunicator, QueueKind,
-    SimCommunicator, SimRng, Time, WireReader, WireWriter,
+    SimCommunicator, SimRng, Time,
 };
 use dfsim_metrics::{
     read_trace, AppId, EventSink, KeyedEntry, KeyedKind, Recorder, TraceEvent, TraceWriter,
@@ -108,7 +109,7 @@ use crate::placement::{place, Placement};
 use crate::report::{JobReport, RunReport};
 use crate::runner::{build_report, JobSpec};
 use crate::scenario::{Arrival, JobTable, Scenario, SchedPolicy};
-use crate::world::{PartKeys, StopReason, World, WorldEvent};
+use crate::world::{StopReason, World, WorldEvent};
 
 /// Bits of a sequence key below the segment field.
 pub(crate) const SEG_SHIFT: u32 = 40;
@@ -140,45 +141,44 @@ fn create_trace(path: &Path) -> TraceWriter {
 /// provisional keys. A Q1 update's timestamp is its event's time, so it
 /// travels as `(time, seq, delta)`; a rank finish as `(time, seq, app, rank,
 /// comm, exec)`.
-fn put_keyed(w: &mut WireWriter, entries: &[KeyedEntry]) {
-    w.u32(entries.len() as u32);
+fn put_keyed(w: &mut Vec<u8>, entries: &[KeyedEntry]) {
+    put_u32(w, len_u32(entries.len(), "the keyed-entry count"));
     for e in entries {
-        w.u64(e.time);
-        w.u64(e.seq);
+        put_u64(w, e.time);
+        put_u64(w, e.seq);
         match e.kind {
             KeyedKind::Q1Update { t, delta_ps } => {
                 debug_assert_eq!(t, e.time, "a Q1 update is stamped with its event's time");
-                w.u8(0);
-                w.f64(delta_ps);
+                put_u8(w, 0);
+                put_f64(w, delta_ps);
             }
             KeyedKind::RankFinished { app, rank, comm, exec } => {
-                w.u8(1);
-                w.u16(app.0);
-                w.u32(rank);
-                w.u64(comm);
-                w.u64(exec);
+                put_u8(w, 1);
+                put_u16(w, app.0);
+                put_u32(w, rank);
+                put_u64(w, comm);
+                put_u64(w, exec);
             }
         }
     }
 }
 
-/// Decode a [`put_keyed`] section onto `out`.
-fn get_keyed(r: &mut WireReader, out: &mut Vec<KeyedEntry>) {
-    let n = r.u32() as usize;
-    out.reserve(n);
-    for _ in 0..n {
-        let (time, seq) = (r.u64(), r.u64());
-        let kind = match r.u8() {
-            0 => KeyedKind::Q1Update { t: time, delta_ps: r.f64() },
-            _ => KeyedKind::RankFinished {
-                app: AppId(r.u16()),
-                rank: r.u32(),
-                comm: r.u64(),
-                exec: r.u64(),
+/// Decode a [`put_keyed`] section.
+fn get_keyed(r: &mut WireReader) -> Result<Vec<KeyedEntry>, WireError> {
+    r.list("the keyed-entry count", |r| {
+        let (time, seq) = (r.u64("keyed.time")?, r.u64("keyed.seq")?);
+        let kind = match r.u8("keyed.kind")? {
+            0 => KeyedKind::Q1Update { t: time, delta_ps: r.f64("keyed.delta")? },
+            1 => KeyedKind::RankFinished {
+                app: AppId(r.u16("keyed.app")?),
+                rank: r.u32("keyed.rank")?,
+                comm: r.u64("keyed.comm")?,
+                exec: r.u64("keyed.exec")?,
             },
+            t => return Err(r.bad(format!("unknown keyed-entry tag {t}"))),
         };
-        out.push(KeyedEntry { time, seq, kind });
-    }
+        Ok(KeyedEntry { time, seq, kind })
+    })
 }
 
 /// The trace event a keyed entry stands for.
@@ -321,6 +321,21 @@ impl ShardWork {
     }
 }
 
+/// What one shard's barrier frame told this one (see [`Shard::receive`]).
+#[derive(Default)]
+struct Received {
+    pops: u64,
+    last: Time,
+    peek: Time,
+    log: Vec<LogEntry>,
+    /// Rank completions as `(app, time, provisional seq)`.
+    fins: Vec<(u16, Time, u64)>,
+    /// Boundary events as `(time, push-log index, event)`.
+    events: Vec<(Time, u32, NetEvent)>,
+    rels: Vec<u64>,
+    keyed: Vec<KeyedEntry>,
+}
+
 /// Everything a finished shard hands back to the assembly step.
 struct ShardOutcome {
     stop: StopReason,
@@ -344,14 +359,10 @@ struct ShardOutcome {
 
 /// One partition worker: owns the world of its groups (network state, its
 /// ranks' MPI state, a recorder and the keyed queue); drives the lockstep
-/// window loop.
+/// window loop. Its partition map and index are its network's.
 struct Shard<'a, Q> {
     cfg: &'a SimConfig,
-    map: Arc<PartitionMap>,
-    me: usize,
-    parts: usize,
     comm: LocalThreadCommunicator,
-    lookahead: Time,
     world: World<Q>,
     work: ShardWork,
     /// Unfinished ranks per app, from exchanged completion notices
@@ -389,15 +400,7 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
         let parts = map.parts();
         let rng = SimRng::new(cfg.seed);
         let mut rec = Recorder::new(topo, cfg.recorder);
-        let net = NetworkSim::shard(
-            Arc::clone(topo),
-            cfg.timing,
-            cfg.routing,
-            &rng,
-            Arc::clone(&map),
-            me,
-            warm,
-        );
+        let net = NetworkSim::shard(Arc::clone(topo), cfg.timing, cfg.routing, &rng, map, me, warm);
         if parts > 1 {
             rec.enable_keyed_capture();
         }
@@ -415,19 +418,11 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
             }
         }
         let napps = work.arrive.len();
-        let lookahead = cfg.timing.global_latency_ps;
         let mpi = MpiSim::new(MpiConfig { eager_threshold: cfg.eager_threshold });
-        let mut world = World::with_backend(net, mpi, rec, cfg.queue);
-        if parts > 1 {
-            world.queue.part = Some(PartKeys::new(Arc::clone(&map), me, lookahead));
-        }
+        let world = World::with_backend(net, mpi, rec, cfg.queue);
         Self {
             cfg,
-            map,
-            me,
-            parts,
             comm,
-            lookahead,
             world,
             work,
             remaining: vec![0; napps],
@@ -442,6 +437,16 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
             global_last_pop: 0,
             fin_scratch: Vec::new(),
         }
+    }
+
+    /// This shard's index in its network's partition map.
+    fn me(&self) -> usize {
+        self.world.net.shard_index()
+    }
+
+    /// Whether this is the only shard (no canonical-key state).
+    fn single(&self) -> bool {
+        self.world.queue.part.is_none()
     }
 
     fn total_done(&self) -> bool {
@@ -501,7 +506,7 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
         for (job, nodes, spec) in picked {
             self.spawn(AppId(job.0 as u16), &spec, nodes);
         }
-        if self.parts == 1 {
+        if self.single() {
             self.take_local_finishes(now);
         }
         true
@@ -515,9 +520,10 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
         let inst = spec.kind.build(spec.size, self.cfg.scale, seed);
         self.remaining[app.0 as usize] = nodes.len() as u32;
         self.world.mpi.add_app(app, nodes.clone(), inst.programs, inst.comms);
+        let me = self.me();
         for (r, node) in nodes.iter().enumerate() {
             self.world.queue.next_slot();
-            if self.map.part_of_node(*node) == self.me {
+            if self.world.net.partition_map().part_of_node(*node) == me {
                 self.world.start_rank(app, r as u32);
             }
         }
@@ -588,7 +594,7 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
                 self.global_last_pop = t;
             }
             self.world.dispatch(ev);
-            if self.parts == 1 && self.take_local_finishes(t) && self.total_done() {
+            if self.single() && self.take_local_finishes(t) && self.total_done() {
                 return Some((StopReason::AllFinished, t));
             }
         }
@@ -620,6 +626,8 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
         };
 
         let wseg = keys.seg;
+        let (me, map) = (self.world.net.shard_index(), Arc::clone(self.world.net.partition_map()));
+        let parts = map.parts();
         // -- Local summaries (before anything is drained): the shard's next
         // event time must include boundary events not yet exported.
         let exports = self.world.net.take_msg_exports();
@@ -634,22 +642,22 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
 
         // -- Broadcast section, identical bytes to every peer.
         let log = std::mem::take(&mut keys.log);
-        let mut bw = WireWriter::new();
-        bw.u64(self.win_pops);
-        bw.u64(self.win_last_pop);
-        bw.u64(peek);
-        bw.u32(log.len() as u32);
+        let mut bcast = Vec::new();
+        put_u64(&mut bcast, self.win_pops);
+        put_u64(&mut bcast, self.win_last_pop);
+        put_u64(&mut bcast, peek);
+        put_u32(&mut bcast, len_u32(log.len(), "the push-log length"));
         for e in &log {
-            bw.u64(e.time);
+            put_u64(&mut bcast, e.time);
             match e.dispatch {
                 Dispatch::True { t, seq } => {
-                    bw.u8(0);
-                    bw.u64(t);
-                    bw.u64(seq);
+                    put_u8(&mut bcast, 0);
+                    put_u64(&mut bcast, t);
+                    put_u64(&mut bcast, seq);
                 }
                 Dispatch::Local { j } => {
-                    bw.u8(1);
-                    bw.u32(j);
+                    put_u8(&mut bcast, 1);
+                    put_u32(&mut bcast, j);
                 }
             }
         }
@@ -660,51 +668,49 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
                 _ => None,
             })
             .collect();
-        bw.u32(my_fins.len() as u32);
+        put_u32(&mut bcast, len_u32(my_fins.len(), "the finish-notice count"));
         for &(app, t, s) in &my_fins {
-            bw.u16(app);
-            bw.u64(t);
-            bw.u64(s);
+            put_u16(&mut bcast, app);
+            put_u64(&mut bcast, t);
+            put_u64(&mut bcast, s);
         }
-        let bcast = bw.into_frame();
 
         // -- Per-peer frames: broadcast section + boundary events + message
         // exports + release notices routed to their shards.
-        let mut ex_by: Vec<Vec<&MsgExport>> = (0..self.parts).map(|_| Vec::new()).collect();
+        let mut ex_by: Vec<Vec<&MsgExport>> = (0..parts).map(|_| Vec::new()).collect();
         for e in &exports {
-            ex_by[self.map.part_of_node(e.dst)].push(e);
+            ex_by[map.part_of_node(e.dst)].push(e);
         }
-        let mut rel_by: Vec<Vec<u64>> = (0..self.parts).map(|_| Vec::new()).collect();
+        let mut rel_by: Vec<Vec<u64>> = (0..parts).map(|_| Vec::new()).collect();
         for &t in &releases {
             rel_by[origin_of(t)].push(t);
         }
-        let mut frames: Vec<Vec<u8>> = Vec::with_capacity(self.parts);
-        for p in 0..self.parts {
-            let mut w = WireWriter::new();
-            w.bytes(&bcast);
-            w.u32(keys.boundary[p].len() as u32);
+        let mut frames: Vec<Vec<u8>> = Vec::with_capacity(parts);
+        for p in 0..parts {
+            let mut w = bcast.clone();
+            put_u32(&mut w, len_u32(keys.boundary[p].len(), "the boundary-event count"));
             for bp in &mut keys.boundary[p] {
                 if let NetEvent::PacketArrive { packet, .. } = &mut bp.ev {
                     self.world.net.on_packet_exported(packet);
                 }
-                encode_event(&mut w, bp.time, bp.j as u64, &bp.ev);
+                encode_event(&mut w, bp.time, u64::from(bp.j), &bp.ev);
             }
-            w.u32(ex_by[p].len() as u32);
+            put_u32(&mut w, len_u32(ex_by[p].len(), "the message-export count"));
             for e in &ex_by[p] {
-                w.u64(e.msg);
-                w.u32(e.expected);
+                put_u64(&mut w, e.msg);
+                put_u32(&mut w, e.expected);
                 let meta = self.world.mpi.export_meta(MessageId(e.msg & IDX_MASK));
-                w.u32(meta.len() as u32);
-                w.bytes(&meta);
+                put_u32(&mut w, len_u32(meta.len(), "a meta record length"));
+                w.extend_from_slice(&meta);
             }
-            w.u32(rel_by[p].len() as u32);
+            put_u32(&mut w, len_u32(rel_by[p].len(), "the release-notice count"));
             for &r in &rel_by[p] {
-                w.u64(r);
+                put_u64(&mut w, r);
             }
-            if p == 0 && self.me != 0 {
+            if p == 0 && me != 0 {
                 put_keyed(&mut w, &my_keyed);
             }
-            frames.push(w.into_frame());
+            frames.push(w);
         }
         // Keep the drained per-peer buffers for the next window.
         for buf in &mut keys.boundary {
@@ -715,65 +721,25 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
 
         // -- Decode: broadcast sections from everyone, directed payloads
         // from peers (applied after the merge resolves their keys).
-        let mut logs: Vec<Vec<LogEntry>> = Vec::with_capacity(self.parts);
-        let mut peer_pops = vec![0u64; self.parts];
-        let mut peer_last = vec![0u64; self.parts];
-        let mut peer_peek = vec![Time::MAX; self.parts];
-        let mut peer_fins: Vec<Vec<(u16, Time, u64)>> = Vec::with_capacity(self.parts);
-        let mut in_events: Vec<(usize, Time, u32, NetEvent)> = Vec::new();
-        let mut in_msgs: Vec<(u64, u32, Vec<u8>)> = Vec::new();
-        let mut in_rels: Vec<u64> = Vec::new();
-        let mut in_keyed: Vec<Vec<KeyedEntry>> = (0..self.parts).map(|_| Vec::new()).collect();
+        let mut from: Vec<Received> = Vec::with_capacity(parts);
         for (p, frame) in got.iter().enumerate() {
-            let mut r = WireReader::new(frame);
-            peer_pops[p] = r.u64();
-            peer_last[p] = r.u64();
-            peer_peek[p] = r.u64();
-            let n = r.u32() as usize;
-            let mut lg = Vec::with_capacity(n);
-            for _ in 0..n {
-                let time = r.u64();
-                let dispatch = match r.u8() {
-                    0 => Dispatch::True { t: r.u64(), seq: r.u64() },
-                    _ => Dispatch::Local { j: r.u32() },
-                };
-                lg.push(LogEntry { time, dispatch });
-            }
-            logs.push(lg);
-            let nf = r.u32() as usize;
-            let mut fins = Vec::with_capacity(nf);
-            for _ in 0..nf {
-                fins.push((r.u16(), r.u64(), r.u64()));
-            }
-            peer_fins.push(fins);
-            if p == self.me {
-                continue; // own directed payload is empty by construction
-            }
-            let ne = r.u32() as usize;
-            for _ in 0..ne {
-                let (t, j, ev) = decode_event(&mut r);
-                in_events.push((p, t, j as u32, ev));
-            }
-            let nm = r.u32() as usize;
-            for _ in 0..nm {
-                let msg = r.u64();
-                let expected = r.u32();
-                let len = r.u32() as usize;
-                in_msgs.push((msg, expected, r.bytes(len).to_vec()));
-            }
-            let nr = r.u32() as usize;
-            for _ in 0..nr {
-                in_rels.push(r.u64());
-            }
-            if self.me == 0 {
-                get_keyed(&mut r, &mut in_keyed[p]);
-            }
+            #[expect(
+                clippy::panic,
+                reason = "barrier frames come from sibling shards of this run, so one that does not decode is an encoder/decoder skew; `Shard::run` has no error channel to the caller yet, so the named error stops the run"
+            )]
+            from.push(
+                self.receive(p, frame).unwrap_or_else(|e| {
+                    panic!("partition {p} sent a malformed barrier frame: {e}")
+                }),
+            );
         }
 
         // -- Merge push logs into the global push order; renumber every
         // provisional key in this shard.
+        let logs: Vec<Vec<LogEntry>> =
+            from.iter_mut().map(|f| std::mem::take(&mut f.log)).collect();
         let ranks = merge_ranks(&logs, wseg);
-        let rme = &ranks[self.me];
+        let rme = &ranks[me];
         self.world.queue.q.for_each_pending_mut(&mut |_, seq| {
             if *seq >> SEG_SHIFT == wseg {
                 *seq = (wseg << SEG_SHIFT) | rme[(*seq & VAL_MASK) as usize];
@@ -790,39 +756,39 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
         // Shard 0 gathers the window's keyed entries of every shard, keys
         // final, for the fold after the stop decision.
         let mut keyed = Vec::new();
-        if self.me == 0 {
-            in_keyed[0] = my_keyed;
-            for (p, entries) in in_keyed.iter_mut().enumerate() {
-                for e in entries.iter_mut() {
-                    e.seq = xlate(e.seq, wseg, &ranks[p]);
+        if me == 0 {
+            from[0].keyed = my_keyed;
+            for (f, rp) in from.iter_mut().zip(&ranks) {
+                for e in &mut f.keyed {
+                    e.seq = xlate(e.seq, wseg, rp);
                 }
-                keyed.append(entries);
+                keyed.append(&mut f.keyed);
             }
         }
 
-        // -- Import peer traffic. Message metadata first (deliveries later
-        // in the run look it up), then events, then release notices.
+        // -- Import peer traffic (message metadata is already in): events,
+        // then release notices.
         let w = &mut self.world;
-        for (msg, expected, meta) in in_msgs {
-            w.net.import_message(msg, expected);
-            w.mpi.import_meta(msg, &meta);
-        }
-        for (p, t, j, mut ev) in in_events {
-            debug_assert!(t >= b, "boundary event before the barrier");
-            if let NetEvent::PacketArrive { packet, .. } = &mut ev {
-                w.net.on_packet_imported(packet);
+        for (f, rp) in from.iter_mut().zip(&ranks) {
+            for (t, j, mut ev) in f.events.drain(..) {
+                debug_assert!(t >= b, "boundary event before the barrier");
+                if let NetEvent::PacketArrive { packet, .. } = &mut ev {
+                    w.net.on_packet_imported(packet);
+                }
+                w.queue.q.push_seq(t, (wseg << SEG_SHIFT) | rp[j as usize], WorldEvent::Net(ev));
             }
-            w.queue.q.push_seq(t, (wseg << SEG_SHIFT) | ranks[p][j as usize], WorldEvent::Net(ev));
         }
-        for r in in_rels {
-            w.mpi.release_exported(r, &mut w.net);
+        for f in &from {
+            for &r in &f.rels {
+                w.mpi.release_exported(r, &mut w.net);
+            }
         }
 
         // -- Completions, in global key order (replicated on every shard).
         let mut fins: Vec<(Time, u64, u16)> = Vec::new();
-        for (p, pf) in peer_fins.iter().enumerate() {
-            for &(app, t, s) in pf {
-                fins.push((t, xlate(s, wseg, &ranks[p]), app));
+        for (f, rp) in from.iter().zip(&ranks) {
+            for &(app, t, s) in &f.fins {
+                fins.push((t, xlate(s, wseg, rp), app));
             }
         }
         fins.sort_unstable();
@@ -840,16 +806,15 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
 
         // -- Global counters and the stop decision (identical on every
         // shard: all inputs are replicated).
-        let mut wpops = 0u64;
-        for p in 0..self.parts {
-            wpops += peer_pops[p];
-            if peer_pops[p] > 0 {
-                self.global_last_pop = self.global_last_pop.max(peer_last[p]);
+        for f in &from {
+            self.total_pops += f.pops;
+            if f.pops > 0 {
+                self.global_last_pop = self.global_last_pop.max(f.last);
             }
         }
-        self.total_pops += wpops;
-        let verdict = self.verdict(b, h, peer_peek.iter().copied().min().unwrap_or(Time::MAX));
-        if self.me == 0 {
+        let peek = from.iter().map(|f| f.peek).min().unwrap_or(Time::MAX);
+        let verdict = self.verdict(b, h, peek);
+        if me == 0 {
             self.fold_keyed(keyed, matches!(verdict, Err((StopReason::AllFinished, _))));
         }
         if verdict.is_ok() {
@@ -859,6 +824,59 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
             }
         }
         verdict
+    }
+
+    /// Decode shard `p`'s barrier frame: its broadcast section, and from a
+    /// peer its directed payload. Message metadata is imported at once; the
+    /// rest waits for the merge that resolves its keys.
+    fn receive(&mut self, p: usize, frame: &[u8]) -> Result<Received, WireError> {
+        let mut r = WireReader::new(frame);
+        let (mut j, apps) = (0, self.remaining.len());
+        let mut got = Received {
+            pops: r.u64("the window pop count")?,
+            last: r.u64("the last pop time")?,
+            peek: r.u64("the next event time")?,
+            log: r.list("the push-log length", |r| {
+                let time = r.u64("log.time")?;
+                let dispatch = match r.u8("log.dispatch")? {
+                    0 => Dispatch::True { t: r.u64("log.t")?, seq: r.u64("log.seq")? },
+                    1 => match r.u32("log.j")? {
+                        jj if jj < j => Dispatch::Local { j: jj },
+                        jj => return Err(r.bad(format!("push-log entry {j} cites entry {jj}"))),
+                    },
+                    t => return Err(r.bad(format!("unknown dispatch tag {t}"))),
+                };
+                j += 1;
+                Ok(LogEntry { time, dispatch })
+            })?,
+            fins: r.list("the finish-notice count", |r| match r.u16("fin.app")? {
+                app if usize::from(app) < apps => Ok((app, r.u64("fin.time")?, r.u64("fin.seq")?)),
+                app => Err(r.bad(format!("finish notice for unknown app {app}"))),
+            })?,
+            ..Received::default()
+        };
+        if p == self.me() {
+            return Ok(got); // own directed payload is empty by construction
+        }
+        for _ in 0..r.len("the boundary-event count")? {
+            let (t, j, ev) = decode_event(&mut r)?;
+            match u32::try_from(j) {
+                Ok(j) if (j as usize) < got.log.len() => got.events.push((t, j, ev)),
+                _ => return Err(r.bad(format!("boundary event cites push-log entry {j}"))),
+            }
+        }
+        for _ in 0..r.len("the message-export count")? {
+            let msg = r.u64("export.msg")?;
+            let expected = r.u32("export.expected")?;
+            let len = r.len("a meta record length")?;
+            self.world.net.import_message(msg, expected);
+            self.world.mpi.import_meta(msg, r.bytes(len, "a meta record")?)?;
+        }
+        got.rels = r.list("the release-notice count", |r| r.u64("a release notice"))?;
+        if self.me() == 0 {
+            got.keyed = get_keyed(&mut r)?;
+        }
+        Ok(got)
     }
 
     /// The stop decision of a multi-partition barrier at `b`, given the
@@ -918,7 +936,8 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
     /// [`Shard::drive`], showing the shard to `at_barrier` at the end of
     /// every window, just before its barrier at the given time.
     fn drive_observed(&mut self, mut at_barrier: impl FnMut(&Self, Time)) -> (StopReason, Time) {
-        debug_assert!(self.lookahead > 0, "`SimConfig::validate` requires a positive lookahead");
+        let lookahead = self.world.net.timing().global_latency_ps;
+        debug_assert!(lookahead > 0, "`SimConfig::validate` requires a positive lookahead");
         // The initial cut (segment 0).
         let mut started = self.cut(0);
         let mut b: Time = 0;
@@ -947,7 +966,7 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
                     return (StopReason::AllFinished, s);
                 }
             }
-            let e = s.saturating_add(self.lookahead).min(self.work.next_arrival_time());
+            let e = s.saturating_add(lookahead).min(self.work.next_arrival_time());
             self.world.queue.begin_window();
             self.win_start = s;
             if let Some(stop) = self.run_window(e) {
@@ -968,7 +987,7 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
     fn finish(mut self, stop: StopReason, end: Time) -> ShardOutcome {
         let mut post_k = 0u64;
         let mut q_undone = 0;
-        if self.parts > 1 && stop == StopReason::AllFinished {
+        if !self.single() && stop == StopReason::AllFinished {
             // The final window may overrun the stop key: subtract those
             // pops from the event count and roll their Q-updates back, so
             // the result matches an engine that stopped exactly at K.
@@ -1005,13 +1024,12 @@ impl<'a, Q: SimQueue<WorldEvent>> Shard<'a, Q> {
 
 /// Combine shard outcomes into the final report: absorb the peers'
 /// recorders into shard 0's (which already folded every keyed entry), adopt
-/// each shard's learned Q-tables, sum engine counters, and derive the
-/// canonical event count.
+/// each shard's learned Q-tables (its own groups' routers), sum engine
+/// counters, and derive the canonical event count.
 fn assemble(
     cfg: &SimConfig,
     specs: &[&JobSpec],
     topo: &Topology,
-    map: &PartitionMap,
     mut outcomes: Vec<ShardOutcome>,
     wall_s: f64,
 ) -> (RunReport, Option<QTableSnapshot>) {
@@ -1036,7 +1054,7 @@ fn assemble(
             stats.resizes += o.stats.resizes;
             stats.bucket_scans += o.stats.bucket_scans;
             stats.sparse_jumps += o.stats.sparse_jumps;
-            base.net.adopt_qtables_from(&o.net, map.routers_of(p));
+            base.net.adopt_qtables_from(&o.net, o.net.partition_map().routers_of(p));
             if let Some(sink) = o.rec.take_sink() {
                 #[expect(
                     clippy::panic,
@@ -1199,7 +1217,7 @@ fn execute(
         QueueKind::Calendar => run_shards::<CalendarQueue<WorldEvent>>(cfg, topo, &map, work, warm),
     };
     let wall_s = wall.elapsed().as_secs_f64();
-    assemble(cfg, &specs, topo, &map, outcomes, wall_s)
+    assemble(cfg, &specs, topo, outcomes, wall_s)
 }
 
 /// Validate `cfg` at a run entry point and build its topology.
@@ -1275,6 +1293,7 @@ mod tests {
     use dfsim_des::queue::PendingEvents;
     use dfsim_mpi::MpiOp;
     use dfsim_network::RoutingAlgo;
+    use dfsim_topology::{Port, RouterId};
     use proptest::prelude::*;
 
     /// A tiny Q-adaptive cell whose two-partition final window overruns the
@@ -1320,7 +1339,7 @@ mod tests {
         let undone = outcomes.iter().map(|o| o.q_undone).sum();
         let dropped = outcomes.iter().map(|o| o.keyed_dropped).sum();
         let specs: Vec<&JobSpec> = jobs.iter().collect();
-        let (report, snapshot) = assemble(cfg, &specs, &topo, &map, outcomes, 0.0);
+        let (report, snapshot) = assemble(cfg, &specs, &topo, outcomes, 0.0);
         StaticRun { undone, dropped, report, snapshot: snapshot.unwrap() }
     }
 
@@ -1438,6 +1457,60 @@ mod tests {
         for (_, times) in &journals {
             assert!(times.iter().all(|&t| t >= start), "journal entry before the final window");
         }
+    }
+
+    /// A barrier frame that does not decode is a named error of
+    /// `Shard::receive`, never a panic: a short frame, an unknown tag, or a
+    /// count or index pointing past what the frame or the run holds.
+    #[test]
+    fn malformed_barrier_frames_are_named_errors() {
+        let (cfg, jobs) = overrun_cell();
+        let topo = validated_topology(&cfg);
+        let comm = local_mesh(2).swap_remove(0);
+        let work = static_work(&cfg, &topo, &jobs)();
+        let map = partition_map(&cfg, 2);
+        let mut shard = Shard::<EventQueue<WorldEvent>>::new(&cfg, &topo, map, 0, comm, work, None);
+        // Peer 1's frame: the broadcast section with `log` entries as
+        // (dispatch tag, cited index) and `fins` as app ids, then `tail`.
+        let frame = |log: &[(u8, u32)], fins: &[u16], tail: &[u8]| {
+            let mut b = Vec::new();
+            for v in [0, 0, 0] {
+                put_u64(&mut b, v);
+            }
+            put_u32(&mut b, log.len() as u32);
+            for &(tag, j) in log {
+                put_u64(&mut b, 5);
+                put_u8(&mut b, tag);
+                put_u32(&mut b, j);
+            }
+            put_u32(&mut b, fins.len() as u32);
+            for &app in fins {
+                put_u16(&mut b, app);
+                put_u64(&mut b, 1);
+                put_u64(&mut b, 2);
+            }
+            b.extend_from_slice(tail);
+            b
+        };
+        let empty_tail = [0u8; 16]; // no events, exports, releases or keyed entries
+        let mut one_event = Vec::new();
+        put_u32(&mut one_event, 1);
+        let credit = NetEvent::Credit { router: RouterId(0), port: Port(0), vc: 0 };
+        encode_event(&mut one_event, 10, 3, &credit);
+        let mut huge = Vec::new();
+        put_u32(&mut huge, u32::MAX);
+
+        assert!(shard.receive(1, &frame(&[], &[1], &empty_tail)).is_ok());
+        let mut check = |bytes: Vec<u8>, want: &str| match shard.receive(1, &bytes) {
+            Err(e) => assert!(e.to_string().contains(want), "{e}"),
+            Ok(_) => panic!("decoded a frame that should fail with '{want}'"),
+        };
+        check(frame(&[], &[], &[]), "while reading the boundary-event count");
+        check(frame(&[(7, 0)], &[], &empty_tail), "unknown dispatch tag 7");
+        check(frame(&[(1, 0)], &[], &empty_tail), "push-log entry 0 cites entry 0");
+        check(frame(&[], &[99], &empty_tail), "finish notice for unknown app 99");
+        check(frame(&[], &[], &one_event), "boundary event cites push-log entry 3");
+        check(frame(&[], &[], &huge), "while reading event.time");
     }
 
     /// A receive nobody matches leaves its app unfinished once the queue

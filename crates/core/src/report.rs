@@ -12,8 +12,8 @@
     clippy::panic
 )]
 
-use dfsim_metrics::trace::{
-    len_u32, put_f64, put_opt_f64, put_str, put_u32, put_u8, Cur, TraceError,
+use dfsim_des::wire::{
+    len_u32, put_f64, put_opt_f64, put_str, put_u32, put_u8, WireError, WireReader,
 };
 use dfsim_metrics::{LatencySummary, Stats};
 
@@ -231,13 +231,10 @@ pub(crate) fn put_job_reports(b: &mut Vec<u8>, jobs: &[JobReport]) {
     }
 }
 
-/// Decode a list written by [`put_job_reports`]. The count word reserves at
-/// most 2^20 jobs up front; a longer list grows as its jobs decode.
-pub(crate) fn get_job_reports(c: &mut Cur<'_>) -> Result<Vec<JobReport>, TraceError> {
-    let n = c.len("the job-report count")?;
-    let mut jobs = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        jobs.push(JobReport {
+/// Decode a list written by [`put_job_reports`].
+pub(crate) fn get_job_reports(c: &mut WireReader<'_>) -> Result<Vec<JobReport>, WireError> {
+    c.list("the job-report count", |c| {
+        Ok(JobReport {
             job: c.u32("job.job")?,
             name: c.str("job.name")?,
             size: c.u32("job.size")?,
@@ -249,9 +246,8 @@ pub(crate) fn get_job_reports(c: &mut Cur<'_>) -> Result<Vec<JobReport>, TraceEr
             response_ms: c.f64("job.response_ms")?,
             slowdown: c.opt_f64("job.slowdown")?,
             completed: c.u8("job.completed")? != 0,
-        });
-    }
-    Ok(jobs)
+        })
+    })
 }
 
 /// The full result of one simulation.

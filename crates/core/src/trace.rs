@@ -10,8 +10,8 @@
 //!
 //! The blob is a little-endian binary layout with its own leading version
 //! word (`f64`s as raw bits so report values survive exactly), written and
-//! decoded with the metrics crate's little-endian primitives — checked
-//! reads that fail as named [`TraceError`]s.
+//! decoded with [`dfsim_des::wire`], the one codec — checked reads whose
+//! failures surface as named [`TraceError`]s.
 
 // Codec over external input: a short or corrupt file must surface as a
 // named error, never as a panic or a silently wrapped value.
@@ -36,10 +36,12 @@ use std::path::Path;
 use std::sync::Arc;
 
 use dfsim_apps::AppKind;
+use dfsim_des::wire::{
+    len_u32, put_f64, put_opt_u64, put_str, put_u32, put_u64, put_u8, WireError, WireReader,
+};
 use dfsim_des::{EngineStats, QueueBackend, Time};
 use dfsim_metrics::trace::{
-    len_u32, put_f64, put_machine, put_opt_u64, put_str, put_u32, put_u64, put_u8, read_meta,
-    read_trace, Cur, TraceContents, TraceError,
+    get_machine, put_machine, read_meta, read_trace, TraceContents, TraceError,
 };
 use dfsim_metrics::{Recorder, RecorderConfig};
 use dfsim_network::{QTableInit, RoutingAlgo, RoutingConfig};
@@ -156,16 +158,17 @@ pub(crate) fn encode_meta(
 
 // ---- decoding --------------------------------------------------------------
 
-/// Decode a META payload written by [`encode_meta`].
+/// Decode a META payload, as the runner writes it into a trace's META
+/// frame at the end of a traced run.
 pub fn decode_meta(blob: &[u8]) -> Result<TraceMeta, TraceError> {
-    let mut c = Cur::new(blob);
+    let mut c = WireReader::new(blob);
     let ver = c.u32("the meta version")?;
     if ver != META_VERSION {
-        return Err(
-            c.bad(format!("unsupported trace meta version {ver} (expected {META_VERSION})"))
-        );
+        return Err(c
+            .bad(format!("unsupported trace meta version {ver} (expected {META_VERSION})"))
+            .into());
     }
-    let (params, timing) = c.machine()?;
+    let (params, timing) = get_machine(&mut c)?;
     let routing_label = c.str("the routing label")?;
     let algo = *RoutingAlgo::ALL
         .iter()
@@ -176,7 +179,7 @@ pub fn decode_meta(blob: &[u8]) -> Result<TraceMeta, TraceError> {
     routing.qtable_init = match init_label.as_str() {
         "cold" => QTableInit::Cold,
         "warm" => QTableInit::Warm,
-        other => return Err(c.bad(format!("unknown qtable-init label '{other}'"))),
+        other => return Err(c.bad(format!("unknown qtable-init label '{other}'")).into()),
     };
     let queue_s = c.str("the queue backend")?;
     let queue: QueueBackend =
@@ -188,17 +191,15 @@ pub fn decode_meta(blob: &[u8]) -> Result<TraceMeta, TraceError> {
         record_latencies: c.u8("recorder.record_latencies")? != 0,
         record_ports: c.u8("recorder.record_ports")? != 0,
     };
-    let njobs = c.len("the job count")?;
-    let mut jobs = Vec::with_capacity(njobs.min(1 << 20));
-    for _ in 0..njobs {
+    let jobs = c.list("the job count", |c| {
         let name = c.str("a job kind")?;
         let kind = *AppKind::ALL
             .iter()
             .find(|k| k.name() == name)
             .ok_or_else(|| c.bad(format!("unknown workload '{name}'")))?;
-        let size = c.u32("a job size")?;
-        jobs.push(JobSpec::sized(kind, size));
-    }
+        Ok::<_, WireError>(JobSpec::sized(kind, c.u32("a job size")?))
+    })?;
+    let njobs = jobs.len();
     let starts = (0..njobs).map(|_| c.u64("a start time")).collect::<Result<Vec<_>, _>>()?;
     let finished = (0..njobs).map(|_| c.opt_u64("a finish time")).collect::<Result<Vec<_>, _>>()?;
     let stats = EngineStats {
@@ -218,7 +219,7 @@ pub fn decode_meta(blob: &[u8]) -> Result<TraceMeta, TraceError> {
         1 => StopReason::Horizon,
         2 => StopReason::EventCap,
         3 => StopReason::Drained,
-        v => return Err(c.bad(format!("unknown stop reason {v}"))),
+        v => return Err(c.bad(format!("unknown stop reason {v}")).into()),
     };
     let end_time = c.u64("the end time")?;
     let wall_s = c.f64("the wall time")?;

@@ -85,7 +85,7 @@ pub(crate) struct PartKeys {
 impl PartKeys {
     /// Keys of shard `me` of `map`; the run starts in the init cut
     /// (segment 0).
-    pub(crate) fn new(map: Arc<PartitionMap>, me: usize, lookahead: Time) -> Self {
+    fn new(map: Arc<PartitionMap>, me: usize, lookahead: Time) -> Self {
         let parts = map.parts();
         Self {
             map,
@@ -260,15 +260,19 @@ pub struct World<Q = DefaultBackend> {
 }
 
 impl<Q: SimQueue<WorldEvent>> World<Q> {
-    /// Assemble a single-partition world on `backend`'s tuning (kind must
-    /// match `Q`).
+    /// Assemble a world on `backend`'s tuning (kind must match `Q`); a shard
+    /// of a multi-partition network gets its canonical-key state here.
     pub fn with_backend(
         net: NetworkSim,
         mpi: MpiSim,
         rec: Recorder,
         backend: QueueBackend,
     ) -> Self {
-        let queue = WorldQueue { q: Q::for_backend(backend), part: None };
+        let map = net.partition_map();
+        let part = (map.parts() > 1).then(|| {
+            PartKeys::new(Arc::clone(map), net.shard_index(), net.timing().global_latency_ps)
+        });
+        let queue = WorldQueue { q: Q::for_backend(backend), part };
         Self { net, mpi, rec, queue, effects: Vec::new() }
     }
 }

@@ -11,6 +11,10 @@
 //! implementation only has to provide these three methods; everything above
 //! (windowed advance, deterministic merge) is transport-agnostic.
 //!
+//! The communicator moves opaque bytes; what is inside a frame is written
+//! with [`crate::wire`]'s `put_*` functions and read back with its checked
+//! [`crate::wire::WireReader`], the one codec of the simulator.
+//!
 //! The provided [`LocalThreadCommunicator`] connects threads of one process
 //! through per-pair channels. Because every barrier is a full exchange (all
 //! ranks send to all ranks every round, empty frames included) and channels
@@ -114,192 +118,23 @@ impl SimCommunicator for LocalThreadCommunicator {
 /// partition, wired with a dedicated FIFO channel per ordered pair.
 pub fn local_mesh(n: usize) -> Vec<LocalThreadCommunicator> {
     assert!(n > 0, "a mesh needs at least one partition");
-    // senders[to][from] / receivers[to][from], built per ordered pair.
-    let mut txs: Vec<Vec<Option<Sender<Vec<u8>>>>> = (0..n).map(|_| vec![None; n]).collect();
-    let mut rxs: Vec<Vec<Option<Receiver<Vec<u8>>>>> =
-        (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-    for from in 0..n {
-        for to in 0..n {
-            if from == to {
-                continue;
-            }
+    // `txs[from][to]` feeds `rxs[to][from]`; a rank's own pair is never used.
+    let mut txs: Vec<Vec<Sender<Vec<u8>>>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
+    let mut rxs: Vec<Vec<Receiver<Vec<u8>>>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
+    for tx_row in &mut txs {
+        for rx_row in &mut rxs {
             let (tx, rx) = channel();
-            txs[from][to] = Some(tx);
-            rxs[to][from] = Some(rx);
+            tx_row.push(tx);
+            rx_row.push(rx);
         }
     }
-    txs.into_iter()
-        .zip(rxs)
-        .enumerate()
-        .map(|(rank, (tx_row, rx_row))| LocalThreadCommunicator {
-            rank,
-            txs: tx_row.into_iter().map(|t| t.unwrap_or_else(|| channel().0)).collect(),
-            rxs: rx_row.into_iter().map(|r| r.unwrap_or_else(|| channel().1)).collect(),
-        })
-        .collect()
-}
-
-/// Little-endian frame writer for the compact boundary-exchange encoding.
-/// Frames are an internal, same-build protocol: both ends run the same
-/// binary, so there is no versioning and underruns are bugs (panics).
-#[derive(Debug, Default)]
-pub struct WireWriter {
-    buf: Vec<u8>,
-}
-
-impl WireWriter {
-    /// Empty writer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append a `u8`.
-    #[inline]
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Append a `u16`.
-    #[inline]
-    pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a `u32`.
-    #[inline]
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a `u64`.
-    #[inline]
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append an `f64` (bit pattern).
-    #[inline]
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    /// Append raw bytes (length NOT included; write it yourself).
-    #[inline]
-    pub fn bytes(&mut self, v: &[u8]) {
-        self.buf.extend_from_slice(v);
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing was written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Finish, yielding the frame.
-    pub fn into_frame(self) -> Vec<u8> {
-        self.buf
-    }
-}
-
-/// Reader matching [`WireWriter`]. Panics on underrun (protocol bug).
-#[derive(Debug)]
-pub struct WireReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> WireReader<'a> {
-    /// Read from the start of `buf`.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    #[inline]
-    fn take(&mut self, n: usize) -> &'a [u8] {
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        s
-    }
-
-    /// A fixed-width field as an owned array; `take` hands back exactly
-    /// `N` bytes, so the copy never mismatches.
-    #[inline]
-    fn take_n<const N: usize>(&mut self) -> [u8; N] {
-        let mut a = [0u8; N];
-        a.copy_from_slice(self.take(N));
-        a
-    }
-
-    /// Read a `u8`.
-    #[inline]
-    pub fn u8(&mut self) -> u8 {
-        let [b] = self.take_n::<1>();
-        b
-    }
-
-    /// Read a `u16`.
-    #[inline]
-    pub fn u16(&mut self) -> u16 {
-        u16::from_le_bytes(self.take_n())
-    }
-
-    /// Read a `u32`.
-    #[inline]
-    pub fn u32(&mut self) -> u32 {
-        u32::from_le_bytes(self.take_n())
-    }
-
-    /// Read a `u64`.
-    #[inline]
-    pub fn u64(&mut self) -> u64 {
-        u64::from_le_bytes(self.take_n())
-    }
-
-    /// Read an `f64` (bit pattern).
-    #[inline]
-    pub fn f64(&mut self) -> f64 {
-        f64::from_bits(self.u64())
-    }
-
-    /// Read `n` raw bytes.
-    #[inline]
-    pub fn bytes(&mut self, n: usize) -> &'a [u8] {
-        self.take(n)
-    }
-
-    /// Whether the whole frame has been consumed.
-    pub fn is_empty(&self) -> bool {
-        self.pos == self.buf.len()
-    }
+    let ranks = txs.into_iter().zip(rxs).enumerate();
+    ranks.map(|(rank, (txs, rxs))| LocalThreadCommunicator { rank, txs, rxs }).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn wire_round_trip() {
-        let mut w = WireWriter::new();
-        w.u8(7);
-        w.u16(300);
-        w.u32(70_000);
-        w.u64(u64::MAX - 1);
-        w.f64(-1.5);
-        w.bytes(b"abc");
-        let frame = w.into_frame();
-        let mut r = WireReader::new(&frame);
-        assert_eq!(r.u8(), 7);
-        assert_eq!(r.u16(), 300);
-        assert_eq!(r.u32(), 70_000);
-        assert_eq!(r.u64(), u64::MAX - 1);
-        assert_eq!(r.f64(), -1.5);
-        assert_eq!(r.bytes(3), b"abc");
-        assert!(r.is_empty());
-    }
 
     #[test]
     fn single_partition_exchange_is_loopback() {

@@ -16,7 +16,10 @@
 //! * job-lifecycle event kinds (spawn/teardown) for dynamic churn scenarios
 //!   ([`job`]),
 //! * a partition communicator for the conservatively synchronized parallel
-//!   engine, with an in-process thread implementation ([`comm`]).
+//!   engine, with an in-process thread implementation ([`comm`]),
+//! * the one binary codec — little-endian `put_*` writers and a checked
+//!   reader whose every failure is a named [`WireError`] — behind barrier
+//!   frames, trace files, result-cache entries and Q-table files ([`wire`]).
 //!
 //! Event semantics are exactly deterministic in both execution modes: the
 //! sequential engine orders by `(time, seq)`, and the partitioned engine
@@ -45,6 +48,7 @@ pub mod queue;
 pub mod rng;
 pub mod sched;
 pub mod time;
+pub mod wire;
 
 // The reference queue lives with the integration tests, which name this
 // crate by its external name; the unit tests share the one copy.
@@ -55,7 +59,7 @@ extern crate self as dfsim_des;
 mod oracle;
 
 pub use calendar::CalendarQueue;
-pub use comm::{local_mesh, LocalThreadCommunicator, SimCommunicator, WireReader, WireWriter};
+pub use comm::{local_mesh, LocalThreadCommunicator, SimCommunicator};
 pub use job::{JobEvent, JobId};
 pub use queue::{
     CalendarTuning, EngineStats, EventQueue, PendingEvents, QueueBackend, QueueKind, SimQueue,
@@ -65,3 +69,4 @@ pub use sched::Scheduler;
 pub use time::{
     parse_duration, Time, GIGABIT_PER_SEC, MICROSECOND, MILLISECOND, NANOSECOND, PICOSECOND, SECOND,
 };
+pub use wire::{WireError, WireReader, WireWriter};

@@ -35,8 +35,10 @@
 //! the run is. [`read_trace`] streams a file back out, frame by frame,
 //! handing each decoded event to a callback — the reader never holds more
 //! than one frame in memory either. Every malformation is a *named*
-//! [`TraceError`]; the same checked primitives decode the result cache and
-//! `dfsim-qtable` snapshot files.
+//! [`TraceError`]. Events are written with [`dfsim_des::wire`]'s `put_*`
+//! functions and read with its checked [`WireReader`], the one codec that
+//! also carries barrier frames, result-cache entries and `dfsim-qtable`
+//! snapshot files.
 
 // Codec over external input: a short or corrupt file must surface as a
 // named error, never as a panic or a silently wrapped value.
@@ -51,6 +53,7 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
+use dfsim_des::wire::{put_f64, put_u16, put_u32, put_u64, put_u8, WireError, WireReader};
 use dfsim_topology::{DragonflyParams, LinkTiming, Port, RouterId};
 
 use crate::recorder::AppId;
@@ -124,57 +127,26 @@ impl std::fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
+impl From<WireError> for TraceError {
+    fn from(e: WireError) -> Self {
+        match e {
+            WireError::Truncated { offset, what } => TraceError::Truncated { offset, what },
+            WireError::Malformed { offset, msg } => TraceError::Malformed { offset, msg },
+        }
+    }
+}
+
 impl TraceError {
     fn io(path: &Path, e: std::io::Error) -> Self {
         TraceError::Io { path: path.to_path_buf(), msg: e.to_string() }
     }
 }
 
-// ---- little-endian primitives -----------------------------------------------
-//
-// The one set of checked little-endian primitives behind the event codec
-// here and the META / result-cache blobs in `dfsim-core` (`f64`s travel as
-// raw bits, so values survive exactly).
-
-/// Append one byte.
-pub fn put_u8(b: &mut Vec<u8>, v: u8) {
-    b.push(v);
-}
-/// Append a little-endian `u16`.
-pub fn put_u16(b: &mut Vec<u8>, v: u16) {
-    b.extend_from_slice(&v.to_le_bytes());
-}
-/// Append a little-endian `u32`.
-pub fn put_u32(b: &mut Vec<u8>, v: u32) {
-    b.extend_from_slice(&v.to_le_bytes());
-}
-/// Append a little-endian `u64`.
-pub fn put_u64(b: &mut Vec<u8>, v: u64) {
-    b.extend_from_slice(&v.to_le_bytes());
-}
-/// Append an `f64` as its raw bits.
-pub fn put_f64(b: &mut Vec<u8>, v: f64) {
-    put_u64(b, v.to_bits());
-}
-/// Append a `u32` length word and the string's bytes.
-pub fn put_str(b: &mut Vec<u8>, s: &str) {
-    put_u32(b, len_u32(s.len(), "a string length"));
-    b.extend_from_slice(s.as_bytes());
-}
-/// Append a presence byte and the value (0 when absent).
-pub fn put_opt_u64(b: &mut Vec<u8>, v: Option<u64>) {
-    put_u8(b, u8::from(v.is_some()));
-    put_u64(b, v.unwrap_or(0));
-}
-/// Append a presence byte and the value's raw bits (0.0 when absent).
-pub fn put_opt_f64(b: &mut Vec<u8>, v: Option<f64>) {
-    put_u8(b, u8::from(v.is_some()));
-    put_f64(b, v.unwrap_or(0.0));
-}
+// ---- the machine fingerprint -------------------------------------------------
 
 /// Append a machine: the four [`DragonflyParams`] words, then the
 /// [`LinkTiming`] fields in declaration order. Q-table snapshots and trace
-/// META blobs both carry exactly these bytes (see [`Cur::machine`]).
+/// META blobs both carry exactly these bytes (see [`get_machine`]).
 pub fn put_machine(b: &mut Vec<u8>, p: &DragonflyParams, t: &LinkTiming) {
     for v in [p.groups, p.routers_per_group, p.nodes_per_router, p.globals_per_router] {
         put_u32(b, v);
@@ -187,159 +159,24 @@ pub fn put_machine(b: &mut Vec<u8>, p: &DragonflyParams, t: &LinkTiming) {
     }
 }
 
-/// Encode-side length word. Every length the codecs write (label strings,
-/// job/app/series counts, embedded blobs) is bounded far below `u32::MAX`
-/// by construction; a breach is a programming error that must stop the
-/// writer, because a silently wrapped length word corrupts the file.
-#[expect(
-    clippy::expect_used,
-    reason = "writer-side invariant: codec lengths are bounded far below u32::MAX by construction, and wrapping the length word would corrupt the blob, so a breach must stop the writer"
-)]
-pub fn len_u32(n: usize, what: &'static str) -> u32 {
-    u32::try_from(n).expect(what)
-}
-
-/// A checked little-endian cursor over one frame payload or blob. Unlike
-/// the DES wire reader (a trusted intra-run protocol that panics on
-/// underrun), trace files and cache entries are external input: every read
-/// can fail with a named [`TraceError`].
-pub struct Cur<'a> {
-    data: &'a [u8],
-    pos: usize,
-    /// File offset of `data[0]`, for error messages.
-    base: u64,
-}
-
-impl<'a> Cur<'a> {
-    /// A cursor over a standalone blob (error offsets count from its start).
-    pub fn new(data: &'a [u8]) -> Self {
-        Cur { data, pos: 0, base: 0 }
-    }
-
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], TraceError> {
-        let s =
-            self.pos.checked_add(n).and_then(|end| self.data.get(self.pos..end)).ok_or(
-                TraceError::Truncated { offset: self.base + self.data.len() as u64, what },
-            )?;
-        self.pos += n;
-        Ok(s)
-    }
-
-    /// A fixed-width little-endian field as an owned array. `take` hands
-    /// back exactly `N` bytes, so the conversion's error arm is purely
-    /// defensive — it still maps onto a named error rather than a panic.
-    fn take_n<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], TraceError> {
-        let at = self.base + self.pos as u64;
-        let s = self.take(N, what)?;
-        s.try_into().map_err(|_| TraceError::Malformed {
-            offset: at,
-            msg: format!("{what}: internal field-width mismatch"),
-        })
-    }
-
-    /// A raw byte slice of known length (length-prefixed embedded blobs).
-    pub fn bytes(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], TraceError> {
-        self.take(n, what)
-    }
-
-    /// One byte.
-    pub fn u8(&mut self, what: &'static str) -> Result<u8, TraceError> {
-        let [b] = self.take_n::<1>(what)?;
-        Ok(b)
-    }
-
-    /// A little-endian `u16`.
-    pub fn u16(&mut self, what: &'static str) -> Result<u16, TraceError> {
-        Ok(u16::from_le_bytes(self.take_n(what)?))
-    }
-
-    /// A little-endian `u32`.
-    pub fn u32(&mut self, what: &'static str) -> Result<u32, TraceError> {
-        Ok(u32::from_le_bytes(self.take_n(what)?))
-    }
-
-    /// A little-endian `u64`.
-    pub fn u64(&mut self, what: &'static str) -> Result<u64, TraceError> {
-        Ok(u64::from_le_bytes(self.take_n(what)?))
-    }
-
-    /// An `f64` from its raw bits.
-    pub fn f64(&mut self, what: &'static str) -> Result<f64, TraceError> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
-
-    /// A `u32` length/count word widened to `usize` (fallible only on
-    /// hosts narrower than 32 bits, where it is a named error instead of
-    /// a silent wrap).
-    pub fn len(&mut self, what: &'static str) -> Result<usize, TraceError> {
-        let v = self.u32(what)?;
-        usize::try_from(v)
-            .map_err(|_| self.bad(format!("{what}: count {v} exceeds the host address width")))
-    }
-
-    /// A `u64` count word narrowed to `usize`, failing as a named error
-    /// when the value does not fit the host (a 32-bit replay of a 64-bit
-    /// run's statistics).
-    pub fn count64(&mut self, what: &'static str) -> Result<usize, TraceError> {
-        let v = self.u64(what)?;
-        usize::try_from(v)
-            .map_err(|_| self.bad(format!("{what}: count {v} exceeds the host address width")))
-    }
-
-    /// A length-prefixed UTF-8 string (see [`put_str`]).
-    pub fn str(&mut self, what: &'static str) -> Result<String, TraceError> {
-        let n = self.len(what)?;
-        let at = self.base + self.pos as u64;
-        let bytes = self.take(n, what)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| TraceError::Malformed {
-            offset: at,
-            msg: format!("{what} is not valid UTF-8"),
-        })
-    }
-
-    /// An optional `u64` (see [`put_opt_u64`]).
-    pub fn opt_u64(&mut self, what: &'static str) -> Result<Option<u64>, TraceError> {
-        let has = self.u8(what)? != 0;
-        let v = self.u64(what)?;
-        Ok(has.then_some(v))
-    }
-
-    /// An optional `f64` (see [`put_opt_f64`]).
-    pub fn opt_f64(&mut self, what: &'static str) -> Result<Option<f64>, TraceError> {
-        let has = self.u8(what)? != 0;
-        let v = self.f64(what)?;
-        Ok(has.then_some(v))
-    }
-
-    /// A machine written by [`put_machine`].
-    pub fn machine(&mut self) -> Result<(DragonflyParams, LinkTiming), TraceError> {
-        let params = DragonflyParams {
-            groups: self.u32("params.groups")?,
-            routers_per_group: self.u32("params.routers_per_group")?,
-            nodes_per_router: self.u32("params.nodes_per_router")?,
-            globals_per_router: self.u32("params.globals_per_router")?,
-        };
-        let timing = LinkTiming {
-            bandwidth_gbps: self.u64("timing.bandwidth_gbps")?,
-            local_latency_ps: self.u64("timing.local_latency_ps")?,
-            global_latency_ps: self.u64("timing.global_latency_ps")?,
-            terminal_latency_ps: self.u64("timing.terminal_latency_ps")?,
-            flit_bytes: self.u32("timing.flit_bytes")?,
-            packet_bytes: self.u32("timing.packet_bytes")?,
-            buffer_packets: self.u32("timing.buffer_packets")?,
-        };
-        Ok((params, timing))
-    }
-
-    /// Bytes not yet read.
-    pub fn remaining(&self) -> usize {
-        self.data.len().saturating_sub(self.pos)
-    }
-
-    /// A [`TraceError::Malformed`] at the cursor's position.
-    pub fn bad(&self, msg: String) -> TraceError {
-        TraceError::Malformed { offset: self.base + self.pos as u64, msg }
-    }
+/// Read a machine written by [`put_machine`].
+pub fn get_machine(c: &mut WireReader<'_>) -> Result<(DragonflyParams, LinkTiming), WireError> {
+    let params = DragonflyParams {
+        groups: c.u32("params.groups")?,
+        routers_per_group: c.u32("params.routers_per_group")?,
+        nodes_per_router: c.u32("params.nodes_per_router")?,
+        globals_per_router: c.u32("params.globals_per_router")?,
+    };
+    let timing = LinkTiming {
+        bandwidth_gbps: c.u64("timing.bandwidth_gbps")?,
+        local_latency_ps: c.u64("timing.local_latency_ps")?,
+        global_latency_ps: c.u64("timing.global_latency_ps")?,
+        terminal_latency_ps: c.u64("timing.terminal_latency_ps")?,
+        flit_bytes: c.u32("timing.flit_bytes")?,
+        packet_bytes: c.u32("timing.packet_bytes")?,
+        buffer_packets: c.u32("timing.buffer_packets")?,
+    };
+    Ok((params, timing))
 }
 
 // ---- event encoding ---------------------------------------------------------
@@ -379,7 +216,7 @@ pub fn encode_event(buf: &mut Vec<u8>, ev: &TraceEvent) {
         TraceEvent::Q1Updated { t, delta_ps } => {
             buf.push(5);
             put_u64(buf, t);
-            put_u64(buf, delta_ps.to_bits());
+            put_f64(buf, delta_ps);
         }
         TraceEvent::IngressBurst { app, bytes } => {
             buf.push(6);
@@ -402,9 +239,9 @@ fn decode_events(
     base: u64,
     on_event: &mut dyn FnMut(&TraceEvent),
 ) -> Result<(), TraceError> {
-    let mut c = Cur { data: payload, pos: 0, base };
-    while c.pos < payload.len() {
-        let at = base + c.pos as u64;
+    let mut c = WireReader::at(payload, base);
+    while !c.is_empty() {
+        let at = c.offset();
         let tag = c.u8("an event tag")?;
         let ev = match tag {
             1 => TraceEvent::Injected {
@@ -442,7 +279,7 @@ fn decode_events(
             },
             5 => TraceEvent::Q1Updated {
                 t: c.u64("Q1Updated.t")?,
-                delta_ps: f64::from_bits(c.u64("Q1Updated.delta")?),
+                delta_ps: c.f64("Q1Updated.delta")?,
             },
             6 => TraceEvent::IngressBurst {
                 app: AppId(c.u16("IngressBurst.app")?),
@@ -513,8 +350,9 @@ impl TraceWriter {
                 return;
             }
         };
-        let [l0, l1, l2, l3] = len.to_le_bytes();
-        let hdr = [kind, l0, l1, l2, l3];
+        let mut hdr = Vec::with_capacity(5);
+        put_u8(&mut hdr, kind);
+        put_u32(&mut hdr, len);
         let r = self.out.write_all(&hdr).and_then(|()| self.out.write_all(payload));
         if let Err(e) = r {
             self.err = Some(e);
@@ -627,14 +465,8 @@ fn scan(
         if got == 0 {
             break; // clean EOF between frames; END-marker check below
         }
-        if got < hdr.len() {
-            return Err(TraceError::Truncated {
-                offset: offset + got as u64,
-                what: "a frame header",
-            });
-        }
-        let [kind, l0, l1, l2, l3] = hdr;
-        let len = u32::from_le_bytes([l0, l1, l2, l3]);
+        let mut h = WireReader::at(hdr.get(..got).unwrap_or_default(), offset);
+        let (kind, len) = (h.u8("a frame header")?, h.u32("a frame header")?);
         let body_at = offset + 5;
         if body_at + u64::from(len) > file_len {
             return Err(TraceError::Truncated { offset: file_len, what: "a frame payload" });
@@ -771,58 +603,6 @@ mod tests {
             TraceEvent::IngressBurst { app: AppId(1), bytes: 4096 },
             TraceEvent::RankFinished { app: AppId(0), rank: 2, comm: 10, exec: 20 },
         ]
-    }
-
-    #[test]
-    fn cursor_reads_back_what_the_writers_wrote() {
-        let mut b = Vec::new();
-        put_u8(&mut b, 7);
-        put_u16(&mut b, 0xBEEF);
-        put_u32(&mut b, 70_000);
-        put_u64(&mut b, u64::MAX - 1);
-        put_f64(&mut b, -0.0);
-        put_str(&mut b, "Q-adp");
-        put_opt_u64(&mut b, Some(9));
-        put_opt_u64(&mut b, None);
-        put_opt_f64(&mut b, Some(f64::NAN));
-        put_u32(&mut b, len_u32(3, "a blob length"));
-        b.extend_from_slice(b"abc");
-        let mut c = Cur::new(&b);
-        assert_eq!(c.u8("u8").unwrap(), 7);
-        assert_eq!(c.u16("u16").unwrap(), 0xBEEF);
-        assert_eq!(c.u32("u32").unwrap(), 70_000);
-        assert_eq!(c.count64("u64").unwrap() as u64, u64::MAX - 1);
-        assert_eq!(c.f64("f64").unwrap().to_bits(), (-0.0f64).to_bits());
-        assert_eq!(c.str("str").unwrap(), "Q-adp");
-        assert_eq!(c.opt_u64("some").unwrap(), Some(9));
-        assert_eq!(c.opt_u64("none").unwrap(), None);
-        assert!(c.opt_f64("nan").unwrap().unwrap().is_nan());
-        let n = c.len("blob length").unwrap();
-        assert_eq!(c.bytes(n, "blob").unwrap(), b"abc");
-        let end = b.len() as u64;
-        assert!(
-            matches!(c.u8("past the end"), Err(TraceError::Truncated { offset, .. }) if offset == end)
-        );
-    }
-
-    #[test]
-    fn cursor_errors_are_named_and_carry_file_offsets() {
-        // A short read names where the data ends, counted from the file.
-        let mut c = Cur { data: &[1, 2, 3], pos: 0, base: 100 };
-        let e = c.u32("a count").unwrap_err();
-        assert!(matches!(e, TraceError::Truncated { offset: 103, what: "a count" }), "{e}");
-        // A length word larger than the payload is a short read, not an
-        // allocation; bad UTF-8 and `bad` name the position they stopped at.
-        let mut b = Vec::new();
-        put_u32(&mut b, u32::MAX);
-        assert!(matches!(Cur::new(&b).str("a label"), Err(TraceError::Truncated { .. })));
-        let mut b = Vec::new();
-        put_u32(&mut b, 2);
-        b.extend_from_slice(&[0xFF, 0xFE]);
-        let mut c = Cur::new(&b);
-        let e = c.str("a label").unwrap_err();
-        assert!(matches!(e, TraceError::Malformed { offset: 4, .. }), "{e}");
-        assert!(matches!(c.bad("x".into()), TraceError::Malformed { offset: 6, .. }));
     }
 
     fn tmp(name: &str) -> PathBuf {

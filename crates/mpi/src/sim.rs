@@ -8,7 +8,8 @@
 
 use std::collections::BTreeMap;
 
-use dfsim_des::{Scheduler, Time, WireReader, WireWriter};
+use dfsim_des::wire::{put_u16, put_u32, put_u64, put_u8, WireError, WireReader};
+use dfsim_des::{Scheduler, Time};
 use dfsim_metrics::{AppId, Recorder};
 use dfsim_network::{partition, MessageId, NetEffect, NetEvent, NetworkSim};
 use dfsim_topology::NodeId;
@@ -202,91 +203,91 @@ impl MpiSim {
             .copied()
             .flatten()
             .expect("exporting a message without metadata");
-        let mut w = WireWriter::new();
+        let mut w = Vec::new();
         match meta {
             MsgMeta::EagerData { app, src_rank, dst_rank, tag, send_req } => {
-                w.u8(0);
-                w.u16(app.0);
-                w.u32(src_rank);
-                w.u32(dst_rank);
-                w.u64(tag);
-                w.u32(send_req);
+                put_u8(&mut w, 0);
+                put_u16(&mut w, app.0);
+                put_u32(&mut w, src_rank);
+                put_u32(&mut w, dst_rank);
+                put_u64(&mut w, tag);
+                put_u32(&mut w, send_req);
             }
             MsgMeta::Rts { app, src_rank, dst_rank, tag, bytes, send_req } => {
-                w.u8(1);
-                w.u16(app.0);
-                w.u32(src_rank);
-                w.u32(dst_rank);
-                w.u64(tag);
-                w.u64(bytes);
-                w.u32(send_req);
+                put_u8(&mut w, 1);
+                put_u16(&mut w, app.0);
+                put_u32(&mut w, src_rank);
+                put_u32(&mut w, dst_rank);
+                put_u64(&mut w, tag);
+                put_u64(&mut w, bytes);
+                put_u32(&mut w, send_req);
             }
             MsgMeta::Cts { app, sender_rank, send_req, recv_rank, recv_req, bytes } => {
-                w.u8(2);
-                w.u16(app.0);
-                w.u32(sender_rank);
-                w.u32(send_req);
-                w.u32(recv_rank);
-                w.u32(recv_req);
-                w.u64(bytes);
+                put_u8(&mut w, 2);
+                put_u16(&mut w, app.0);
+                put_u32(&mut w, sender_rank);
+                put_u32(&mut w, send_req);
+                put_u32(&mut w, recv_rank);
+                put_u32(&mut w, recv_req);
+                put_u64(&mut w, bytes);
             }
             MsgMeta::RdvData { app, src_rank, dst_rank, recv_req, send_req } => {
-                w.u8(3);
-                w.u16(app.0);
-                w.u32(src_rank);
-                w.u32(dst_rank);
-                w.u32(recv_req);
-                w.u32(send_req);
+                put_u8(&mut w, 3);
+                put_u16(&mut w, app.0);
+                put_u32(&mut w, src_rank);
+                put_u32(&mut w, dst_rank);
+                put_u32(&mut w, recv_req);
+                put_u32(&mut w, send_req);
             }
         }
-        w.into_frame()
+        w
     }
 
     /// Register the metadata of a foreign message under its tagged id (the
-    /// receiving side of [`MpiSim::export_meta`]).
-    pub fn import_meta(&mut self, tagged: u64, bytes: &[u8]) {
+    /// receiving side of [`MpiSim::export_meta`]). Bytes that are not
+    /// exactly one metadata record are a named [`WireError`].
+    pub fn import_meta(&mut self, tagged: u64, bytes: &[u8]) -> Result<(), WireError> {
         debug_assert!(partition::is_tagged(tagged));
         let mut r = WireReader::new(bytes);
-        let meta = match r.u8() {
+        let meta = match r.u8("meta.kind")? {
             0 => MsgMeta::EagerData {
-                app: AppId(r.u16()),
-                src_rank: r.u32(),
-                dst_rank: r.u32(),
-                tag: r.u64(),
-                send_req: r.u32(),
+                app: AppId(r.u16("meta.app")?),
+                src_rank: r.u32("meta.src_rank")?,
+                dst_rank: r.u32("meta.dst_rank")?,
+                tag: r.u64("meta.tag")?,
+                send_req: r.u32("meta.send_req")?,
             },
             1 => MsgMeta::Rts {
-                app: AppId(r.u16()),
-                src_rank: r.u32(),
-                dst_rank: r.u32(),
-                tag: r.u64(),
-                bytes: r.u64(),
-                send_req: r.u32(),
+                app: AppId(r.u16("meta.app")?),
+                src_rank: r.u32("meta.src_rank")?,
+                dst_rank: r.u32("meta.dst_rank")?,
+                tag: r.u64("meta.tag")?,
+                bytes: r.u64("meta.bytes")?,
+                send_req: r.u32("meta.send_req")?,
             },
             2 => MsgMeta::Cts {
-                app: AppId(r.u16()),
-                sender_rank: r.u32(),
-                send_req: r.u32(),
-                recv_rank: r.u32(),
-                recv_req: r.u32(),
-                bytes: r.u64(),
+                app: AppId(r.u16("meta.app")?),
+                sender_rank: r.u32("meta.sender_rank")?,
+                send_req: r.u32("meta.send_req")?,
+                recv_rank: r.u32("meta.recv_rank")?,
+                recv_req: r.u32("meta.recv_req")?,
+                bytes: r.u64("meta.bytes")?,
             },
             3 => MsgMeta::RdvData {
-                app: AppId(r.u16()),
-                src_rank: r.u32(),
-                dst_rank: r.u32(),
-                recv_req: r.u32(),
-                send_req: r.u32(),
+                app: AppId(r.u16("meta.app")?),
+                src_rank: r.u32("meta.src_rank")?,
+                dst_rank: r.u32("meta.dst_rank")?,
+                recv_req: r.u32("meta.recv_req")?,
+                send_req: r.u32("meta.send_req")?,
             },
-            #[expect(
-                clippy::panic,
-                reason = "meta frames come from a sibling partition over the trusted intra-run wire protocol, not from external input; a bad tag means memory corruption or a version skew bug"
-            )]
-            t => panic!("corrupt meta frame: tag {t}"),
+            t => return Err(r.bad(format!("unknown meta tag {t}"))),
         };
-        debug_assert!(r.is_empty(), "trailing bytes in meta frame");
+        if !r.is_empty() {
+            return Err(r.bad(format!("{} trailing bytes in a meta frame", r.remaining())));
+        }
         let prev = self.foreign_meta.insert(tagged, meta);
         debug_assert!(prev.is_none(), "duplicate meta import");
+        Ok(())
     }
 
     /// Process a release notice for a message this shard created whose
@@ -1074,5 +1075,69 @@ mod tests {
         );
         w.run();
         assert!(w.mpi.all_finished());
+    }
+
+    /// One metadata record of every kind, with fields drawn from `x`.
+    fn sample_metas(x: u64) -> [MsgMeta; 4] {
+        let (app, r) = (AppId(x as u16), x as u32);
+        [
+            MsgMeta::EagerData { app, src_rank: r, dst_rank: r ^ 1, tag: x, send_req: 3 },
+            MsgMeta::Rts { app, src_rank: r, dst_rank: 2, tag: x, bytes: x << 3, send_req: 4 },
+            MsgMeta::Cts { app, sender_rank: r, send_req: 5, recv_rank: 6, recv_req: 7, bytes: x },
+            MsgMeta::RdvData { app, src_rank: r, dst_rank: 8, recv_req: 9, send_req: 10 },
+        ]
+    }
+
+    /// The wire form of `meta`, as `export_meta` writes it.
+    fn encoded(meta: MsgMeta) -> Vec<u8> {
+        let mut sim = MpiSim::default();
+        sim.set_meta(MessageId(0), meta);
+        sim.export_meta(MessageId(0))
+    }
+
+    /// Import `bytes` as the metadata of a foreign message on a fresh engine.
+    fn import(bytes: &[u8]) -> Result<(), WireError> {
+        MpiSim::default().import_meta(partition::tag_msg(1, 0), bytes)
+    }
+
+    #[test]
+    fn bad_meta_tag_is_a_named_error() {
+        let mut b = encoded(sample_metas(1)[0]);
+        assert!(import(&b).is_ok());
+        b[0] = 9;
+        match import(&b) {
+            Err(WireError::Malformed { msg, .. }) => assert!(msg.contains("meta tag 9"), "{msg}"),
+            other => panic!("expected a malformed meta tag, got {other:?}"),
+        }
+    }
+
+    proptest::proptest! {
+        /// Arbitrary bytes import as metadata or fail as a named error,
+        /// never a panic.
+        #[test]
+        fn import_meta_of_arbitrary_bytes_is_ok_or_named(
+            bytes in proptest::prop::collection::vec(0u8..=255, 0..48),
+        ) {
+            let _ = import(&bytes);
+        }
+
+        /// Every proper prefix of a valid record is `Truncated`, and a byte
+        /// past its end is a named error too.
+        #[test]
+        fn every_truncation_of_a_meta_record_is_named(x in 0u64..1_000_000) {
+            for meta in sample_metas(x) {
+                let mut full = encoded(meta);
+                for cut in 0..full.len() {
+                    let r = import(&full[..cut]);
+                    proptest::prop_assert!(
+                        matches!(r, Err(WireError::Truncated { .. })),
+                        "cut {cut}: {r:?}"
+                    );
+                }
+                proptest::prop_assert!(import(&full).is_ok());
+                full.push(0);
+                proptest::prop_assert!(matches!(import(&full), Err(WireError::Malformed { .. })));
+            }
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! Group-sharded partitioning support: the group→partition map, foreign
 //! message-id tagging, and the compact wire codecs for events that cross a
-//! partition boundary.
+//! partition boundary (checked reads through [`dfsim_des::wire`]).
 //!
 //! The partitioned engine shards the dragonfly **by group**: partition `p`
 //! of `P` owns the contiguous group range whose elements satisfy
@@ -19,7 +19,8 @@
 //! table instead of its own slab; a tagged id travelling back into its origin
 //! shard (e.g. a Valiant detour) is untagged on import.
 
-use dfsim_des::{Time, WireReader, WireWriter};
+use dfsim_des::wire::{put_u16, put_u32, put_u64, put_u8, WireError, WireReader};
+use dfsim_des::Time;
 use dfsim_topology::paths::{PathPlan, RouteProgress};
 use dfsim_topology::{GroupId, NodeId, Port, RouterId};
 
@@ -168,8 +169,8 @@ pub struct MsgExport {
 }
 
 // ---------------------------------------------------------------------------
-// Wire codecs. Fixed-width little-endian; internal same-build protocol, so
-// panicking on a malformed frame is the correct failure mode.
+// Wire codecs: fixed-width little-endian through `dfsim_des::wire`. A frame
+// that does not decode is a named `WireError`, never a panic.
 // ---------------------------------------------------------------------------
 
 const STATE_FRESH: u8 = 0;
@@ -187,82 +188,75 @@ const EV_CREDIT: u8 = 1;
 const EV_QFEEDBACK: u8 = 2;
 
 /// Encode one packet.
-pub fn encode_packet(w: &mut WireWriter, p: &Packet) {
-    w.u64(p.id);
-    w.u64(p.msg.0);
-    w.u16(p.app.0);
-    w.u32(p.src.0);
-    w.u32(p.dst.0);
-    w.u32(p.bytes);
-    w.u64(p.injected_at);
-    w.u64(p.arrived_at_hop);
-    w.u8(p.hops);
+pub fn encode_packet(w: &mut Vec<u8>, p: &Packet) {
+    put_u64(w, p.id);
+    put_u64(w, p.msg.0);
+    put_u16(w, p.app.0);
+    put_u32(w, p.src.0);
+    put_u32(w, p.dst.0);
+    put_u32(w, p.bytes);
+    put_u64(w, p.injected_at);
+    put_u64(w, p.arrived_at_hop);
+    put_u8(w, p.hops);
     match p.state {
-        RouteState::Fresh => w.u8(STATE_FRESH),
+        RouteState::Fresh => put_u8(w, STATE_FRESH),
         RouteState::Planned { progress, revisable } => {
-            w.u8(STATE_PLANNED);
+            put_u8(w, STATE_PLANNED);
             match progress.plan {
-                PathPlan::Minimal => w.u8(PLAN_MINIMAL),
+                PathPlan::Minimal => put_u8(w, PLAN_MINIMAL),
                 PathPlan::NonMinimalGroup { via } => {
-                    w.u8(PLAN_VIA_GROUP);
-                    w.u32(via.0);
+                    put_u8(w, PLAN_VIA_GROUP);
+                    put_u32(w, via.0);
                 }
                 PathPlan::NonMinimalRouter { via } => {
-                    w.u8(PLAN_VIA_ROUTER);
-                    w.u32(via.0);
+                    put_u8(w, PLAN_VIA_ROUTER);
+                    put_u32(w, via.0);
                 }
             }
-            w.u8(progress.via_done as u8);
-            w.u8(revisable as u8);
+            put_u8(w, u8::from(progress.via_done));
+            put_u8(w, u8::from(revisable));
         }
         RouteState::QDeciding { local_hops } => {
-            w.u8(STATE_QDECIDING);
-            w.u8(local_hops);
+            put_u8(w, STATE_QDECIDING);
+            put_u8(w, local_hops);
         }
     }
-    w.u8(p.cached_port.map_or(NO_CACHED_PORT, |q| q.0));
+    put_u8(w, p.cached_port.map_or(NO_CACHED_PORT, |q| q.0));
 }
 
 /// Decode one packet.
-pub fn decode_packet(r: &mut WireReader<'_>) -> Packet {
-    let id = r.u64();
-    let msg = MessageId(r.u64());
-    let app = dfsim_metrics::AppId(r.u16());
-    let src = NodeId(r.u32());
-    let dst = NodeId(r.u32());
-    let bytes = r.u32();
-    let injected_at = r.u64();
-    let arrived_at_hop = r.u64();
-    let hops = r.u8();
-    let state = match r.u8() {
-        STATE_FRESH => RouteState::Fresh,
-        STATE_PLANNED => {
-            let plan = match r.u8() {
-                PLAN_MINIMAL => PathPlan::Minimal,
-                PLAN_VIA_GROUP => PathPlan::NonMinimalGroup { via: GroupId(r.u32()) },
-                PLAN_VIA_ROUTER => PathPlan::NonMinimalRouter { via: RouterId(r.u32()) },
-                #[expect(
-                    clippy::panic,
-                    reason = "boundary frames travel the trusted intra-run wire between sibling partitions; a bad tag is a protocol bug, not external input, and must stop the run"
-                )]
-                t => panic!("corrupt boundary frame: plan tag {t}"),
-            };
-            let via_done = r.u8() != 0;
-            let revisable = r.u8() != 0;
-            RouteState::Planned { progress: RouteProgress { plan, via_done }, revisable }
-        }
-        STATE_QDECIDING => RouteState::QDeciding { local_hops: r.u8() },
-        #[expect(
-            clippy::panic,
-            reason = "same trusted intra-run wire as above: a bad route-state tag means an encode/decode skew bug, which must stop the run"
-        )]
-        t => panic!("corrupt boundary frame: route-state tag {t}"),
-    };
-    let cached_port = match r.u8() {
-        NO_CACHED_PORT => None,
-        q => Some(Port(q)),
-    };
-    Packet { id, msg, app, src, dst, bytes, injected_at, arrived_at_hop, hops, state, cached_port }
+pub fn decode_packet(r: &mut WireReader<'_>) -> Result<Packet, WireError> {
+    Ok(Packet {
+        id: r.u64("packet.id")?,
+        msg: MessageId(r.u64("packet.msg")?),
+        app: dfsim_metrics::AppId(r.u16("packet.app")?),
+        src: NodeId(r.u32("packet.src")?),
+        dst: NodeId(r.u32("packet.dst")?),
+        bytes: r.u32("packet.bytes")?,
+        injected_at: r.u64("packet.injected_at")?,
+        arrived_at_hop: r.u64("packet.arrived_at_hop")?,
+        hops: r.u8("packet.hops")?,
+        state: match r.u8("packet.state")? {
+            STATE_FRESH => RouteState::Fresh,
+            STATE_PLANNED => {
+                let plan = match r.u8("packet.plan")? {
+                    PLAN_MINIMAL => PathPlan::Minimal,
+                    PLAN_VIA_GROUP => PathPlan::NonMinimalGroup { via: GroupId(r.u32("via")?) },
+                    PLAN_VIA_ROUTER => PathPlan::NonMinimalRouter { via: RouterId(r.u32("via")?) },
+                    t => return Err(r.bad(format!("unknown plan tag {t}"))),
+                };
+                let via_done = r.u8("plan.via_done")? != 0;
+                let revisable = r.u8("plan.revisable")? != 0;
+                RouteState::Planned { progress: RouteProgress { plan, via_done }, revisable }
+            }
+            STATE_QDECIDING => RouteState::QDeciding { local_hops: r.u8("packet.local_hops")? },
+            t => return Err(r.bad(format!("unknown route-state tag {t}"))),
+        },
+        cached_port: match r.u8("packet.cached_port")? {
+            NO_CACHED_PORT => None,
+            q => Some(Port(q)),
+        },
+    })
 }
 
 /// Encode one boundary event with its timestamp and a caller-chosen 64-bit
@@ -270,30 +264,30 @@ pub fn decode_packet(r: &mut WireReader<'_>) -> Packet {
 /// and resolves it to the final sequence number at the barrier).
 ///
 /// Panics on event kinds that never cross a partition boundary.
-pub fn encode_event(w: &mut WireWriter, time: Time, key: u64, ev: &NetEvent) {
-    w.u64(time);
-    w.u64(key);
+pub fn encode_event(w: &mut Vec<u8>, time: Time, key: u64, ev: &NetEvent) {
+    put_u64(w, time);
+    put_u64(w, key);
     match ev {
         NetEvent::PacketArrive { router, port, vc, packet } => {
-            w.u8(EV_PACKET_ARRIVE);
-            w.u32(router.0);
-            w.u8(port.0);
-            w.u8(*vc);
+            put_u8(w, EV_PACKET_ARRIVE);
+            put_u32(w, router.0);
+            put_u8(w, port.0);
+            put_u8(w, *vc);
             encode_packet(w, packet);
         }
         NetEvent::Credit { router, port, vc } => {
-            w.u8(EV_CREDIT);
-            w.u32(router.0);
-            w.u8(port.0);
-            w.u8(*vc);
+            put_u8(w, EV_CREDIT);
+            put_u32(w, router.0);
+            put_u8(w, port.0);
+            put_u8(w, *vc);
         }
         NetEvent::QFeedback { router, port, dst_group, dst_local, sample } => {
-            w.u8(EV_QFEEDBACK);
-            w.u32(router.0);
-            w.u8(port.0);
-            w.u32(dst_group.0);
-            w.u32(*dst_local);
-            w.u64(*sample);
+            put_u8(w, EV_QFEEDBACK);
+            put_u32(w, router.0);
+            put_u8(w, port.0);
+            put_u32(w, dst_group.0);
+            put_u32(w, *dst_local);
+            put_u64(w, *sample);
         }
         #[expect(
             clippy::panic,
@@ -304,38 +298,39 @@ pub fn encode_event(w: &mut WireWriter, time: Time, key: u64, ev: &NetEvent) {
 }
 
 /// Decode one boundary event; returns `(time, key, event)`.
-pub fn decode_event(r: &mut WireReader<'_>) -> (Time, u64, NetEvent) {
-    let time = r.u64();
-    let key = r.u64();
-    let ev = match r.u8() {
-        EV_PACKET_ARRIVE => {
-            let router = RouterId(r.u32());
-            let port = Port(r.u8());
-            let vc = r.u8();
-            let packet = decode_packet(r);
-            NetEvent::PacketArrive { router, port, vc, packet }
-        }
-        EV_CREDIT => NetEvent::Credit { router: RouterId(r.u32()), port: Port(r.u8()), vc: r.u8() },
-        EV_QFEEDBACK => NetEvent::QFeedback {
-            router: RouterId(r.u32()),
-            port: Port(r.u8()),
-            dst_group: GroupId(r.u32()),
-            dst_local: r.u32(),
-            sample: r.u64(),
+pub fn decode_event(r: &mut WireReader<'_>) -> Result<(Time, u64, NetEvent), WireError> {
+    let time = r.u64("event.time")?;
+    let key = r.u64("event.key")?;
+    let ev = match r.u8("event.kind")? {
+        EV_PACKET_ARRIVE => NetEvent::PacketArrive {
+            router: RouterId(r.u32("event.router")?),
+            port: Port(r.u8("event.port")?),
+            vc: r.u8("event.vc")?,
+            packet: decode_packet(r)?,
         },
-        #[expect(
-            clippy::panic,
-            reason = "trusted intra-run wire protocol; a bad event tag is a protocol bug that must stop the run rather than corrupt the replay"
-        )]
-        t => panic!("corrupt boundary frame: event tag {t}"),
+        EV_CREDIT => NetEvent::Credit {
+            router: RouterId(r.u32("event.router")?),
+            port: Port(r.u8("event.port")?),
+            vc: r.u8("event.vc")?,
+        },
+        EV_QFEEDBACK => NetEvent::QFeedback {
+            router: RouterId(r.u32("event.router")?),
+            port: Port(r.u8("event.port")?),
+            dst_group: GroupId(r.u32("event.dst_group")?),
+            dst_local: r.u32("event.dst_local")?,
+            sample: r.u64("event.sample")?,
+        },
+        t => return Err(r.bad(format!("unknown event tag {t}"))),
     };
-    (time, key, ev)
+    Ok((time, key, ev))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dfsim_des::WireWriter;
     use dfsim_metrics::AppId;
+    use proptest::prelude::*;
 
     fn sample_packet(state: RouteState, cached: Option<Port>) -> Packet {
         Packet {
@@ -449,7 +444,7 @@ mod tests {
             encode_packet(&mut w, &p);
             let frame = w.into_frame();
             let mut r = WireReader::new(&frame);
-            let q = decode_packet(&mut r);
+            let q = decode_packet(&mut r).unwrap();
             assert!(r.is_empty());
             assert_eq!(q.id, p.id);
             assert_eq!(q.msg, p.msg);
@@ -490,7 +485,7 @@ mod tests {
         let frame = w.into_frame();
         let mut r = WireReader::new(&frame);
         for (i, ev) in events.iter().enumerate() {
-            let (t, key, got) = decode_event(&mut r);
+            let (t, key, got) = decode_event(&mut r).unwrap();
             assert_eq!(t, 1_000 + i as Time);
             assert_eq!(key, 42 + i as u64);
             match (&got, ev) {
@@ -526,6 +521,111 @@ mod tests {
             }
         }
         assert!(r.is_empty());
+    }
+
+    /// One boundary event of every kind and route state, with fields drawn
+    /// from `x`.
+    fn sample_events(x: u64) -> Vec<NetEvent> {
+        let via = (x % 64) as u32;
+        let plans = [
+            PathPlan::Minimal,
+            PathPlan::NonMinimalGroup { via: GroupId(via) },
+            PathPlan::NonMinimalRouter { via: RouterId(via) },
+        ];
+        let mut states = vec![RouteState::Fresh, RouteState::QDeciding { local_hops: x as u8 }];
+        for plan in plans {
+            let progress = RouteProgress { plan, via_done: x.is_multiple_of(2) };
+            states.push(RouteState::Planned { progress, revisable: x.is_multiple_of(3) });
+        }
+        let mut events: Vec<NetEvent> = states
+            .into_iter()
+            .map(|state| NetEvent::PacketArrive {
+                router: RouterId(x as u32),
+                port: Port(3),
+                vc: 1,
+                packet: sample_packet(state, x.is_multiple_of(5).then_some(Port(2))),
+            })
+            .collect();
+        events.push(NetEvent::Credit { router: RouterId(via), port: Port(7), vc: 2 });
+        events.push(NetEvent::QFeedback {
+            router: RouterId(via),
+            port: Port(5),
+            dst_group: GroupId(4),
+            dst_local: 3,
+            sample: x,
+        });
+        events
+    }
+
+    /// Encode `ev`, overwrite the byte at `at` with `v`, and decode.
+    fn decode_patched(ev: &NetEvent, at: usize, v: u8) -> Result<(Time, u64, NetEvent), WireError> {
+        let mut w = Vec::new();
+        encode_event(&mut w, 7, 9, ev);
+        w[at] = v;
+        decode_event(&mut WireReader::new(&w))
+    }
+
+    /// Offsets in an encoded `PacketArrive`: the event tag follows time and
+    /// key; the packet follows tag, router, port and vc; its route-state tag
+    /// follows nine fixed fields (47 bytes), and the plan tag follows that.
+    const EVENT_TAG_AT: usize = 16;
+    const STATE_TAG_AT: usize = EVENT_TAG_AT + 7 + 47;
+    const PLAN_TAG_AT: usize = STATE_TAG_AT + 1;
+
+    fn assert_malformed(r: Result<(Time, u64, NetEvent), WireError>, what: &str) {
+        match r {
+            Err(WireError::Malformed { msg, .. }) => assert!(msg.contains(what), "{msg}"),
+            other => panic!("expected a malformed {what}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn bad_event_tag_is_a_named_error() {
+        let ev = NetEvent::Credit { router: RouterId(1), port: Port(7), vc: 6 };
+        assert_malformed(decode_patched(&ev, EVENT_TAG_AT, 9), "event tag 9");
+    }
+
+    #[test]
+    fn bad_route_state_tag_is_a_named_error() {
+        let ev = &sample_events(1)[0];
+        assert!(decode_patched(ev, STATE_TAG_AT, STATE_FRESH).is_ok());
+        assert_malformed(decode_patched(ev, STATE_TAG_AT, 9), "route-state tag 9");
+    }
+
+    #[test]
+    fn bad_plan_tag_is_a_named_error() {
+        let ev = &sample_events(1)[2]; // Planned, minimal
+        assert!(decode_patched(ev, PLAN_TAG_AT, PLAN_MINIMAL).is_ok());
+        assert_malformed(decode_patched(ev, PLAN_TAG_AT, 9), "plan tag 9");
+    }
+
+    proptest! {
+        /// Arbitrary bytes decode to events or a named error, never a panic.
+        #[test]
+        fn decode_event_of_arbitrary_bytes_is_ok_or_named(
+            bytes in prop::collection::vec(0u8..=255, 0..160),
+        ) {
+            let mut r = WireReader::new(&bytes);
+            while !r.is_empty() && decode_event(&mut r).is_ok() {}
+        }
+
+        /// Every proper prefix of a valid encoding is `Truncated`; the whole
+        /// of it decodes to the same bytes again.
+        #[test]
+        fn every_truncation_of_an_event_is_named(x in 0u64..1_000_000) {
+            for ev in sample_events(x) {
+                let mut full = Vec::new();
+                encode_event(&mut full, x, x ^ 1, &ev);
+                for cut in 0..full.len() {
+                    let r = decode_event(&mut WireReader::new(&full[..cut]));
+                    prop_assert!(matches!(r, Err(WireError::Truncated { .. })), "cut {cut}: {r:?}");
+                }
+                let (t, key, back) = decode_event(&mut WireReader::new(&full)).unwrap();
+                let mut again = Vec::new();
+                encode_event(&mut again, t, key, &back);
+                prop_assert_eq!(again, full);
+            }
+        }
     }
 
     #[test]

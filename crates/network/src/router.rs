@@ -211,11 +211,6 @@ impl Router {
         used + residual.div_ceil(packet_ser.max(1))
     }
 
-    /// Total packets buffered across all inputs (for idle checks and tests).
-    pub fn buffered_packets(&self) -> usize {
-        self.inputs.iter().map(|i| i.queue.len()).sum()
-    }
-
     /// Number of ports.
     pub fn radix(&self) -> usize {
         self.radix

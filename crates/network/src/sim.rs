@@ -193,6 +193,21 @@ impl NetworkSim {
 
     // ---- partitioning ------------------------------------------------------
 
+    /// The partition map this network is a shard of.
+    pub fn partition_map(&self) -> &Arc<PartitionMap> {
+        &self.part.map
+    }
+
+    /// This network's shard index in [`NetworkSim::partition_map`].
+    pub fn shard_index(&self) -> usize {
+        self.part.me
+    }
+
+    /// The link timing the network runs on.
+    pub fn timing(&self) -> &LinkTiming {
+        &self.timing
+    }
+
     /// Drain the export records of messages created since the last barrier
     /// whose packets will cross into another shard. The driver forwards each
     /// record (plus the matching MPI metadata) to the destination shard.

@@ -39,7 +39,8 @@
 
 use std::path::{Path, PathBuf};
 
-use dfsim_metrics::trace::{put_f64, put_machine, put_u64, Cur, TraceError};
+use dfsim_des::wire::{put_f64, put_u64, WireError, WireReader};
+use dfsim_metrics::trace::{get_machine, put_machine};
 use dfsim_topology::{DragonflyParams, LinkTiming};
 
 use crate::qtable::QTable;
@@ -308,11 +309,6 @@ impl QTableSnapshot {
         QTable::from_raw(self.radix, self.groups, t.q1.clone(), t.q2.clone(), self.alpha())
     }
 
-    /// Level-1 value `[dst_group][port]` of router `r` (inspection/tests).
-    pub fn q1_of(&self, r: usize, dst_group: usize, port: usize) -> f64 {
-        self.tables[r].q1[dst_group * self.radix + port]
-    }
-
     // ---- binary form ----------------------------------------------------------
 
     /// Append the binary form (the section a result-cache entry embeds and
@@ -335,10 +331,10 @@ impl QTableSnapshot {
     /// Decode the binary form written by [`Self::encode`]. The tables are
     /// bounds-checked against the input in one piece before anything is
     /// allocated, so a truncated section, or params words claiming a huge
-    /// machine, is a named [`TraceError`] — never a panic or an allocation
+    /// machine, is a named [`WireError`] — never a panic or an allocation
     /// larger than the input.
-    pub fn decode(c: &mut Cur<'_>) -> Result<Self, TraceError> {
-        let (params, timing) = c.machine()?;
+    pub fn decode(c: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let (params, timing) = get_machine(c)?;
         let alpha_bits = c.u64("snapshot alpha")?;
         let geo = Geometry::of(&params).map_err(|msg| c.bad(format!("snapshot {msg}")))?;
         let raw = c.bytes(geo.table_bytes, "snapshot tables")?;
@@ -370,7 +366,7 @@ impl QTableSnapshot {
     /// [`Self::decode`] body. Error offsets count from the file's start.
     pub fn from_file_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
         let first_line = bytes.split(|&b| b == b'\n').next().unwrap_or_default();
-        let mut c = Cur::new(bytes);
+        let mut c = WireReader::new(bytes);
         if first_line != SNAPSHOT_HEADER.as_bytes()
             || c.bytes(first_line.len() + 1, "the header line").is_err()
         {
@@ -380,10 +376,10 @@ impl QTableSnapshot {
                 found: String::from_utf8_lossy(shown).into_owned(),
             });
         }
-        let snap = Self::decode(&mut c).map_err(malformed)?;
+        let snap = Self::decode(&mut c)?;
         match c.remaining() {
             0 => Ok(snap),
-            n => Err(malformed(c.bad(format!("{n} trailing bytes after the last table")))),
+            n => Err(c.bad(format!("{n} trailing bytes after the last table")).into()),
         }
     }
 
@@ -401,17 +397,18 @@ impl QTableSnapshot {
     }
 }
 
-/// Map a body decode failure onto [`SnapshotError::Malformed`], in the
-/// snapshot's own words rather than the trace codec's.
-fn malformed(e: TraceError) -> SnapshotError {
-    let msg = match e {
-        TraceError::Truncated { offset, what } => {
-            format!("file ends at byte {offset} while reading {what}")
-        }
-        TraceError::Malformed { offset, msg } => format!("byte {offset}: {msg}"),
-        other => other.to_string(),
-    };
-    SnapshotError::Malformed { msg }
+/// A body decode failure is [`SnapshotError::Malformed`], in the
+/// snapshot's own words rather than the codec's.
+impl From<WireError> for SnapshotError {
+    fn from(e: WireError) -> Self {
+        let msg = match e {
+            WireError::Truncated { offset, what } => {
+                format!("file ends at byte {offset} while reading {what}")
+            }
+            WireError::Malformed { offset, msg } => format!("byte {offset}: {msg}"),
+        };
+        SnapshotError::Malformed { msg }
+    }
 }
 
 #[cfg(test)]
@@ -449,7 +446,7 @@ mod tests {
         let s = snap();
         let mut bytes = vec![0xAB]; // the decoder starts where the cursor is
         s.encode(&mut bytes);
-        let mut c = Cur::new(&bytes);
+        let mut c = WireReader::new(&bytes);
         assert_eq!(c.u8("lead").unwrap(), 0xAB);
         let back = QTableSnapshot::decode(&mut c).unwrap();
         assert_eq!(s, back);
@@ -462,27 +459,27 @@ mod tests {
         let mut bytes = Vec::new();
         snap().encode(&mut bytes);
         for cut in (0..bytes.len()).step_by(97).chain(bytes.len() - 16..bytes.len()) {
-            let e = QTableSnapshot::decode(&mut Cur::new(&bytes[..cut])).unwrap_err();
-            assert!(matches!(e, TraceError::Truncated { .. }), "cut {cut}: {e}");
+            let e = QTableSnapshot::decode(&mut WireReader::new(&bytes[..cut])).unwrap_err();
+            assert!(matches!(e, WireError::Truncated { .. }), "cut {cut}: {e}");
         }
         // Params claiming a machine far larger than the input: the tables
         // are checked against the input before any of them is allocated.
         let mut huge = bytes.clone();
         huge[..4].copy_from_slice(&1_000_000u32.to_le_bytes());
         huge[4..8].copy_from_slice(&1_000u32.to_le_bytes());
-        let e = QTableSnapshot::decode(&mut Cur::new(&huge)).unwrap_err();
-        assert!(matches!(e, TraceError::Truncated { what: "snapshot tables", .. }), "{e}");
+        let e = QTableSnapshot::decode(&mut WireReader::new(&huge)).unwrap_err();
+        assert!(matches!(e, WireError::Truncated { what: "snapshot tables", .. }), "{e}");
         // Params whose table size overflows the address space.
         let mut overflow = bytes.clone();
         for w in 0..4 {
             overflow[w * 4..w * 4 + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         }
-        let e = QTableSnapshot::decode(&mut Cur::new(&overflow)).unwrap_err();
+        let e = QTableSnapshot::decode(&mut WireReader::new(&overflow)).unwrap_err();
         assert!(e.to_string().contains("too large"), "{e}");
         // Params that describe no machine.
         let mut zero = bytes;
         zero[8..12].copy_from_slice(&0u32.to_le_bytes());
-        let e = QTableSnapshot::decode(&mut Cur::new(&zero)).unwrap_err();
+        let e = QTableSnapshot::decode(&mut WireReader::new(&zero)).unwrap_err();
         assert!(e.to_string().contains("nodes_per_router must be nonzero"), "{e}");
     }
 

@@ -11,7 +11,7 @@
 use dragonfly_interference::des::queue::PendingEvents;
 use dragonfly_interference::des::sched::QueueScheduler;
 use dragonfly_interference::des::EventQueue;
-use dragonfly_interference::network::{NetEvent, QTable};
+use dragonfly_interference::network::{NetEvent, PartitionMap, QTable, QTableInit};
 use dragonfly_interference::prelude::*;
 use dragonfly_interference::topology::{GroupId, Port, RouterId};
 
@@ -71,14 +71,28 @@ fn main() {
     );
     let _ = std::fs::remove_file(&path);
 
-    // The learned values now come out of the *snapshot*, not the live net.
+    // The learned values now come out of the *snapshot*: a network
+    // warm-started from it, built the way `--qtable load=` builds one.
+    let warm_cfg = RoutingConfig { qtable_init: QTableInit::Warm, ..cfg };
+    let p = topo.params();
+    let map = PartitionMap::new(p.groups, p.routers_per_group, p.nodes_per_router, 1);
+    let warm = NetworkSim::shard(
+        std::sync::Arc::clone(&topo),
+        timing,
+        warm_cfg,
+        &rng,
+        std::sync::Arc::new(map),
+        0,
+        Some(&loaded),
+    );
+    let learned = warm.router(RouterId(0)).qtable.as_ref().expect("a warm Q-adaptive router");
     println!("router r0 (group 0), destination group G1 — Q-values per port (ns):");
     println!("{:<8} {:>6} {:>12} {:>12} {:>9}", "port", "kind", "initial", "learned", "delta%");
     for p in 4..topo.radix() {
         let port = Port(p);
         let kind = topo.port_kind(port);
         let q0 = fresh.q1(GroupId(1), port) / 1000.0;
-        let q1 = loaded.q1_of(0, 1, p as usize) / 1000.0;
+        let q1 = learned.q1(GroupId(1), port) / 1000.0;
         println!(
             "{:<8} {:>6} {:>12.1} {:>12.1} {:>8.1}%",
             format!("{port}"),
