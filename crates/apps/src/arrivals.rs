@@ -5,7 +5,7 @@
 //!
 //! * **explicit lists** parsed from a compact text form
 //!   (`"UR:36@0.5ms,LU:16@1ms"` — see [`parse_arrival_list`]), used by the
-//!   `dfsim scenario` subcommand,
+//!   spec's `workload scenario …` form,
 //! * **synthetic generators** drawing Poisson-process arrivals from the
 //!   deterministic [`SimRng`] ([`poisson_arrivals`]), used by the `churn`
 //!   sweep — same seed, same arrival stream, on every backend and machine.

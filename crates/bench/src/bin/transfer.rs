@@ -19,16 +19,17 @@
 //!
 //! ```sh
 //! cargo run --release -p dfsim-bench --bin transfer
-//! TRAIN=Halo3D APPS=Stencil5D,LQCD cargo run --release -p dfsim-bench --bin transfer
+//! cargo run --release -p dfsim-bench --bin transfer -- --train Halo3D --apps Stencil5D,LQCD
 //! cargo run --release -p dfsim-bench --bin transfer -- --smoke   # CI smoke
 //! ```
 //!
-//! All knobs resolve through `ExperimentSpec::resolve`: `SCALE`, `SEED`,
-//! `QUEUE`, `THREADS` (shared with `dfsim sweep`), plus `TRAIN` (training
-//! workload, default Halo3D), `APPS` (evaluation workloads) and `SNAPSHOT`
-//! (keep the trained snapshot at this path instead of a deleted temp file).
-//! The generic `--qtable` knobs are rejected: this binary owns its own
-//! Q-table lifecycle. The snapshot is an ordinary `--qtable save=` file
+//! All knobs resolve through `ExperimentSpec::resolve`, so every spec key
+//! is a `--NAME VALUE` flag: `--scale`, `--seed`, `--queue`, `--threads`
+//! (shared with `dfsim sweep`), plus `--train` (training workload, default
+//! Halo3D), `--apps` (evaluation workloads) and `--snapshot` (keep the
+//! trained snapshot at this path instead of a deleted temp file).
+//! `--qtable_load` and `--qtable_save` are rejected: this binary owns its
+//! own Q-table lifecycle. The snapshot is an ordinary `--qtable_save` file
 //! (`dfsim-qtable v2`: a header line, then the binary section a result-cache
 //! entry embeds). `--smoke` checks that it loads, verifies and re-saves
 //! byte-identically before comparing warm against cold start.
@@ -220,11 +221,11 @@ fn main() {
     let mut defaults = ExperimentSpec { scale: 128.0, ..Default::default() };
     defaults.routings = vec![RoutingAlgo::QAdaptive];
     defaults.apps = vec![AppKind::Halo3D, AppKind::Stencil5D, AppKind::LQCD];
-    let base =
-        defaults.resolve_env(&["TRAIN", "APPS", "SNAPSHOT"], &args).unwrap_or_else(|e| die(&e));
+    let base = defaults.resolve(&args).unwrap_or_else(|e| die(&e));
     if base.qtable_load.is_some() || base.qtable_save.is_some() {
-        die("transfer owns its Q-table lifecycle (--qtable is not accepted); pick the training \
-             workload with TRAIN/--train and keep the snapshot with SNAPSHOT/--snapshot");
+        die("transfer owns its Q-table lifecycle (--qtable_load/--qtable_save are not \
+             accepted); pick the training workload with --train and keep the snapshot with \
+             --snapshot");
     }
     let train_kind = base.train;
     let evals = base.apps.clone();

@@ -2,14 +2,14 @@
 //! runs them: `dfsim sweep NAME [spec options] [--csv] [--engine-stats]`.
 //!
 //! Each `Figure` keeps only what is unique to it: its default scale, a
-//! pinned routing set, the extended env vars it listens to, the cells it
-//! runs and how it renders their reports. [`sweep`] does everything else,
-//! once: resolve the spec (`figure defaults < --spec FILE < environment <
-//! command line`, exit 2 on any invalid input), guard the Q-table knobs,
-//! run every cell in one parallel pool (each into its own trace file under
-//! `--trace`), then print the figure, the `--engine-stats` block and the
-//! result-cache summary. Provenance goes to stderr, so `--csv > out.csv`
-//! stays clean.
+//! pinned routing set, further defaults, the cells it runs and how it
+//! renders their reports. [`sweep`] does everything else, once: resolve
+//! the spec (`figure defaults < --spec FILE < command line`, where every
+//! spec key is a `--NAME VALUE` flag; exit 2 on any invalid input), guard
+//! the Q-table knobs, run every cell in one parallel pool (each into its
+//! own trace file under `--trace`), then print the figure, the
+//! `--engine-stats` block and the result-cache summary. Provenance goes to
+//! stderr, so `--csv > out.csv` stays clean.
 
 #![warn(missing_docs)]
 #![expect(
@@ -58,9 +58,7 @@ struct Figure {
     /// The routing set the figure is defined on, forced over any override;
     /// `None` sweeps the resolved set (default: the paper's four).
     pinned: Option<&'static [RoutingAlgo]>,
-    /// The [`dfsim_core::spec::EXTENDED_ENV`] names it listens to.
-    env: &'static [&'static str],
-    /// Further defaults, layered under the spec file, env and flags.
+    /// Further defaults, layered under the spec file and flags.
     defaults: fn(&mut ExperimentSpec),
     /// The cells to run under the resolved spec.
     cells: fn(&ExperimentSpec) -> Vec<Cell>,
@@ -80,7 +78,6 @@ const FIGURES: &[Figure] = &[
         doc: "Pairwise interference: comm time per target x background x routing",
         scale: 128.0,
         pinned: None,
-        env: &["TARGETS"],
         defaults: |s| s.targets = FIG4_TARGETS.to_vec(),
         cells: fig4_cells,
         render: fig4_render,
@@ -92,7 +89,6 @@ const FIGURES: &[Figure] = &[
         doc: "FFT3D + Halo3D throughput along simulated time, PAR vs Q-adp",
         scale: 64.0,
         pinned: Some(PAR_QADP),
-        env: &[],
         defaults: |_| {},
         cells: |s| pair_cells(s, AppKind::FFT3D, AppKind::Halo3D),
         render: fig5_render,
@@ -104,7 +100,6 @@ const FIGURES: &[Figure] = &[
         doc: "FFT3D packet-latency distribution, alone vs under Halo3D, PAR vs Q-adp",
         scale: 64.0,
         pinned: Some(PAR_QADP),
-        env: &[],
         defaults: |_| {},
         cells: fig6_cells,
         render: fig6_render,
@@ -116,7 +111,6 @@ const FIGURES: &[Figure] = &[
         doc: "LQCD + Stencil5D packet latency along simulated time, PAR vs Q-adp",
         scale: 64.0,
         pinned: Some(PAR_QADP),
-        env: &[],
         defaults: |_| {},
         cells: |s| pair_cells(s, AppKind::LQCD, AppKind::Stencil5D),
         render: fig7_render,
@@ -128,7 +122,6 @@ const FIGURES: &[Figure] = &[
         doc: "LQCD + Stencil5D comm time, alone vs co-run, per routing",
         scale: 64.0,
         pinned: None,
-        env: &[],
         defaults: |_| {},
         cells: |s| pair_cells(s, AppKind::LQCD, AppKind::Stencil5D),
         render: fig8_render,
@@ -140,7 +133,6 @@ const FIGURES: &[Figure] = &[
         doc: "CosmoFlow + Halo3D throughput along simulated time, PAR vs Q-adp",
         scale: 64.0,
         pinned: Some(PAR_QADP),
-        env: &[],
         defaults: |_| {},
         cells: |s| pair_cells(s, AppKind::CosmoFlow, AppKind::Halo3D),
         render: fig9_render,
@@ -153,7 +145,6 @@ const FIGURES: &[Figure] = &[
         doc: "Mixed workload: each Table II app's comm time alone vs in the mix",
         scale: 64.0,
         pinned: None,
-        env: &[],
         defaults: |_| {},
         cells: fig10_cells,
         render: fig10_render,
@@ -166,7 +157,6 @@ const FIGURES: &[Figure] = &[
         doc: "Network stall time under the mixed workload, PAR vs Q-adp",
         scale: 64.0,
         pinned: Some(PAR_QADP),
-        env: &[],
         defaults: |_| {},
         cells: mixed_cells,
         render: fig11_render,
@@ -179,7 +169,6 @@ const FIGURES: &[Figure] = &[
         doc: "Congestion-index heat map under the mixed workload, PAR vs Q-adp",
         scale: 64.0,
         pinned: Some(PAR_QADP),
-        env: &[],
         defaults: |_| {},
         cells: mixed_cells,
         render: fig12_render,
@@ -191,7 +180,6 @@ const FIGURES: &[Figure] = &[
         doc: "System-wide latency distribution and throughput along time, mixed workload",
         scale: 64.0,
         pinned: None,
-        env: &[],
         defaults: |_| {},
         cells: mixed_cells,
         render: fig13_render,
@@ -203,7 +191,6 @@ const FIGURES: &[Figure] = &[
         doc: "Application characterization vs the paper's Table I",
         scale: 64.0,
         pinned: None,
-        env: &[],
         defaults: |_| {},
         cells: standalone_cells,
         render: table1_render,
@@ -215,7 +202,6 @@ const FIGURES: &[Figure] = &[
         doc: "Mixed-workload job sizes and each job's standalone characteristics",
         scale: 64.0,
         pinned: None,
-        env: &[],
         defaults: |_| {},
         cells: table2_cells,
         render: table2_render,
@@ -229,7 +215,6 @@ const FIGURES: &[Figure] = &[
         doc: "Job-churn interference: Poisson arrivals x routing x placement",
         scale: 256.0,
         pinned: None,
-        env: &["RATES", "JOBS", "APPS", "SIZES"],
         defaults: churn_defaults,
         cells: churn_cells,
         render: churn_render,
@@ -242,7 +227,6 @@ const FIGURES: &[Figure] = &[
         doc: "Random vs contiguous placement of FFT3D + Halo3D, PAR vs Q-adp",
         scale: 64.0,
         pinned: Some(PAR_QADP),
-        env: &[],
         defaults: |_| {},
         cells: placement_cells,
         render: placement_render,
@@ -254,7 +238,6 @@ const FIGURES: &[Figure] = &[
         doc: "UGAL minimal-path bias sweep on FFT3D + Halo3D",
         scale: 64.0,
         pinned: Some(&[RoutingAlgo::UgalG]),
-        env: &[],
         defaults: |_| {},
         cells: ugal_bias_cells,
         render: ugal_bias_render,
@@ -266,7 +249,6 @@ const FIGURES: &[Figure] = &[
         doc: "Q-adaptive learning rate / exploration sweep on FFT3D + Halo3D",
         scale: 64.0,
         pinned: Some(&[RoutingAlgo::QAdaptive]),
-        env: &[],
         defaults: |_| {},
         cells: qa_hparams_cells,
         render: qa_hparams_render,
@@ -278,18 +260,17 @@ const FIGURES: &[Figure] = &[
         doc: "Calibration probe: every app standalone vs Table I",
         scale: 64.0,
         pinned: None,
-        env: &[],
         defaults: |_| {},
         cells: standalone_cells,
         render: probe_render,
     },
-    // Detour fractions and stall totals; TARGET/BG pick the pair.
+    // Detour fractions and stall totals; `--workload "pairwise A B"` picks
+    // the pair.
     Figure {
         name: "probe_pair",
         doc: "Calibration probe: one pair (default FFT3D + Halo3D) under every routing",
         scale: 64.0,
         pinned: None,
-        env: &["TARGET", "BG"],
         defaults: |s| {
             s.workload = Workload::pairwise(AppKind::FFT3D, Some(AppKind::Halo3D));
             s.routings = RoutingAlgo::ALL.to_vec();
@@ -320,7 +301,7 @@ pub fn sweep(args: &[String]) {
         die(format!("unknown sweep '{name}' (valid: {})", names.join(", ")))
     };
     let args = &args[1..];
-    let mut spec = defaults(fig).resolve_env(fig.env, args).unwrap_or_else(|e| die(&e));
+    let mut spec = defaults(fig).resolve(args).unwrap_or_else(|e| die(&e));
     if let Some(pinned) = fig.pinned {
         spec.routings = pinned.to_vec();
     }
@@ -363,7 +344,7 @@ pub fn sweep(args: &[String]) {
     print_cache_summary(&spec);
 }
 
-/// A figure's spec before the file/env/CLI layers.
+/// A figure's spec before the file and CLI layers.
 fn defaults(fig: &Figure) -> ExperimentSpec {
     let mut spec = ExperimentSpec {
         scale: fig.scale,
@@ -378,19 +359,19 @@ fn defaults(fig: &Figure) -> ExperimentSpec {
 ///
 /// * `qtable_save` is rejected: a sweep runs many cells in parallel and
 ///   they would race on the file. Snapshots are written by the single-run
-///   front-ends (`dfsim --qtable save=` or the `transfer` bin), which the
+///   front-ends (`dfsim run --qtable_save` or the `transfer` bin), which the
 ///   error points at.
 /// * `qtable_load` on a routing set without Q-adp would be a silent no-op
 ///   (only Q-adaptive cells carry Q-tables — [`ExperimentSpec::cell`]
 ///   strips the knobs from the others), so it exits with a message instead.
 fn sweep_qtable_guard(spec: &ExperimentSpec) {
     if spec.qtable_save.is_some() {
-        die("--qtable save= is not supported by sweeps (parallel cells would race on the file); \
-             write snapshots with 'dfsim --qtable save=PATH' or the transfer bin");
+        die("--qtable_save is not supported by sweeps (parallel cells would race on the file); \
+             write snapshots with 'dfsim run --qtable_save PATH' or the transfer bin");
     }
     if spec.qtable_load.is_some() && !spec.routings.contains(&RoutingAlgo::QAdaptive) {
-        die("--qtable load= would have no effect: the routing set contains no Q-adp (set \
-             ROUTING=Q-adp or include Q-adp)");
+        die("--qtable_load would have no effect: the routing set contains no Q-adp (pass \
+             --routing Q-adp or include Q-adp)");
     }
 }
 
@@ -1214,7 +1195,7 @@ fn probe_render(spec: &ExperimentSpec, runs: &Runs, csv: bool) {
 /// Per routing: the target alone, then with the background.
 fn probe_pair_cells(spec: &ExperimentSpec) -> Vec<Cell> {
     let Workload::Pairwise { target, background } = spec.workload else {
-        die("probe_pair needs a pairwise workload (TARGET/BG or workload pairwise)")
+        die("probe_pair needs a pairwise workload (--workload \"pairwise TARGET BG\")")
     };
     let mut cells = Vec::new();
     for &r in &spec.routings {

@@ -78,11 +78,8 @@ use dfsim_metrics::{LatencySummary, Stats};
 /// header check and old keys never collide with new ones.
 pub const CACHE_HEADER: &str = "dfsim-cache v2";
 
-/// Environment variable naming the default cache directory of `cache on`.
-pub const CACHE_DIR_ENV: &str = "DFSIM_CACHE_DIR";
-
-/// Fallback cache directory when `cache on` is set and [`CACHE_DIR_ENV`]
-/// is not.
+/// The cache directory of `cache on`, relative to the working directory
+/// (`cache DIR` picks any other).
 pub const DEFAULT_CACHE_DIR: &str = ".dfsim-cache";
 
 /// Version word leading the report blob inside an entry file.
@@ -98,8 +95,7 @@ pub enum CacheMode {
     /// No caching (the default).
     #[default]
     Off,
-    /// Cache under [`CACHE_DIR_ENV`], falling back to
-    /// [`DEFAULT_CACHE_DIR`].
+    /// Cache under [`DEFAULT_CACHE_DIR`] in the working directory.
     On,
     /// Cache under an explicit directory.
     Dir(PathBuf),
@@ -140,17 +136,7 @@ impl CacheMode {
     pub fn dir(&self) -> Option<PathBuf> {
         match self {
             CacheMode::Off => None,
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "the cache directory is host setup, not an experiment input: it never enters a cache key or a report"
-            )]
-            CacheMode::On => Some(
-                std::env::var(CACHE_DIR_ENV)
-                    .ok()
-                    .filter(|v| !v.trim().is_empty())
-                    .map(PathBuf::from)
-                    .unwrap_or_else(|| PathBuf::from(DEFAULT_CACHE_DIR)),
-            ),
+            CacheMode::On => Some(PathBuf::from(DEFAULT_CACHE_DIR)),
             CacheMode::Dir(p) => Some(p.clone()),
         }
     }
@@ -977,21 +963,14 @@ mod tests {
         assert_ne!(cache_key(&routed).unwrap(), key);
     }
 
-    /// Every spec key has one row, and each row's environment variable
-    /// and flag are spelled from its name.
+    /// Every spec key has exactly one row, listed in row order.
     #[test]
     fn classification_covers_every_spec_key() {
-        use crate::spec::{KeyEnv, KEYS, SPEC_KEYS};
+        use crate::spec::{KEYS, SPEC_KEYS};
         assert_eq!(SPEC_KEYS.len(), KEYS.len());
         for (i, key) in KEYS.iter().enumerate() {
             assert_eq!(SPEC_KEYS[i], key.name);
             assert!(!SPEC_KEYS[..i].contains(&key.name), "`{}` has two rows", key.name);
-            if let KeyEnv::Core(var) | KeyEnv::OptIn(var) = key.env {
-                assert_eq!(var, key.name.to_ascii_uppercase(), "env var of `{}`", key.name);
-            }
-            if let Some(flag) = key.flag {
-                assert_eq!(flag, format!("--{}", key.name), "flag of `{}`", key.name);
-            }
         }
     }
 

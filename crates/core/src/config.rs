@@ -128,7 +128,7 @@ impl SimConfig {
             && self.routing.qtable_init != QTableInit::Cold
         {
             return Err(format!(
-                "Q-table warm-start (--qtable load=..) requires Q-adaptive routing, got {}",
+                "Q-table warm-start (--qtable_load) requires Q-adaptive routing, got {}",
                 self.routing.algo
             ));
         }

@@ -1,10 +1,5 @@
 //! Declarative experiment specification: one serializable description of
-//! everything an experiment needs, one resolver for every knob source.
-//!
-//! Historically each front-end re-wired the same configuration soup — env
-//! vars (`SCALE`/`SEED`/`QUEUE`/`ROUTING`/…) with silent fallbacks,
-//! per-binary flag parsing, and free functions taking different config
-//! structs. This module replaces all of that with:
+//! everything an experiment needs, one resolver for every knob.
 //!
 //! * [`ExperimentSpec`] — a complete, declarative description of an
 //!   experiment: workload, topology, timing, routing (and its
@@ -17,21 +12,20 @@
 //!   `#` comments. `emit` is canonical — emitting a parsed spec and
 //!   re-parsing yields the identical value, and canonical files round-trip
 //!   byte-identically.
-//! * **named errors** ([`SpecError`]): every malformed line, unknown key,
-//!   bad env var or flag is reported with its location and the valid
-//!   forms — never silently defaulted.
+//! * **named errors** ([`SpecError`]): every malformed line, unknown key
+//!   or bad flag is reported with its location and the valid forms —
+//!   never silently defaulted.
 //! * **one key table** (`KEYS`): each key is one row holding its name,
-//!   its result-cache class, its environment variable and flag, and its
-//!   parse/emit function pair. `parse`, `emit`, both override layers and
-//!   [`crate::cache::cache_key`] walk it, and the [`SPEC_KEYS`],
-//!   [`CORE_ENV`], [`EXTENDED_ENV`] and [`CLI_FLAGS`] registries are
-//!   compile-time views of it.
+//!   its result-cache class and its parse/emit function pair. `parse`,
+//!   `emit`, the command line and [`crate::cache::cache_key`] walk it;
+//!   [`SPEC_KEYS`] lists its names.
 //! * **one layering rule** ([`ExperimentSpec::resolve`]): `defaults <
-//!   spec file < environment < command line`, implemented once and used by
-//!   `dfsim` and every sweep. A key's text is parsed by its row whichever
-//!   layer it arrives through (trimmed first, so a padded env var or flag
-//!   value means what the file line means); env and flag errors are
-//!   re-wrapped as [`SpecError::Env`] / [`SpecError::Flag`].
+//!   --spec FILE < command line`, implemented once and used by `dfsim`,
+//!   every sweep and the examples. Every key `NAME` is set by the file
+//!   line `NAME VALUE` or the flag `--NAME VALUE`, through its row either
+//!   way (trimmed first, so a padded flag value means what the file line
+//!   means); flag errors are re-wrapped as [`SpecError::Flag`]. The
+//!   environment is never read: a run's bytes do not depend on the shell.
 //! * a label-based **registry** ([`Registered`], [`lookup`],
 //!   [`lookup_list`]) for routings, workloads, placements and schedulers,
 //!   collapsing the per-binary `parse_*` copies into one case-insensitive
@@ -67,9 +61,9 @@ pub const SPEC_HEADER: &str = "dfsim-spec v1";
 ///
 /// One implementation per selectable dimension (routing algorithm,
 /// workload kind, placement policy, admission policy); [`lookup`] and
-/// [`lookup_list`] are the single parse path for all of them — every CLI
-/// flag, env var and spec key goes through the same case-insensitive
-/// search and produces the same "valid names" error.
+/// [`lookup_list`] are the single parse path for all of them — every spec
+/// key goes through the same case-insensitive search and produces the same
+/// "valid names" error.
 pub trait Registered: Copy + 'static {
     /// What the registry holds ("routing", "app", …) — used in errors.
     const KIND: &'static str;
@@ -164,7 +158,7 @@ pub fn die(msg: impl std::fmt::Display) -> ! {
 // ---------------------------------------------------------------------------
 
 /// Why a spec could not be parsed, resolved or validated. Every variant
-/// names its source (file line, env var, flag) so the one-line CLI error
+/// names its source (file line or flag) so the one-line CLI error
 /// points straight at the offending input.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SpecError {
@@ -210,17 +204,6 @@ pub enum SpecError {
         /// Why the value was rejected (includes the valid forms).
         msg: String,
     },
-    /// An environment variable carries an unparsable value. Invalid values
-    /// are hard errors — `SCALE=6O` must never silently run at the default
-    /// scale.
-    Env {
-        /// The variable name.
-        var: String,
-        /// The value found.
-        value: String,
-        /// Why it was rejected.
-        msg: String,
-    },
     /// A command-line flag is malformed or missing its value.
     Flag {
         /// The flag.
@@ -255,9 +238,6 @@ impl std::fmt::Display for SpecError {
                 write!(f, "spec line {line}: duplicate key '{key}'")
             }
             SpecError::Value { line, key, msg } => write!(f, "spec line {line} ({key}): {msg}"),
-            SpecError::Env { var, value, msg } => {
-                write!(f, "invalid {var}='{value}': {msg}")
-            }
             SpecError::Flag { flag, msg } => write!(f, "{flag}: {msg}"),
             SpecError::UnknownFlag { flag } => write!(f, "unknown option '{flag}'"),
             SpecError::Invalid { msg } => write!(f, "invalid spec: {msg}"),
@@ -500,7 +480,7 @@ pub struct ExperimentSpec {
     /// itself.
     pub cache: CacheMode,
     /// Worker threads. Sweep binaries use this for the cell pool (0 = all
-    /// cores); single-run front-ends (`dfsim run` and friends) use it as
+    /// cores); single-run front-ends (`dfsim run`, the examples) use it as
     /// the partition count of the parallel engine (0/1 = single-threaded).
     pub threads: usize,
 }
@@ -547,31 +527,17 @@ impl Default for ExperimentSpec {
 // The key table
 // ---------------------------------------------------------------------------
 
-/// How the environment layer reaches a spec key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum KeyEnv {
-    /// No environment variable sets the key.
-    None,
-    /// A variable every front-end reads (listed in [`CORE_ENV`]).
-    Core(&'static str),
-    /// A variable a front-end must opt into (listed in [`EXTENDED_ENV`]).
-    OptIn(&'static str),
-}
-
-/// One spec key: its name, how it enters the result-cache key, the
-/// environment variable and flag that set it, and how its text is parsed
-/// and rendered. Every layer and the cache key walk [`KEYS`], so a key
-/// cannot exist without all of these.
+/// One spec key: its name, how it enters the result-cache key, and how its
+/// text is parsed and rendered. The file line `NAME VALUE` and the flag
+/// `--NAME VALUE` both set a key through its row, and the cache key walks
+/// [`KEYS`], so a key cannot exist without all of these.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Key {
-    /// The name that opens the key's spec-file line.
+    /// The name that opens the key's spec-file line (and, after `--`, its
+    /// flag).
     pub(crate) name: &'static str,
     /// How the key enters the result-cache key.
     pub(crate) class: KeyClass,
-    /// The environment variable that sets the key.
-    pub(crate) env: KeyEnv,
-    /// The flag that sets the key (`--NAME`), if the command line does.
-    pub(crate) flag: Option<&'static str>,
     /// Set the key from its trimmed text; the error is the bare reason.
     parse: fn(&mut ExperimentSpec, &str) -> Result<(), String>,
     /// Render the key's value; rendering nothing omits the line.
@@ -579,10 +545,10 @@ pub(crate) struct Key {
 }
 
 impl Key {
-    /// Set this key from its text value: the one parse path of the file,
-    /// environment and command-line layers. The text is trimmed here, so a
-    /// padded env var or flag value means what the same file line means.
-    /// Each layer wraps the error with its own source.
+    /// Set this key from its text value: the one parse path of the file
+    /// and command-line layers. The text is trimmed here, so a padded flag
+    /// value means what the same file line means. Each layer wraps the
+    /// error with its own source.
     fn apply(&self, spec: &mut ExperimentSpec, text: &str) -> Result<(), String> {
         (self.parse)(spec, text.trim())
     }
@@ -593,335 +559,196 @@ impl Key {
 /// (`tests/cache_roundtrip.rs` pins them).
 pub(crate) const KEYS: [Key; 31] = {
     use KeyClass::{Conditional, ContentHashed, Normalized, Relevant};
-    use KeyEnv::{Core, OptIn};
     [
         Key {
             name: "workload",
             class: Relevant,
-            env: KeyEnv::None,
-            flag: None,
             parse: |s, v| Workload::parse(v).map(|w| s.workload = w),
             emit: |s, o| o.push_str(&s.workload.describe()),
         },
-        Key {
-            name: "topology",
-            class: Relevant,
-            env: KeyEnv::None,
-            flag: None,
-            parse: parse_topology,
-            emit: emit_topology,
-        },
-        Key {
-            name: "timing",
-            class: Relevant,
-            env: KeyEnv::None,
-            flag: None,
-            parse: parse_timing,
-            emit: emit_timing,
-        },
+        Key { name: "topology", class: Relevant, parse: parse_topology, emit: emit_topology },
+        Key { name: "timing", class: Relevant, parse: parse_timing, emit: emit_timing },
         Key {
             name: "routing",
             class: Relevant,
-            env: Core("ROUTING"),
-            flag: Some("--routing"),
             parse: |s, v| lookup_list(v).map(|r| s.routings = r),
             emit: |s, o| put_list(o, s.routings.iter().map(|r| r.label())),
         },
         Key {
             name: "ugal_bias",
             class: Relevant,
-            env: KeyEnv::None,
-            flag: None,
             parse: |s, v| parse_int(v, "bias").map(|n| s.ugal_bias = n),
             emit: |s, o| put(o, s.ugal_bias),
         },
         Key {
             name: "nonmin_samples",
             class: Relevant,
-            env: KeyEnv::None,
-            flag: None,
             parse: |s, v| parse_int(v, "count").map(|n| s.nonmin_samples = n),
             emit: |s, o| put(o, s.nonmin_samples),
         },
         Key {
             name: "qa_alpha",
             class: Relevant,
-            env: KeyEnv::None,
-            flag: None,
             parse: |s, v| parse_f64(v).map(|x| s.qa_alpha = x),
             emit: |s, o| put(o, s.qa_alpha),
         },
         Key {
             name: "qa_epsilon",
             class: Relevant,
-            env: KeyEnv::None,
-            flag: None,
             parse: |s, v| parse_f64(v).map(|x| s.qa_epsilon = x),
             emit: |s, o| put(o, s.qa_epsilon),
         },
         Key {
             name: "qtable_load",
             class: ContentHashed,
-            env: KeyEnv::None,
-            flag: None,
             parse: |s, v| parse_path(v).map(|p| s.qtable_load = Some(p)),
             emit: |s, o| put_opt(o, s.qtable_load.as_ref().map(|p| p.display())),
         },
         Key {
             name: "qtable_save",
             class: Normalized,
-            env: KeyEnv::None,
-            flag: None,
             parse: |s, v| parse_path(v).map(|p| s.qtable_save = Some(p)),
             emit: |s, o| put_opt(o, s.qtable_save.as_ref().map(|p| p.display())),
         },
         Key {
             name: "scale",
             class: Relevant,
-            env: Core("SCALE"),
-            flag: Some("--scale"),
             parse: |s, v| parse_f64(v).map(|x| s.scale = x),
             emit: |s, o| put(o, s.scale),
         },
         Key {
             name: "seed",
             class: Relevant,
-            env: Core("SEED"),
-            flag: Some("--seed"),
             parse: |s, v| parse_int(v, "seed").map(|n| s.seed = n),
             emit: |s, o| put(o, s.seed),
         },
         Key {
             name: "placement",
             class: Relevant,
-            env: Core("PLACEMENT"),
-            flag: Some("--placement"),
             parse: |s, v| lookup(v).map(|p| s.placement = p),
             emit: |s, o| o.push_str(s.placement.label()),
         },
         Key {
             name: "queue",
             class: Relevant,
-            env: Core("QUEUE"),
-            flag: Some("--queue"),
             parse: |s, v| v.parse().map(|q| s.queue = q),
             emit: |s, o| o.push_str(&s.queue.describe()),
         },
         Key {
             name: "sched",
             class: Relevant,
-            env: Core("SCHED"),
-            flag: Some("--sched"),
             parse: |s, v| lookup(v).map(|p| s.sched = p),
             emit: |s, o| o.push_str(s.sched.label()),
         },
         Key {
             name: "eager_threshold",
             class: Relevant,
-            env: KeyEnv::None,
-            flag: None,
             parse: |s, v| parse_int(v, "bytes").map(|n| s.eager_threshold = n),
             emit: |s, o| put(o, s.eager_threshold),
         },
         Key {
             name: "horizon",
             class: Relevant,
-            env: KeyEnv::None,
-            flag: Some("--horizon"),
             parse: |s, v| parse_duration(v).map(|t| s.horizon = Some(t)),
             emit: |s, o| put_opt(o, s.horizon.map(|t| format!("{t}ps"))),
         },
         Key {
             name: "max_events",
             class: Relevant,
-            env: KeyEnv::None,
-            flag: None,
             parse: |s, v| parse_int(v, "count").map(|n| s.max_events = n),
             emit: |s, o| put(o, s.max_events),
         },
         Key {
             name: "bin_width",
             class: Relevant,
-            env: KeyEnv::None,
-            flag: None,
             parse: |s, v| parse_duration(v).map(|t| s.bin_width = t),
             emit: |s, o| put(o, format_args!("{}ps", s.bin_width)),
         },
         Key {
             name: "record_latencies",
             class: Relevant,
-            env: KeyEnv::None,
-            flag: None,
             parse: |s, v| parse_bool(v).map(|b| s.record_latencies = b),
             emit: |s, o| put(o, s.record_latencies),
         },
         Key {
             name: "record_ports",
             class: Relevant,
-            env: KeyEnv::None,
-            flag: None,
             parse: |s, v| parse_bool(v).map(|b| s.record_ports = b),
             emit: |s, o| put(o, s.record_ports),
         },
         Key {
             name: "rates",
             class: Conditional,
-            env: OptIn("RATES"),
-            flag: Some("--rates"),
             parse: |s, v| parse_f64_list(v).map(|r| s.rates = r),
             emit: |s, o| put_list(o, &s.rates),
         },
         Key {
             name: "jobs",
             class: Conditional,
-            env: OptIn("JOBS"),
-            flag: Some("--jobs"),
             parse: |s, v| parse_int(v, "count").map(|n| s.jobs = n),
             emit: |s, o| put(o, s.jobs),
         },
         Key {
             name: "apps",
             class: Conditional,
-            env: OptIn("APPS"),
-            flag: Some("--apps"),
             parse: |s, v| lookup_list(v).map(|a| s.apps = a),
             emit: |s, o| put_list(o, s.apps.iter().map(|a| a.name())),
         },
         Key {
             name: "sizes",
             class: Conditional,
-            env: OptIn("SIZES"),
-            flag: Some("--sizes"),
             parse: |s, v| parse_u32_list(v).map(|n| s.sizes = n),
             emit: |s, o| put_list(o, &s.sizes),
         },
         Key {
             name: "targets",
             class: Normalized,
-            env: OptIn("TARGETS"),
-            flag: Some("--targets"),
             parse: |s, v| lookup_list(v).map(|a| s.targets = a),
             emit: |s, o| put_list(o, s.targets.iter().map(|a| a.name())),
         },
         Key {
             name: "train",
             class: Normalized,
-            env: OptIn("TRAIN"),
-            flag: Some("--train"),
             parse: |s, v| lookup(v).map(|a| s.train = a),
             emit: |s, o| o.push_str(s.train.name()),
         },
         Key {
             name: "snapshot",
             class: Normalized,
-            env: OptIn("SNAPSHOT"),
-            flag: Some("--snapshot"),
             parse: |s, v| parse_path(v).map(|p| s.snapshot = Some(p)),
             emit: |s, o| put_opt(o, s.snapshot.as_ref().map(|p| p.display())),
         },
         Key {
             name: "trace",
             class: Normalized,
-            env: KeyEnv::None,
-            flag: Some("--trace"),
             parse: |s, v| parse_path(v).map(|p| s.trace = Some(p)),
             emit: |s, o| put_opt(o, s.trace.as_ref().map(|p| p.display())),
         },
         Key {
             name: "cache",
             class: Normalized,
-            env: Core("CACHE"),
-            flag: Some("--cache"),
             parse: |s, v| CacheMode::parse(v).map(|c| s.cache = c),
             emit: |s, o| put_opt(o, s.cache.enabled().then(|| s.cache.describe())),
         },
         Key {
             name: "threads",
             class: Normalized,
-            env: Core("THREADS"),
-            flag: Some("--threads"),
             parse: |s, v| parse_int(v, "count").map(|n| s.threads = n),
             emit: |s, o| put(o, s.threads),
         },
     ]
 };
 
-/// Opt-in environment variables that are not a key's text: each sets one
-/// part of the `workload` value (an arm of `apply_env`).
-const ENV_SHORTHANDS: [&str; 2] = ["TARGET", "BG"];
-
-/// Flags that are not a key's `--NAME`: shorthands onto keys, and the
-/// presentation flags front-ends read themselves (each an arm of
-/// `apply_cli`).
-const CLI_SHORTHANDS: [&str; 12] = [
-    "--spec",
-    "--rate",
-    "--groups",
-    "--routers",
-    "--nodes",
-    "--globals",
-    "--qtable",
-    "--contiguous",
-    "--no-cache",
-    "--smoke",
-    "--csv",
-    "--engine-stats",
-];
-
 /// Every spec key name, in `KEYS` (canonical emission) order.
-pub const SPEC_KEYS: [&str; 31] = view(View::Name, &[]);
-
-/// Environment variables every front-end consults: invalid values are hard
-/// errors naming the variable.
-pub const CORE_ENV: [&str; 8] = view(View::CoreEnv, &[]);
-
-/// Workload/sweep environment variables a front-end must opt into via
-/// [`ExperimentSpec::resolve_env`]. Their names are generic (`TARGET` and
-/// `JOBS` are common shell/CI variables), so only the front-ends that
-/// document them listen.
-pub const EXTENDED_ENV: [&str; 9] = view(View::OptInEnv, &ENV_SHORTHANDS);
-
-/// Every flag the resolver accepts: each key's `--NAME`, then the
-/// shorthands and presentation flags.
-pub const CLI_FLAGS: [&str; 29] = view(View::Flag, &CLI_SHORTHANDS);
-
-/// Which spelling of a key a registry view lists.
-#[derive(Clone, Copy)]
-enum View {
-    Name,
-    CoreEnv,
-    OptInEnv,
-    Flag,
-}
-
-/// A registry view: the spelling `view` picks from each [`KEYS`] row that
-/// has one, in row order, then `extra`. Evaluated at compile time, so a
-/// view whose declared length does not match the rows fails the build.
-const fn view<const N: usize>(view: View, extra: &[&'static str]) -> [&'static str; N] {
-    let mut out = [""; N];
-    let (mut i, mut n) = (0, 0);
-    while i < KEYS.len() + extra.len() {
-        let spelled = if i >= KEYS.len() {
-            Some(extra[i - KEYS.len()])
-        } else {
-            match (view, KEYS[i].env) {
-                (View::Name, _) => Some(KEYS[i].name),
-                (View::CoreEnv, KeyEnv::Core(var)) | (View::OptInEnv, KeyEnv::OptIn(var)) => {
-                    Some(var)
-                }
-                (View::Flag, _) => KEYS[i].flag,
-                _ => None,
-            }
-        };
-        if let Some(s) = spelled {
-            out[n] = s;
-            n += 1;
-        }
+pub const SPEC_KEYS: [&str; 31] = {
+    let mut out = [""; 31];
+    let mut i = 0;
+    while i < KEYS.len() {
+        out[i] = KEYS[i].name;
         i += 1;
     }
-    assert!(n == N, "a registry view's length must match the key table");
     out
-}
+};
 
 impl ExperimentSpec {
     // -- format ------------------------------------------------------------
@@ -985,15 +812,6 @@ impl ExperimentSpec {
         self.parsed_over(&text)
     }
 
-    /// Set the key named `name` from its text: how a shorthand reaches the
-    /// key it stands for.
-    fn set(&mut self, name: &str, text: &str) -> Result<(), String> {
-        match KEYS.iter().find(|k| k.name == name) {
-            Some(key) => key.apply(self, text),
-            None => Err(format!("unknown spec key '{name}'")),
-        }
-    }
-
     /// Canonical text rendering: header, then one line per key in
     /// [`SPEC_KEYS`] order; an optional key (`qtable_*`, `horizon`,
     /// `sizes`, `targets`, `snapshot`, `trace`, `cache`) has no line while
@@ -1028,54 +846,17 @@ impl ExperimentSpec {
 
     // -- layering ----------------------------------------------------------
 
-    /// Resolve the effective spec for a binary: `self` (the binary's
-    /// defaults) `< --spec FILE < environment < command line`, then
-    /// validate. The one place every knob source meets — binaries never
-    /// read `std::env::var` themselves. Only the core environment
-    /// variables ([`CORE_ENV`]) are consulted; front-ends that
-    /// historically listened to the generic workload/sweep names
-    /// ([`EXTENDED_ENV`]) opt in via [`Self::resolve_env`].
+    /// Resolve the effective spec for a front-end: `self` (its defaults)
+    /// `< --spec FILE < command line`, then validate. The one place every
+    /// knob meets; nothing else, the environment included, reaches a run.
     pub fn resolve(self, args: &[String]) -> Result<Self, SpecError> {
-        self.resolve_env(&[], args)
-    }
-
-    /// [`Self::resolve`] plus the listed [`EXTENDED_ENV`] variables. The
-    /// extended names (`TARGET`, `JOBS`, `APPS`, …) are generic enough to
-    /// collide with unrelated shell/CI variables, so each front-end names
-    /// exactly the ones it documents instead of all of them ambient.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the env layer of `defaults < file < env < CLI`: the resolution layers are where ambient env may enter a run"
-    )]
-    pub fn resolve_env(self, extra_env: &[&str], args: &[String]) -> Result<Self, SpecError> {
-        self.resolve_env_with(extra_env, |var| std::env::var(var).ok(), args)
-    }
-
-    /// [`Self::resolve`] with an injectable environment (tests layer over
-    /// a map instead of mutating the process environment).
-    pub fn resolve_with<F>(self, env: F, args: &[String]) -> Result<Self, SpecError>
-    where
-        F: Fn(&str) -> Option<String>,
-    {
-        self.resolve_env_with(&[], env, args)
-    }
-
-    /// [`Self::resolve_env`] with an injectable environment.
-    pub fn resolve_env_with<F>(
-        self,
-        extra_env: &[&str],
-        env: F,
-        args: &[String],
-    ) -> Result<Self, SpecError>
-    where
-        F: Fn(&str) -> Option<String>,
-    {
         let mut spec = self;
-        // Layer 2: spec files, in command-line order.
+        // Spec files first, in command-line order.
         let mut i = 0;
         while i < args.len() {
             if args[i] == "--spec" {
-                let path = args.get(i + 1).ok_or_else(|| SpecError::Flag {
+                let path = args.get(i + 1).filter(|p| !p.starts_with("--"));
+                let path = path.ok_or_else(|| SpecError::Flag {
                     flag: "--spec".to_string(),
                     msg: "needs a file path".to_string(),
                 })?;
@@ -1084,77 +865,17 @@ impl ExperimentSpec {
             }
             i += 1;
         }
-        // Layer 3: environment. Layer 4: command line.
-        spec = spec.apply_env(&env, extra_env)?;
         spec = spec.apply_cli(args)?;
         spec.validate()?;
         Ok(spec)
     }
 
-    /// Apply the environment layer: every [`CORE_ENV`] variable plus the
-    /// [`EXTENDED_ENV`] subset the front-end opted into. A key's variable
-    /// is that key's text; `TARGET` and `BG` set one part of the workload.
-    /// Every variable is parsed strictly — an invalid value is a named hard
-    /// error, never a silent default.
-    fn apply_env<F>(mut self, env: &F, extra_env: &[&str]) -> Result<Self, SpecError>
-    where
-        F: Fn(&str) -> Option<String>,
-    {
-        for var in extra_env {
-            if !EXTENDED_ENV.contains(var) {
-                return Err(SpecError::Invalid {
-                    msg: format!(
-                        "unknown extended env var '{var}' (valid: {})",
-                        EXTENDED_ENV.join(", ")
-                    ),
-                });
-            }
-        }
-        let env_err = |var: &str, value, msg| SpecError::Env { var: var.to_string(), value, msg };
-        for key in &KEYS {
-            let var = match key.env {
-                KeyEnv::Core(var) => var,
-                KeyEnv::OptIn(var) if extra_env.contains(&var) => var,
-                _ => continue,
-            };
-            if let Some(v) = env(var) {
-                let applied = key.apply(&mut self, &v);
-                applied.map_err(|msg| env_err(var, v, msg))?;
-            }
-        }
-        let shorthand = |var| env(var).filter(|_| extra_env.contains(&var));
-        if let Some(v) = shorthand("TARGET") {
-            let applied = match (lookup(&v), &mut self.workload) {
-                (Err(e), _) => Err(e),
-                (Ok(kind), Workload::Standalone(target))
-                | (Ok(kind), Workload::Pairwise { target, .. }) => {
-                    *target = kind;
-                    Ok(())
-                }
-                _ => Err("only applies to standalone/pairwise workloads".to_string()),
-            };
-            applied.map_err(|msg| env_err("TARGET", v, msg))?;
-        }
-        if let Some(v) = shorthand("BG") {
-            let none = v.trim().eq_ignore_ascii_case("none");
-            let parsed = if none { Ok(None) } else { lookup(&v).map(Some) };
-            let applied = match (parsed, &mut self.workload) {
-                (Err(e), _) => Err(e),
-                (Ok(bg), Workload::Pairwise { background, .. }) => {
-                    *background = bg;
-                    Ok(())
-                }
-                _ => Err("only applies to the pairwise workload".to_string()),
-            };
-            applied.map_err(|msg| env_err("BG", v, msg))?;
-        }
-        Ok(self)
-    }
-
-    /// Apply the command-line layer. A key's flag (`--NAME`) takes that
-    /// key's text; the rest are shorthands onto keys, and presentation
-    /// flags (`--csv`, `--engine-stats`) the caller reads itself;
-    /// everything unknown is a named error.
+    /// Apply the command-line layer. `--NAME VALUE` sets the key `NAME`
+    /// exactly as the file line `NAME VALUE` does; `--smoke` is a shorthand
+    /// onto keys, and `--csv`/`--engine-stats` are presentation flags the
+    /// caller reads itself. Everything else is a named error, and so is a
+    /// value that starts with `--`: it is the next flag, not the value of a
+    /// flag whose value was forgotten.
     fn apply_cli(mut self, args: &[String]) -> Result<Self, SpecError> {
         let mut smoke = false;
         let mut i = 0;
@@ -1163,64 +884,26 @@ impl ExperimentSpec {
             let flag_err = |msg: String| SpecError::Flag { flag: a.to_string(), msg };
             let mut value = || {
                 i += 1;
-                args.get(i).ok_or_else(|| flag_err("needs a value".to_string()))
+                args.get(i)
+                    .filter(|v| !v.starts_with("--"))
+                    .ok_or_else(|| flag_err("needs a value".to_string()))
             };
             match a {
                 "--spec" => {
                     value()?; // file layer already applied in resolve()
                 }
-                "--contiguous" => self.placement = Placement::Contiguous,
-                "--no-cache" => self.cache = CacheMode::Off,
-                "--cache" => {
-                    // The value is optional: bare `--cache` (next arg absent
-                    // or another flag) means `on`; otherwise `on`/`off`/DIR.
-                    match args.get(i + 1).filter(|v| !v.starts_with("--")) {
-                        Some(v) => {
-                            self.set("cache", v).map_err(flag_err)?;
-                            i += 1;
-                        }
-                        None => self.cache = CacheMode::On,
-                    }
-                }
-                "--rate" => {
-                    let v = value()?;
-                    self.set("rates", v).map_err(flag_err)?;
-                }
-                "--groups" | "--routers" | "--nodes" | "--globals" => {
-                    let field = match a {
-                        "--groups" => "groups",
-                        "--routers" => "routers_per_group",
-                        "--nodes" => "nodes_per_router",
-                        _ => "globals_per_router",
-                    };
-                    let v = value()?;
-                    self.set("topology", &format!("{field}={}", v.trim())).map_err(flag_err)?;
-                }
-                "--qtable" => {
-                    let v = value()?;
-                    match v.trim().split_once('=') {
-                        Some(("save", p)) => self.set("qtable_save", p),
-                        Some(("load", p)) => self.set("qtable_load", p),
-                        _ => Err(format!("invalid '{v}'")),
-                    }
-                    .map_err(|m| {
-                        flag_err(format!(
-                            "{m} (valid forms: --qtable save=PATH, --qtable load=PATH)"
-                        ))
-                    })?;
-                }
                 "--smoke" => smoke = true,
                 // Presentation flags other layers own; accepted so every
-                // binary can combine them freely with spec flags.
+                // front-end can combine them freely with spec flags.
                 "--csv" | "--engine-stats" => {}
-                other => match KEYS.iter().find(|k| k.flag == Some(other)) {
-                    Some(key) => {
-                        let v = value()?;
-                        key.apply(&mut self, v).map_err(flag_err)?;
-                    }
-                    None if other.starts_with("--") => {
-                        return Err(SpecError::UnknownFlag { flag: other.to_string() })
-                    }
+                other => match other.strip_prefix("--") {
+                    Some(name) => match KEYS.iter().find(|k| k.name == name) {
+                        Some(key) => {
+                            let v = value()?;
+                            key.apply(&mut self, v).map_err(flag_err)?;
+                        }
+                        None => return Err(SpecError::UnknownFlag { flag: other.to_string() }),
+                    },
                     None => return Err(flag_err("unexpected argument".to_string())),
                 },
             }
@@ -1380,7 +1063,7 @@ impl ExperimentSpec {
 }
 
 // ---------------------------------------------------------------------------
-// Scalar parsers (shared by file, env and CLI layers)
+// Scalar parsers (shared by the file and CLI layers)
 // ---------------------------------------------------------------------------
 
 /// Parse an integer of the field's own type `T`; the error names `what`
@@ -1615,39 +1298,30 @@ mod tests {
         assert_eq!(parsed.emit(), text, "emit is canonical");
     }
 
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
-    fn layering_defaults_file_env_cli() {
+    fn layering_defaults_file_cli() {
         let file = format!("{SPEC_HEADER}\nscale 128\nseed 7\nrouting PAR\n");
         let dir = std::env::temp_dir().join(format!("dfsim_spec_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("layering.spec");
         std::fs::write(&path, &file).unwrap();
-        let env = |var: &str| match var {
-            "SEED" => Some("11".to_string()),
-            "ROUTING" => Some("UGALn".to_string()),
-            _ => None,
-        };
-        let args: Vec<String> =
-            ["--spec", path.to_str().unwrap(), "--routing", "Q-adp"].map(String::from).to_vec();
-        let spec = ExperimentSpec::default().resolve_with(env, &args).unwrap();
+        let cli = args(&["--spec", path.to_str().unwrap(), "--routing", "Q-adp"]);
+        let spec = ExperimentSpec::default().resolve(&cli).unwrap();
         assert_eq!(spec.scale, 128.0, "file overrides defaults");
-        assert_eq!(spec.seed, 11, "env overrides the file");
-        assert_eq!(spec.routings, vec![RoutingAlgo::QAdaptive], "CLI overrides env");
+        assert_eq!(spec.seed, 7, "the file's value stands where the CLI is silent");
+        assert_eq!(spec.routings, vec![RoutingAlgo::QAdaptive], "CLI overrides the file");
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
-    fn invalid_env_values_are_hard_errors_naming_the_variable() {
-        let env = |var: &str| (var == "SCALE").then(|| "6O".to_string());
-        let err = ExperimentSpec::default().resolve_with(env, &[]).unwrap_err();
-        match err {
-            SpecError::Env { ref var, ref value, .. } => {
-                assert_eq!(var, "SCALE");
-                assert_eq!(value, "6O");
-            }
-            other => panic!("expected an Env error, got {other:?}"),
-        }
-        assert!(err.to_string().contains("SCALE"), "{err}");
+    fn invalid_flag_values_are_hard_errors_naming_the_flag() {
+        let err = ExperimentSpec::default().resolve(&args(&["--scale", "6O"])).unwrap_err();
+        assert!(matches!(err, SpecError::Flag { ref flag, .. } if flag == "--scale"), "{err:?}");
+        assert!(err.to_string().contains("--scale"), "{err}");
         assert!(err.to_string().contains("6O"), "{err}");
     }
 
@@ -1744,67 +1418,61 @@ mod tests {
 
     #[test]
     fn unknown_flags_and_arguments_are_named_errors() {
-        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert!(matches!(
-            ExperimentSpec::default().resolve_with(|_| None, &args(&["--warp"])).unwrap_err(),
-            SpecError::UnknownFlag { .. }
-        ));
-        assert!(matches!(
-            ExperimentSpec::default().resolve_with(|_| None, &args(&["--scale"])).unwrap_err(),
-            SpecError::Flag { .. }
-        ));
-        assert!(matches!(
-            ExperimentSpec::default().resolve_with(|_| None, &args(&["stray"])).unwrap_err(),
-            SpecError::Flag { .. }
-        ));
+        let resolve = |list: &[&str]| ExperimentSpec::default().resolve(&args(list));
+        assert!(matches!(resolve(&["--warp"]).unwrap_err(), SpecError::UnknownFlag { .. }));
+        assert!(matches!(resolve(&["--scale"]).unwrap_err(), SpecError::Flag { .. }));
+        assert!(matches!(resolve(&["stray"]).unwrap_err(), SpecError::Flag { .. }));
         // Presentation flags pass through untouched.
-        let spec = ExperimentSpec::default()
-            .resolve_with(|_| None, &args(&["--csv", "--engine-stats"]))
-            .unwrap();
-        assert_eq!(spec, ExperimentSpec::default());
+        assert_eq!(resolve(&["--csv", "--engine-stats"]).unwrap(), ExperimentSpec::default());
     }
 
     #[test]
     fn cache_flag_forms_and_layering() {
-        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let spec = ExperimentSpec::default().resolve_with(|_| None, &args(&["--cache"])).unwrap();
-        assert_eq!(spec.cache, CacheMode::On, "bare --cache means on");
-        let spec = ExperimentSpec::default()
-            .resolve_with(|_| None, &args(&["--cache", "/tmp/c"]))
-            .unwrap();
-        assert_eq!(spec.cache, CacheMode::Dir("/tmp/c".into()));
-        let spec =
-            ExperimentSpec::default().resolve_with(|_| None, &args(&["--cache", "--csv"])).unwrap();
-        assert_eq!(spec.cache, CacheMode::On, "a following flag is not the cache value");
-        let env = |var: &str| (var == "CACHE").then(|| "/env/c".to_string());
-        let spec = ExperimentSpec::default().resolve_with(env, &args(&[])).unwrap();
-        assert_eq!(spec.cache, CacheMode::Dir("/env/c".into()), "CACHE env layers in");
-        let spec = ExperimentSpec::default().resolve_with(env, &args(&["--no-cache"])).unwrap();
-        assert_eq!(spec.cache, CacheMode::Off, "CLI overrides env");
+        let resolve = |list: &[&str]| ExperimentSpec::default().resolve(&args(list));
+        assert_eq!(resolve(&["--cache", "on"]).unwrap().cache, CacheMode::On);
+        assert_eq!(resolve(&["--cache", "/tmp/c"]).unwrap().cache, CacheMode::Dir("/tmp/c".into()));
+        match resolve(&["--cache"]).unwrap_err() {
+            SpecError::Flag { flag, .. } => assert_eq!(flag, "--cache", "the value is required"),
+            other => panic!("bare --cache must be a flag error, got {other:?}"),
+        }
+        // A following flag is never taken as the value: `--cache --csv`
+        // would otherwise open a store named `--csv`.
+        for flag in ["--cache", "--trace", "--qtable_save", "--spec"] {
+            match resolve(&[flag, "--csv"]).unwrap_err() {
+                SpecError::Flag { flag: f, .. } => assert_eq!(f, flag, "{flag} --csv"),
+                other => panic!("{flag} --csv must be a flag error, got {other:?}"),
+            }
+        }
+        assert_eq!(resolve(&["--ugal_bias", "-3"]).unwrap().ugal_bias, -3, "one dash is a value");
+        let dir = std::env::temp_dir().join(format!("dfsim_spec_cache_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cache.spec");
+        std::fs::write(&path, format!("{SPEC_HEADER}\ncache /file/c\n")).unwrap();
+        let file = path.to_str().unwrap();
+        assert_eq!(resolve(&["--spec", file]).unwrap().cache, CacheMode::Dir("/file/c".into()));
+        let spec = resolve(&["--spec", file, "--cache", "off"]).unwrap();
+        assert_eq!(spec.cache, CacheMode::Off, "CLI overrides the file");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn smoke_flag_shrinks_to_the_test_system() {
-        let args: Vec<String> = vec!["--smoke".to_string()];
-        let spec = ExperimentSpec::default().resolve_with(|_| None, &args).unwrap();
+        let spec = ExperimentSpec::default().resolve(&args(&["--smoke"])).unwrap();
         assert_eq!(spec.params, DragonflyParams::tiny_72());
         assert!(spec.scale >= 2_048.0);
     }
 
-    /// Regression: a padded env var or flag value used to be rejected where
-    /// the same text on a file line was accepted (`--seed " 7"`,
-    /// `THREADS="2 "`, `--queue " calendar"`).
+    /// Regression: a padded flag value used to be rejected where the same
+    /// text on a file line was accepted (`--seed " 7"`, `--queue "
+    /// calendar"`).
     #[test]
-    fn padded_env_and_flag_values_parse_like_the_file_layer() {
+    fn padded_flag_values_parse_like_the_file_layer() {
         let file = |line: &str| ExperimentSpec::parse(&format!("{SPEC_HEADER}\n{line}\n")).unwrap();
-        let flag = |f: &str, v: &str| {
-            ExperimentSpec::default().resolve_with(|_| None, &[f.to_string(), v.to_string()])
-        };
+        let flag = |f: &str, v: &str| ExperimentSpec::default().resolve(&args(&[f, v]));
         assert_eq!(flag("--seed", " 7").unwrap(), file("seed  7 "));
         assert_eq!(flag("--queue", " calendar").unwrap(), file("queue calendar"));
-        assert_eq!(flag("--groups", " 9").unwrap().params.groups, 9);
-        let env = |var: &str| (var == "THREADS").then(|| "2 ".to_string());
-        assert_eq!(ExperimentSpec::default().resolve_with(env, &[]).unwrap(), file("threads 2"));
+        assert_eq!(flag("--topology", " groups=9 ").unwrap(), file("topology groups=9"));
+        assert_eq!(flag("--threads", "2 ").unwrap(), file("threads 2"));
     }
 
     #[test]
@@ -1819,16 +1487,16 @@ mod tests {
             }
         }
         // Repeated flags still override: each is its own layer.
-        let args: Vec<String> =
-            ["--groups", "5", "--groups", "9", "--smoke"].map(String::from).to_vec();
-        let spec = ExperimentSpec::default().resolve_with(|_| None, &args).unwrap();
+        let cli = args(&["--topology", "groups=5", "--topology", "groups=9", "--smoke"]);
+        let spec = ExperimentSpec::default().resolve(&cli).unwrap();
         assert_eq!(spec.params, DragonflyParams::tiny_72(), "--smoke applies last");
-        let args: Vec<String> = ["--seed", "5", "--seed", "9"].map(String::from).to_vec();
-        assert_eq!(ExperimentSpec::default().resolve_with(|_| None, &args).unwrap().seed, 9);
+        let cli = args(&["--seed", "5", "--seed", "9"]);
+        assert_eq!(ExperimentSpec::default().resolve(&cli).unwrap().seed, 9);
     }
 
-    /// Every input outside the key table: a shorthand lands on its key, a
-    /// presentation flag leaves the spec as it was.
+    /// Every flag that is not a key's `--NAME`: a shorthand lands on its
+    /// key, a presentation flag leaves the spec as it was, and none of them
+    /// shadows a key's flag.
     #[test]
     fn every_shorthand_lands_on_its_key_and_presentation_flags_change_nothing() {
         let dir = std::env::temp_dir().join(format!("dfsim_shorthands_{}", std::process::id()));
@@ -1843,24 +1511,15 @@ mod tests {
             ..Default::default()
         };
         type Edit = fn(&mut ExperimentSpec);
-        let flags: [(&str, &[&str], Edit); 12] = [
+        let flags: [(&str, &[&str], Edit); 4] = [
             ("--spec", &[file.to_str().unwrap()], |s| s.seed = 5),
-            ("--rate", &["2.5"], |s| s.rates = vec![2.5]),
-            ("--groups", &["5"], |s| s.params.groups = 5),
-            ("--routers", &["5"], |s| s.params.routers_per_group = 5),
-            ("--nodes", &["3"], |s| s.params.nodes_per_router = 3),
-            ("--globals", &["3"], |s| s.params.globals_per_router = 3),
-            ("--qtable", &["load=/tmp/q.snap"], |s| s.qtable_load = Some("/tmp/q.snap".into())),
-            ("--contiguous", &[], |s| s.placement = Placement::Contiguous),
-            ("--no-cache", &[], |s| s.cache = CacheMode::Off),
             ("--smoke", &[], |s| s.scale = 2_048.0),
             ("--csv", &[], |_| {}),
             ("--engine-stats", &[], |_| {}),
         ];
-        let listed: Vec<&str> = flags.iter().map(|(f, ..)| *f).collect();
-        assert_eq!(listed, CLI_SHORTHANDS, "one case per shorthand or presentation flag");
         for (flag, values, edit) in flags {
-            let args: Vec<String> =
+            assert!(!SPEC_KEYS.contains(&&flag[2..]), "{flag} would shadow a key's flag");
+            let cli: Vec<String> =
                 std::iter::once(flag).chain(values.iter().copied()).map(String::from).collect();
             let mut want = base.clone();
             edit(&mut want);
@@ -1870,24 +1529,8 @@ mod tests {
                 presentation,
                 "{flag}: only presentation flags change nothing"
             );
-            let got = base.clone().resolve_with(|_| None, &args);
+            let got = base.clone().resolve(&cli);
             assert_eq!(got.unwrap_or_else(|e| panic!("{flag}: {e}")), want, "{flag}");
-        }
-
-        let vars: [(&str, &str, Edit); 2] = [
-            ("TARGET", "FFT3D", |s| {
-                s.workload = Workload::pairwise(AppKind::FFT3D, Some(AppKind::UR))
-            }),
-            ("BG", "none", |s| s.workload = Workload::pairwise(AppKind::LU, None)),
-        ];
-        let listed: Vec<&str> = vars.iter().map(|(v, ..)| *v).collect();
-        assert_eq!(listed, ENV_SHORTHANDS, "one case per environment shorthand");
-        for (var, value, edit) in vars {
-            let mut want = base.clone();
-            edit(&mut want);
-            let env = |v: &str| (v == var).then(|| value.to_string());
-            let got = base.clone().resolve_env_with(&ENV_SHORTHANDS, env, &[]).unwrap();
-            assert_eq!(got, want, "{var}={value}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

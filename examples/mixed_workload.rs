@@ -3,22 +3,36 @@
 //!
 //! ```sh
 //! cargo run --release --example mixed_workload            # Q-adaptive
-//! cargo run --release --example mixed_workload -- PAR
+//! cargo run --release --example mixed_workload -- --routing PAR
+//! cargo run --release --example mixed_workload -- --routing PAR,Q-adp --scale 256
 //! ```
+//!
+//! Every argument is a spec flag (any `--NAME VALUE`). The defaults are
+//! `--workload mixed`, `--routing Q-adp` (one table per routing given) and
+//! `--scale 128`.
 
 use dragonfly_interference::prelude::*;
 
 fn main() {
-    let routing = std::env::args()
-        .nth(1)
-        .map(|s| lookup::<RoutingAlgo>(&s).unwrap_or_else(|e| die(&e)))
-        .unwrap_or(RoutingAlgo::QAdaptive);
-    let spec = ExperimentSpec { scale: 128.0, ..Default::default() }
-        .resolve(&[])
-        .unwrap_or_else(|e| die(&e));
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let spec = ExperimentSpec {
+        workload: Workload::Mixed,
+        routings: vec![RoutingAlgo::QAdaptive],
+        scale: 128.0,
+        ..Default::default()
+    }
+    .resolve(&args)
+    .unwrap_or_else(|e| die(&e));
+    for &routing in &spec.routings {
+        report(&spec, routing);
+    }
+}
 
-    println!("mixed workload (Table II) under {routing} @ scale 1/{}", spec.scale);
-    let report = Simulation::run_one(&spec.cell(routing), Workload::Mixed)
+/// Run the spec's workload under `routing` and print its per-app table and
+/// network summary.
+fn report(spec: &ExperimentSpec, routing: RoutingAlgo) {
+    println!("{} under {routing} @ scale 1/{}", spec.workload.describe(), spec.scale);
+    let report = Simulation::run_one(&spec.cell(routing), spec.workload.clone())
         .unwrap_or_else(|e| die(&e))
         .report;
 

@@ -1,21 +1,32 @@
 //! Pairwise interference study (paper §V): pick a target and a background
-//! app from the command line, run standalone + co-running under every
+//! app from the command line, run standalone + co-running under each
 //! routing algorithm, and print the Fig-4-style comparison.
 //!
 //! ```sh
-//! cargo run --release --example pairwise_interference -- LQCD Stencil5D
-//! SCALE=128 cargo run --release --example pairwise_interference -- FFT3D DL
+//! cargo run --release --example pairwise_interference -- --workload "pairwise LQCD Stencil5D"
+//! cargo run --release --example pairwise_interference -- --workload "pairwise FFT3D DL" \
+//!     --scale 256
 //! ```
+//!
+//! Every argument is a spec flag (any `--NAME VALUE`). The defaults are
+//! `--workload "pairwise FFT3D Halo3D"`, `--routing UGALg,UGALn,PAR,Q-adp`
+//! (one row each) and `--scale 128`.
 
 use dragonfly_interference::prelude::*;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let target = args.get(1).and_then(|s| AppKind::from_name(s)).unwrap_or(AppKind::FFT3D);
-    let background = args.get(2).and_then(|s| AppKind::from_name(s)).unwrap_or(AppKind::Halo3D);
-    let spec = ExperimentSpec { scale: 128.0, ..Default::default() }
-        .resolve(&[])
-        .unwrap_or_else(|e| die(&e));
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let spec = ExperimentSpec {
+        workload: Workload::pairwise(AppKind::FFT3D, Some(AppKind::Halo3D)),
+        routings: RoutingAlgo::PAPER_SET.to_vec(),
+        scale: 128.0,
+        ..Default::default()
+    }
+    .resolve(&args)
+    .unwrap_or_else(|e| die(&e));
+    let Workload::Pairwise { target, background: Some(background) } = spec.workload else {
+        die("pairwise_interference needs --workload \"pairwise TARGET BACKGROUND\"")
+    };
     let run = |routing, background| {
         let workload = Workload::pairwise(target, background);
         Simulation::run_one(&spec.cell(routing), workload).unwrap_or_else(|e| die(&e)).report
@@ -30,7 +41,7 @@ fn main() {
         "variation %",
         "p99 latency us",
     ]);
-    for routing in RoutingAlgo::PAPER_SET {
+    for &routing in &spec.routings {
         let alone = run(routing, None);
         let both = run(routing, Some(background));
         let a = &alone.apps[0];

@@ -52,7 +52,7 @@ fn main() {
     }
 
     // Snapshot the learned tables and round-trip them through a file —
-    // exactly what `--qtable save=` / `--qtable load=` do.
+    // exactly what `--qtable_save` / `--qtable_load` do.
     let snap = net.qtable_snapshot().expect("Q-adaptive routers carry Q-tables");
     let path = std::env::temp_dir().join(format!("qtable_inspect_{}.snap", std::process::id()));
     snap.save(&path).expect("snapshot write");
@@ -72,7 +72,7 @@ fn main() {
     let _ = std::fs::remove_file(&path);
 
     // The learned values now come out of the *snapshot*: a network
-    // warm-started from it, built the way `--qtable load=` builds one.
+    // warm-started from it, built the way `--qtable_load` builds one.
     let warm_cfg = RoutingConfig { qtable_init: QTableInit::Warm, ..cfg };
     let p = topo.params();
     let map = PartitionMap::new(p.groups, p.routers_per_group, p.nodes_per_router, 1);

@@ -1,19 +1,34 @@
 //! Compare all five routing algorithms (the paper's four plus the MIN
-//! baseline) on one workload, standalone — the sanity check behind Fig 4's
-//! blue bars.
+//! baseline) on one workload, standalone by default — the sanity check
+//! behind Fig 4's blue bars. Each row reports the workload's first app.
 //!
 //! ```sh
-//! cargo run --release --example routing_comparison -- Halo3D
+//! cargo run --release --example routing_comparison -- --workload "standalone Halo3D"
+//! cargo run --release --example routing_comparison -- --workload "standalone Halo3D" --scale 512
 //! ```
+//!
+//! Every argument is a spec flag (any `--NAME VALUE`). The defaults are
+//! `--workload "standalone LU"`, `--routing MIN,UGALg,UGALn,PAR,Q-adp` (one
+//! row each) and `--scale 128`.
 
 use dragonfly_interference::prelude::*;
 
 fn main() {
-    let app = std::env::args().nth(1).and_then(|s| AppKind::from_name(&s)).unwrap_or(AppKind::LU);
-    let spec = ExperimentSpec { scale: 128.0, ..Default::default() }
-        .resolve(&[])
-        .unwrap_or_else(|e| die(&e));
-    println!("{app} standalone on 528 nodes @ scale 1/{}", spec.scale);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let spec = ExperimentSpec {
+        workload: Workload::standalone(AppKind::LU),
+        routings: RoutingAlgo::ALL.to_vec(),
+        scale: 128.0,
+        ..Default::default()
+    }
+    .resolve(&args)
+    .unwrap_or_else(|e| die(&e));
+    println!(
+        "{} on the {}-node system @ scale 1/{}",
+        spec.workload.describe(),
+        spec.params.num_nodes(),
+        spec.scale
+    );
 
     let mut t = TextTable::new(vec![
         "Routing",
@@ -24,14 +39,8 @@ fn main() {
         "mean lat us",
         "p99 lat us",
     ]);
-    for routing in [
-        RoutingAlgo::Minimal,
-        RoutingAlgo::UgalG,
-        RoutingAlgo::UgalN,
-        RoutingAlgo::Par,
-        RoutingAlgo::QAdaptive,
-    ] {
-        let r = Simulation::run_one(&spec.cell(routing), Workload::standalone(app))
+    for &routing in &spec.routings {
+        let r = Simulation::run_one(&spec.cell(routing), spec.workload.clone())
             .unwrap_or_else(|e| die(&e))
             .report;
         let a = &r.apps[0];

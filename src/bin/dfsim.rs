@@ -2,10 +2,6 @@
 //!
 //! ```text
 //! dfsim run [--spec FILE] [options]      # run whatever the spec describes
-//! dfsim standalone <APP> [options]
-//! dfsim pairwise <TARGET> <BACKGROUND|none> [options]
-//! dfsim mixed [options]
-//! dfsim scenario <ARRIVALS|poisson> [options]   # churn: timed job stream
 //! dfsim sweep <NAME> [options]          # a paper figure/table sweep (bare: list names)
 //! dfsim emit [--spec FILE] [options]    # print the resolved spec (canonical form)
 //! dfsim apps                            # list workloads with Table I data
@@ -13,8 +9,6 @@
 //! dfsim trace FILE [--replay]           # inspect a trace; --replay rebuilds the report
 //! dfsim cache <stats|ls|gc> [--max-age SECONDS] [--max-bytes BYTES] [--cache DIR]
 //!
-//! `ARRIVALS` is a comma-separated list `APP:SIZE@TIME` (e.g.
-//! `UR:36@0,LU:16@0.5ms`); `poisson` synthesizes arrivals from the seed.
 //! `NAME` is one of the paper's figures and tables (`fig4`…`fig13`,
 //! `table1`, `table2`), `churn`, an ablation or a probe; a sweep runs its
 //! cells in parallel (`--threads` sizes the pool) and writes one trace file
@@ -22,51 +16,62 @@
 //! cache format versions; `--max-age` / `--max-bytes` evict beyond that.
 //!
 //! Every subcommand resolves its configuration through the one experiment
-//! layering: built-in defaults < `--spec FILE` < environment (`SCALE`,
-//! `SEED`, `QUEUE`, `ROUTING`, …) < command line. Invalid values from any
-//! layer are hard errors (exit 2) naming the offending input.
+//! layering: built-in defaults < `--spec FILE` < command line. Every spec
+//! key `NAME` (see `dfsim emit`) is the flag `--NAME VALUE`, parsed exactly
+//! like the file line `NAME VALUE`; the environment is never read. Invalid
+//! values are hard errors (exit 2) naming the offending input.
 //!
-//! options (the spec layer):
-//!   --spec <FILE>                           (layer a spec file under env/CLI)
+//! options (the spec layer; a few of the keys):
+//!   --spec <FILE>                           (layer a spec file under the flags)
+//!   --workload <TEXT>                       (standalone APP | pairwise TARGET BG|none |
+//!                                            mixed | jobs LIST | scenario ARRIVALS |
+//!                                            poisson; default mixed)
 //!   --routing <MIN|UGALg|UGALn|PAR|Q-adp>   (default UGALg)
 //!   --scale <f64>  --seed <u64>             (default 64, 42)
-//!   --groups <g> --routers <a> --nodes <p> --globals <h>
-//!   --placement <random|contiguous> | --contiguous
+//!   --topology "groups=g routers_per_group=a nodes_per_router=p globals_per_router=h"
+//!                                           (fields given replace the defaults')
+//!   --placement <random|contiguous>
 //!   --queue <heap|calendar[:auto|:width=PS,buckets=N]>
-//!   --qtable save=PATH | load=PATH          (requires --routing Q-adp;
-//!                                            load rejected on fingerprint mismatch)
+//!   --qtable_save <PATH> --qtable_load <PATH>
+//!                                           (require --routing Q-adp; a load
+//!                                            is rejected on fingerprint mismatch)
 //!   --trace <PATH>                          (stream every metric event to a
 //!                                            dfsim-trace v1 file; replayable)
 //!   --horizon <DURATION>                    (e.g. 5ms: wall on simulated time)
+//!   --max_events <N>                        (event cap, checked at window barriers)
 //!   --sched <fcfs|backfill>                 (scenario admission; default fcfs)
-//!   --rate <jobs/ms> --jobs <N>             (poisson generator; default 1, 8)
+//!   --rates <jobs/ms> --jobs <N>            (poisson generator; default 1, 8)
 //!   --apps <LIST> --sizes <LIST>            (poisson kinds/sizes cycles)
-//!   --cache [on|off|DIR] | --no-cache       (content-addressed result cache;
-//!                                            bare --cache uses $DFSIM_CACHE_DIR
-//!                                            or .dfsim-cache/)
+//!   --cache <on|off|DIR>                    (content-addressed result cache;
+//!                                            on = .dfsim-cache/ in the working
+//!                                            directory)
+//!   --threads <N>                           (partitions of a run, pool of a sweep)
 //!   --smoke                                 (CI: shrink to the 72-node system)
 //! presentation options (not part of the spec):
 //!   --engine-stats                          (print the event-engine block)
 //!   --csv                                   (machine-readable output)
 //! ```
+//!
+//! `ARRIVALS` is a comma-separated list `APP:SIZE@TIME` (e.g.
+//! `UR:36@0,LU:16@0.5ms`); `poisson` synthesizes arrivals from the seed.
 
 use dragonfly_interference::prelude::*;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: dfsim <run | standalone APP | pairwise TARGET BG | mixed | scenario ARRIVALS | \
-         sweep NAME | emit | apps | topo | trace FILE [--replay] | cache stats|ls|gc> [--spec FILE] \
-         [--routing R] [--scale S] [--seed N] [--groups g --routers a --nodes p --globals h] \
-         [--placement random|contiguous] [--queue heap|calendar[:width=PS,buckets=N]] [--qtable \
-         save=PATH|load=PATH] [--trace PATH] [--horizon D] [--sched fcfs|backfill] [--rate R \
-         --jobs N --apps LIST --sizes LIST] [--cache [on|off|DIR]] [--no-cache] [--max-age S \
-         --max-bytes B] [--smoke] [--engine-stats] [--csv]"
+        "usage: dfsim <run | sweep NAME | emit | apps | topo | trace FILE [--replay] | cache \
+         stats|ls|gc> [--spec FILE] [--NAME VALUE for any spec key, e.g. --workload \"pairwise \
+         FFT3D Halo3D\" --routing R --scale S --seed N --topology \"groups=g ...\" --placement \
+         random|contiguous --queue heap|calendar[:width=PS,buckets=N] --trace PATH --horizon D \
+         --sched fcfs|backfill --rates R --jobs N --apps LIST --sizes LIST --cache on|off|DIR \
+         --threads N --qtable_save PATH --qtable_load PATH] [--max-age S --max-bytes B] [--smoke] \
+         [--engine-stats] [--csv]"
     );
     std::process::exit(2)
 }
 
 /// Resolve the effective spec for this invocation: `defaults < --spec FILE
-/// < env < CLI`, exiting 2 with the named error on any invalid input.
+/// < CLI`, exiting 2 with the named error on any invalid input.
 fn resolve(defaults: ExperimentSpec, args: &[String]) -> ExperimentSpec {
     defaults.resolve(args).unwrap_or_else(|e| die(&e))
 }
@@ -280,7 +285,7 @@ fn print_jobs(report: &RunReport, csv: bool) {
 
 /// `dfsim cache <stats|ls|gc>`: inspect or prune the content-addressed
 /// result store. The directory comes from `--cache DIR` when given, else
-/// the `DFSIM_CACHE_DIR` / `.dfsim-cache/` resolution every run uses.
+/// `.dfsim-cache/` in the working directory, as `cache on` resolves it.
 fn cache_cmd(action: &str, args: &[String]) {
     let mut mode = CacheMode::On;
     let mut max_age_s: Option<u64> = None;
@@ -288,14 +293,16 @@ fn cache_cmd(action: &str, args: &[String]) {
     let mut i = 0;
     while i < args.len() {
         let flag_val = |what: &str, v: Option<&String>| -> String {
-            v.cloned().unwrap_or_else(|| die(format!("{what} needs a value")))
+            // A following flag is not a value (as in `ExperimentSpec::resolve`).
+            v.filter(|v| !v.starts_with("--"))
+                .cloned()
+                .unwrap_or_else(|| die(format!("{what} needs a value")))
         };
         match args[i].as_str() {
             "--cache" => {
-                if let Some(v) = args.get(i + 1).filter(|v| !v.starts_with("--")) {
-                    mode = CacheMode::parse(v).unwrap_or_else(|e| die(format!("--cache: {e}")));
-                    i += 1;
-                }
+                let v = flag_val("--cache", args.get(i + 1));
+                mode = CacheMode::parse(&v).unwrap_or_else(|e| die(format!("--cache: {e}")));
+                i += 1;
             }
             "--max-age" => {
                 let v = flag_val("--max-age", args.get(i + 1));
@@ -352,10 +359,6 @@ fn cache_cmd(action: &str, args: &[String]) {
         }
         other => die(format!("dfsim cache: unknown action {other:?} (stats|ls|gc)")),
     }
-}
-
-fn app_or_die(name: &str) -> AppKind {
-    lookup(name).unwrap_or_else(|e| die(format!("{e} (try: dfsim apps)")))
 }
 
 fn main() {
@@ -415,32 +418,6 @@ fn main() {
             let spec = resolve(ExperimentSpec::default(), &args[1..]);
             print!("{}", spec.emit());
         }
-        "standalone" => {
-            let app = app_or_die(args.get(1).map(String::as_str).unwrap_or_else(|| usage()));
-            let show = Presentation::from_args(&args[2..]);
-            // The positional workload is the most explicit layer of all: it
-            // is applied after resolve, so a spec file's `workload` key
-            // cannot silently replace what the subcommand names.
-            let spec = resolve(ExperimentSpec::default(), &args[2..])
-                .with_workload(Workload::standalone(app));
-            run_and_print(spec, &show);
-        }
-        "pairwise" => {
-            let target = app_or_die(args.get(1).map(String::as_str).unwrap_or_else(|| usage()));
-            let bg_arg = args.get(2).map(String::as_str).unwrap_or_else(|| usage());
-            let bg =
-                if bg_arg.eq_ignore_ascii_case("none") { None } else { Some(app_or_die(bg_arg)) };
-            let show = Presentation::from_args(&args[3..]);
-            let spec = resolve(ExperimentSpec::default(), &args[3..])
-                .with_workload(Workload::pairwise(target, bg));
-            run_and_print(spec, &show);
-        }
-        "mixed" => {
-            let show = Presentation::from_args(&args[1..]);
-            let spec =
-                resolve(ExperimentSpec::default(), &args[1..]).with_workload(Workload::Mixed);
-            run_and_print(spec, &show);
-        }
         "trace" => {
             let path = args.get(1).map(String::as_str).unwrap_or_else(|| usage());
             trace_cmd(std::path::Path::new(path), &args[2..]);
@@ -448,17 +425,6 @@ fn main() {
         "cache" => {
             let action = args.get(1).map(String::as_str).unwrap_or_else(|| usage());
             cache_cmd(action, &args[2..]);
-        }
-        "scenario" => {
-            let arg = args.get(1).map(String::as_str).unwrap_or_else(|| usage());
-            let workload = if arg.eq_ignore_ascii_case("poisson") {
-                Workload::Poisson
-            } else {
-                Workload::parse(&format!("scenario {arg}")).unwrap_or_else(|e| die(&e))
-            };
-            let show = Presentation::from_args(&args[2..]);
-            let spec = resolve(ExperimentSpec::default(), &args[2..]).with_workload(workload);
-            run_and_print(spec, &show);
         }
         "sweep" => dfsim_bench::sweep(&args[1..]),
         _ => usage(),

@@ -1,6 +1,7 @@
 //! The spec-format contract: `parse → emit → parse` is the identity,
 //! canonical files round-trip byte-identically, the layering order is
-//! `defaults < spec file < environment < command line`, every malformed
+//! `defaults < spec file < command line`, every key's `--NAME VALUE` flag
+//! means what its file line `NAME VALUE` means, every malformed
 //! input produces a *named* error, and the checked-in spec files (the
 //! golden one under `tests/specs/` and the annotated examples under
 //! `examples/specs/`) always parse — the format can never drift from the
@@ -75,7 +76,7 @@ fn checked_in_example_specs_always_parse() {
 }
 
 #[test]
-fn layering_precedence_file_under_env_under_cli() {
+fn layering_precedence_file_under_cli() {
     let dir = std::env::temp_dir().join(format!("dfsim_spec_layers_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("base.spec");
@@ -84,37 +85,53 @@ fn layering_precedence_file_under_env_under_cli() {
         "dfsim-spec v1\nscale 128\nseed 7\nrouting PAR\nqueue calendar:auto\nsched backfill\n",
     )
     .unwrap();
-    let env = |var: &str| match var {
-        "SEED" => Some("11".to_string()),
-        "QUEUE" => Some("heap".to_string()),
-        "ROUTING" => Some("UGALn".to_string()),
-        _ => None,
-    };
-    let cli = args(&["--spec", path.to_str().unwrap(), "--routing", "Q-adp", "--csv"]);
-    let spec = ExperimentSpec::default().resolve_with(env, &cli).unwrap();
-    // File beats defaults where neither env nor CLI speaks.
+    let cli = args(&[
+        "--spec",
+        path.to_str().unwrap(),
+        "--seed",
+        "11",
+        "--queue",
+        "heap",
+        "--routing",
+        "Q-adp",
+        "--csv",
+    ]);
+    let spec = ExperimentSpec::default().resolve(&cli).unwrap();
+    // File beats defaults where the CLI does not speak.
     assert_eq!(spec.scale, 128.0);
     assert_eq!(spec.sched, SchedPolicy::Backfill);
-    // Env beats the file.
+    // CLI beats the file.
     assert_eq!(spec.seed, 11);
     assert_eq!(spec.queue, QueueBackend::BinaryHeap);
-    // CLI beats env.
     assert_eq!(spec.routings, vec![RoutingAlgo::QAdaptive]);
     let _ = std::fs::remove_file(&path);
 }
 
-/// A valid and an invalid text for every spec key an env var or a value
-/// flag can set.
+/// A valid and an invalid text for every spec key. Each valid text also
+/// passes validation over [`flag_base`].
 fn sample_texts(key: &str) -> (&'static str, &'static str) {
     match key {
+        "workload" => ("pairwise LQCD Stencil5D", "quantum"),
+        "topology" => ("groups=9 routers_per_group=4 nodes_per_router=2", "groups=many"),
+        "timing" => ("flit_bytes=64 packet_bytes=512", "warp_factor=9"),
+        "routing" => ("PAR,Q-adp", "warp"),
+        "ugal_bias" => ("-3", "x"),
+        "nonmin_samples" => ("4", "-1"),
+        "qa_alpha" => ("0.5", "x"),
+        "qa_epsilon" => ("0.1", "x"),
+        "qtable_load" => ("/tmp/q.snap", " "),
+        "qtable_save" => ("/tmp/q2.snap", " "),
         "scale" => ("128", "6O"),
         "seed" => ("11", "-3"),
-        "queue" => ("calendar", "abacus"),
-        "routing" => ("PAR,Q-adp", "warp"),
         "placement" => ("contiguous", "sideways"),
+        "queue" => ("calendar", "abacus"),
         "sched" => ("backfill", "lifo"),
-        "threads" => ("3", "many"),
-        "cache" => ("/tmp/c", " "),
+        "eager_threshold" => ("4096", "x"),
+        "horizon" => ("2ms", "soon"),
+        "max_events" => ("5000", "x"),
+        "bin_width" => ("1ms", "fast"),
+        "record_latencies" => ("false", "maybe"),
+        "record_ports" => ("false", "maybe"),
         "rates" => ("0.5,2", "fast"),
         "jobs" => ("5", "-1"),
         "apps" => ("UR,LU", "Quake"),
@@ -123,128 +140,75 @@ fn sample_texts(key: &str) -> (&'static str, &'static str) {
         "train" => ("LU", "Quake"),
         "snapshot" => ("/tmp/s.snap", " "),
         "trace" => ("/tmp/t.trace", " "),
-        "horizon" => ("2ms", "soon"),
-        other => panic!("knob for spec key '{other}' has no sample texts — add a row"),
+        "cache" => ("/tmp/c", " "),
+        "threads" => ("3", "many"),
+        other => panic!("spec key '{other}' has no sample texts — add a row"),
     }
 }
 
-/// The layers agree, for every registered knob: an env var whose lower-case
-/// name is a spec key and a value flag whose name minus `--` is one set
-/// exactly what the file line `key text` sets, and reject what it rejects —
-/// as an error naming the variable and value, or the flag.
+/// The defaults under Q-adaptive routing, so the Q-table keys validate.
+fn flag_base() -> ExperimentSpec {
+    ExperimentSpec { routings: vec![RoutingAlgo::QAdaptive], ..Default::default() }
+}
+
+/// The two ways into a key agree, for every key: the flag `--NAME text`
+/// sets exactly what the file line `NAME text` sets, and rejects what it
+/// rejects, as an error naming the flag.
 #[test]
-fn env_vars_and_value_flags_agree_with_the_file_layer() {
-    use dfsim_core::spec::{CLI_FLAGS, CORE_ENV, EXTENDED_ENV, SPEC_HEADER, SPEC_KEYS};
+fn every_key_flag_agrees_with_its_file_line() {
+    use dfsim_core::spec::{SPEC_HEADER, SPEC_KEYS};
     let from_file =
-        |key: &str, text: &str| ExperimentSpec::parse(&format!("{SPEC_HEADER}\n{key} {text}\n"));
-
-    let mut checked = 0;
-    for var in CORE_ENV.iter().chain(&EXTENDED_ENV) {
-        let key = var.to_ascii_lowercase();
-        if !SPEC_KEYS.contains(&key.as_str()) {
-            continue; // TARGET / BG: shorthands, covered below
-        }
-        let (good, bad) = sample_texts(&key);
-        let resolve = |value: &'static str| {
-            let env = move |v: &str| (v == *var).then(|| value.to_string());
-            ExperimentSpec::default().resolve_env_with(&EXTENDED_ENV, env, &[])
-        };
-        assert_eq!(resolve(good).unwrap(), from_file(&key, good).unwrap(), "{var}={good}");
-        assert!(from_file(&key, bad).is_err(), "'{key} {bad}' should be invalid");
-        match resolve(bad).unwrap_err() {
-            SpecError::Env { var: v, value, .. } => {
-                assert_eq!((v.as_str(), value.as_str()), (*var, bad))
-            }
-            other => panic!("{var}={bad} must be a named env error, got {other:?}"),
-        }
-        checked += 1;
-    }
-    assert_eq!(checked, 15, "every key-named env var is walked");
-
-    let mut checked = 0;
-    for flag in CLI_FLAGS {
-        let Some(key) = flag.strip_prefix("--").filter(|k| SPEC_KEYS.contains(k)) else {
-            continue; // shorthands, presentation flags and the binaries' own
-        };
+        |key: &str, text: &str| flag_base().parsed_over(&format!("{SPEC_HEADER}\n{key} {text}\n"));
+    for key in SPEC_KEYS {
+        let flag = format!("--{key}");
         let (good, bad) = sample_texts(key);
-        let resolve =
-            |value: &str| ExperimentSpec::default().resolve_with(|_| None, &args(&[flag, value]));
-        assert_eq!(resolve(good).unwrap(), from_file(key, good).unwrap(), "{flag} {good}");
+        let resolve = |value: &str| flag_base().resolve(&args(&[&flag, value]));
+        let want = from_file(key, good).unwrap_or_else(|e| panic!("'{key} {good}': {e}"));
+        assert_ne!(want, flag_base(), "'{key} {good}' must change the spec");
+        assert_eq!(resolve(good).unwrap(), want, "{flag} {good}");
+        assert!(from_file(key, bad).is_err(), "'{key} {bad}' should be invalid");
         match resolve(bad).unwrap_err() {
             SpecError::Flag { flag: f, .. } => assert_eq!(f, flag),
             other => panic!("{flag} '{bad}' must be a named flag error, got {other:?}"),
         }
-        checked += 1;
     }
-    assert_eq!(checked, 17, "every key-named value flag is walked");
 }
 
-/// The inputs that are not a key's text are shorthands onto keys.
+/// The key flags that replace the old shorthands land on their keys, a
+/// partial `--topology` replaces only the fields it names, and a flag whose
+/// value was forgotten does not swallow the next flag.
 #[test]
-fn shorthand_env_vars_and_flags_land_on_their_keys() {
-    let pair = ExperimentSpec::default().with_workload(Workload::pairwise(AppKind::LU, None));
-    let env = |var: &str| match var {
-        "TARGET" => Some("fft3d".to_string()),
-        "BG" => Some("Halo3D".to_string()),
-        _ => None,
-    };
-    let spec = pair.clone().resolve_env_with(&["TARGET", "BG"], env, &[]).unwrap();
-    assert_eq!(spec.workload, Workload::pairwise(AppKind::FFT3D, Some(AppKind::Halo3D)));
-    let err = ExperimentSpec::default().resolve_env_with(&["BG"], env, &[]).unwrap_err();
-    assert!(
-        matches!(err, SpecError::Env { ref var, .. } if var == "BG"),
-        "mixed has no BG: {err:?}"
-    );
-
+fn shorthand_flags_land_on_their_keys() {
     let cli = [
-        "--groups",
-        "9",
-        "--routers",
-        "4",
-        "--nodes",
-        "2",
-        "--globals",
-        "2",
-        "--contiguous",
-        "--rate",
+        "--workload",
+        "pairwise fft3d Halo3D",
+        "--topology",
+        "groups=9 routers_per_group=4 nodes_per_router=2 globals_per_router=2",
+        "--placement",
+        "contiguous",
+        "--rates",
         "2.5",
         "--routing",
         "Q-adp",
-        "--qtable",
-        "save=/tmp/q.snap",
+        "--qtable_save",
+        "/tmp/q.snap",
     ];
-    let spec = pair.resolve_with(|_| None, &args(&cli)).unwrap();
+    let spec = ExperimentSpec::default().resolve(&args(&cli)).unwrap();
+    assert_eq!(spec.workload, Workload::pairwise(AppKind::FFT3D, Some(AppKind::Halo3D)));
     assert_eq!(spec.params, DragonflyParams::tiny_72());
     assert_eq!(spec.placement, Placement::Contiguous);
     assert_eq!(spec.rates, vec![2.5]);
     assert_eq!(spec.qtable_save, Some("/tmp/q.snap".into()));
-    for bad in [["--groups", "many"], ["--qtable", "keep=/tmp/q"], ["--qtable", "load="]] {
-        let err = ExperimentSpec::default().resolve_with(|_| None, &args(&bad)).unwrap_err();
+    let spec = ExperimentSpec::default().resolve(&args(&["--topology", "groups=5"])).unwrap();
+    let want = DragonflyParams { groups: 5, ..ExperimentSpec::default().params };
+    assert_eq!(spec.params, want, "only the named field changes");
+    for bad in [["--topology", "groups=many"], ["--cache", "--csv"]] {
+        let err = ExperimentSpec::default().resolve(&args(&bad)).unwrap_err();
         assert!(
             matches!(err, SpecError::Flag { ref flag, .. } if flag == bad[0]),
             "{bad:?}: {err:?}"
         );
     }
-}
-
-#[test]
-fn extended_env_vars_require_opt_in() {
-    // `TARGET`/`JOBS` are common shell/CI variable names; a front-end that
-    // did not opt in must not even look at them — `dfsim run` in a shell
-    // with TARGET=x86_64-unknown-linux-gnu exported must still work.
-    let env = |var: &str| match var {
-        "TARGET" => Some("x86_64-unknown-linux-gnu".to_string()),
-        "JOBS" => Some("not-a-number".to_string()),
-        _ => None,
-    };
-    let spec = ExperimentSpec::default().resolve_with(env, &[]).unwrap();
-    assert_eq!(spec, ExperimentSpec::default());
-    // Opted in, the same values are named hard errors.
-    let err = ExperimentSpec::default().resolve_env_with(&["TARGET"], env, &[]).unwrap_err();
-    assert!(err.to_string().contains("TARGET"), "{err}");
-    // And an unknown opt-in name is itself an error, not a silent no-op.
-    let err = ExperimentSpec::default().resolve_env_with(&["TARGETZ"], env, &[]).unwrap_err();
-    assert!(err.to_string().contains("TARGETZ"), "{err}");
 }
 
 #[test]
@@ -276,16 +240,13 @@ fn value_errors_carry_line_key_and_valid_forms() {
 
 #[test]
 fn dfsim_scenario_and_dfsim_run_agree_through_the_spec() {
-    // The `scenario` positional form and the equivalent spec file resolve
-    // to the same experiment and therefore the same report.
-    let scenario_text = "UR:18@0,CosmoFlow:18@10ns,LU:18@20ns";
-    let spec_direct = ExperimentSpec {
-        params: DragonflyParams::tiny_72(),
-        scale: 2_048.0,
-        seed: 13,
-        ..Default::default()
-    }
-    .with_workload(Workload::parse(&format!("scenario {scenario_text}")).unwrap());
+    // The `--workload "scenario …"` flag form and the equivalent spec file
+    // resolve to the same experiment and therefore the same report.
+    let workload = "scenario UR:18@0,CosmoFlow:18@10ns,LU:18@20ns";
+    let cli = ["--workload", workload, "--seed", "13", "--smoke"];
+    let spec_direct = ExperimentSpec::default().resolve(&args(&cli)).unwrap();
+    assert!(matches!(spec_direct.workload, Workload::Scenario(ref a) if a.len() == 3));
+    assert_eq!((spec_direct.params, spec_direct.scale), (DragonflyParams::tiny_72(), 2_048.0));
     let text = spec_direct.emit();
     let spec_from_file = ExperimentSpec::parse(&text).unwrap();
     assert_eq!(spec_from_file, spec_direct);

@@ -2,11 +2,10 @@
 //! and opens with its own CSV header, the presentation flags behave the
 //! same on every sweep, and a missing or unknown name is a usage error
 //! that lists the valid names. Also the arguments `dfsim cache` and
-//! `dfsim trace` parse themselves, outside the spec resolver.
+//! `dfsim trace` parse themselves, outside the spec resolver, and no
+//! exported shell variable changes what `dfsim` prints.
 
 use std::process::{Command, Output};
-
-use dragonfly_interference::core::spec::{CORE_ENV, EXTENDED_ENV};
 
 /// Every sweep with the start of its `--smoke --csv` stdout: the CSV header
 /// of its first table, after the section caption for the figures printed
@@ -51,14 +50,8 @@ const SWEEPS: [(&str, &str); 18] = [
     ),
 ];
 
-/// Run `dfsim` with the knob environment cleared, so an exported `SCALE`
-/// or `TARGET` cannot change what the assertions see.
 fn dfsim(args: &[&str]) -> Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_dfsim"));
-    for var in CORE_ENV.iter().chain(&EXTENDED_ENV) {
-        cmd.env_remove(var);
-    }
-    cmd.args(args).output().expect("dfsim runs")
+    Command::new(env!("CARGO_BIN_EXE_dfsim")).args(args).output().expect("dfsim runs")
 }
 
 fn text(bytes: &[u8]) -> String {
@@ -142,4 +135,38 @@ fn cache_gc_limits_and_trace_replay_work() {
     assert!(gc("--max-age").contains("removed"));
     assert!(gc("--max-bytes").contains("kept 0 (0 bytes)"), "a zero byte cap empties the store");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Regression: knob-named shell variables used to layer into every run
+/// (`SCALE=6O` was a hard error, `SEED=9` changed the report, `CACHE=on`
+/// wrote a cache under `DFSIM_CACHE_DIR`). With them exported, `dfsim`
+/// prints exactly what it prints without them, and writes no cache.
+#[test]
+fn the_shell_cannot_change_a_run() {
+    let dir = std::env::temp_dir().join(format!("dfsim_shell_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let shell = [
+        ("SCALE", "6O"),
+        ("SEED", "9"),
+        ("THREADS", "x"),
+        ("ROUTING", "warp"),
+        ("TARGET", "x86_64-unknown-linux-gnu"),
+        ("CACHE", "on"),
+        ("DFSIM_CACHE_DIR", dir.to_str().unwrap()),
+    ];
+    let spec = "tests/specs/fig8_tiny.spec";
+    for args in [&["emit", "--spec", spec][..], &["run", "--spec", spec, "--csv"]] {
+        let mut exported = Command::new(env!("CARGO_BIN_EXE_dfsim"));
+        exported.args(args).envs(shell);
+        let mut clean = Command::new(env!("CARGO_BIN_EXE_dfsim"));
+        clean.args(args);
+        for (var, _) in shell {
+            clean.env_remove(var);
+        }
+        let (exported, clean) = (exported.output().unwrap(), clean.output().unwrap());
+        assert!(exported.status.success(), "{args:?}: {}", text(&exported.stderr));
+        assert!(clean.status.success(), "{args:?}: {}", text(&clean.stderr));
+        assert_eq!(text(&exported.stdout), text(&clean.stdout), "{args:?}");
+        assert!(!dir.exists(), "{args:?} created a cache directory");
+    }
 }
